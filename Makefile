@@ -19,7 +19,7 @@ race:
 # boundary while concurrent clients assert each request still ends in a
 # correct answer or a typed error (see DESIGN.md "Failure model").
 chaos:
-	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
+	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject
 
 # serve-drill runs the live-telemetry chaos drill end to end: the real

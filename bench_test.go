@@ -299,14 +299,14 @@ func BenchmarkSSSPHot(b *testing.B) {
 	}
 }
 
-// BenchmarkSourcesBatchedWave times the lane-parallel batched wave across
-// batch widths k and worker counts P: one shared edge sweep relaxes k
-// distance lanes per phase, with the lane dimension partitioned across
-// workers (no atomics; see DESIGN.md "Query performance"). P=4 rows on a
-// multi-CPU machine show the wave's scaling; counted work is independent
-// of P.
+// BenchmarkSourcesBatchedWave times the multi-source wave across wave
+// sizes k and worker counts P: a wave is a deduplicated fan-out of pruned
+// solo queries, the sources handed to the workers one at a time (see
+// DESIGN.md "Query performance"). The k=1 rows are a solo server wave and
+// should cost about what BenchmarkSSSPHot does; P=4 rows on a multi-CPU
+// machine show the wave's scaling; counted work is independent of P.
 func BenchmarkSourcesBatchedWave(b *testing.B) {
-	for _, k := range []int{8, 32} {
+	for _, k := range []int{1, 8, 32} {
 		for _, p := range []int{1, 4} {
 			b.Run(fmt.Sprintf("k=%d/P=%d", k, p), func(b *testing.B) {
 				g, grid := gridGraph(b, 64, 64, 9)
@@ -319,7 +319,7 @@ func BenchmarkSourcesBatchedWave(b *testing.B) {
 				}
 				srcs := make([]int, k)
 				for j := range srcs {
-					srcs[j] = (j * 37) % g.N()
+					srcs[j] = (g.N()/2 + j*37) % g.N() // k=1: BenchmarkSSSPHot's source
 				}
 				ix.SourcesBatched(srcs) // warm the workspace pool
 				b.ReportAllocs()

@@ -64,8 +64,10 @@ func TestServeCacheDrill(t *testing.T) {
 		return string(body), nil
 	}
 
-	// Scrape until the hot-source load shows cache hits (the -linger window
-	// keeps the endpoint up after the load, so this always settles).
+	// Scrape until every request of the load has been answered through the
+	// cache — hits, misses and shared flights add up to the request count —
+	// so the SIGINT below ends the linger window, not the load (the -linger
+	// window keeps the endpoint up after the load, so this always settles).
 	var metrics, health string
 	for {
 		if time.Now().After(deadline) {
@@ -82,7 +84,10 @@ func TestServeCacheDrill(t *testing.T) {
 		if err := json.Unmarshal([]byte(health), &hz); err != nil {
 			t.Fatalf("/healthz is not valid JSON: %v\n%s", err, health)
 		}
-		if hits, ok := hz["cache_hits"].(float64); ok && hits > 0 {
+		hits, _ := hz["cache_hits"].(float64)
+		misses, _ := hz["cache_misses"].(float64)
+		shared, _ := hz["cache_shared"].(float64)
+		if hits > 0 && hits+misses+shared >= requests {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

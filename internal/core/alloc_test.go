@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sepsp/internal/graph/gen"
+	"sepsp/internal/pram"
 )
 
 // TestSSSPParallelSteadyStateAllocs pins the pooled parallel query: the
@@ -24,14 +25,13 @@ func TestSSSPParallelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSourcesBatchedWaveSteadyStateAllocs pins the wave kernel at a lane
-// count high enough to engage the parallel dispatch path on a sequential
-// executor's threshold check — the interleaved buffer, lane flags, and
-// executor closure are all pooled, leaving the k result rows and their
-// spine.
+// TestSourcesBatchedWaveSteadyStateAllocs pins a k=32 wave on a P=2
+// executor: the wave state, its per-source closure, the dispatcher's round
+// bookkeeping and every query's pruning scratch are pooled, leaving the k
+// result rows and their spine.
 func TestSourcesBatchedWaveSteadyStateAllocs(t *testing.T) {
-	eng, g := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(0.5, 2), 9, Config{})
-	srcs := make([]int, batchedParallelMinLanes)
+	eng, g := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(0.5, 2), 9, Config{Ex: pram.NewExecutor(2)})
+	srcs := make([]int, 32)
 	for j := range srcs {
 		srcs[j] = (j * 7) % g.N()
 	}

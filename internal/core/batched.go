@@ -3,163 +3,139 @@ package core
 import (
 	"context"
 	"math"
+	"sync/atomic"
 
 	"sepsp/internal/pram"
 )
 
-// batchedState is the shared per-wave state of the lane-parallel batched
-// kernel. It lives inside the pooled queryWS together with the cached
-// ForChunked closure, so a steady-state wave allocates only its result rows.
-type batchedState struct {
-	bucket   *soaBucket
-	k        int
-	n        int
-	dist     []float64 // dist[v*k+j]: distance of v from srcs[j]
-	active   []bool    // per lane: still relaxing within the current ℓ-block
-	changed  []bool    // per lane: improved during the current phase
-	ellBlock bool      // current phase is an ℓ-sweep (active flags apply)
-	out      [][]float64
-	mode     int // modeRelax or modeTranspose
+// SourcesBatched computes SSSP from every source of one wave: duplicate
+// sources collapse to one computed row, and each distinct source runs as
+// its own pruned single-source query (the solo kernel with run-delta
+// tracking, ℓ-block frontiers and the convergence exit), the sources
+// handed to the executor's workers one at a time. Rows are bit-identical
+// to SSSP's; see SourcesBatchedContext for the cost accounting.
+func (e *Engine) SourcesBatched(srcs []int, st *pram.Stats) [][]float64 {
+	out, _ := e.SourcesBatchedContext(nil, srcs, st)
+	return out
 }
 
-const (
-	modeRelax = iota
-	modeTranspose
-)
-
-// batchedParallelMinLanes gates the per-phase parallel dispatch: below this
-// lane count a wave runs inline on the calling goroutine. Spawning workers
-// costs a handful of heap allocations and ~µs of latency per phase, which
-// only amortizes once each worker owns at least a vector-width's worth of
-// lanes — small waves (the common interactive-serving case) stay on the
-// zero-spawn path, preserving the k-rows-only allocation budget.
-const batchedParallelMinLanes = 16
-
-// run is the ForChunked body: worker owns lanes [lo, hi), i.e. the disjoint
-// column range j ∈ [lo, hi) of every distance row — no two workers ever
-// touch the same dist cell, so no atomics are needed and results are
-// bit-identical for every worker count.
-func (s *batchedState) run(lo, hi int) {
-	if s.mode == modeTranspose {
-		s.transpose(lo, hi)
-		return
+// SourcesBatchedContext is SourcesBatched with cooperative cancellation:
+// every per-source query polls ctx between phases, so all workers wind
+// down within one phase of a cancellation, sources not yet started are
+// never begun, and the call returns (nil, ctx.Err()). A panic in any
+// worker stops the wave and is re-raised in the caller as a *pram.Panic
+// carrying the worker's value and stack.
+//
+// Workers pull sources from a shared atomic cursor (pram's ForDynamic), so
+// a source whose query converges early frees its worker for the next one
+// instead of idling it behind a static chunk. Each query draws its scratch
+// from the engine's workspace pool and writes straight into its result
+// row: a steady-state wave allocates only its rows and their spine.
+//
+// Stats describe the wave as one lock-step sweep of all its sources: work
+// and avoided work are the per-source sums (k × WorkPerSource in total),
+// and within each ℓ-block the wave runs as long as its slowest source —
+// the block's skipped phases are the fewest any source skipped — so
+// Rounds + SkippedRounds = Phases.
+func (e *Engine) SourcesBatchedContext(ctx context.Context, srcs []int, st *pram.Stats) ([][]float64, error) {
+	k := len(srcs)
+	if k == 0 {
+		return nil, nil
 	}
-	if !s.ellBlock {
-		s.relaxSeg(lo, hi)
-		return
-	}
-	// ℓ-sweep: relax only lanes that have not converged within this block,
-	// as maximal contiguous segments so the unrolled kernel still streams.
-	for a := lo; a < hi; {
-		if !s.active[a] {
-			a++
-			continue
+	// Wave-level duplicate-source dedup: identical sources in one wave
+	// collapse to a single computed row, and the vector is fanned back out
+	// on output (later occurrences get independent copies, so every
+	// returned row stays caller-owned). The duplicates' entire static
+	// schedule cost is accounted as avoided work, preserving the audit
+	// identity executed + avoided = k × WorkPerSource. The detection scan
+	// allocates nothing when all sources are distinct — the common case.
+	if uniq, slot := dedupSources(srcs); uniq != nil {
+		rows, err := e.SourcesBatchedContext(ctx, uniq, st)
+		if err != nil {
+			return nil, err
 		}
-		b := a + 1
-		for b < hi && s.active[b] {
-			b++
+		st.AddSkipped(int64(k-len(uniq))*e.schedule.WorkPerSource(), 0)
+		out := make([][]float64, k)
+		seen := make([]bool, len(uniq))
+		for j, u := range slot {
+			if !seen[u] {
+				out[j] = rows[u] // first occurrence owns the computed row
+				seen[u] = true
+				continue
+			}
+			row := make([]float64, len(rows[u]))
+			copy(row, rows[u])
+			out[j] = row
 		}
-		s.relaxSeg(a, b)
-		a = b
+		return out, nil
 	}
+	ws := e.getWS()
+	defer e.putWS(ws)
+	s := &ws.wave
+	s.e, s.ctx, s.srcs, s.st = e, ctx, srcs, st
+	s.out = make([][]float64, k)
+	for b := range s.skip {
+		s.skip[b].Store(math.MaxInt64)
+	}
+	s.err.Store(nil)
+	defer s.release() // also on a re-raised worker panic
+	e.ex.ForDynamic(k, ws.waveFn())
+	if err := s.err.Load(); err != nil {
+		return nil, *err
+	}
+	skipped := s.skip[0].Load() + s.skip[1].Load()
+	st.AddRounds(int64(e.schedule.Phases()) - skipped)
+	st.AddSkipped(0, skipped)
+	return s.out, nil
 }
 
-// relaxSeg relaxes the current bucket for lane columns [a, b). Per head-run
-// the from-row segment is checked once: an all-+Inf segment skips the whole
-// run (mirroring internal/matrix's all-Inf panel skipping), and the inner
-// min kernel is 8-lane unrolled. A lane whose distance improves sets its
-// changed flag — lane-local state, so no synchronization.
-func (s *batchedState) relaxSeg(a, b int) {
-	k, m := s.k, b-a
-	bk := s.bucket
-	dist, ch := s.dist, s.changed
-	heads, off, to, ws := bk.heads, bk.off, bk.to, bk.w
-	for r := range heads {
-		u := int(heads[r])
-		fr := dist[u*k+a : u*k+b]
-		allInf := true
-		for _, v := range fr {
-			if !math.IsInf(v, 1) {
-				allInf = false
+// waveState is the shared state of one SourcesBatchedContext wave. It
+// lives in the pooled queryWS beside its cached ForDynamic closure, so
+// dispatching a wave allocates nothing.
+type waveState struct {
+	e    *Engine
+	ctx  context.Context
+	srcs []int
+	out  [][]float64
+	st   *pram.Stats
+	skip [2]atomic.Int64 // per ℓ-block: fewest phases any source skipped
+	err  atomic.Pointer[error]
+}
+
+// run answers source j of the wave into its result row; once any source
+// has failed, the remaining ones are drained without being computed.
+func (s *waveState) run(j int) {
+	if s.err.Load() != nil {
+		return
+	}
+	dist := newDistVector(s.e.g.N())
+	dist[s.srcs[j]] = 0
+	c, err := s.e.runSchedule(s.ctx, dist)
+	s.st.AddWork(c.work)
+	s.st.AddSkipped(c.avoided, 0)
+	if err != nil {
+		first := err // declared here so only a failing source allocates it
+		s.err.CompareAndSwap(nil, &first)
+		return
+	}
+	for b := range s.skip {
+		for {
+			cur := s.skip[b].Load()
+			if c.skip[b] >= cur || s.skip[b].CompareAndSwap(cur, c.skip[b]) {
 				break
 			}
 		}
-		if allInf {
-			continue
-		}
-		for idx := off[r]; idx < off[r+1]; idx++ {
-			w := ws[idx]
-			tr := dist[int(to[idx])*k+a : int(to[idx])*k+b]
-			j := 0
-			for ; j+8 <= m; j += 8 {
-				if d := fr[j] + w; d < tr[j] {
-					tr[j] = d
-					ch[a+j] = true
-				}
-				if d := fr[j+1] + w; d < tr[j+1] {
-					tr[j+1] = d
-					ch[a+j+1] = true
-				}
-				if d := fr[j+2] + w; d < tr[j+2] {
-					tr[j+2] = d
-					ch[a+j+2] = true
-				}
-				if d := fr[j+3] + w; d < tr[j+3] {
-					tr[j+3] = d
-					ch[a+j+3] = true
-				}
-				if d := fr[j+4] + w; d < tr[j+4] {
-					tr[j+4] = d
-					ch[a+j+4] = true
-				}
-				if d := fr[j+5] + w; d < tr[j+5] {
-					tr[j+5] = d
-					ch[a+j+5] = true
-				}
-				if d := fr[j+6] + w; d < tr[j+6] {
-					tr[j+6] = d
-					ch[a+j+6] = true
-				}
-				if d := fr[j+7] + w; d < tr[j+7] {
-					tr[j+7] = d
-					ch[a+j+7] = true
-				}
-			}
-			for ; j < m; j++ {
-				if d := fr[j] + w; d < tr[j] {
-					tr[j] = d
-					ch[a+j] = true
-				}
-			}
-		}
 	}
+	s.out[j] = dist
 }
 
-// transposeTile bounds how many vertices one transpose pass touches before
-// moving to the next lane: tile×k working-set cells keep the strided reads
-// of dist[v*k+j] inside the cache while the output rows are written
-// sequentially.
-const transposeTile = 64
-
-// transpose scatters the interleaved dist buffer into the per-lane output
-// rows owned by this worker.
-func (s *batchedState) transpose(lo, hi int) {
-	k, n := s.k, s.n
-	for v0 := 0; v0 < n; v0 += transposeTile {
-		v1 := v0 + transposeTile
-		if v1 > n {
-			v1 = n
-		}
-		for j := lo; j < hi; j++ {
-			row := s.out[j]
-			for v := v0; v < v1; v++ {
-				row[v] = s.dist[v*k+j]
-			}
-		}
-	}
+// release drops the wave's references to caller-owned values before the
+// workspace returns to the pool.
+func (s *waveState) release() {
+	s.e, s.ctx, s.srcs, s.out, s.st = nil, nil, nil, nil, nil
 }
 
-// dedupDenseThreshold is the lane count up to which duplicate detection
+// dedupDenseThreshold is the wave size up to which duplicate detection
 // uses the quadratic pairwise scan (zero allocations, trivially fast at
 // wave sizes); above it a map takes over.
 const dedupDenseThreshold = 128
@@ -167,8 +143,8 @@ const dedupDenseThreshold = 128
 // dedupSources detects duplicate sources in one wave. It returns
 // (nil, nil) — allocating nothing — when all sources are distinct, and
 // otherwise the unique sources in first-occurrence order plus the
-// original-lane → unique-lane mapping.
-func dedupSources(srcs []int) (uniq []int, lane []int) {
+// index in uniq of each source in srcs.
+func dedupSources(srcs []int) (uniq []int, slot []int) {
 	k := len(srcs)
 	dup := false
 	if k <= dedupDenseThreshold {
@@ -184,7 +160,7 @@ func dedupSources(srcs []int) (uniq []int, lane []int) {
 			return nil, nil
 		}
 		uniq = make([]int, 0, k)
-		lane = make([]int, k)
+		slot = make([]int, k)
 		for i, s := range srcs {
 			at := -1
 			for u, us := range uniq {
@@ -197,12 +173,12 @@ func dedupSources(srcs []int) (uniq []int, lane []int) {
 				at = len(uniq)
 				uniq = append(uniq, s)
 			}
-			lane[i] = at
+			slot[i] = at
 		}
-		return uniq, lane
+		return uniq, slot
 	}
 	idx := make(map[int]int, k)
-	lane = make([]int, k)
+	slot = make([]int, k)
 	uniq = make([]int, 0, k)
 	for i, s := range srcs {
 		u, ok := idx[s]
@@ -213,163 +189,10 @@ func dedupSources(srcs []int) (uniq []int, lane []int) {
 		} else {
 			dup = true
 		}
-		lane[i] = u
+		slot[i] = u
 	}
 	if !dup {
 		return nil, nil
 	}
-	return uniq, lane
-}
-
-// SourcesBatched computes SSSP from k sources by relaxing all k distance
-// vectors during one shared sweep over each phase's edge bucket — the
-// cache-friendly formulation for moderate k (each edge is loaded once per
-// phase instead of once per source per phase). Results match Sources
-// exactly; counted work is identical (k relaxations per scanned edge, minus
-// the same per-lane convergence pruning the single-source path performs —
-// executed plus avoided always reconciles to k relaxations per edge).
-func (e *Engine) SourcesBatched(srcs []int, st *pram.Stats) [][]float64 {
-	out, _ := e.SourcesBatchedContext(nil, srcs, st)
-	return out
-}
-
-// SourcesBatchedContext is SourcesBatched with cooperative cancellation
-// (ctx polled between phases; nil skips polling). The k×n working buffer is
-// drawn from the engine's workspace pool, so steady-state allocations are
-// just the k returned rows.
-//
-// Each phase runs as one parallel round on the engine's executor: the k
-// lanes are partitioned across workers via ForChunked, giving every worker
-// a disjoint column range of the interleaved buffer (no atomics, and the
-// same bit pattern for every worker count, since lanes are independent).
-// Within the two ℓ-blocks, per-lane convergence is tracked exactly as in
-// the single-source path: a lane whose sweep relaxed nothing sits out the
-// rest of the block, and a phase with no active lane left is skipped
-// entirely. Per-lane executed work therefore equals the corresponding solo
-// query's, which is what keeps Sources and SourcesBatched work accounting
-// identical.
-func (e *Engine) SourcesBatchedContext(ctx context.Context, srcs []int, st *pram.Stats) ([][]float64, error) {
-	k := len(srcs)
-	if k == 0 {
-		return nil, nil
-	}
-	// Wave-level duplicate-source dedup: identical sources in one wave
-	// collapse to a single computed lane, and the vector is fanned back out
-	// on output (later occurrences get independent copies, so every
-	// returned row stays caller-owned). The duplicate lanes' entire static
-	// schedule cost is accounted as avoided work, preserving the audit
-	// identity executed + avoided = k × WorkPerSource. The detection scan
-	// allocates nothing when all sources are distinct — the common case.
-	if uniq, lane := dedupSources(srcs); uniq != nil {
-		rows, err := e.SourcesBatchedContext(ctx, uniq, st)
-		if err != nil {
-			return nil, err
-		}
-		st.AddSkipped(int64(k-len(uniq))*e.schedule.WorkPerSource(), 0)
-		out := make([][]float64, k)
-		seen := make([]bool, len(uniq))
-		for j, u := range lane {
-			if !seen[u] {
-				out[j] = rows[u] // first occurrence owns the computed row
-				seen[u] = true
-				continue
-			}
-			row := make([]float64, len(rows[u]))
-			copy(row, rows[u])
-			out[j] = row
-		}
-		return out, nil
-	}
-	n := e.g.N()
-	ws := e.getWS()
-	defer e.putWS(ws)
-	dist := ws.grow(n * k)
-	inf := math.Inf(1)
-	for i := range dist {
-		dist[i] = inf
-	}
-	for j, s := range srcs {
-		dist[s*k+j] = 0
-	}
-	active, changed := ws.growLanes(k)
-	bs := &ws.bst
-	*bs = batchedState{k: k, n: n, dist: dist, active: active, changed: changed}
-	fn := ws.laneFn()
-	par := e.ex.P() > 1 && k >= batchedParallelMinLanes
-
-	np := e.schedule.Phases()
-	var work, rounds, avoided, skipped int64
-	nActive := k
-	i := 0
-	for i < np {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				st.AddWork(work)
-				st.AddRounds(rounds)
-				st.AddSkipped(avoided, skipped)
-				return nil, err
-			}
-		}
-		e.firePhase()
-		_, b := e.schedule.phaseBucketAt(i)
-		start, end, isEll := e.schedule.ellBlock(i)
-		if isEll && i == start {
-			for j := range active {
-				active[j] = true
-			}
-			nActive = k
-		}
-		for j := range changed {
-			changed[j] = false
-		}
-		bs.bucket = b
-		bs.ellBlock = isEll
-		bs.mode = modeRelax
-		if par {
-			e.ex.ForChunked(k, fn)
-		} else {
-			bs.run(0, k)
-		}
-		eb := int64(b.edges())
-		rounds++
-		if isEll {
-			work += eb * int64(nActive)
-			avoided += eb * int64(k-nActive)
-			live := 0
-			for j := 0; j < k; j++ {
-				if active[j] && changed[j] {
-					live++
-				} else {
-					active[j] = false
-				}
-			}
-			nActive = live
-			if nActive == 0 && i+1 < end {
-				skipped += int64(end - i - 1)
-				avoided += int64(end-i-1) * eb * int64(k)
-				i = end
-				continue
-			}
-		} else {
-			work += eb * int64(k)
-		}
-		i++
-	}
-	st.AddWork(work)
-	st.AddRounds(rounds)
-	st.AddSkipped(avoided, skipped)
-
-	out := make([][]float64, k)
-	for j := range out {
-		out[j] = make([]float64, n)
-	}
-	bs.out = out
-	bs.mode = modeTranspose
-	if par {
-		e.ex.ForChunked(k, fn)
-	} else {
-		bs.run(0, k)
-	}
-	bs.out = nil // don't retain the result rows in the pooled workspace
-	return out, nil
+	return uniq, slot
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,30 +10,77 @@ import (
 	"sepsp/internal/pram"
 )
 
+// lockstepCost is the cost a wave over srcs must report: the distinct
+// sources' solo queries summed, every duplicate's whole schedule as avoided
+// work, and — the wave running each ℓ-block as long as its slowest source —
+// per block the fewest phases any distinct source skipped.
+func lockstepCost(t *testing.T, e *Engine, srcs []int) (work, avoided, rounds, skippedRounds int64) {
+	t.Helper()
+	minSkip := [2]int64{math.MaxInt64, math.MaxInt64}
+	seen := map[int]bool{}
+	for _, src := range srcs {
+		if seen[src] {
+			avoided += e.schedule.WorkPerSource()
+			continue
+		}
+		seen[src] = true
+		dist := newDistVector(e.g.N())
+		dist[src] = 0
+		c, err := e.runSchedule(nil, dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work += c.work
+		avoided += c.avoided
+		for b := range minSkip {
+			minSkip[b] = min(minSkip[b], c.skip[b])
+		}
+	}
+	skippedRounds = minSkip[0] + minSkip[1]
+	return work, avoided, int64(e.schedule.Phases()) - skippedRounds, skippedRounds
+}
+
+// TestSourcesBatchedMatchesSources: on a P=2 executor, waves of k = 1
+// (k < P), k = P, k > P sources and waves with duplicate sources return
+// rows bitwise equal to the solo SSSP of each source, and both public
+// multi-source methods — on P=2 and on the sequential executor — report
+// the same work, skipped work, rounds and skipped rounds, equal to the
+// lock-step cost of the wave's solo queries.
 func TestSourcesBatchedMatchesSources(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dims := []int{3 + rng.Intn(8), 3 + rng.Intn(8)}
-		eng, g := buildGridEngine(t, dims, gen.UniformWeights(0.1, 4), seed, Config{})
-		// Distinct sources keep the exact executed-work equality below
-		// meaningful: with duplicates the batched path provably executes
-		// less (see TestSourcesBatchedDedupExact).
-		k := 1 + rng.Intn(6)
-		srcs := rng.Perm(g.N())[:k]
-		st1, st2 := &pram.Stats{}, &pram.Stats{}
-		a := eng.Sources(srcs, st1)
-		b := eng.SourcesBatched(srcs, st2)
-		for i := range srcs {
-			for v := range a[i] {
-				if a[i][v] != b[i][v] && !(almostEqual(a[i][v], b[i][v])) {
-					t.Errorf("seed=%d src=%d v=%d: %v vs %v", seed, srcs[i], v, a[i][v], b[i][v])
+		seq, g := buildGridEngine(t, dims, gen.UniformWeights(0.1, 4), seed, Config{})
+		par := NewEngineFromParts(g, seq.Tree(), seq.Augmentation(), pram.NewExecutor(2))
+		dup := rng.Perm(g.N())[:3]
+		waves := [][]int{
+			rng.Perm(g.N())[:1],
+			rng.Perm(g.N())[:2],
+			rng.Perm(g.N())[:3+rng.Intn(6)],
+			{dup[0], dup[1], dup[0], dup[2], dup[1]},
+		}
+		for _, srcs := range waves {
+			stSeq, stPar := &pram.Stats{}, &pram.Stats{}
+			a := seq.Sources(srcs, stSeq)
+			b := par.SourcesBatched(srcs, stPar)
+			for i, src := range srcs {
+				solo := seq.SSSP(src, nil)
+				for v := range solo {
+					if a[i][v] != solo[v] || b[i][v] != solo[v] {
+						t.Errorf("seed=%d srcs=%v src=%d v=%d: Sources %v, SourcesBatched %v, SSSP %v",
+							seed, srcs, src, v, a[i][v], b[i][v], solo[v])
+						return false
+					}
+				}
+			}
+			work, avoided, rounds, skipped := lockstepCost(t, seq, srcs)
+			for _, st := range []*pram.Stats{stSeq, stPar} {
+				if st.Work() != work || st.SkippedWork() != avoided || st.Rounds() != rounds || st.SkippedRounds() != skipped {
+					t.Errorf("seed=%d srcs=%v: work/avoided/rounds/skipped = %d/%d/%d/%d, want %d/%d/%d/%d",
+						seed, srcs, st.Work(), st.SkippedWork(), st.Rounds(), st.SkippedRounds(), work, avoided, rounds, skipped)
 					return false
 				}
 			}
-		}
-		if st1.Work() != st2.Work() {
-			t.Errorf("work accounting differs: %d vs %d", st1.Work(), st2.Work())
-			return false
 		}
 		return true
 	}
@@ -66,9 +114,9 @@ func TestSourcesBatchedDuplicateSources(t *testing.T) {
 
 // TestSourcesBatchedDedupExact is the dedup satellite's exactness gate: a
 // wave with duplicate sources must return rows bit-identical to the
-// undeduped per-lane answers, and its work accounting must reconcile to
+// undeduped solo answers, and its work accounting must reconcile to
 // the same total schedule cost — executed + avoided = k × WorkPerSource —
-// with the duplicate lanes' entire cost on the avoided side.
+// with the duplicates' entire cost on the avoided side.
 func TestSourcesBatchedDedupExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,11 +132,11 @@ func TestSourcesBatchedDedupExact(t *testing.T) {
 		srcs[k-1] = srcs[0]
 		stDup, stSolo := &pram.Stats{}, &pram.Stats{}
 		rows := eng.SourcesBatched(srcs, stDup)
-		solo := eng.Sources(srcs, stSolo)
-		for i := range srcs {
-			for v := range solo[i] {
-				if rows[i][v] != solo[i][v] && !almostEqual(rows[i][v], solo[i][v]) {
-					t.Errorf("seed=%d lane=%d v=%d: %v vs %v", seed, i, v, rows[i][v], solo[i][v])
+		for i, src := range srcs {
+			solo := eng.SSSP(src, stSolo)
+			for v := range solo {
+				if rows[i][v] != solo[v] {
+					t.Errorf("seed=%d row=%d v=%d: %v vs %v", seed, i, v, rows[i][v], solo[v])
 					return false
 				}
 			}
@@ -125,7 +173,7 @@ func TestDedupSources(t *testing.T) {
 	}
 	for i := range wantL {
 		if l[i] != wantL[i] {
-			t.Fatalf("lane = %v, want %v", l, wantL)
+			t.Fatalf("slot = %v, want %v", l, wantL)
 		}
 	}
 	// Above the dense threshold the map path must agree.
@@ -136,7 +184,7 @@ func TestDedupSources(t *testing.T) {
 	big[len(big)-1] = big[0]
 	u, l = dedupSources(big)
 	if len(u) != len(big)-1 || l[len(big)-1] != 0 {
-		t.Fatalf("map-path dedup: %d uniques, lane[last]=%d", len(u), l[len(big)-1])
+		t.Fatalf("map-path dedup: %d uniques, slot[last]=%d", len(u), l[len(big)-1])
 	}
 	if u, l = dedupSources(big[:len(big)-1]); u != nil || l != nil {
 		t.Fatal("map-path distinct sources reported duplicates")

@@ -73,16 +73,14 @@ type Engine struct {
 }
 
 // queryWS is the reusable per-query scratch handed out by the engine's
-// pool: a flat distance buffer for batched waves, an int queue for
-// tight-tree BFS, the atomic cell buffer for SSSPParallel, and the
-// lane-state + cached executor closures of the batched wave kernel. Only
-// scratch that never escapes a query is pooled — result slices returned to
-// callers are always freshly allocated.
+// pool: an int queue for tight-tree BFS, the atomic cell buffer for
+// SSSPParallel, the convergence-pruning state of the sequential kernels,
+// and the shared state + cached executor closures of the parallel paths.
+// Only scratch that never escapes a query is pooled — result slices
+// returned to callers are always freshly allocated.
 type queryWS struct {
-	flat  []float64
 	queue []int
 	cells []uint64
-	lanes []bool // backing for the batched kernel's active+changed flags
 
 	// Convergence-pruning scratch of the sequential executor: prevT is
 	// the run-delta tracker (per global run slot, the head distance at the
@@ -92,10 +90,10 @@ type queryWS struct {
 	prevT      []float64
 	blockDirty []bool
 
-	bst batchedState
-	bfn func(lo, hi int) // cached closure over &bst (lane partition body)
-	pst parallelState
-	pfn func(lo, hi int) // cached closure over &pst (run partition body)
+	wave waveState
+	wfn  func(j int) // cached closure over &wave (per-source body)
+	pst  parallelState
+	pfn  func(lo, hi int) // cached closure over &pst (run partition body)
 }
 
 // growPrev returns the run-delta tracker for n runs, every entry reset to
@@ -126,14 +124,6 @@ func (ws *queryWS) growBlockDirty(blocks int) []bool {
 	return d
 }
 
-// grow returns a flat float64 buffer of length n, reusing capacity.
-func (ws *queryWS) grow(n int) []float64 {
-	if cap(ws.flat) < n {
-		ws.flat = make([]float64, n)
-	}
-	return ws.flat[:n]
-}
-
 // growCells returns a uint64 cell buffer of length n, reusing capacity.
 func (ws *queryWS) growCells(n int) []uint64 {
 	if cap(ws.cells) < n {
@@ -142,23 +132,13 @@ func (ws *queryWS) growCells(n int) []uint64 {
 	return ws.cells[:n]
 }
 
-// growLanes returns the per-lane active and changed flag slices for a
-// k-lane wave, reusing capacity.
-func (ws *queryWS) growLanes(k int) (active, changed []bool) {
-	if cap(ws.lanes) < 2*k {
-		ws.lanes = make([]bool, 2*k)
-	}
-	l := ws.lanes[:2*k]
-	return l[:k:k], l[k:]
-}
-
-// laneFn returns the cached lane-partition closure for ForChunked — created
+// waveFn returns the cached per-source closure for ForDynamic — created
 // once per workspace so steady-state waves allocate no closures.
-func (ws *queryWS) laneFn() func(lo, hi int) {
-	if ws.bfn == nil {
-		ws.bfn = func(lo, hi int) { ws.bst.run(lo, hi) }
+func (ws *queryWS) waveFn() func(j int) {
+	if ws.wfn == nil {
+		ws.wfn = func(j int) { ws.wave.run(j) }
 	}
-	return ws.bfn
+	return ws.wfn
 }
 
 // runFn returns the cached run-partition closure for SSSPParallel.
@@ -277,7 +257,9 @@ func (e *Engine) SSSP(src int, st *pram.Stats) []float64 {
 func (e *Engine) SSSPContext(ctx context.Context, src int, st *pram.Stats) ([]float64, error) {
 	dist := newDistVector(e.g.N())
 	dist[src] = 0
-	if err := e.runSchedule(ctx, dist, st); err != nil {
+	c, err := e.runSchedule(ctx, dist)
+	c.addTo(st)
+	if err != nil {
 		return nil, err
 	}
 	return dist, nil
@@ -295,7 +277,8 @@ func (e *Engine) SSSPFrom(init []float64, st *pram.Stats) []float64 {
 	}
 	dist := make([]float64, len(init))
 	copy(dist, init)
-	e.runSchedule(nil, dist, st)
+	c, _ := e.runSchedule(nil, dist)
+	c.addTo(st)
 	return dist
 }
 
@@ -433,19 +416,36 @@ func relaxEAllBlocks(dist []float64, b *soaBucket, prev []float64, blockDirty []
 	return changed
 }
 
+// runCost is the counted cost of one scheduled run: the executed work and
+// phases, and what the ℓ-block convergence exit avoided — the work, and the
+// phases skipped in each ℓ-block (skip[0] ℓ-pre, skip[1] ℓ-post). Keeping
+// the blocks apart lets a wave fold its sources' skips per block.
+type runCost struct {
+	work, rounds, avoided int64
+	skip                  [2]int64
+}
+
+// addTo reports c to st as the cost of one query.
+func (c runCost) addTo(st *pram.Stats) {
+	st.AddWork(c.work)
+	st.AddRounds(c.rounds)
+	st.AddSkipped(c.avoided, c.skip[0]+c.skip[1])
+}
+
 // runSchedule relaxes dist in place through the §3.2 phase schedule,
-// polling ctx between phases when non-nil. The uninstrumented path is
+// polling ctx between phases when non-nil, and returns the run's counted
+// cost (the cost so far when ctx ends the run). The uninstrumented path is
 // closure-free, so it performs no heap allocation.
 //
 // The two ℓ-blocks take the convergence early exit: a full sweep over the
 // original edges that relaxes nothing is a fixpoint witness — relaxation is
 // monotone and the block re-scans the same bucket, so every remaining sweep
 // of the block would be a no-op and is skipped. Skipped phases neither poll
-// ctx nor fire the injector; their cost is reported via Stats.AddSkipped so
+// ctx nor fire the injector; their cost is reported as skipped so
 // executed+skipped reconciles exactly with the static schedule.
-func (e *Engine) runSchedule(ctx context.Context, dist []float64, st *pram.Stats) error {
+func (e *Engine) runSchedule(ctx context.Context, dist []float64) (runCost, error) {
 	if e.obs.Enabled() {
-		return e.runScheduleObserved(ctx, dist, st)
+		return e.runScheduleObserved(ctx, dist)
 	}
 	n := e.schedule.Phases()
 	ws := e.getWS()
@@ -454,15 +454,12 @@ func (e *Engine) runSchedule(ctx context.Context, dist []float64, st *pram.Stats
 	bd := ws.growBlockDirty(e.schedule.eAllBlocks)
 	e.schedule.seedDirty(bd, dist)
 	postStart := e.schedule.Phases() - e.schedule.l
-	var work, rounds, avoided, skipped int64
+	var c runCost
 	i := 0
 	for i < n {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				st.AddWork(work)
-				st.AddRounds(rounds)
-				st.AddSkipped(avoided, skipped)
-				return err
+				return c, err
 			}
 		}
 		e.firePhase()
@@ -484,29 +481,36 @@ func (e *Engine) runSchedule(ctx context.Context, dist []float64, st *pram.Stats
 		default: // PhaseDesc, PhaseAsc: single sweep, tracking can't pay
 			changed = relaxBucketDense(dist, b)
 		}
-		work += int64(b.edges())
-		rounds++ // one phase; O(log n) EREW steps, see Section 2.2
+		c.work += int64(b.edges())
+		c.rounds++ // one phase; O(log n) EREW steps, see Section 2.2
 		if !changed {
 			if _, end, ok := e.schedule.ellBlock(i); ok && end > i+1 {
-				skipped += int64(end - i - 1)
-				avoided += int64(end-i-1) * int64(b.edges())
+				c.skipBlock(i >= postStart, int64(end-i-1), int64(b.edges()))
 				i = end
 				continue
 			}
 		}
 		i++
 	}
-	st.AddWork(work)
-	st.AddRounds(rounds)
-	st.AddSkipped(avoided, skipped)
-	return nil
+	return c, nil
+}
+
+// skipBlock records that the rest of an ℓ-block — sk phases of eb edges
+// each, in the ℓ-post block when post — was skipped.
+func (c *runCost) skipBlock(post bool, sk, eb int64) {
+	blk := 0
+	if post {
+		blk = 1
+	}
+	c.skip[blk] += sk
+	c.avoided += sk * eb
 }
 
 // runScheduleObserved is runSchedule with per-phase spans, pprof labels,
 // and metric attribution (the instrumented slow path). It prunes exactly
-// like the plain path — same distances, same Stats — and additionally
+// like the plain path — same distances, same cost — and additionally
 // attributes the avoided cost to the skipped-phase counters.
-func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64, st *pram.Stats) error {
+func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64) (runCost, error) {
 	qs := e.obs.Span("query.sssp", "query", "phases", e.schedule.Phases())
 	defer qs.End()
 	n := e.schedule.Phases()
@@ -516,12 +520,13 @@ func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64, st *pr
 	bd := ws.growBlockDirty(e.schedule.eAllBlocks)
 	e.schedule.seedDirty(bd, dist)
 	postStart := e.schedule.Phases() - e.schedule.l
+	var c runCost
 	i := 0
 	for i < n {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				e.obs.Counter(obs.MQueryCancelled).Inc()
-				return err
+				return c, err
 			}
 		}
 		e.firePhase()
@@ -543,16 +548,16 @@ func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64, st *pr
 			default:
 				changed = relaxBucketDense(dist, b)
 			}
-			st.AddWork(int64(b.edges()))
-			st.AddRounds(1)
 		}, "phase", string(ph.Kind))
 		sp.End()
+		c.work += int64(b.edges())
+		c.rounds++
 		e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(int64(b.edges()))
 		e.obs.Counter(obs.MQueryPhases).Inc()
 		if !changed {
 			if _, end, ok := e.schedule.ellBlock(i); ok && end > i+1 {
 				sk := int64(end - i - 1)
-				st.AddSkipped(sk*int64(b.edges()), sk)
+				c.skipBlock(i >= postStart, sk, int64(b.edges()))
 				e.obs.Counter(obs.MQueryPhasesSkipped).Add(sk)
 				e.obs.Counter(obs.MQueryWorkAvoided).Add(sk * int64(b.edges()))
 				i = end
@@ -561,7 +566,7 @@ func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64, st *pr
 		}
 		i++
 	}
-	return nil
+	return c, nil
 }
 
 // SSSPReference computes distances from src with the pre-optimization
@@ -590,52 +595,18 @@ func (e *Engine) SSSPReference(src int, st *pram.Stats) []float64 {
 	return dist
 }
 
-// Sources computes SSSP from each source in parallel (one goroutine pool
-// round over the sources; counted work is the sum, counted rounds the
-// per-source phase count).
+// Sources computes SSSP from each source in parallel. It is SourcesBatched
+// under its older name: both run the same deduplicated, source-parallel
+// wave with the same rows and the same counted cost.
 func (e *Engine) Sources(srcs []int, st *pram.Stats) [][]float64 {
-	out, _ := e.SourcesContext(nil, srcs, st)
+	out, _ := e.SourcesBatchedContext(nil, srcs, st)
 	return out
 }
 
-// SourcesContext is Sources with cooperative cancellation: every per-source
-// query polls ctx between phases, so all workers wind down within one phase
-// of a cancellation and the call returns (nil, ctx.Err()).
+// SourcesContext is Sources with cooperative cancellation; it is
+// SourcesBatchedContext.
 func (e *Engine) SourcesContext(ctx context.Context, srcs []int, st *pram.Stats) ([][]float64, error) {
-	out := make([][]float64, len(srcs))
-	errs := make([]error, len(srcs))
-	perSource := make([]*pram.Stats, len(srcs))
-	for i := range perSource {
-		perSource[i] = &pram.Stats{}
-	}
-	e.ex.For(len(srcs), func(i int) {
-		out[i], errs[i] = e.SSSPContext(ctx, srcs[i], perSource[i])
-	})
-	var maxRounds int64
-	minSkipped := int64(-1)
-	for _, ps := range perSource {
-		st.AddWork(ps.Work())
-		st.AddSkipped(ps.SkippedWork(), 0)
-		if ps.Rounds() > maxRounds {
-			maxRounds = ps.Rounds()
-		}
-		if minSkipped < 0 || ps.SkippedRounds() < minSkipped {
-			minSkipped = ps.SkippedRounds()
-		}
-	}
-	st.AddRounds(maxRounds)
-	// Rounds aggregate as the per-source max (sources run concurrently), so
-	// the matching skipped-rounds aggregate is the min: the span of the
-	// batch is bounded by its least-pruned source.
-	if minSkipped > 0 {
-		st.AddSkipped(0, minSkipped)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return e.SourcesBatchedContext(ctx, srcs, st)
 }
 
 // SSSPTree computes distances from src plus a shortest-path tree in the

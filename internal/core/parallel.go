@@ -9,8 +9,8 @@ import (
 )
 
 // parallelState is the shared per-query state of SSSPParallel's worker
-// body; like batchedState it lives in the pooled queryWS next to its cached
-// ForChunked closure, so a steady-state call allocates only its result.
+// body; like waveState it lives in the pooled queryWS next to its cached
+// executor closure, so a steady-state call allocates only its result.
 type parallelState struct {
 	bucket *soaBucket
 	cells  []uint64

@@ -11,12 +11,12 @@ import (
 )
 
 // ServeExperiment measures the serving substrate that sepsp.Server's
-// dispatcher runs: the batched multi-source wave (core.SourcesBatchedContext,
-// one phase-synchronous sweep relaxing k distance rows together). It reports,
-// per wave size k, the wall-clock time and counted-model work per served
-// source — the amortization of the phase schedule across a wave is exactly
-// what the Server's request coalescing buys — with single-source Dijkstra as
-// the serving-cost reference point. Work/source is deterministic; the
+// dispatcher runs: the multi-source wave (core.SourcesBatchedContext, a
+// deduplicated fan-out of pruned solo queries across the executor's
+// workers). It reports, per wave size k, the wall-clock time and
+// counted-model work per served source — what the Server's request
+// coalescing buys is the spread of a wave's sources over the workers — with
+// single-source Dijkstra as the serving-cost reference point. Work/source is deterministic; the
 // time/source column is the machine-local perf baseline BENCH_serve.json
 // records.
 func ServeExperiment(ex *pram.Executor, scale int) (*Table, error) {

@@ -212,10 +212,16 @@ func (c *panicCell) capture() {
 // latching it on the executor. Callers recover it like an inline panic.
 func (c *panicCell) rethrow(e *Executor) {
 	if p := c.p.Load(); p != nil {
-		e.panics.Add(1)
-		e.lastPanic.Store(p)
-		panic(p)
+		e.raise(p)
 	}
+}
+
+// raise latches a captured worker panic on the executor and re-raises it
+// in the calling goroutine.
+func (e *Executor) raise(p *Panic) {
+	e.panics.Add(1)
+	e.lastPanic.Store(p)
+	panic(p)
 }
 
 // fire triggers the injector at the worker boundary; a nil injector is the
@@ -455,6 +461,76 @@ func (e *Executor) ForTiles2D(rows, cols, tileR, tileC int, fn func(r0, r1, c0, 
 	}
 	wg.Wait()
 	pc.rethrow(e)
+}
+
+// ForDynamic executes fn(i) for every i in [0, n) as one parallel round,
+// handing indices to at most P workers one at a time from a shared atomic
+// cursor — the scheduling of ForTiles2D for loops whose iterations are few
+// and unevenly priced (a multi-source query wave: one pruned solo query
+// per index). The calling goroutine works as slot 0 beside P-1 spawned
+// workers, and the round's bookkeeping comes from a pool, so a
+// steady-state call allocates nothing. Panic containment matches For,
+// except that a round stops early: once an index has panicked no further
+// index is started, and after the running ones finish the first panic is
+// re-raised in the caller as a *Panic.
+func (e *Executor) ForDynamic(n int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	r := dynPool.Get().(*dynRound)
+	r.e, r.n, r.fn = e, n, fn
+	workers := e.p
+	if workers > n {
+		workers = n
+	}
+	r.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go r.spawned()
+	}
+	r.work(0)
+	r.wg.Wait()
+	p := r.pc.p.Swap(nil)
+	r.next.Store(0)
+	r.slot.Store(0)
+	r.e, r.fn = nil, nil // retain nothing the caller owns
+	dynPool.Put(r)
+	if p != nil {
+		e.raise(p)
+	}
+}
+
+// dynRound is the pooled state of one ForDynamic round; spawned is a
+// cached closure so starting a worker allocates nothing.
+type dynRound struct {
+	e       *Executor
+	n       int
+	fn      func(i int)
+	next    atomic.Int64 // index cursor
+	slot    atomic.Int64 // last worker slot handed to a spawned worker
+	wg      sync.WaitGroup
+	pc      panicCell
+	spawned func()
+}
+
+var dynPool = sync.Pool{New: func() any {
+	r := &dynRound{}
+	r.spawned = func() { r.work(int(r.slot.Add(1))) }
+	return r
+}}
+
+// work drains the cursor as worker slot w.
+func (r *dynRound) work(w int) {
+	defer r.wg.Done()
+	defer r.pc.capture()
+	r.e.fire()
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n || r.pc.p.Load() != nil {
+			return
+		}
+		r.fn(i)
+		r.e.busy[w].Add(1)
+	}
 }
 
 // tilesInline is the single-worker body of ForTiles2D.

@@ -753,22 +753,15 @@ func (ix *Index) Sources(srcs []int) [][]float64 {
 
 // SourcesContext computes SSSP from many sources, parallelized over
 // sources, with cooperative cancellation; all per-source workers wind down
-// within one phase of a cancellation.
+// within one phase of a cancellation. It runs the same wave as
+// SourcesBatchedContext.
 func (ix *Index) SourcesContext(ctx context.Context, srcs []int) ([][]float64, error) {
-	if ix.primary() {
-		rows, err := runGuarded("sources", func() ([][]float64, error) {
-			return ix.eng.SourcesContext(ctx, srcs, nil)
-		})
-		if err == nil || !ix.fallbackFor(err) {
-			return rows, err
-		}
-	}
-	return ix.fb.sources(ctx, srcs)
+	return ix.sourcesBatchedStats(ctx, srcs, nil)
 }
 
-// SourcesBatched computes SSSP from many sources with one shared edge sweep
-// per phase (cache-friendly for moderate batch sizes); results equal
-// Sources.
+// SourcesBatched computes SSSP from many sources as one wave: duplicate
+// sources are computed once, and the distinct ones run as pruned
+// single-source queries spread across the workers; results equal Sources.
 //
 // Deprecated: use SourcesBatchedContext — the context-taking methods are
 // the canonical query surface; SourcesBatched is a thin
@@ -777,10 +770,11 @@ func (ix *Index) SourcesBatched(srcs []int) [][]float64 {
 	return mustQuery(ix.SourcesBatchedContext(context.Background(), srcs))
 }
 
-// SourcesBatchedContext computes SSSP from many sources with one shared
-// edge sweep per phase (cache-friendly for moderate batch sizes) and
-// cooperative cancellation (ctx polled between the shared phase sweeps);
-// results equal SourcesContext.
+// SourcesBatchedContext computes SSSP from many sources as one wave — a
+// deduplicated fan-out of pruned single-source queries, handed to the
+// workers one source at a time — with cooperative cancellation (every
+// running query polls ctx between phases); results and cost equal
+// SourcesContext, which runs the same wave.
 func (ix *Index) SourcesBatchedContext(ctx context.Context, srcs []int) ([][]float64, error) {
 	return ix.sourcesBatchedStats(ctx, srcs, nil)
 }

@@ -145,8 +145,8 @@ func TestFuzzDelaunayWithRotations(t *testing.T) {
 }
 
 // TestFuzzOptimizedQueryBitIdentical cross-checks the optimized query
-// executors (SoA sequential with convergence pruning, lane-parallel
-// batched waves) against the retained naive reference relaxer: on the
+// executors (SoA sequential with convergence pruning, source-parallel
+// waves) against the retained naive reference relaxer: on the
 // same schedule the distances must be bit-identical, not merely close —
 // the arena rematerializes the exact relaxation order the reference
 // walks. Inputs include negative weights (potential-shifted grids) and
@@ -228,12 +228,9 @@ func TestFuzzOptimizedQueryBitIdentical(t *testing.T) {
 			}
 		}
 
-		// Batched wave: every lane bit-identical to the reference; lane
-		// counts straddle the parallel-dispatch threshold.
-		k := 3 + rng.Intn(6)
-		if rng.Intn(3) == 0 {
-			k = batchedFuzzLanes + rng.Intn(4)
-		}
+		// Batched wave: every row bit-identical to the reference; wave
+		// sizes fall on both sides of the worker count.
+		k := 1 + rng.Intn(2*max(opt.Workers, 1)+2)
 		srcs := make([]int, k)
 		for j := range srcs {
 			srcs[j] = rng.Intn(ref.N())
@@ -254,11 +251,6 @@ func TestFuzzOptimizedQueryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// batchedFuzzLanes mirrors core's parallel-dispatch lane threshold so the
-// fuzz wave sizes exercise both sides of it (the constant is unexported
-// there; a drift would only soften coverage, never correctness).
-const batchedFuzzLanes = 16
 
 func TestFuzzOracleAgainstEngine(t *testing.T) {
 	f := func(seed int64) bool {

@@ -22,8 +22,10 @@ import (
 // defaults noted on each field.
 type ServerOptions struct {
 	// MaxBatch caps the number of sources coalesced into one
-	// SourcesBatched wave (default 16). Larger waves amortize the shared
-	// per-phase edge sweep over more sources but cost k×n working memory.
+	// SourcesBatched wave (default 16). A wave answers its distinct sources
+	// as pruned single-source queries spread across the index's workers, so
+	// larger waves keep more workers busy per dispatch but make the wave's
+	// members wait for its slowest source.
 	MaxBatch int
 	// MaxInFlight is the hard ceiling on admitted requests queued or being
 	// served (default 1024). The adaptive limiter (see Admission) moves the
@@ -110,8 +112,9 @@ type AdmissionOptions struct {
 // Server serves concurrent shortest-path requests on one shared Index,
 // coalescing requests that arrive while a wave is running into the next
 // multi-source SourcesBatched wave. This turns q concurrent single-source
-// queries from q independent edge sweeps into ⌈q/MaxBatch⌉ shared sweeps —
-// the serving-side counterpart of the engine's batched query path.
+// queries into ⌈q/MaxBatch⌉ waves, each a deduplicated fan-out of pruned
+// single-source queries across the index's workers — one dispatch keeps
+// every worker busy, and duplicate sources in a wave are computed once.
 //
 // Admission is adaptive: a gradient concurrency limiter watches measured
 // wave latency against a smoothed no-load baseline and moves the effective
@@ -739,7 +742,7 @@ func (s *Server) gather(batch []ssspReq) []ssspReq {
 }
 
 // serveWave answers one coalesced batch: requests whose context already
-// ended get their context's cause, the rest share one SourcesBatched sweep
+// ended get their context's cause, the rest share one SourcesBatched wave
 // under a merged context that lives as long as any member does. The whole
 // wave runs under a panic guard — a panic answers every member with a
 // *PanicError and the dispatcher moves on to the next wave.
