@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
+.PHONY: build test vet race chaos fuzz-smoke serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,15 @@ race:
 # boundary while concurrent clients assert each request still ends in a
 # correct answer or a typed error (see DESIGN.md "Failure model").
 chaos:
-	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
+	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|ServerQueriesCountedOnce|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject
+
+# fuzz-smoke runs the native fuzz target for Load (persist.go) for a short
+# budget: mutated Save blobs must never panic and must either load or fail
+# with ErrCorruptIndex. The committed corpus (testdata/fuzz/FuzzLoad) also
+# replays under plain `go test`.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s .
 
 # serve-drill runs the live-telemetry chaos drill end to end: the real
 # serve command with fault injection and -listen mounted, scraped over HTTP

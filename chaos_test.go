@@ -76,7 +76,6 @@ func TestChaosServingWithFallback(t *testing.T) {
 		MaxInFlight:  16,
 		QueueTimeout: 250 * time.Millisecond,
 		Inject:       inj,
-		Observer:     obsv,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -245,8 +245,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// The stats command needs the per-level breakdown, which only an
-	// observed build collects; serve reports the server's wave metrics;
-	// the export flags need one by definition.
+	// observed build collects; serve reports the fallback engine's
+	// counters; the export flags need one by definition.
 	var ob *sepsp.Observer
 	if *tracePath != "" || *metricsPath != "" || *pprofDir != "" || cmd == "stats" || cmd == "serve" {
 		ob = sepsp.NewObserver()
@@ -276,7 +276,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// default handler and kills the process.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		if cfg.overload {
-			code = runOverloadDrill(ctx, w, ix, g, dg.N(), cfg, ob, stderr)
+			code = runOverloadDrill(ctx, w, ix, g, dg.N(), cfg, stderr)
 		} else {
 			code = runServe(ctx, w, ix, dg.N(), cfg, inj, ob, stderr)
 		}

@@ -80,7 +80,7 @@ func (m priorityMix) draw(rng *rand.Rand) sepsp.Priority {
 // non-zero if any phase misses its invariant. With cfg.listen the live
 // telemetry endpoint is mounted throughout (plus cfg.linger), so the drill
 // can be scraped mid-flight.
-func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *sepsp.Graph, n int, cfg serveConfig, ob *sepsp.Observer, stderr io.Writer) int {
+func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *sepsp.Graph, n int, cfg serveConfig, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "sepsp:", err)
 		return 1
@@ -140,7 +140,6 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 		MaxBatch:     maxBatch,
 		MaxInFlight:  inFlight,
 		QueueTimeout: cfg.timeout,
-		Observer:     ob,
 		Telemetry:    tel,
 		Logger:       logger,
 		Inject:       tog,

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -175,16 +177,14 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 	if err != nil {
 		return fail(err)
 	}
-	var tel *sepsp.Telemetry
-	if cfg.listen != "" {
-		tel = sepsp.NewTelemetry(nil)
-	}
+	// Telemetry is always attached: the run summary reads the wave-size
+	// histogram from it; -listen only decides whether it is also served.
+	tel := sepsp.NewTelemetry(nil)
 	sopt := &sepsp.ServerOptions{
 		MaxBatch:     cfg.maxBatch,
 		MaxInFlight:  cfg.inFlight,
 		QueueTimeout: cfg.timeout,
 		CacheBytes:   int64(cfg.cacheMB) << 20,
-		Observer:     ob,
 		Telemetry:    tel,
 		Logger:       logger,
 	}
@@ -318,14 +318,11 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 		return fail(err)
 	}
 
-	waves := ob.CounterValue(obs.MServerWaves)
-	_, _, meanWave := ob.HistogramStats(obs.MServerWaveSize)
-	p50 := ob.HistogramQuantile(obs.MServerWaveSize, 0.5)
-	p99 := ob.HistogramQuantile(obs.MServerWaveSize, 0.99)
+	meanWave, p50, p99 := waveSizeStats(tel)
 	fmt.Fprintf(w, "serve: %d requests, %d clients\n", cfg.requests, cfg.clients)
 	fmt.Fprintf(w, "served=%d faulted=%d rejected=%d cancelled=%d timedout=%d\n",
 		served.Load(), faulted.Load(), health.Rejected, health.Cancelled, health.TimedOut)
-	fmt.Fprintf(w, "waves=%d meanWave=%.2f p50Wave=%.2f p99Wave=%.2f\n", waves, meanWave, p50, p99)
+	fmt.Fprintf(w, "waves=%d meanWave=%.2f p50Wave=%.2f p99Wave=%.2f\n", srv.Healthz().Waves, meanWave, p50, p99)
 	fmt.Fprintf(w, "elapsed=%s throughput=%.0f req/s\n",
 		elapsed.Round(time.Millisecond), float64(served.Load())/elapsed.Seconds())
 	if interrupted {
@@ -356,6 +353,39 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 			ob.CounterValue(obs.MFallbackEngaged), ob.CounterValue(obs.MFallbackQueries))
 	}
 	return 0
+}
+
+// waveSizeStats reads the mean, p50 and p99 of the server's wave sizes
+// from tel's Prometheus exposition; the quantiles are estimates from the
+// histogram's log2 buckets.
+func waveSizeStats(tel *sepsp.Telemetry) (mean, p50, p99 float64) {
+	var b strings.Builder
+	_ = tel.WriteMetrics(&b) // a strings.Builder never fails a write
+	var sum, count float64
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			continue
+		}
+		switch name {
+		case "sepsp_server_wave_size_sum":
+			sum = v
+		case "sepsp_server_wave_size_count":
+			count = v
+		case `sepsp_server_wave_size_quantile{q="0.5"}`:
+			p50 = v
+		case `sepsp_server_wave_size_quantile{q="0.99"}`:
+			p99 = v
+		}
+	}
+	if count > 0 {
+		mean = sum / count
+	}
+	return mean, p50, p99
 }
 
 // isTypedFault reports whether err is one of the serving stack's documented

@@ -20,8 +20,9 @@ const (
 	// KindSwap is an index-lifecycle event: a completed epoch hot-swap
 	// (OutcomeOK) or a failed reweighting rebuild (OutcomeError).
 	KindSwap
-	// KindCacheHit is a query answered from the distance cache (including
-	// single-flight waiters sharing another request's computation).
+	// KindCacheHit is a query answered without a wave: from the distance
+	// cache (including single-flight waiters sharing another request's
+	// computation) or from the pair oracle.
 	KindCacheHit
 	// KindCacheMiss is a cache miss that became a single-flight leader and
 	// computed a fresh vector through the admission path.

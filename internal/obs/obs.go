@@ -106,16 +106,6 @@ const (
 	MExecImbalance      = "exec.imbalance" // max/mean worker busy iterations
 	MExecWorkers        = "exec.workers"   // executor pool size
 
-	// Server (concurrent query serving) series.
-	MServerQueueDepth = "server.queue.depth" // gauge: requests waiting for a wave
-	MServerWaveSize   = "server.wave.size"   // histogram: sources per executed wave
-	MServerWaves      = "server.waves"       // counter: executed waves
-	MServerRequests   = "server.requests"    // counter: admitted requests
-	MServerRejected   = "server.rejected"    // counter: requests refused at admission
-	MServerCancelled  = "server.cancelled"   // counter: requests cancelled before their wave
-	MServerTimedOut   = "server.timedout"    // counter: requests that exceeded QueueTimeout
-	MServerPanics     = "server.panics"      // counter: panics recovered by the dispatcher
-
 	// Graceful-degradation (baseline fallback) series.
 	MFallbackEngaged = "fallback.engaged" // counter: degradation causes observed
 	MFallbackQueries = "fallback.queries" // counter: queries served by the baseline engine

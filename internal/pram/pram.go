@@ -391,22 +391,23 @@ func (e *Executor) forChunkedInline(n int, fn func(lo, hi int), pc *panicCell) {
 }
 
 // ForTiles2D executes fn(r0, r1, c0, c1) over the tiling of the rows×cols
-// iteration space into tileR×tileC tiles, as one parallel round. It is the
-// scheduling primitive for cache-blocked matrix kernels: each tile is one
-// task, tasks are handed to at most P workers from a shared atomic cursor
-// (dynamic assignment, so tiles whose cost collapses — e.g. all-+Inf panels
-// skipped by the kernel — do not leave workers idle), and a kernel whose
-// matrix fits in a single tile runs inline with no goroutine at all. That
-// last property is what lets intra-kernel tile parallelism compose with
-// node-level parallelism across a separator-tree level: the many small
+// iteration space into tileR×tileC tiles, as one ForDynamic round. It is
+// the scheduling primitive for cache-blocked matrix kernels: each tile is
+// one index of the round, handed to at most P workers from a shared atomic
+// cursor (dynamic assignment, so tiles whose cost collapses — e.g. all-+Inf
+// panels skipped by the kernel — do not leave workers idle), and a kernel
+// whose matrix fits in a single tile runs inline with no goroutine at all.
+// That last property is what lets intra-kernel tile parallelism compose
+// with node-level parallelism across a separator-tree level: the many small
 // kernels at deep levels each occupy exactly the worker already running
 // their node, while the few large kernels near the root fan out across the
 // executor instead of serializing behind per-row chunking.
 //
 // fn must be safe to call concurrently for distinct tiles (tiles are
-// disjoint by construction). Panic containment matches For: the first
-// panicking tile is re-raised in the caller as a *Panic, the panicking
-// worker stops, and the remaining workers drain the remaining tiles.
+// disjoint by construction). One busy iteration is charged per tile, and
+// panic containment is ForDynamic's: once a tile has panicked no further
+// tile is started, and the first panic is re-raised in the caller as a
+// *Panic.
 func (e *Executor) ForTiles2D(rows, cols, tileR, tileC int, fn func(r0, r1, c0, c1 int)) {
 	if rows <= 0 || cols <= 0 {
 		return
@@ -416,58 +417,18 @@ func (e *Executor) ForTiles2D(rows, cols, tileR, tileC int, fn func(r0, r1, c0, 
 	}
 	tilesC := (cols + tileC - 1) / tileC
 	tilesR := (rows + tileR - 1) / tileR
-	total := tilesR * tilesC
-	runTile := func(t int) {
+	e.ForDynamic(tilesR*tilesC, func(t int) {
 		r0 := (t / tilesC) * tileR
 		c0 := (t % tilesC) * tileC
-		r1 := r0 + tileR
-		if r1 > rows {
-			r1 = rows
-		}
-		c1 := c0 + tileC
-		if c1 > cols {
-			c1 = cols
-		}
-		fn(r0, r1, c0, c1)
-	}
-	var pc panicCell
-	if e.p == 1 || total == 1 {
-		e.tilesInline(total, runTile, &pc)
-		e.busy[0].Add(int64(total))
-		pc.rethrow(e)
-		return
-	}
-	workers := e.p
-	if workers > total {
-		workers = total
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer pc.capture()
-			e.fire()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= total {
-					break
-				}
-				runTile(t)
-				e.busy[w].Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	pc.rethrow(e)
+		fn(r0, min(r0+tileR, rows), c0, min(c0+tileC, cols))
+	})
 }
 
 // ForDynamic executes fn(i) for every i in [0, n) as one parallel round,
 // handing indices to at most P workers one at a time from a shared atomic
-// cursor — the scheduling of ForTiles2D for loops whose iterations are few
-// and unevenly priced (a multi-source query wave: one pruned solo query
-// per index). The calling goroutine works as slot 0 beside P-1 spawned
+// cursor — for loops whose iterations are few and unevenly priced (a
+// multi-source query wave: one pruned solo query per index; the tiles of
+// ForTiles2D). The calling goroutine works as slot 0 beside P-1 spawned
 // workers, and the round's bookkeeping comes from a pool, so a
 // steady-state call allocates nothing. Panic containment matches For,
 // except that a round stops early: once an index has panicked no further
@@ -530,15 +491,6 @@ func (r *dynRound) work(w int) {
 		}
 		r.fn(i)
 		r.e.busy[w].Add(1)
-	}
-}
-
-// tilesInline is the single-worker body of ForTiles2D.
-func (e *Executor) tilesInline(total int, runTile func(t int), pc *panicCell) {
-	defer pc.capture()
-	e.fire()
-	for t := 0; t < total; t++ {
-		runTile(t)
 	}
 }
 

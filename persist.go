@@ -151,7 +151,12 @@ func (dto *indexDTO) validate() error {
 	if err := validEdges("shortcut", dto.Shortcuts, dto.N); err != nil {
 		return err
 	}
+	// The root's vertex list holds every vertex, so checking it first
+	// bounds N by the blob's own size before anything N-sized is built.
 	nn := len(dto.Nodes)
+	if nn == 0 || len(dto.Nodes[0].V) != dto.N {
+		return fmt.Errorf("decomposition root does not cover the %d vertices", dto.N)
+	}
 	for i := range dto.Nodes {
 		nd := &dto.Nodes[i]
 		if nd.ID != i {

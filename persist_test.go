@@ -2,6 +2,7 @@ package sepsp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -232,4 +233,49 @@ func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.gob"), 0); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load. Load must never panic: it returns
+// either an *Index or an error wrapping ErrCorruptIndex, and an index with
+// vertices must answer SSSPContext(ctx, 0) without panicking (a recovered
+// panic would surface as a *PanicError). The seeds are a small grid index's
+// Save blob, truncations of it, and a bit-flipped copy — the inputs
+// TestLoadTruncatedBlob and TestLoadBitFlippedBlobNeverPanics loop over.
+func FuzzLoad(f *testing.F) {
+	g, _ := gridGraph(f, 5, 5, 13)
+	ix, err := Build(g, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	blob := buf.Bytes()
+	f.Add(blob)
+	for _, cut := range []int{0, 1, len(blob) / 4, len(blob) / 2, len(blob) - 1} {
+		f.Add(blob[:cut])
+	}
+	flipped := bytes.Clone(blob)
+	flipped[len(flipped)/2] ^= 1 << 3
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := Load(bytes.NewReader(data), 0)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptIndex) {
+				t.Fatalf("Load: err = %v, want ErrCorruptIndex", err)
+			}
+			return
+		}
+		if ix == nil {
+			t.Fatal("Load returned neither an index nor an error")
+		}
+		if ix.g.N() == 0 {
+			return
+		}
+		var pe *PanicError
+		if _, err := ix.SSSPContext(context.Background(), 0); errors.As(err, &pe) {
+			t.Fatalf("SSSPContext on a loaded index panicked: %v", pe)
+		}
+	})
 }

@@ -211,8 +211,8 @@ func (o *Observer) WriteMetricsText(w io.Writer) error {
 }
 
 // CounterValue returns the current value of the named registry counter
-// (0 if it was never touched). Useful for programmatic checks of serving
-// metrics such as "server.waves" or "server.rejected".
+// (0 if it was never touched). Useful for programmatic checks of build and
+// query metrics such as "query.cancelled" or "fallback.engaged".
 func (o *Observer) CounterValue(name string) int64 {
 	return o.sink.Metrics.CounterValue(name)
 }

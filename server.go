@@ -13,7 +13,6 @@ import (
 	"sepsp/internal/admission"
 	"sepsp/internal/distcache"
 	"sepsp/internal/faultinject"
-	"sepsp/internal/obs"
 	"sepsp/internal/obs/live"
 	"sepsp/internal/pram"
 )
@@ -55,12 +54,6 @@ type ServerOptions struct {
 	// results are never cached. 0 (the default) disables the cache at zero
 	// per-request cost.
 	CacheBytes int64
-	// Observer, when non-nil, receives the server's serving metrics in its
-	// registry: queue depth ("server.queue.depth" gauge), wave sizes
-	// ("server.wave.size" histogram), and admitted / refused / cancelled /
-	// timed-out request, wave, and recovered-panic counters. It may be the
-	// same Observer the Index was built with.
-	Observer *Observer
 	// Inject, when non-nil, fires the fault-injection harness at the
 	// server's wave boundary ("server.wave"). Chaos testing only.
 	Inject faultinject.Injector
@@ -68,7 +61,8 @@ type ServerOptions struct {
 	// outcome counters, queue-wait and compute-time histograms, wave sizes,
 	// and flight-recorder events, continuously scrapeable while serving
 	// (see Telemetry.Handler). Nil keeps the uninstrumented hot path — the
-	// per-request cost is exactly one nil check.
+	// per-request cost is exactly one nil check; the always-on outcome and
+	// wave counts stay available from Server.Healthz either way.
 	Telemetry *Telemetry
 	// Logger, when non-nil, receives structured serving logs via log/slog:
 	// executed waves at Debug, recovered panics at Error. Nil disables
@@ -139,6 +133,16 @@ type AdmissionOptions struct {
 // reweighted index underneath live traffic with zero downtime — in-flight
 // waves drain on the epoch they started on, new waves route to the new
 // epoch (see Manager).
+//
+// Every SSSP and Dist request passes through one fixed sequence of stages:
+//
+//	validate → cache → admit → enqueue → wave → answer
+//
+// Each stage either hands the request on or ends it with a terminal
+// result — an answer, a shed (refusal or brownout, also after eviction), a
+// timeout, a cancellation, a panic, or an error — and the answer stage
+// counts every ended request exactly once, in Healthz and, when attached,
+// in Telemetry.
 type Server struct {
 	mgr          *Manager
 	n            int // skeleton vertex count; constant across epoch swaps
@@ -152,7 +156,7 @@ type Server struct {
 	// one nil check inside the call.
 	cache *distcache.Cache
 
-	q           *admission.Queue[ssspReq]
+	q           *admission.Queue[*ssspReq]
 	lim         *admission.Limiter
 	brown       *admission.Brownout
 	fbBreaker   *admission.Breaker // nil when disabled
@@ -161,8 +165,8 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// Always-on counters backing Healthz (the obs instruments below are
-	// nil no-ops without an Observer).
+	// Always-on counters backing Healthz. The outcome counters (rejected
+	// through brownouts) are advanced only by finish.
 	nRequests  atomic.Int64
 	nRejected  atomic.Int64
 	nCancelled atomic.Int64
@@ -172,16 +176,6 @@ type Server struct {
 	nBrownouts atomic.Int64
 	nEvicted   atomic.Int64
 
-	// Metric instruments; nil (no-op) without an Observer.
-	depth     *obs.Gauge
-	waveSize  *obs.Histogram
-	waves     *obs.Counter
-	requests  *obs.Counter
-	rejected  *obs.Counter
-	cancelled *obs.Counter
-	timedout  *obs.Counter
-	panics    *obs.Counter
-
 	// Live telemetry and structured logging; both nil by default, and the
 	// hot path pays only a nil check for each.
 	tel     *Telemetry
@@ -189,28 +183,50 @@ type Server struct {
 	waveSeq atomic.Int64 // wave ids for flight-recorder correlation
 }
 
+// ssspReq is one admitted request, shared by its caller (waiting in the
+// enqueue stage) and the dispatcher (serving it in the wave stage). claim
+// picks which of the two decides it: the dispatcher when it answers first,
+// the caller when its context ends first.
 type ssspReq struct {
-	src  int
-	ctx  context.Context
-	resc chan ssspResp // buffered; the dispatcher never blocks on delivery
-	cls  admission.Class
-	enq  int64 // admission time, Unix nanos (0 only for test-injected reqs)
+	src     int
+	ctx     context.Context
+	resc    chan result // 1-buffered; a sender never blocks
+	cls     admission.Class
+	enq     int64 // admission time, Unix nanos (0 only for test-injected reqs)
+	claimed atomic.Bool
 }
 
-type ssspResp struct {
+// claim reports whether this call won the right to decide r; exactly one
+// call per request does.
+func (r *ssspReq) claim() bool { return r.claimed.CompareAndSwap(false, true) }
+
+// result is a request's terminal result: the answer its caller receives,
+// plus what the answer stage needs to count it.
+type result struct {
 	dist []float64
 	err  error
-	// epoch and degraded describe the wave that produced dist, so the
-	// cache can admit under the epoch that actually served the request
-	// (a swap may race the wave) and never admit fallback-served results.
+	src  int
+	cls  admission.Class
+	// epoch is the epoch that served the request, so the cache admits
+	// under it (a swap may race the wave); degraded marks an answer from
+	// the fallback engine, which the cache never admits.
 	epoch    uint64
 	degraded bool
+	// shed marks a request shed at admission: browned out when err is
+	// nil, refused otherwise.
+	shed bool
+	// wave is the serving wave's id (0 when no wave served the request)
+	// and batch its live size; queueNanos and computeNanos are the
+	// latency phases — admission to wave start, and the wave's compute.
+	wave                     int64
+	batch                    int
+	queueNanos, computeNanos int64
 }
 
 // errEvicted answers a queued request displaced by a higher-priority
-// arrival. It never escapes the server: the victim's own SSSP call
-// intercepts it and re-enters the shed/brownout path on its own goroutine
-// (so a brownout Dijkstra never runs on the evictor's goroutine).
+// arrival. It never escapes the server: the victim's own caller intercepts
+// it in the enqueue stage and sheds the request on its own goroutine (so a
+// brownout Dijkstra never runs on the evictor's goroutine).
 var errEvicted = errors.New("sepsp: internal: evicted from admission queue")
 
 // NewServer starts a serving loop over ix, wrapping it in a new Manager
@@ -230,84 +246,59 @@ func NewServer(ix *Index, opt *ServerOptions) (*Server, error) {
 // newServer builds a Server without starting its dispatcher — split out so
 // tests can pre-queue requests and observe one deterministic wave.
 func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
-	maxBatch, maxInFlight := 16, 1024
-	var queueTimeout time.Duration
-	var inj faultinject.Injector
-	var reg *obs.Registry
-	var tel *Telemetry
-	var logger *slog.Logger
-	var admOpt AdmissionOptions
-	var cacheBytes int64
+	var o ServerOptions
 	if opt != nil {
-		if opt.MaxBatch < 0 || opt.MaxInFlight < 0 || opt.QueueTimeout < 0 || opt.CacheBytes < 0 {
-			return nil, fmt.Errorf("%w: server limits must be non-negative", ErrBadOptions)
-		}
-		cacheBytes = opt.CacheBytes
-		if opt.MaxBatch > 0 {
-			maxBatch = opt.MaxBatch
-		}
-		if opt.MaxInFlight > 0 {
-			maxInFlight = opt.MaxInFlight
-		}
-		queueTimeout = opt.QueueTimeout
-		inj = opt.Inject
-		if opt.Observer != nil {
-			reg = opt.Observer.sink.Metrics
-		}
-		tel = opt.Telemetry
-		logger = opt.Logger
-		if opt.Admission != nil {
-			admOpt = *opt.Admission
-		}
+		o = *opt
 	}
-	if admOpt.Initial < 0 || admOpt.Min < 0 {
+	var adm AdmissionOptions
+	if o.Admission != nil {
+		adm = *o.Admission
+	}
+	if o.MaxBatch < 0 || o.MaxInFlight < 0 || o.QueueTimeout < 0 || o.CacheBytes < 0 {
+		return nil, fmt.Errorf("%w: server limits must be non-negative", ErrBadOptions)
+	}
+	if adm.Initial < 0 || adm.Min < 0 {
 		return nil, fmt.Errorf("%w: admission limits must be non-negative", ErrBadOptions)
 	}
-	mgrOpt := &ManagerOptions{
-		Telemetry:      tel,
-		Logger:         logger,
-		Inject:         inj,
-		RebuildBreaker: admOpt.RebuildBreaker,
+	if o.MaxBatch == 0 {
+		o.MaxBatch = 16
 	}
-	brownCfg := admission.BrownoutConfig{Threshold: admOpt.BrownoutThreshold}
-	if admOpt.BrownoutThreshold < 0 {
-		brownCfg.Threshold = 0 // detector still runs; answers are gated off
+	if o.MaxInFlight == 0 {
+		o.MaxInFlight = 1024
 	}
 	s := &Server{
-		mgr:          NewManager(ix, mgrOpt),
-		n:            ix.g.N(),
-		maxBatch:     maxBatch,
-		maxInFlight:  maxInFlight,
-		queueTimeout: queueTimeout,
-		inj:          inj,
-		tel:          tel,
-		logger:       logger,
-		q:            admission.NewQueue[ssspReq](),
-		lim: admission.NewLimiter(admission.LimiterConfig{
-			Initial:     admOpt.Initial,
-			Min:         admOpt.Min,
-			Max:         maxInFlight,
-			Tolerance:   admOpt.Tolerance,
-			DropBackoff: admOpt.DropBackoff,
+		mgr: NewManager(ix, &ManagerOptions{
+			Telemetry:      o.Telemetry,
+			Logger:         o.Logger,
+			Inject:         o.Inject,
+			RebuildBreaker: adm.RebuildBreaker,
 		}),
-		brown:       admission.NewBrownout(brownCfg),
-		fbBreaker:   admOpt.FallbackBreaker.build(),
-		brownoutOff: admOpt.BrownoutThreshold < 0,
-		depth:       reg.Gauge(obs.MServerQueueDepth),
-		waveSize:    reg.Histogram(obs.MServerWaveSize),
-		waves:       reg.Counter(obs.MServerWaves),
-		requests:    reg.Counter(obs.MServerRequests),
-		rejected:    reg.Counter(obs.MServerRejected),
-		cancelled:   reg.Counter(obs.MServerCancelled),
-		timedout:    reg.Counter(obs.MServerTimedOut),
-		panics:      reg.Counter(obs.MServerPanics),
+		n:            ix.g.N(),
+		maxBatch:     o.MaxBatch,
+		maxInFlight:  o.MaxInFlight,
+		queueTimeout: o.QueueTimeout,
+		inj:          o.Inject,
+		tel:          o.Telemetry,
+		logger:       o.Logger,
+		q:            admission.NewQueue[*ssspReq](),
+		lim: admission.NewLimiter(admission.LimiterConfig{
+			Initial:     adm.Initial,
+			Min:         adm.Min,
+			Max:         o.MaxInFlight,
+			Tolerance:   adm.Tolerance,
+			DropBackoff: adm.DropBackoff,
+		}),
+		// A negative threshold still runs the detector; answers are gated off.
+		brown:       admission.NewBrownout(admission.BrownoutConfig{Threshold: max(adm.BrownoutThreshold, 0)}),
+		fbBreaker:   adm.FallbackBreaker.build(),
+		brownoutOff: adm.BrownoutThreshold < 0,
 	}
 	// New(MaxBytes ≤ 0) is nil: the cache stays off as a nil receiver.
 	// Leader-local errors — the leader's own context or queue deadline
 	// ending — make single-flight waiters re-race for leadership instead
 	// of inheriting a failure that was never theirs.
 	s.cache = distcache.New(distcache.Config{
-		MaxBytes:    cacheBytes,
+		MaxBytes:    o.CacheBytes,
 		VectorBytes: int64(s.n) * 8,
 		Retryable: func(err error) bool {
 			return errors.Is(err, context.Canceled) ||
@@ -317,8 +308,7 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	})
 	s.mgr.setCache(s.cache)
 	if s.fbBreaker != nil {
-		fb := s.fbBreaker
-		fb.OnTransition(func(_, to admission.State) {
+		s.fbBreaker.OnTransition(func(_, to admission.State) {
 			if s.tel != nil {
 				s.tel.recordBreakerTransition("fallback", to)
 			}
@@ -327,21 +317,15 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 			}
 		})
 	}
-	if tel != nil {
-		tel.attach(s)
+	if s.tel != nil {
+		s.tel.attach(s)
 	}
 	return s, nil
 }
 
 // effectiveLimit is the admission window currently in force: the adaptive
 // limit capped by the MaxInFlight hard ceiling.
-func (s *Server) effectiveLimit() int {
-	lim := s.lim.Limit()
-	if lim > s.maxInFlight {
-		lim = s.maxInFlight
-	}
-	return lim
-}
+func (s *Server) effectiveLimit() int { return min(s.lim.Limit(), s.maxInFlight) }
 
 // budget is how many requests may sit in the queue right now: the effective
 // limit minus work already popped for serving. It can go negative under a
@@ -364,172 +348,11 @@ func (s *Server) budget() int {
 // ErrServerClosed after Close, ctx.Err() if ctx ends first, and a
 // *PanicError if the serving wave panicked.
 func (s *Server) SSSP(ctx context.Context, src int) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := s.checkVertex(src); err != nil {
+	if err := s.checkVertex(src, "source"); err != nil {
 		return nil, err
 	}
-	if s.cache == nil {
-		dist, _, _, err := s.ssspAdmit(ctx, src)
-		return dist, err
-	}
-	// The epoch is read before the lookup: a request started after a
-	// Reweight swap completes always keys on the new epoch, so a stale
-	// vector can never answer it. The hit path runs before any admission
-	// work — no limiter, no queue, no context wrapping.
-	epoch := s.mgr.Epoch()
-	if dist, ok := s.cache.Get(src, epoch); ok {
-		s.brown.Note(false) // an answered request is a healthy-signal, like any admission
-		if s.tel != nil {
-			s.tel.recordCacheHit(src, epoch)
-		}
-		return dist, nil
-	}
-	dist, how, err := s.cache.Do(ctx, src, epoch, func() ([]float64, uint64, bool, error) {
-		d, served, degraded, cerr := s.ssspAdmit(ctx, src)
-		return d, served, !degraded, cerr
-	})
-	if s.tel != nil {
-		switch {
-		case how == distcache.Computed:
-			s.tel.recordCacheMiss(src, epoch)
-		case err == nil: // Hit (Do re-checked) or Shared success
-			s.tel.recordCacheHit(src, epoch)
-		}
-	}
+	dist, _, err := s.cached(ctx, src, -1)
 	return dist, err
-}
-
-// ssspAdmit is the uncached serving path: admission, queueing, and the
-// coalesced wave. It reports the epoch that served the request and whether
-// the answer came from a degraded (fallback) engine, so the cache layer
-// can decide admission.
-func (s *Server) ssspAdmit(ctx context.Context, src int) ([]float64, uint64, bool, error) {
-	if s.queueTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, s.queueTimeout, ErrQueueTimeout)
-		defer cancel()
-	}
-	cls := PriorityOf(ctx).class()
-	r := ssspReq{
-		src:  src,
-		ctx:  ctx,
-		resc: make(chan ssspResp, 1),
-		cls:  cls,
-		enq:  time.Now().UnixNano(),
-	}
-	res, victim := s.q.Push(r, cls, s.budget())
-	switch res {
-	case admission.Closed:
-		return nil, 0, false, ErrServerClosed
-	case admission.Rejected:
-		dist, err := s.shed(ctx, src, cls)
-		return dist, 0, true, err // brownout answers are degraded: never cached
-	case admission.AdmittedEvicted:
-		// The victim's own SSSP call re-enters the shed path when it sees
-		// errEvicted; the send cannot block (resc is 1-buffered and the
-		// victim left the queue, so nobody else will answer it).
-		s.nEvicted.Add(1)
-		victim.resc <- ssspResp{err: errEvicted}
-	}
-	s.nRequests.Add(1)
-	s.requests.Inc()
-	s.depth.Set(float64(s.q.Len()))
-	s.brown.Note(false)
-	select {
-	case resp := <-r.resc:
-		if resp.err == errEvicted {
-			dist, err := s.shed(ctx, src, cls)
-			return dist, 0, true, err
-		}
-		return resp.dist, resp.epoch, resp.degraded, resp.err
-	case <-ctx.Done():
-		// The request stays in the queue; the dispatcher sees the dead
-		// context and discards (and counts) it without serving. Cause
-		// distinguishes ErrQueueTimeout from the caller's own ctx ending.
-		return nil, 0, false, context.Cause(ctx)
-	}
-}
-
-// shed decides a request that could not be (or stay) admitted: feed the
-// limiter and brownout detector, then either answer it degraded from the
-// fallback engine (brownout engaged, non-interactive priority) or refuse
-// it. Runs on the requester's own goroutine.
-func (s *Server) shed(ctx context.Context, src int, cls admission.Class) ([]float64, error) {
-	s.lim.OnDrop()
-	s.brown.Note(true)
-	if cls != admission.Interactive && !s.brownoutOff && s.brown.Active() {
-		dist, err := s.brownoutAnswer(ctx, src, cls)
-		if err == nil {
-			return dist, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			s.countShed(src, cls)
-			return nil, context.Cause(ctx)
-		}
-		if s.logger != nil {
-			s.logger.Debug("brownout answer unavailable", "src", src, "priority", cls.String(), "err", err)
-		}
-		s.countShed(src, cls)
-		return nil, fmt.Errorf("%w: %w", ErrBrownout, ErrServerOverloaded)
-	}
-	s.countShed(src, cls)
-	return nil, ErrServerOverloaded
-}
-
-func (s *Server) countShed(src int, cls admission.Class) {
-	s.nRejected.Add(1)
-	s.rejected.Inc()
-	if s.tel != nil {
-		s.tel.recordShed(src, s.mgr.Epoch(), cls)
-	}
-}
-
-// brownoutAnswer serves one shed query exactly from the baseline fallback
-// engine, on the requester's goroutine, under the fallback circuit breaker
-// and a panic guard. The wave pipeline is untouched.
-func (s *Server) brownoutAnswer(ctx context.Context, src int, cls admission.Class) ([]float64, error) {
-	ix, epoch, release := s.mgr.Acquire()
-	defer release()
-	if ix.fb == nil {
-		return nil, ErrDegraded // no fallback engine to answer from
-	}
-	if s.fbBreaker != nil && !s.fbBreaker.Allow() {
-		return nil, ErrBreakerOpen
-	}
-	dist, err := s.runBrownout(ctx, ix, src)
-	if err != nil {
-		if s.fbBreaker != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				// The caller went away mid-answer: not the engine's fault.
-				s.fbBreaker.Cancel()
-			} else {
-				s.fbBreaker.Failure()
-			}
-		}
-		return nil, err
-	}
-	if s.fbBreaker != nil {
-		s.fbBreaker.Success()
-	}
-	s.nBrownouts.Add(1)
-	if s.tel != nil {
-		s.tel.recordBrownout(src, epoch, cls)
-	}
-	return dist, nil
-}
-
-// runBrownout executes one fallback query under a panic guard, so a
-// panicking fallback engine feeds the breaker instead of killing the
-// requester's goroutine.
-func (s *Server) runBrownout(ctx context.Context, ix *Index, src int) (dist []float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			dist, err = nil, newPanicError("brownout", r)
-		}
-	}()
-	return ix.fb.ssspCtx(ctx, ix.fb.g, src)
 }
 
 // Dist returns the u→v distance. When the index's pair oracle has been
@@ -541,30 +364,260 @@ func (s *Server) runBrownout(ctx context.Context, ix *Index, src int) (dist []fl
 // out-of-range endpoint fails fast with an error wrapping ErrBadOptions
 // that names which endpoint (source or destination) is bad.
 func (s *Server) Dist(ctx context.Context, u, v int) (float64, error) {
-	if err := s.checkVertexRole(u, "source"); err != nil {
+	if err := s.checkVertex(u, "source"); err != nil {
 		return 0, err
 	}
-	if err := s.checkVertexRole(v, "destination"); err != nil {
+	if err := s.checkVertex(v, "destination"); err != nil {
 		return 0, err
 	}
-	if o := s.mgr.Index().oracle.Load(); o != nil {
-		return o.Dist(u, v), nil
+	_, d, err := s.cached(ctx, u, v)
+	return d, err
+}
+
+// checkVertex is the validate stage: an out-of-range endpoint fails before
+// anything is counted or enqueued.
+func (s *Server) checkVertex(v int, role string) error {
+	if v < 0 || v >= s.n {
+		return fmt.Errorf("%w: %s vertex %d out of range [0,%d)", ErrBadOptions, role, v, s.n)
 	}
-	if s.cache != nil {
-		epoch := s.mgr.Epoch()
-		if d, ok := s.cache.GetAt(u, epoch, v); ok {
-			s.brown.Note(false)
-			if s.tel != nil {
-				s.tel.recordCacheHit(u, epoch)
-			}
-			return d, nil
+	return nil
+}
+
+// cached is the cache stage. A point read (dst ≥ 0, from Dist) is answered
+// by the pair oracle once one is built, else by dst's entry of a resident
+// vector without copying it; a vector read (dst < 0) gets a private copy.
+// The resident vector is looked up under the epoch read first, so a request
+// started after a Reweight swap completes can never see a stale one. A
+// miss — or a disabled cache — goes on to admit.
+func (s *Server) cached(ctx context.Context, src, dst int) ([]float64, float64, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if dst >= 0 {
+		if o := s.mgr.Index().oracle.Load(); o != nil {
+			s.finish(ctx, result{src: src, epoch: s.mgr.Epoch()})
+			return nil, o.Dist(src, dst), nil
 		}
 	}
-	dist, err := s.SSSP(ctx, u)
-	if err != nil {
-		return 0, err
+	var res result
+	if s.cache == nil {
+		res = s.admit(ctx, src)
+	} else {
+		epoch := s.mgr.Epoch()
+		hit := result{src: src, epoch: epoch}
+		if dst >= 0 {
+			if d, ok := s.cache.GetAt(src, epoch, dst); ok {
+				s.brown.Note(false) // an answered request is a healthy signal, like any admission
+				s.finish(ctx, hit)
+				return nil, d, nil
+			}
+		} else if dist, ok := s.cache.Get(src, epoch); ok {
+			s.brown.Note(false)
+			s.finish(ctx, hit)
+			return dist, 0, nil
+		}
+		res = s.fill(ctx, src, epoch)
 	}
-	return dist[v], nil
+	if res.err != nil || dst < 0 {
+		return res.dist, 0, res.err
+	}
+	return nil, res.dist[dst], nil
+}
+
+// fill runs a cache miss single-flight: concurrent misses on one source
+// share one wave lane. The flight's leader goes on to admit and is counted
+// where its request ends; every other caller is answered — or failed — by
+// the flight, or by its own context ending, and is counted here.
+func (s *Server) fill(ctx context.Context, src int, epoch uint64) result {
+	var lead result
+	dist, how, err := s.cache.Do(ctx, src, epoch, func() ([]float64, uint64, bool, error) {
+		lead = s.admit(ctx, src)
+		return lead.dist, lead.epoch, !lead.degraded, lead.err
+	})
+	if how == distcache.Computed {
+		if s.tel != nil {
+			s.tel.recordCacheMiss(src, epoch)
+		}
+		return lead // Do hands the leader compute's own result back
+	}
+	return s.finish(ctx, result{dist: dist, err: err, src: src, cls: PriorityOf(ctx).class(), epoch: epoch})
+}
+
+// admit is the admit stage: it arms the queue deadline and offers the
+// request to the priority queue under the adaptive budget. A closed server
+// ends the request here and a refused one is shed; an admitted one may
+// first displace a lower-priority victim, whose own caller then sheds it.
+func (s *Server) admit(ctx context.Context, src int) result {
+	if s.queueTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, s.queueTimeout, ErrQueueTimeout)
+		defer cancel()
+	}
+	r := &ssspReq{
+		src:  src,
+		ctx:  ctx,
+		resc: make(chan result, 1),
+		cls:  PriorityOf(ctx).class(),
+		enq:  time.Now().UnixNano(),
+	}
+	pushed, victim := s.q.Push(r, r.cls, s.budget())
+	switch pushed {
+	case admission.Closed:
+		return s.finish(ctx, result{err: ErrServerClosed, src: src, cls: r.cls, epoch: s.mgr.Epoch()})
+	case admission.Rejected:
+		return s.shed(r)
+	case admission.AdmittedEvicted:
+		// The send cannot block: resc is 1-buffered and the victim left the
+		// queue, so nothing else will answer it.
+		s.nEvicted.Add(1)
+		victim.resc <- result{err: errEvicted}
+	}
+	s.nRequests.Add(1)
+	s.brown.Note(false)
+	return s.enqueue(r)
+}
+
+// enqueue is the enqueue stage: the caller waits for the dispatcher's
+// answer. An eviction sends the request back to be shed on this goroutine.
+// If the caller's context ends first, the caller decides the request with
+// the context's cause (ErrQueueTimeout for the queue deadline) and leaves
+// it queued — the dispatcher drops it unanswered — unless the dispatcher
+// claimed it first, in which case its answer is already on the way.
+func (s *Server) enqueue(r *ssspReq) result {
+	select {
+	case res := <-r.resc:
+		if res.err == errEvicted {
+			return s.shed(r)
+		}
+		return res
+	case <-r.ctx.Done():
+		if !r.claim() {
+			return <-r.resc
+		}
+		res := result{err: context.Cause(r.ctx), src: r.src, epoch: s.mgr.Epoch()}
+		if s.tel != nil {
+			res.queueNanos = time.Now().UnixNano() - r.enq
+		}
+		return s.finish(r.ctx, res)
+	}
+}
+
+// shed ends a request that could not be (or stay) admitted, on its own
+// caller's goroutine: it feeds the limiter and brownout detector, then
+// answers the request exactly from the fallback engine if brownout is
+// engaged and the request is not interactive, and refuses it otherwise.
+func (s *Server) shed(r *ssspReq) result {
+	s.lim.OnDrop()
+	s.brown.Note(true)
+	res := result{err: ErrServerOverloaded, src: r.src, cls: r.cls, epoch: s.mgr.Epoch(), degraded: true, shed: true}
+	if r.cls != admission.Interactive && !s.brownoutOff && s.brown.Active() {
+		var err error
+		res.dist, res.epoch, err = s.brownoutAnswer(r.ctx, r.src)
+		switch {
+		case err == nil:
+			res.err = nil
+		case r.ctx.Err() != nil:
+			res.err = context.Cause(r.ctx)
+		default:
+			if s.logger != nil {
+				s.logger.Debug("brownout answer unavailable", "src", r.src, "priority", r.cls.String(), "err", err)
+			}
+			res.err = fmt.Errorf("%w: %w", ErrBrownout, ErrServerOverloaded)
+		}
+	}
+	return s.finish(r.ctx, res)
+}
+
+// brownoutAnswer serves one shed query exactly from the baseline fallback
+// engine, on the requester's goroutine, under the fallback circuit breaker
+// and a panic guard, and reports the epoch that answered it. The wave
+// pipeline is untouched.
+func (s *Server) brownoutAnswer(ctx context.Context, src int) ([]float64, uint64, error) {
+	ix, epoch, release := s.mgr.Acquire()
+	defer release()
+	if ix.fb == nil {
+		return nil, epoch, ErrDegraded // no fallback engine to answer from
+	}
+	if s.fbBreaker != nil && !s.fbBreaker.Allow() {
+		return nil, epoch, ErrBreakerOpen
+	}
+	// The guard makes a panicking fallback engine feed the breaker instead
+	// of killing the requester's goroutine.
+	dist, err := runGuarded("brownout", func() ([]float64, error) {
+		return ix.fb.ssspCtx(ctx, ix.fb.g, src)
+	})
+	if s.fbBreaker != nil {
+		switch {
+		case err == nil:
+			s.fbBreaker.Success()
+		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+			s.fbBreaker.Cancel() // the caller went away mid-answer: not the engine's fault
+		default:
+			s.fbBreaker.Failure()
+		}
+	}
+	return dist, epoch, err
+}
+
+// finish is the answer stage: the one place an ended request is counted.
+// It advances the request's Healthz outcome counter and calls Telemetry's
+// recorder for its outcome, then hands res back.
+func (s *Server) finish(ctx context.Context, res result) result {
+	out := outcomeOf(ctx, res)
+	switch out {
+	case live.OutcomeShed:
+		s.nRejected.Add(1)
+	case live.OutcomeBrownout:
+		s.nBrownouts.Add(1)
+	case live.OutcomeTimeout:
+		s.nTimedOut.Add(1)
+	case live.OutcomeCancelled:
+		s.nCancelled.Add(1)
+	case live.OutcomePanic:
+		s.nPanics.Add(1)
+	}
+	if s.tel == nil {
+		return res
+	}
+	switch {
+	case out == live.OutcomeShed:
+		s.tel.recordShed(res.src, res.epoch, res.cls)
+	case out == live.OutcomeBrownout:
+		s.tel.recordBrownout(res.src, res.epoch, res.cls)
+	case out == live.OutcomeOK && res.wave == 0:
+		// Answered from resident state: a cached vector, a shared flight,
+		// or the pair oracle.
+		s.tel.recordCacheHit(res.src, res.epoch)
+	default:
+		s.tel.recordQuery(out, res.src, res.wave, res.queueNanos, res.computeNanos, res.batch, res.epoch, res.degraded)
+	}
+	return res
+}
+
+// outcomeOf classifies an ended request; ctx is the request's own context.
+func outcomeOf(ctx context.Context, res result) live.Outcome {
+	switch {
+	case res.err == nil && res.shed:
+		return live.OutcomeBrownout
+	case res.err == nil:
+		return live.OutcomeOK
+	case res.shed || errors.Is(res.err, ErrServerOverloaded):
+		return live.OutcomeShed
+	case isPanic(res.err):
+		return live.OutcomePanic
+	case errors.Is(res.err, ErrQueueTimeout):
+		return live.OutcomeTimeout
+	case ctx.Err() != nil:
+		return live.OutcomeCancelled
+	}
+	return live.OutcomeError
+}
+
+// isPanic reports whether err carries a *PanicError. It is split out so
+// the errors.As target is allocated only on this rare path.
+func isPanic(err error) bool {
+	var pe *PanicError
+	return errors.As(err, &pe)
 }
 
 // Manager returns the epoch lifecycle manager the server serves through.
@@ -602,21 +655,24 @@ type ServerHealth struct {
 	QueueDepth  int `json:"queue_depth"`
 	MaxInFlight int `json:"max_in_flight"`
 	MaxBatch    int `json:"max_batch"`
-	// Requests counts admitted requests; Rejected counts refusals with
-	// ErrServerOverloaded; Cancelled and TimedOut count admitted requests
-	// that ended with their context's cancellation or ErrQueueTimeout.
+	// Requests counts admitted requests. Rejected, Cancelled, TimedOut,
+	// Panics and Brownouts count ended requests by outcome, at the same
+	// point as the matching sepsp_server_queries_total series: Rejected
+	// those refused with ErrServerOverloaded, Cancelled and TimedOut those
+	// that ended with their context's cancellation or ErrQueueTimeout, and
+	// Panics those answered with a *PanicError.
 	Requests  int64 `json:"requests"`
 	Rejected  int64 `json:"rejected"`
 	Cancelled int64 `json:"cancelled"`
 	TimedOut  int64 `json:"timed_out"`
-	// Waves counts executed coalesced waves; Panics counts panics the
-	// dispatcher recovered.
+	// Waves counts successfully executed coalesced waves.
 	Waves  int64 `json:"waves"`
 	Panics int64 `json:"panics"`
 	// EffectiveLimit is the adaptive admission limit currently in force
 	// (≤ MaxInFlight); Brownout reports whether brownout mode is engaged;
-	// Brownouts counts queries answered degraded from the fallback engine;
-	// Evicted counts queued requests displaced by higher-priority arrivals.
+	// Brownouts counts shed queries answered degraded from the fallback
+	// engine; Evicted counts queued requests displaced by higher-priority
+	// arrivals.
 	EffectiveLimit int   `json:"effective_limit"`
 	Brownout       bool  `json:"brownout"`
 	Brownouts      int64 `json:"brownouts"`
@@ -682,22 +738,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-func (s *Server) checkVertex(v int) error {
-	if v < 0 || v >= s.n {
-		return fmt.Errorf("%w: vertex %d out of range [0,%d)", ErrBadOptions, v, s.n)
-	}
-	return nil
-}
-
-// checkVertexRole is checkVertex with the endpoint's role ("source",
-// "destination") in the error, for two-endpoint entry points.
-func (s *Server) checkVertexRole(v int, role string) error {
-	if v < 0 || v >= s.n {
-		return fmt.Errorf("%w: %s vertex %d out of range [0,%d)", ErrBadOptions, role, v, s.n)
-	}
-	return nil
-}
-
 // run is the dispatcher loop: block for one request, sweep up whatever
 // else is already queued (up to MaxBatch, in priority order), serve the
 // wave, repeat. Requests arriving while a wave runs accumulate in the queue
@@ -705,16 +745,16 @@ func (s *Server) checkVertexRole(v int, role string) error {
 // solo query, and under load waves grow toward MaxBatch.
 func (s *Server) run() {
 	defer s.wg.Done()
-	batch := make([]ssspReq, 0, s.maxBatch)
+	batch := make([]*ssspReq, 0, s.maxBatch)
+	srcs := make([]int, 0, s.maxBatch)
 	for {
 		r, _, ok := s.q.PopWait()
 		if !ok {
 			return
 		}
 		batch = s.gather(append(batch[:0], r))
-		s.depth.Set(float64(s.q.Len()))
 		s.serving.Add(int64(len(batch)))
-		s.serveWave(batch)
+		s.serveWave(batch, srcs)
 		s.serving.Add(-int64(len(batch)))
 	}
 }
@@ -725,7 +765,7 @@ func (s *Server) run() {
 // the queue, so without the yield concurrent clients would be served in
 // solo waves and never coalesce. The yields are no-ops when nothing else is
 // runnable.
-func (s *Server) gather(batch []ssspReq) []ssspReq {
+func (s *Server) gather(batch []*ssspReq) []*ssspReq {
 	for yields := 0; len(batch) < s.maxBatch; {
 		r, _, ok := s.q.TryPop()
 		if !ok {
@@ -741,11 +781,15 @@ func (s *Server) gather(batch []ssspReq) []ssspReq {
 	return batch
 }
 
-// serveWave answers one coalesced batch: requests whose context already
-// ended get their context's cause, the rest share one SourcesBatched wave
-// under a merged context that lives as long as any member does. The whole
-// wave runs under a panic guard — a panic answers every member with a
-// *PanicError and the dispatcher moves on to the next wave.
+// serveWave is the wave stage for one coalesced batch; srcs is the
+// dispatcher's scratch buffer for the wave's sources. Members whose context
+// already ended are answered with its cause and never join the wave; the
+// rest share one SourcesBatched wave, on the epoch-pinned index, under a
+// merged context that lives as long as any member does. The wave runs
+// under a panic guard — a panic answers every member with a *PanicError
+// and the dispatcher moves on to the next wave — and so does its
+// bookkeeping: a panic there (a Logger's handler, say) answers every
+// member not yet answered.
 //
 // The wave pins the serving epoch for its whole duration: the epoch's
 // index cannot be released by a concurrent Reweight swap until the wave's
@@ -754,169 +798,109 @@ func (s *Server) gather(batch []ssspReq) []ssspReq {
 //
 // A successful wave feeds the gradient limiter with the wave's worst
 // member round-trip time (admission → decided), the signal the adaptive
-// admission limit steers by.
-//
-// With Telemetry attached, each decided request records its outcome and
-// its latency phase breakdown — queue wait (admission → wave start) and
-// the wave's shared compute time — plus a flight-recorder event; without
-// it this function performs only the limiter's clock reads.
-func (s *Server) serveWave(batch []ssspReq) {
+// admission limit steers by. Without Telemetry or a Logger this function
+// performs only the limiter's clock reads.
+func (s *Server) serveWave(batch []*ssspReq, srcs []int) {
 	ix, epoch, release := s.mgr.Acquire()
 	defer release()
+	w := result{epoch: epoch, degraded: ix.Degraded()} // also gates cache admission of the rows
 	instr := s.tel != nil || s.logger != nil
-	var waveStart time.Time
-	degraded := ix.Degraded() // also gates cache admission of the wave's rows
+	var start int64 // wave start, Unix nanos; read only when instrumented
 	if instr {
-		waveStart = time.Now()
+		start = time.Now().UnixNano()
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			// Panics outside runWave's own guard (delivery bookkeeping).
-			// Answer anyone still waiting; non-blocking sends make the
-			// already-answered harmless.
-			s.nPanics.Add(1)
-			s.panics.Inc()
-			pe := newPanicError("serve", r)
-			if s.tel != nil {
-				s.tel.recordQuery(live.OutcomePanic, -1, 0, 0, 0, len(batch), epoch, degraded)
-			}
+			w.err = newPanicError("serve", r)
 			if s.logger != nil {
-				s.logger.Error("wave delivery panicked", "batch", len(batch), "err", pe)
+				s.logger.Error("wave delivery panicked", "batch", len(batch), "err", w.err)
 			}
 			for _, req := range batch {
-				select {
-				case req.resc <- ssspResp{err: pe}:
-				default:
-				}
+				s.answer(req, w, start)
 			}
 		}
 	}()
-	alive := batch[:0]
+	// Dead members are answered in place, so batch still holds every live
+	// one for the panic path above. oldest is the admission time of the
+	// oldest live member; test-injected requests (enq 0) are skipped so they
+	// cannot poison the limiter's baseline.
+	alive, srcs := batch[:0], srcs[:0]
+	var oldest int64
 	for _, r := range batch {
 		if r.ctx.Err() != nil {
-			cause := context.Cause(r.ctx)
-			out := live.OutcomeCancelled
-			if errors.Is(cause, ErrQueueTimeout) {
-				s.nTimedOut.Add(1)
-				s.timedout.Inc()
-				out = live.OutcomeTimeout
-			} else {
-				s.nCancelled.Add(1)
-				s.cancelled.Inc()
-			}
-			if s.tel != nil {
-				s.tel.recordQuery(out, r.src, 0, waveStart.UnixNano()-r.enq, 0, 0, epoch, degraded)
-			}
-			r.resc <- ssspResp{err: cause}
+			s.answer(r, w, start)
 			continue
 		}
-		alive = append(alive, r)
-	}
-	if len(alive) == 0 {
-		return
-	}
-	srcs := make([]int, len(alive))
-	for i, r := range alive {
-		srcs[i] = r.src
-	}
-	waveID := s.waveSeq.Add(1)
-	ctx, detach := waveContext(alive)
-	defer detach() // idempotent; guards the early-panic path against watcher leaks
-	var t0 time.Time
-	var wst *pram.Stats
-	if instr {
-		t0 = time.Now()
-		if s.tel != nil {
-			wst = &pram.Stats{} // collect the wave's pruning telemetry
-		}
-	}
-	rows, err := s.runWave(ctx, ix, srcs, wst)
-	var computeNanos int64
-	if instr {
-		computeNanos = time.Since(t0).Nanoseconds()
-	}
-	detach()
-	if err != nil {
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			s.nPanics.Add(1)
-			s.panics.Inc()
-			if s.logger != nil {
-				s.logger.Error("wave panicked", "wave", waveID, "size", len(alive), "err", err)
-			}
-		}
-		for _, r := range alive {
-			resp := ssspResp{err: err}
-			out := live.OutcomePanic
-			if pe == nil {
-				out = live.OutcomeError
-			}
-			if cerr := r.ctx.Err(); cerr != nil && pe == nil {
-				// The wave was abandoned because every member went away;
-				// answer each with its own cause and count it once here.
-				resp.err = context.Cause(r.ctx)
-				if errors.Is(resp.err, ErrQueueTimeout) {
-					s.nTimedOut.Add(1)
-					s.timedout.Inc()
-					out = live.OutcomeTimeout
-				} else {
-					s.nCancelled.Add(1)
-					s.cancelled.Inc()
-					out = live.OutcomeCancelled
-				}
-			}
-			if s.tel != nil {
-				s.tel.recordQuery(out, r.src, waveID, waveStart.UnixNano()-r.enq, computeNanos, len(alive), epoch, degraded)
-			}
-			r.resc <- resp
-		}
-		return
-	}
-	s.nWaves.Add(1)
-	s.waves.Inc()
-	s.waveSize.Observe(float64(len(alive)))
-	if s.tel != nil {
-		for _, r := range alive {
-			s.tel.recordQuery(live.OutcomeOK, r.src, waveID, waveStart.UnixNano()-r.enq, computeNanos, len(alive), epoch, degraded)
-		}
-		s.tel.recordWave(waveID, len(alive), computeNanos, epoch, degraded,
-			wst.SkippedRounds(), wst.SkippedWork())
-	}
-	if s.logger != nil {
-		s.logger.Debug("wave served", "wave", waveID, "size", len(alive), "epoch", epoch, "compute", time.Duration(computeNanos))
-	}
-	// Feed the limiter with the wave's worst member RTT: admission time of
-	// the oldest member to now. Test-injected requests (enq 0) are skipped
-	// so they cannot poison the baseline.
-	var oldest int64
-	for _, r := range alive {
+		alive, srcs = append(alive, r), append(srcs, r.src)
 		if r.enq > 0 && (oldest == 0 || r.enq < oldest) {
 			oldest = r.enq
 		}
 	}
-	if oldest > 0 {
-		s.lim.Observe(time.Duration(time.Now().UnixNano() - oldest))
+	if len(alive) == 0 {
+		return
+	}
+	w.wave, w.batch = s.waveSeq.Add(1), len(alive)
+	ctx, detach := waveContext(alive)
+	defer detach() // idempotent; guards the early-panic path against watcher leaks
+	var wst *pram.Stats
+	if s.tel != nil {
+		wst = &pram.Stats{} // collect the wave's pruning telemetry
+	}
+	// The guard turns an injected or organic panic into a *PanicError
+	// instead of killing the dispatcher (the Index's own FallbackPolicy, if
+	// any, has already had its chance to absorb it).
+	rows, err := runGuarded("serve", func() ([][]float64, error) {
+		if s.inj != nil {
+			s.inj.Fire(faultinject.SiteServerWave)
+		}
+		return ix.sourcesBatchedStats(ctx, srcs, wst)
+	})
+	if instr {
+		w.computeNanos = time.Now().UnixNano() - start
+	}
+	detach()
+	w.err = err
+	if s.logger != nil && isPanic(err) {
+		s.logger.Error("wave panicked", "wave", w.wave, "size", len(alive), "err", err)
+	}
+	if err == nil {
+		s.nWaves.Add(1)
+		if s.tel != nil {
+			s.tel.recordWave(w.wave, len(alive), w.computeNanos, epoch, w.degraded,
+				wst.SkippedRounds(), wst.SkippedWork())
+		}
+		if s.logger != nil {
+			s.logger.Debug("wave served", "wave", w.wave, "size", len(alive), "epoch", epoch, "compute", time.Duration(w.computeNanos))
+		}
+		// Feed the limiter with the wave's worst member RTT: admission time
+		// of the oldest member to now.
+		if oldest > 0 {
+			s.lim.Observe(time.Duration(time.Now().UnixNano() - oldest))
+		}
 	}
 	for i, r := range alive {
-		r.resc <- ssspResp{dist: rows[i], epoch: epoch, degraded: degraded}
+		res := w
+		if err == nil {
+			res.dist = rows[i]
+		}
+		s.answer(r, res, start)
 	}
 }
 
-// runWave executes one batched query — on the epoch-pinned index the wave
-// acquired — under the dispatcher's panic guard: an injected or organic
-// panic comes back as a *PanicError instead of killing the dispatcher (the
-// Index's own FallbackPolicy, if any, has already had its chance to absorb
-// it).
-func (s *Server) runWave(ctx context.Context, ix *Index, srcs []int, st *pram.Stats) (rows [][]float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows, err = nil, newPanicError("serve", r)
-		}
-	}()
-	if s.inj != nil {
-		s.inj.Fire(faultinject.SiteServerWave)
+// answer is the dispatcher's side of the answer stage: unless r's caller
+// has already decided r, it counts and delivers res — or, once r's context
+// has ended, the context's cause, which is then what the caller sees
+// either way. start is the wave's start time, for the queue-wait phase.
+func (s *Server) answer(r *ssspReq, res result, start int64) {
+	if !r.claim() {
+		return
 	}
-	return ix.sourcesBatchedStats(ctx, srcs, st)
+	if r.ctx.Err() != nil {
+		res.dist, res.err = nil, context.Cause(r.ctx)
+	}
+	res.src, res.queueNanos = r.src, start-r.enq
+	defer func() { r.resc <- res }() // delivered even if counting panics
+	s.finish(r.ctx, res)
 }
 
 // waveContext returns a context that is cancelled once EVERY member's
@@ -926,7 +910,7 @@ func (s *Server) runWave(ctx context.Context, ix *Index, srcs []int, st *pram.St
 // member contexts; it is safe to call more than once, so callers can both
 // detach eagerly (to release watchers before delivery) and defer it (so a
 // delivery panic cannot leak them).
-func waveContext(live []ssspReq) (context.Context, func()) {
+func waveContext(live []*ssspReq) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	remaining := new(atomic.Int64)
 	remaining.Store(int64(len(live)))

@@ -3,13 +3,16 @@ package sepsp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sepsp/internal/admission"
-	"sepsp/internal/obs"
+	"sepsp/internal/faultinject"
+	"sepsp/internal/obs/live"
 )
 
 func serverIndex(t testing.TB) (*Index, int) {
@@ -24,19 +27,19 @@ func serverIndex(t testing.TB) (*Index, int) {
 
 // TestServerCoalescesWave pre-queues requests on a paused server and starts
 // the dispatcher: every pending request must be served by ONE multi-source
-// wave, with the wave metrics recording it — deterministic regardless of
-// scheduler interleaving or GOMAXPROCS.
+// wave, with Healthz and the Telemetry wave-size histogram recording it —
+// deterministic regardless of scheduler interleaving or GOMAXPROCS.
 func TestServerCoalescesWave(t *testing.T) {
 	ix, _ := serverIndex(t)
-	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 8, Observer: ob})
+	tel := NewTelemetry(nil)
+	srv, err := newServer(ix, &ServerOptions{MaxBatch: 8, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 5
-	reqs := make([]ssspReq, k)
+	reqs := make([]*ssspReq, k)
 	for i := range reqs {
-		reqs[i] = ssspReq{src: i * 7, ctx: context.Background(), resc: make(chan ssspResp, 1)}
+		reqs[i] = &ssspReq{src: i * 7, ctx: context.Background(), resc: make(chan result, 1)}
 		srv.q.Push(reqs[i], admission.Interactive, 1<<30)
 	}
 	srv.wg.Add(1)
@@ -54,13 +57,13 @@ func TestServerCoalescesWave(t *testing.T) {
 		}
 	}
 	srv.Close()
-	if waves := ob.CounterValue(obs.MServerWaves); waves != 1 {
+	if waves := srv.Healthz().Waves; waves != 1 {
 		t.Fatalf("waves = %d, want 1 (all %d requests coalesced)", waves, k)
 	}
-	if count, sum, _ := ob.HistogramStats(obs.MServerWaveSize); count != 1 || sum != k {
-		t.Fatalf("wave size histogram: count=%d sum=%g, want one wave of %d", count, sum, k)
+	if ws := tel.waveSize.Snapshot(); ws.Count != 1 || ws.Sum != k {
+		t.Fatalf("wave size histogram: count=%d sum=%g, want one wave of %d", ws.Count, ws.Sum, k)
 	}
-	if got := ob.CounterValue(obs.MServerRequests); got != 0 {
+	if got := srv.Healthz().Requests; got != 0 {
 		// Requests were injected directly, bypassing admission: counter
 		// stays 0. (Guards against double counting inside the dispatcher.)
 		t.Fatalf("requests counter = %d, want 0 for injected requests", got)
@@ -71,15 +74,15 @@ func TestServerCoalescesWave(t *testing.T) {
 // MaxBatch is split into ceil(k/MaxBatch) waves, none exceeding the cap.
 func TestServerMaxBatchSplitsWaves(t *testing.T) {
 	ix, _ := serverIndex(t)
-	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 4, Observer: ob})
+	tel := NewTelemetry(nil)
+	srv, err := newServer(ix, &ServerOptions{MaxBatch: 4, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 10
-	reqs := make([]ssspReq, k)
+	reqs := make([]*ssspReq, k)
 	for i := range reqs {
-		reqs[i] = ssspReq{src: i, ctx: context.Background(), resc: make(chan ssspResp, 1)}
+		reqs[i] = &ssspReq{src: i, ctx: context.Background(), resc: make(chan result, 1)}
 		srv.q.Push(reqs[i], admission.Interactive, 1<<30)
 	}
 	srv.wg.Add(1)
@@ -90,21 +93,21 @@ func TestServerMaxBatchSplitsWaves(t *testing.T) {
 		}
 	}
 	srv.Close()
-	if waves := ob.CounterValue(obs.MServerWaves); waves != 3 {
+	if waves := srv.Healthz().Waves; waves != 3 {
 		t.Fatalf("waves = %d, want 3 (= ceil(10/4))", waves)
 	}
-	if count, sum, mean := ob.HistogramStats(obs.MServerWaveSize); sum != k || mean > 4 {
-		t.Fatalf("wave histogram count=%d sum=%g mean=%g, want sum=%d mean<=4", count, sum, mean, k)
+	if ws := tel.waveSize.Snapshot(); ws.Sum != k || ws.Sum/float64(ws.Count) > 4 {
+		t.Fatalf("wave histogram count=%d sum=%g, want sum=%d mean<=4", ws.Count, ws.Sum, k)
 	}
 }
 
 // TestServerConcurrentClients runs a live server under concurrent clients
-// and verifies every answer; with the metrics registry attached, the
-// request counter must equal the served total and wave sizes must sum to it.
+// and verifies every answer; the admitted-request count must equal the
+// served total and the Telemetry wave sizes must sum to it.
 func TestServerConcurrentClients(t *testing.T) {
 	ix, n := serverIndex(t)
-	ob := NewObserver()
-	srv, err := NewServer(ix, &ServerOptions{MaxBatch: 8, Observer: ob})
+	tel := NewTelemetry(nil)
+	srv, err := NewServer(ix, &ServerOptions{MaxBatch: 8, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +140,13 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 	total := int64(clients * perClient)
-	if got := ob.CounterValue(obs.MServerRequests); got != total {
+	if got := srv.Healthz().Requests; got != total {
 		t.Fatalf("requests counter = %d, want %d", got, total)
 	}
-	if _, sum, _ := ob.HistogramStats(obs.MServerWaveSize); int64(sum) != total {
+	if sum := tel.waveSize.Snapshot().Sum; int64(sum) != total {
 		t.Fatalf("wave sizes sum to %g, want %d", sum, total)
 	}
-	if waves := ob.CounterValue(obs.MServerWaves); waves <= 0 || waves > total {
+	if waves := srv.Healthz().Waves; waves <= 0 || waves > total {
 		t.Fatalf("waves = %d, want in (0, %d]", waves, total)
 	}
 }
@@ -152,21 +155,20 @@ func TestServerConcurrentClients(t *testing.T) {
 // checks the next request is refused with ErrServerOverloaded and counted.
 func TestServerAdmissionLimit(t *testing.T) {
 	ix, _ := serverIndex(t)
-	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 2, MaxInFlight: 3, Observer: ob})
+	srv, err := newServer(ix, &ServerOptions{MaxBatch: 2, MaxInFlight: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Dispatcher not running: sends queue up to capacity.
-	reqs := make([]ssspReq, 3)
+	reqs := make([]*ssspReq, 3)
 	for i := range reqs {
-		reqs[i] = ssspReq{src: i, ctx: context.Background(), resc: make(chan ssspResp, 1)}
+		reqs[i] = &ssspReq{src: i, ctx: context.Background(), resc: make(chan result, 1)}
 		srv.q.Push(reqs[i], admission.Interactive, 1<<30)
 	}
 	if _, err := srv.SSSP(context.Background(), 0); !errors.Is(err, ErrServerOverloaded) {
 		t.Fatalf("overfull queue: err = %v, want ErrServerOverloaded", err)
 	}
-	if got := ob.CounterValue(obs.MServerRejected); got != 1 {
+	if got := srv.Healthz().Rejected; got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
 	// Draining the queue restores admission.
@@ -185,15 +187,15 @@ func TestServerAdmissionLimit(t *testing.T) {
 // its wave is answered with the context error, never served, and counted.
 func TestServerCancelledWhileQueued(t *testing.T) {
 	ix, _ := serverIndex(t)
-	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 4, Observer: ob})
+	tel := NewTelemetry(nil)
+	srv, err := newServer(ix, &ServerOptions{MaxBatch: 4, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dead := ssspReq{src: 0, ctx: ctx, resc: make(chan ssspResp, 1)}
-	live := ssspReq{src: 1, ctx: context.Background(), resc: make(chan ssspResp, 1)}
+	dead := &ssspReq{src: 0, ctx: ctx, resc: make(chan result, 1)}
+	live := &ssspReq{src: 1, ctx: context.Background(), resc: make(chan result, 1)}
 	srv.q.Push(dead, admission.Interactive, 1<<30)
 	srv.q.Push(live, admission.Interactive, 1<<30)
 	srv.wg.Add(1)
@@ -205,10 +207,10 @@ func TestServerCancelledWhileQueued(t *testing.T) {
 		t.Fatalf("live request: %v", resp.err)
 	}
 	srv.Close()
-	if got := ob.CounterValue(obs.MServerCancelled); got != 1 {
+	if got := srv.Healthz().Cancelled; got != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", got)
 	}
-	if _, sum, _ := ob.HistogramStats(obs.MServerWaveSize); sum != 1 {
+	if sum := tel.waveSize.Snapshot().Sum; sum != 1 {
 		t.Fatalf("wave sizes sum to %g, want 1 (dead request must not join the wave)", sum)
 	}
 }
@@ -300,9 +302,9 @@ func (c *leakCtx) Err() error {
 func TestWaveContextDetachReleasesWatchers(t *testing.T) {
 	const n = 64
 	base := runtime.NumGoroutine()
-	reqs := make([]ssspReq, n)
+	reqs := make([]*ssspReq, n)
 	for i := range reqs {
-		reqs[i] = ssspReq{ctx: &leakCtx{done: make(chan struct{})}, src: i}
+		reqs[i] = &ssspReq{ctx: &leakCtx{done: make(chan struct{})}, src: i}
 	}
 	ctx, detach := waveContext(reqs)
 	// The member contexts are opaque, so each AfterFunc registration runs a
@@ -335,10 +337,10 @@ func TestWaveContextDetachReleasesWatchers(t *testing.T) {
 
 func TestWaveContextCancelsAfterAllMembersEnd(t *testing.T) {
 	members := make([]*leakCtx, 3)
-	reqs := make([]ssspReq, 3)
+	reqs := make([]*ssspReq, 3)
 	for i := range reqs {
 		members[i] = &leakCtx{done: make(chan struct{})}
-		reqs[i] = ssspReq{ctx: members[i], src: i}
+		reqs[i] = &ssspReq{ctx: members[i], src: i}
 	}
 	ctx, detach := waveContext(reqs)
 	defer detach()
@@ -354,5 +356,107 @@ func TestWaveContextCancelsAfterAllMembersEnd(t *testing.T) {
 	case <-ctx.Done():
 	case <-time.After(2 * time.Second):
 		t.Fatal("wave context never cancelled after every member ended")
+	}
+}
+
+// TestServerQueriesCountedOnce pins the answer stage's accounting: under
+// seeded wave panics and delays, client cancels, queue deadlines and a
+// thrashing cache over a few hot sources, every SSSP and Dist call with
+// valid endpoints is counted exactly once in sepsp_server_queries_total —
+// whichever stage ends it, single-flight followers that share a leader's
+// panic or give up while waiting and pair-oracle answers included — and
+// each Healthz outcome counter equals its series. Calls with a bad
+// endpoint end in the validate stage and are never counted.
+func TestServerQueriesCountedOnce(t *testing.T) {
+	for _, oracle := range []bool{false, true} {
+		t.Run(fmt.Sprintf("oracle=%v", oracle), func(t *testing.T) {
+			ix, n := serverIndex(t)
+			if oracle {
+				if _, err := ix.BuildOracle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inj := faultinject.NewSeeded(faultinject.Config{
+				Seed:  7,
+				Delay: 300 * time.Microsecond,
+				Sites: map[string]faultinject.SiteConfig{
+					faultinject.SiteServerWave:   {PanicPerMille: 150, DelayPerMille: 500},
+					faultinject.SiteClientCancel: {CancelPerMille: 200},
+				},
+			})
+			tel := NewTelemetry(nil)
+			srv, err := NewServer(ix, &ServerOptions{
+				MaxBatch:     4,
+				MaxInFlight:  6,
+				QueueTimeout: 5 * time.Millisecond,
+				CacheBytes:   int64(n) * 8 * 2, // room for about two vectors: misses keep coming
+				Telemetry:    tel,
+				Inject:       inj,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const clients, perClient, hot = 8, 60, 5
+			var calls atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < perClient; i++ {
+						ctx, cancel := context.WithCancel(context.Background())
+						if inj.Fire(faultinject.SiteClientCancel) == faultinject.Cancel {
+							time.AfterFunc(time.Duration(i%4)*100*time.Microsecond, cancel)
+						}
+						src := (c + i) % hot
+						if i%2 == 0 {
+							_, _ = srv.SSSP(ctx, src)
+						} else {
+							_, _ = srv.Dist(ctx, src, n-1-src)
+						}
+						cancel()
+						calls.Add(1)
+					}
+					if _, err := srv.SSSP(context.Background(), -1); !errors.Is(err, ErrBadOptions) {
+						t.Errorf("bad source: err = %v, want ErrBadOptions", err)
+					}
+					if _, err := srv.Dist(context.Background(), 0, n); !errors.Is(err, ErrBadOptions) {
+						t.Errorf("bad destination: err = %v, want ErrBadOptions", err)
+					}
+				}(c)
+			}
+			wg.Wait()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var series [live.OutcomeBrownout + 1]int64
+			var total int64
+			for out := range series {
+				series[out] = tel.queries[out].Value()
+				total += series[out]
+			}
+			if total != calls.Load() {
+				t.Fatalf("queries_total = %d over outcomes %v, want %d (one per call)", total, series, calls.Load())
+			}
+			h := srv.Healthz()
+			for _, c := range []struct {
+				name         string
+				health, want int64
+			}{
+				{"rejected", h.Rejected, series[live.OutcomeShed]},
+				{"cancelled", h.Cancelled, series[live.OutcomeCancelled]},
+				{"timed_out", h.TimedOut, series[live.OutcomeTimeout]},
+				{"panics", h.Panics, series[live.OutcomePanic]},
+				{"brownouts", h.Brownouts, series[live.OutcomeBrownout]},
+			} {
+				if c.health != c.want {
+					t.Errorf("Healthz %s = %d, queries_total series = %d", c.name, c.health, c.want)
+				}
+			}
+			t.Logf("outcomes %v, cache %+v", series, srv.cache.Stats())
+			if series[live.OutcomePanic] == 0 || series[live.OutcomeCancelled]+series[live.OutcomeTimeout] == 0 {
+				t.Fatalf("outcomes %v: seeded faults produced no panic or no cancellation; the test is vacuous", series)
+			}
+		})
 	}
 }

@@ -331,10 +331,11 @@ func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch 
 	})
 }
 
-// recordCacheHit records one query answered from a cached vector (or by
-// sharing another request's in-flight computation): it still counts as a
-// decided-OK query, plus a KindCacheHit flight-recorder event. The
-// sepsp_cache_* counter families are advanced by the cache itself.
+// recordCacheHit records one query answered from resident state — a cached
+// vector, another request's in-flight computation, or the pair oracle: it
+// still counts as a decided-OK query, plus a KindCacheHit flight-recorder
+// event. The sepsp_cache_* counter families are advanced by the cache
+// itself.
 func (t *Telemetry) recordCacheHit(src int, epoch uint64) {
 	t.queries[live.OutcomeOK].Inc()
 	t.rec.Record(live.Event{
@@ -359,7 +360,8 @@ func (t *Telemetry) recordCacheMiss(src int, epoch uint64) {
 	})
 }
 
-// recordShed records a request shed at admission (refused or evicted); it
+// recordShed records a request refused with ErrServerOverloaded — shed at
+// admission, evicted, or sharing a shed single-flight leader's refusal; it
 // was not served by a wave, so only the outcome and per-priority counters
 // and the flight recorder see it.
 func (t *Telemetry) recordShed(src int, epoch uint64, cls admission.Class) {
