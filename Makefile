@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz-smoke serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
+.PHONY: build test vet race chaos fuzz-smoke examples serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
 
 build:
 	$(GO) build ./...
@@ -22,12 +22,20 @@ chaos:
 	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|ServerQueriesCountedOnce|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject
 
-# fuzz-smoke runs the native fuzz target for Load (persist.go) for a short
-# budget: mutated Save blobs must never panic and must either load or fail
-# with ErrCorruptIndex. The committed corpus (testdata/fuzz/FuzzLoad) also
-# replays under plain `go test`.
+# fuzz-smoke runs the native fuzz targets for a short budget each: FuzzLoad
+# (persist.go), where mutated Save blobs must never panic and must either
+# load or fail with ErrCorruptIndex, and FuzzRead (internal/graph/io.go),
+# where graph text must never panic Read and accepted graphs must match
+# their p line and survive a Write/Read round trip. Committed corpora under
+# testdata/fuzz also replay under plain `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s .
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=20s ./internal/graph
+
+# examples runs every program under examples/ and fails on the first
+# non-zero exit.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # serve-drill runs the live-telemetry chaos drill end to end: the real
 # serve command with fault injection and -listen mounted, scraped over HTTP

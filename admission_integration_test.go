@@ -99,7 +99,7 @@ func TestServerPriorityEviction(t *testing.T) {
 // outright and are never browned out.
 func TestServerBrownoutExactAnswers(t *testing.T) {
 	g, grid := gridGraph(t, 8, 8, 7)
-	ix, err := Build(g, &Options{Coordinates: grid.Coord, Fallback: FallbackBaseline})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestManagerRebuildBreakerOpensAndRecovers(t *testing.T) {
 // the tail, because interactive arrivals displace queued batch work.
 func TestOverloadRampPriorityLatency(t *testing.T) {
 	g, grid := gridGraph(t, 6, 6, 41)
-	ix, err := Build(g, &Options{Coordinates: grid.Coord})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,10 @@ package sepsp
 // -race because the race detector instruments allocations and inflates the
 // counts; `make check` still runs them in the plain test pass.
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestSSSPSteadyStateAllocs locks in the zero-scratch query path: after
 // warmup, one SSSP call may allocate at most its result slice plus one —
@@ -17,8 +20,9 @@ func TestSSSPSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SSSP(0) // warm the engine's workspace pool
-	if avg := testing.AllocsPerRun(50, func() { _ = ix.SSSP(1) }); avg > 2 {
+	ctx := context.Background()
+	mustSSSP(t, ix, 0) // warm the engine's workspace pool
+	if avg := testing.AllocsPerRun(50, func() { _, _ = ix.SSSPContext(ctx, 1) }); avg > 2 {
 		t.Fatalf("SSSP allocates %.1f objects per call, want <= 2", avg)
 	}
 }
@@ -71,9 +75,12 @@ func TestSourcesBatchedSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := []int{0, 5, 9, 17}
-	ix.SourcesBatched(srcs)
+	ctx := context.Background()
+	if _, err := ix.SourcesBatchedContext(ctx, srcs); err != nil {
+		t.Fatal(err)
+	}
 	k := float64(len(srcs))
-	if avg := testing.AllocsPerRun(50, func() { _ = ix.SourcesBatched(srcs) }); avg > k+2 {
+	if avg := testing.AllocsPerRun(50, func() { _, _ = ix.SourcesBatchedContext(ctx, srcs) }); avg > k+2 {
 		t.Fatalf("SourcesBatched allocates %.1f objects per call, want <= %g (k rows + spine + slack)", avg, k+2)
 	}
 }

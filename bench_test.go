@@ -7,6 +7,7 @@ package sepsp
 // conventional micro-benchmarks of the hot kernels.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -289,11 +290,14 @@ func BenchmarkSSSPHot(b *testing.B) {
 				b.Fatal(err)
 			}
 			src := g.N() / 2
-			ix.SSSP(src) // warm the workspace pool
+			ctx := context.Background()
+			mustSSSP(b, ix, src) // warm the workspace pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = ix.SSSP(src)
+				if _, err := ix.SSSPContext(ctx, src); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -321,11 +325,16 @@ func BenchmarkSourcesBatchedWave(b *testing.B) {
 				for j := range srcs {
 					srcs[j] = (g.N()/2 + j*37) % g.N() // k=1: BenchmarkSSSPHot's source
 				}
-				ix.SourcesBatched(srcs) // warm the workspace pool
+				ctx := context.Background()
+				if _, err := ix.SourcesBatchedContext(ctx, srcs); err != nil { // warm the workspace pool
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = ix.SourcesBatched(srcs)
+					if _, err := ix.SourcesBatchedContext(ctx, srcs); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

@@ -241,7 +241,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		opt.Coordinates = coords
+		opt.Decomposition = sepsp.GridDecomposition(coords)
 	}
 
 	// The stats command needs the per-level breakdown, which only an
@@ -317,7 +317,11 @@ func runCommand(w *bufio.Writer, ix *sepsp.Index, dg *graph.Digraph, cmd string,
 	case "stats":
 		printStats(w, ix, dg)
 	case "sssp":
-		for v, d := range ix.SSSP(src) {
+		dist, err := ix.SSSPContext(context.Background(), src)
+		if err != nil {
+			return fail(err)
+		}
+		for v, d := range dist {
 			fmt.Fprintf(w, "%d %g\n", v, d)
 		}
 	case "path":
@@ -363,7 +367,10 @@ func runCommand(w *bufio.Writer, ix *sepsp.Index, dg *graph.Digraph, cmd string,
 			}
 			srcs = append(srcs, v)
 		}
-		rows := ix.Sources(srcs)
+		rows, err := ix.SourcesBatchedContext(context.Background(), srcs)
+		if err != nil {
+			return fail(err)
+		}
 		for i, s := range srcs {
 			for v, d := range rows[i] {
 				fmt.Fprintf(w, "%d %d %g\n", s, v, d)

@@ -18,9 +18,8 @@ import (
 //	        Decomposition: sepsp.GridDecomposition(coords),
 //	})
 //
-// This replaces the four mutually-exclusive hint fields of Options
-// (Coordinates, Points/Radius, Bags/BagParents, Rotations), which remain as
-// deprecated forwarding shims.
+// It is the only way to choose a decomposition; nil selects the generic
+// BFS-layer finder.
 type Decomposition struct {
 	kind   string
 	finder separator.Finder

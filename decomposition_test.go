@@ -54,47 +54,6 @@ func TestDecompositionConstructorErrors(t *testing.T) {
 	}
 }
 
-// TestDeprecatedHintsForward checks the legacy Options hint fields still
-// build, and produce the same answers as the typed constructors they
-// forward to.
-func TestDeprecatedHintsForward(t *testing.T) {
-	g, grid := gridGraph(t, 6, 6, 5)
-	g2, _ := gridGraph(t, 6, 6, 5)
-	old, err := Build(g, &Options{Coordinates: grid.Coord})
-	if err != nil {
-		t.Fatal(err)
-	}
-	typed, err := Build(g2, &Options{Decomposition: GridDecomposition(grid.Coord)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := old.SSSP(0), typed.SSSP(0)
-	for v := range a {
-		if !approxEq(a[v], b[v]) {
-			t.Fatalf("dist[%d]: legacy %v vs typed %v", v, a[v], b[v])
-		}
-	}
-}
-
-// TestDecompositionConflicts checks mutually exclusive hints are rejected:
-// two legacy fields, or a legacy field alongside a typed Decomposition.
-func TestDecompositionConflicts(t *testing.T) {
-	g, grid := gridGraph(t, 4, 4, 1)
-	pts := [][]float64{{0, 0}}
-	if _, err := Build(g, &Options{Coordinates: grid.Coord, Points: pts, Radius: 1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("two legacy hints: err = %v, want ErrBadOptions", err)
-	}
-	if _, err := Build(g, &Options{
-		Coordinates:   grid.Coord,
-		Decomposition: GridDecomposition(grid.Coord),
-	}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("legacy + typed: err = %v, want ErrBadOptions", err)
-	}
-	if _, err := Build(g, &Options{Points: pts}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("Points without Radius: err = %v, want ErrBadOptions", err)
-	}
-}
-
 // TestWithWeightsSkeletonMismatch checks reweighting with a structurally
 // different graph fails with the typed sentinel.
 func TestWithWeightsSkeletonMismatch(t *testing.T) {
@@ -118,7 +77,7 @@ func TestWithWeightsSkeletonMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := ix.SSSP(0), ix2.SSSP(0)
+	a, b := mustSSSP(t, ix, 0), mustSSSP(t, ix2, 0)
 	for v := range a {
 		if !approxEq(2*a[v], b[v]) {
 			t.Fatalf("reweighted dist[%d] = %v, want %v", v, b[v], 2*a[v])

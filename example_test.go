@@ -1,6 +1,7 @@
 package sepsp_test
 
 import (
+	"context"
 	"fmt"
 
 	"sepsp"
@@ -18,7 +19,11 @@ func ExampleBuild() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(ix.SSSP(0))
+	dist, err := ix.SSSPContext(context.Background(), 0)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(dist)
 	// Output: [0 1.5 3.5 4.5]
 }
 
@@ -39,8 +44,8 @@ func ExampleIndex_Path() {
 	// Output: [0 1 2 3] 3 true
 }
 
-// ExampleIndex_DistTo answers "how far is everything from a target".
-func ExampleIndex_DistTo() {
+// ExampleIndex_DistToContext answers "how far is everything from a target".
+func ExampleIndex_DistToContext() {
 	g := sepsp.NewGraph(3)
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(1, 2, 3)
@@ -49,7 +54,7 @@ func ExampleIndex_DistTo() {
 	if err != nil {
 		panic(err)
 	}
-	to, err := ix.DistTo(2)
+	to, err := ix.DistToContext(context.Background(), 2)
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -63,8 +64,8 @@ func main() {
 	}
 
 	ix, err := sepsp.Build(g, &sepsp.Options{
-		Coordinates: coords, // hyperplane separators on the lattice
-		Workers:     -1,     // all cores
+		Decomposition: sepsp.GridDecomposition(coords), // hyperplane separators on the lattice
+		Workers:       -1,                              // all cores
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -73,7 +74,10 @@ func main() {
 	robots := []int{cell(0, 0), cell(39, 24), cell(0, 24), cell(39, 0)}
 	picks := []int{cell(15, 12), cell(25, 3), cell(35, 20)}
 
-	rows := ix.Sources(robots) // one SSSP per robot, in parallel
+	rows, err := ix.SourcesBatchedContext(context.Background(), robots) // one SSSP per robot, in parallel
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("robot → pick travel costs:")
 	for i, r := range robots {
 		for _, p := range picks {

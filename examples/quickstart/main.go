@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dist := ix.SSSP(0)
+	dist, err := ix.SSSPContext(context.Background(), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("distances from junction 0:")
 	for v, d := range dist {
 		fmt.Printf("  to %d: %g\n", v, d)

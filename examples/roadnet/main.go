@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -32,8 +33,8 @@ func main() {
 	})
 
 	ix, err := sepsp.Build(g, &sepsp.Options{
-		Rotations: net.Rotation, // the planar embedding drives the separators
-		Workers:   -1,
+		Decomposition: sepsp.PlanarDecomposition(net.Rotation), // the planar embedding drives the separators
+		Workers:       -1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -60,8 +61,12 @@ func main() {
 		d := dists[i]
 		// Cross-check one of them against a full query.
 		if i == 0 {
-			if full := ix.SSSP(p[0])[p[1]]; full != d {
-				log.Fatalf("oracle disagrees with engine: %v vs %v", d, full)
+			full, err := ix.SSSPContext(context.Background(), p[0])
+			if err != nil {
+				log.Fatal(err)
+			}
+			if full[p[1]] != d {
+				log.Fatalf("oracle disagrees with engine: %v vs %v", d, full[p[1]])
 			}
 		}
 		fmt.Printf("  trip (%.2f,%.2f) → (%.2f,%.2f): %.3f\n",

@@ -60,7 +60,7 @@ func main() {
 		}
 	}
 
-	start, err := sepsp.SolveConstraints(M*K, cons, &sepsp.Options{Coordinates: coords})
+	start, err := sepsp.SolveConstraints(M*K, cons, &sepsp.Options{Decomposition: sepsp.GridDecomposition(coords)})
 	if err != nil {
 		log.Fatalf("timetable: %v", err)
 	}
@@ -89,7 +89,7 @@ func main() {
 		sepsp.Constraint{I: vid(0, 0), J: vid(0, 1), C: -10},
 		sepsp.Constraint{I: vid(0, 1), J: vid(0, 0), C: 5},
 	)
-	if _, err := sepsp.SolveConstraints(M*K, bad, &sepsp.Options{Coordinates: coords}); err != nil {
+	if _, err := sepsp.SolveConstraints(M*K, bad, &sepsp.Options{Decomposition: sepsp.GridDecomposition(coords)}); err != nil {
 		fmt.Printf("\ncontradictory deadline correctly rejected: %v\n", err)
 	} else {
 		log.Fatal("infeasible system was not detected")

@@ -59,7 +59,7 @@ func main() {
 	// Morning: free-flowing roads.
 	g, coords := buildNetwork(nil)
 	start := time.Now()
-	ix, err := sepsp.Build(g, &sepsp.Options{Coordinates: coords})
+	ix, err := sepsp.Build(g, &sepsp.Options{Decomposition: sepsp.GridDecomposition(coords)})
 	if err != nil {
 		log.Fatal(err)
 	}

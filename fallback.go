@@ -26,9 +26,11 @@ const (
 	// FallbackBaseline degrades gracefully: queries are transparently
 	// routed to the exact baseline engine (Dijkstra for nonnegative
 	// weights, Bellman-Ford otherwise) — slower, but always correct and
-	// always available. Engagements are counted in the Observer registry
-	// ("fallback.engaged" once per cause, "fallback.queries" per routed
-	// query).
+	// always available. Engagements (once per cause) and routed queries
+	// are counted in the Observer registry ("fallback.engaged",
+	// "fallback.queries") and, once a Telemetry is attached to a Server
+	// over the index, in "sepsp_fallback_engaged_total" and
+	// "sepsp_fallback_queries_total".
 	FallbackBaseline
 )
 
@@ -42,9 +44,6 @@ type fallbackEngine struct {
 
 	revOnce sync.Once
 	rev     *graph.Digraph // reverse graph, built lazily for distTo
-
-	queries atomic.Int64
-	engaged atomic.Int64
 
 	// Registry instruments; nil-safe no-ops without an Observer.
 	cEngaged *obs.Counter
@@ -94,13 +93,11 @@ func newFallbackEngine(g *graph.Digraph, sink *obs.Sink) (*fallbackEngine, error
 // engage records one degradation cause (a build failure, an invariant
 // violation, or a recovered panic).
 func (f *fallbackEngine) engage() {
-	f.engaged.Add(1)
 	f.cEngaged.Inc()
 	f.liveEngaged.Load().Inc()
 }
 
 func (f *fallbackEngine) note() {
-	f.queries.Add(1)
 	f.cQueries.Inc()
 	f.liveQueries.Load().Inc()
 }

@@ -234,19 +234,27 @@ func sortEdges(es []Edge) {
 	})
 }
 
+// readErrorCases are inputs Read must reject with an error, not a panic;
+// FuzzRead also seeds its corpus with them.
+var readErrorCases = []string{
+	"",                        // no p line
+	"e 0 1 2\n",               // e before p
+	"p 2 1\n",                 // missing edges
+	"p 2 1\ne 0 5 1\n",        // endpoint out of range
+	"p 2 1\ne 0 1 x\n",        // bad weight
+	"p 2 0\np 2 0\n",          // duplicate p
+	"p 2 0\nq 1 2\n",          // unknown record
+	"p -1 0\n",                // negative size
+	"p 2 1\ne 0 1 1\ne 0 1 1", // too many edges
+	"p 1 99999999999999\n",    // m beyond int32
+	"p 999999999999999 0\n",   // n beyond int32
+	"p 3000000000 0\n",        // n beyond int32
+	"p 1 1\ne 0 0 NaN\n",      // NaN weight
+	"p 2 1\ne 0 1 -Inf\n",     // -Inf weight
+}
+
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"",                        // no p line
-		"e 0 1 2\n",               // e before p
-		"p 2 1\n",                 // missing edges
-		"p 2 1\ne 0 5 1\n",        // endpoint out of range
-		"p 2 1\ne 0 1 x\n",        // bad weight
-		"p 2 0\np 2 0\n",          // duplicate p
-		"p 2 0\nq 1 2\n",          // unknown record
-		"p -1 0\n",                // negative size
-		"p 2 1\ne 0 1 1\ne 0 1 1", // too many edges
-	}
-	for _, c := range cases {
+	for _, c := range readErrorCases {
 		if _, err := Read(bytes.NewBufferString(c)); err == nil {
 			t.Fatalf("expected error for %q", c)
 		}

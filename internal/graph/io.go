@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -15,7 +16,9 @@ import (
 //	e <from> <to> <weight>
 //
 // The "p" line must come first (comments excepted); exactly m "e" lines must
-// follow. Weights are parsed with strconv.ParseFloat.
+// follow. n and m must fit the CSR's int32 indices. Weights are parsed with
+// strconv.ParseFloat; NaN and -Inf are rejected, +Inf (an absent edge) is
+// legal.
 
 // Write serializes g in the text format.
 func Write(w io.Writer, g *Digraph) error {
@@ -72,8 +75,10 @@ func Read(r io.Reader) (*Digraph, error) {
 			if n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative size", lineNum)
 			}
+			if n > math.MaxInt32 || m > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: size exceeds %d", lineNum, math.MaxInt32)
+			}
 			sawP = true
-			edges = make([]Edge, 0, m)
 		case "e":
 			if !sawP {
 				return nil, fmt.Errorf("graph: line %d: e before p", lineNum)
@@ -92,6 +97,9 @@ func Read(r io.Reader) (*Digraph, error) {
 			w, err := strconv.ParseFloat(fields[3], 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight: %v", lineNum, err)
+			}
+			if math.IsNaN(w) || math.IsInf(w, -1) {
+				return nil, fmt.Errorf("graph: line %d: invalid weight %v", lineNum, w)
 			}
 			if from < 0 || from >= n || to < 0 || to >= n {
 				return nil, fmt.Errorf("graph: line %d: endpoint out of range", lineNum)

@@ -26,7 +26,7 @@ import (
 func reweightFixture(t testing.TB, seed int64) (*Index, *Graph, int) {
 	t.Helper()
 	g1, grid := gridGraph(t, 8, 8, 1)
-	ix, err := Build(g1, &Options{Coordinates: grid.Coord})
+	ix, err := Build(g1, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestManagerReweightSwapsEpoch(t *testing.T) {
 	// The new epoch answers with the NEW weights, exactly.
 	for _, src := range []int{0, 21, 63} {
 		want, _ := baseline.BellmanFord(ref, src, nil)
-		got := m.Index().SSSP(src)
+		got := mustSSSP(t, m.Index(), src)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 				t.Fatalf("src=%d v=%d: %v, want %v", src, v, got[v], want[v])
@@ -77,7 +77,7 @@ func TestManagerReweightSwapsEpoch(t *testing.T) {
 func TestManagerFailedRebuildKeepsOldEpoch(t *testing.T) {
 	ix, _, _ := reweightFixture(t, 2)
 	m := NewManager(ix, nil)
-	before := m.Index().SSSP(0)
+	before := mustSSSP(t, m.Index(), 0)
 
 	// A graph with a different skeleton cannot reuse the decomposition.
 	other, _ := gridGraph(t, 7, 7, 3)
@@ -94,7 +94,7 @@ func TestManagerFailedRebuildKeepsOldEpoch(t *testing.T) {
 	if m.RebuildFailures() != 1 || m.Swaps() != 0 {
 		t.Fatalf("failures=%d swaps=%d, want 1, 0", m.RebuildFailures(), m.Swaps())
 	}
-	after := m.Index().SSSP(0)
+	after := mustSSSP(t, m.Index(), 0)
 	for v := range before {
 		if before[v] != after[v] {
 			t.Fatalf("live answers changed after a failed rebuild: v=%d %v vs %v", v, before[v], after[v])
@@ -130,7 +130,7 @@ func TestManagerPanickingRebuildIsolated(t *testing.T) {
 	if m.Epoch() != 1 || m.RebuildFailures() != 1 {
 		t.Fatalf("epoch=%d failures=%d, want 1, 1", m.Epoch(), m.RebuildFailures())
 	}
-	if got := m.Index().SSSP(5); len(got) == 0 {
+	if got := mustSSSP(t, m.Index(), 5); len(got) == 0 {
 		t.Fatal("old epoch no longer serves")
 	}
 	// The injector fires once per attempt; the next rebuild succeeds.
@@ -192,7 +192,7 @@ func TestManagerOldEpochDrainsOnLastRelease(t *testing.T) {
 	if m.Draining() != 1 {
 		t.Fatalf("draining = %d right after the swap, want 1 (wave still pinned)", m.Draining())
 	}
-	if got := pinned.SSSP(3); len(got) == 0 {
+	if got := mustSSSP(t, pinned, 3); len(got) == 0 {
 		t.Fatal("pinned old-epoch index stopped serving mid-drain")
 	}
 	release()
@@ -214,7 +214,7 @@ func TestManagerOldEpochDrainsOnLastRelease(t *testing.T) {
 func TestServerReweightUnderLoad(t *testing.T) {
 	g1, grid := gridGraph(t, 10, 10, 1)
 	n := grid.G.N()
-	ix, err := Build(g1, &Options{Coordinates: grid.Coord, Workers: 2})
+	ix, err := Build(g1, &Options{Decomposition: GridDecomposition(grid.Coord), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestPersistEpochRoundTrip(t *testing.T) {
 // epoch-0 index (backward compatibility of the format bump).
 func TestLoadPreEpochBlob(t *testing.T) {
 	gg, grid := gridGraph(t, 6, 6, 7)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestLoadPreEpochBlob(t *testing.T) {
 	if loaded.Epoch() != 0 {
 		t.Fatalf("pre-epoch blob loaded with epoch %d, want 0", loaded.Epoch())
 	}
-	want, got := ix.SSSP(0), loaded.SSSP(0)
+	want, got := mustSSSP(t, ix, 0), mustSSSP(t, loaded, 0)
 	for v := range want {
 		if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 			t.Fatalf("v=%d: %v vs %v", v, got[v], want[v])
@@ -399,7 +399,7 @@ func TestBuildContextCancelledNeverDegrades(t *testing.T) {
 	g, grid := gridGraph(t, 8, 8, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ix, err := BuildContext(ctx, g, &Options{Coordinates: grid.Coord, Fallback: FallbackBaseline})
+	ix, err := BuildContext(ctx, g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -407,7 +407,7 @@ func TestBuildContextCancelledNeverDegrades(t *testing.T) {
 		t.Fatal("cancelled build returned an index (fallback must not engage on cancellation)")
 	}
 	// The same options build fine with a live context.
-	if _, err := BuildContext(context.Background(), g, &Options{Coordinates: grid.Coord, Fallback: FallbackBaseline}); err != nil {
+	if _, err := BuildContext(context.Background(), g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -415,15 +415,15 @@ func TestBuildContextCancelledNeverDegrades(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	g, grid := gridGraph(t, 4, 4, 1)
 	_ = g
-	if err := (&Options{Coordinates: grid.Coord}).Validate(); err != nil {
+	if err := (&Options{Decomposition: GridDecomposition(grid.Coord)}).Validate(); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
-	bad := &Options{Coordinates: grid.Coord, Rotations: [][]int{{0}}}
+	bad := &Options{Decomposition: TreeDecomposition([][]int{{0}}, nil)}
 	if err := bad.Validate(); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("conflicting hints: err = %v, want ErrBadOptions", err)
+		t.Fatalf("malformed decomposition: err = %v, want ErrBadOptions", err)
 	}
 	// BuildContext rejects the same options with the same sentinel.
 	if _, err := BuildContext(context.Background(), g, bad); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("BuildContext with conflicting hints: err = %v, want ErrBadOptions", err)
+		t.Fatalf("BuildContext with malformed decomposition: err = %v, want ErrBadOptions", err)
 	}
 }

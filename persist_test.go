@@ -12,7 +12,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	gg, grid := gridGraph(t, 9, 8, 41)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Distances identical (bit-for-bit: same edges, same schedule).
 	for _, src := range []int{0, 35, 71} {
-		want := ix.SSSP(src)
-		got := loaded.SSSP(src)
+		want := mustSSSP(t, ix, src)
+		got := mustSSSP(t, loaded, src)
 		for v := range want {
 			if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 				t.Fatalf("src=%d v=%d: %v vs %v", src, v, got[v], want[v])
@@ -60,7 +60,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestLoadRejectsCorruptTree(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLoadRejectsCorruptTree(t *testing.T) {
 
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	gg, grid := gridGraph(t, 9, 8, 41)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	if a.Shortcuts != b.Shortcuts || a.TreeHeight != b.TreeHeight {
 		t.Fatalf("stats differ: %+v vs %+v", a, b)
 	}
-	want, got := ix.SSSP(0), loaded.SSSP(0)
+	want, got := mustSSSP(t, ix, 0), mustSSSP(t, loaded, 0)
 	for v := range want {
 		if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 			t.Fatalf("v=%d: %v vs %v", v, got[v], want[v])
@@ -120,7 +120,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 
 func TestSaveFileReplacesAtomically(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSaveFileReplacesAtomically(t *testing.T) {
 
 func TestSaveFileFailureLeavesNoLitter(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSaveFileFailureLeavesNoLitter(t *testing.T) {
 // error — silently skipping it would undo the crash-safety the rename buys.
 func TestSaveFileFsyncsDir(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}

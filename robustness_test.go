@@ -57,7 +57,7 @@ func TestBuildAcceptsPosInfWeight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build with +Inf weight: %v", err)
 	}
-	if d := ix.SSSP(0); !math.IsInf(d[2], 1) {
+	if d := mustSSSP(t, ix, 0); !math.IsInf(d[2], 1) {
 		t.Fatalf("dist[2] = %v, want +Inf through the +Inf edge", d[2])
 	}
 }
@@ -105,7 +105,7 @@ func TestFallbackAbsorbsQueryPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ix.SSSP(0)
+	got := mustSSSP(t, ix, 0)
 	for v := range want {
 		if !approxEq(got[v], want[v]) {
 			t.Fatalf("fallback SSSP[%d] = %v want %v", v, got[v], want[v])
@@ -153,17 +153,17 @@ func TestPanicSurfacesWithoutFallback(t *testing.T) {
 		t.Fatal("PanicError.Stack empty")
 	}
 
-	// The value-returning entry point re-raises the typed error in the
+	// A value-returning entry point re-raises the typed error in the
 	// caller's goroutine.
 	func() {
 		defer func() {
 			r := recover()
 			if _, ok := r.(*PanicError); !ok {
-				t.Fatalf("SSSP recover = %v, want *PanicError", r)
+				t.Fatalf("Dist recover = %v, want *PanicError", r)
 			}
 		}()
-		ix.SSSP(0)
-		t.Fatal("SSSP did not panic")
+		ix.Dist(0, 1)
+		t.Fatal("Dist did not panic")
 	}()
 }
 
@@ -228,7 +228,7 @@ func TestDegradedBuildServesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ix.SSSP(2)
+	got := mustSSSP(t, ix, 2)
 	for v := range want {
 		if !approxEq(got[v], want[v]) {
 			t.Fatalf("degraded SSSP[%d] = %v want %v", v, got[v], want[v])
@@ -237,11 +237,11 @@ func TestDegradedBuildServesExact(t *testing.T) {
 	if d := ix.Dist(2, 5); !approxEq(d, want[5]) {
 		t.Fatalf("degraded Dist = %v want %v", d, want[5])
 	}
-	if rows := ix.Sources([]int{0, 2}); !approxEq(rows[1][5], want[5]) {
-		t.Fatalf("degraded Sources mismatch")
+	if rows, err := ix.SourcesBatchedContext(context.Background(), []int{0, 2}); err != nil || !approxEq(rows[1][5], want[5]) {
+		t.Fatalf("degraded SourcesBatchedContext mismatch: %v", err)
 	}
-	if _, err := ix.DistTo(3); err != nil {
-		t.Fatalf("degraded DistTo: %v", err)
+	if _, err := ix.DistToContext(context.Background(), 3); err != nil {
+		t.Fatalf("degraded DistToContext: %v", err)
 	}
 	if set, err := ix.Reachable(0); err != nil || !set[ref.N()-1] {
 		t.Fatalf("degraded Reachable = %v, %v", set, err)
@@ -394,7 +394,7 @@ func TestSaveLoadRoundTripStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ld.SSSP(0)
+	got := mustSSSP(t, ld, 0)
 	for v := range want {
 		if !approxEq(got[v], want[v]) {
 			t.Fatalf("loaded SSSP[%d] = %v want %v", v, got[v], want[v])

@@ -22,12 +22,13 @@
 //	g := sepsp.NewGraph(n)
 //	g.AddEdge(u, v, w)                      // real weights, negatives OK
 //	ix, err := sepsp.Build(g, nil)          // auto decomposition
-//	dist := ix.SSSP(src)                    // exact distances
+//	dist, err := ix.SSSPContext(ctx, src)   // exact distances
 //
-// Structured graphs should pass their structure via Options: lattice
-// coordinates (grids), point coordinates (geometric graphs), or a tree
-// decomposition (bounded treewidth); the decomposition quality determines
-// the preprocessing/query work, per Table 1 of the paper.
+// Structured graphs should pass their structure via Options.Decomposition:
+// lattice coordinates (grids), point coordinates (geometric graphs), a tree
+// decomposition (bounded treewidth), or a planar embedding; the
+// decomposition quality determines the preprocessing/query work, per
+// Table 1 of the paper.
 //
 // Negative edge weights are supported; Build fails with ErrNegativeCycle if
 // the graph contains a negative-weight cycle (paper comment (i)).
@@ -100,42 +101,9 @@ type Options struct {
 
 	// Decomposition selects the separator strategy, built with one of the
 	// typed constructors (GridDecomposition, GeometricDecomposition,
-	// TreeDecomposition, PlanarDecomposition). Nil — and no deprecated
-	// hint field set — selects the generic BFS-layer finder.
+	// TreeDecomposition, PlanarDecomposition). Nil selects the generic
+	// BFS-layer finder.
 	Decomposition *Decomposition
-
-	// The remaining hint fields are the pre-Decomposition API. At most one
-	// hint may be set, and none may be combined with Decomposition; Build
-	// fails with ErrBadOptions otherwise.
-
-	// Coordinates enables hyperplane separators for lattice graphs:
-	// Coordinates[v] is the integer grid coordinate of vertex v.
-	//
-	// Deprecated: set Decomposition with GridDecomposition instead.
-	Coordinates [][]int
-	// Points/Radius enable slab separators for geometric (radius) graphs.
-	//
-	// Deprecated: set Decomposition with GeometricDecomposition instead.
-	Points [][]float64
-	// Radius is the connection radius accompanying Points.
-	//
-	// Deprecated: set Decomposition with GeometricDecomposition instead.
-	Radius float64
-	// Bags/BagParents enable tree-decomposition (centroid-bag) separators
-	// for bounded-treewidth graphs.
-	//
-	// Deprecated: set Decomposition with TreeDecomposition instead.
-	Bags [][]int
-	// BagParents is the bag-tree parent array accompanying Bags.
-	//
-	// Deprecated: set Decomposition with TreeDecomposition instead.
-	BagParents []int
-	// Rotations enables fundamental-cycle separators for embedded planar
-	// graphs: Rotations[v] lists v's neighbors in cyclic (clockwise or
-	// counterclockwise, consistently) order around v.
-	//
-	// Deprecated: set Decomposition with PlanarDecomposition instead.
-	Rotations [][]int
 
 	// Observer, when non-nil, collects phase-scoped traces and metrics for
 	// the build and for every query on the returned Index, and enables the
@@ -239,55 +207,20 @@ func (o *Observer) HistogramQuantile(name string, q float64) float64 {
 }
 
 // Validate checks the Options for the misconfigurations Build would reject
-// — conflicting or malformed decomposition hints, a Decomposition built
-// from inconsistent inputs, a zero Decomposition value — and returns an
-// error wrapping ErrBadOptions (nil for a valid or nil Options). Build
-// runs the same checks; Validate lets callers fail fast before paying for
-// graph construction.
+// — a Decomposition built from inconsistent inputs, a zero Decomposition
+// value — and returns an error wrapping ErrBadOptions (nil for a valid or
+// nil Options). Build runs the same checks; Validate lets callers fail fast
+// before paying for graph construction.
 func (o *Options) Validate() error {
 	_, err := o.finder()
 	return err
 }
 
 func (o *Options) finder() (separator.Finder, error) {
-	if o == nil {
+	if o == nil || o.Decomposition == nil {
 		return &separator.BFSFinder{}, nil
-	}
-	// Deprecated hint fields forward through the typed constructors, so
-	// validation lives in one place.
-	var legacy *Decomposition
-	set := 0
-	if o.Coordinates != nil {
-		set++
-		legacy = GridDecomposition(o.Coordinates)
-	}
-	if o.Points != nil {
-		set++
-		legacy = GeometricDecomposition(o.Points, o.Radius)
-	}
-	if o.Bags != nil {
-		set++
-		legacy = TreeDecomposition(o.Bags, o.BagParents)
-	}
-	if o.Rotations != nil {
-		set++
-		legacy = PlanarDecomposition(o.Rotations)
-	}
-	if set > 1 {
-		return nil, fmt.Errorf("%w: at most one decomposition hint may be set", ErrBadOptions)
 	}
 	d := o.Decomposition
-	if d != nil {
-		if legacy != nil {
-			return nil, fmt.Errorf("%w: Decomposition conflicts with deprecated hint field (%s hint)",
-				ErrBadOptions, legacy.Kind())
-		}
-	} else {
-		d = legacy
-	}
-	if d == nil {
-		return &separator.BFSFinder{}, nil
-	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -359,10 +292,10 @@ type PhaseStat struct {
 //
 // An Index is safe for arbitrary concurrent use: queries share immutable
 // preprocessed state, per-query scratch is pooled inside the engine, and
-// the lazily built auxiliary engines (Reachable's boolean engine, DistTo's
-// reverse engine, the pair oracle) are initialized exactly once under
-// sync.Once — concurrent first callers block until the one preprocessing
-// run finishes and then share its result. For admission control and
+// the lazily built auxiliary engines (Reachable's boolean engine,
+// DistToContext's reverse engine, the pair oracle) are initialized exactly
+// once under sync.Once — concurrent first callers block until the one
+// preprocessing run finishes and then share its result. For admission control and
 // cross-request batching on top of an Index, see Server.
 //
 // Panics inside a query never escape as process crashes of goroutines the
@@ -703,27 +636,17 @@ func runGuarded[T any](op string, primary func() (T, error)) (out T, err error) 
 	return primary()
 }
 
-// mustQuery adapts the canonical context-taking methods for the deprecated
-// value-returning wrappers: with a fallback engine errors cannot occur (a
-// recovered panic was absorbed and the query re-answered by the baseline),
-// and without one a *PanicError re-raises in the caller's goroutine — the
-// wrappers' historical contract. A context error is impossible because the
-// wrappers pass context.Background().
+// mustQuery unwraps a primary-path result for the value-returning queries
+// (Dist, SSSPTree), which have no error to return: with a fallback engine
+// errors cannot occur (a recovered panic was absorbed and the query
+// re-answered by the baseline), and without one a *PanicError re-raises in
+// the caller's goroutine. A context error is impossible: Dist runs under
+// context.Background() and SSSPTree takes no context.
 func mustQuery[T any](out T, err error) T {
 	if err != nil {
 		panic(err)
 	}
 	return out
-}
-
-// SSSP returns exact distances from src to every vertex (+Inf where
-// unreachable).
-//
-// Deprecated: use SSSPContext — the context-taking methods are the
-// canonical query surface (cancellable, error-returning); SSSP is a thin
-// context.Background() wrapper kept for existing callers.
-func (ix *Index) SSSP(src int) []float64 {
-	return mustQuery(ix.SSSPContext(context.Background(), src))
 }
 
 // SSSPContext computes exact distances from src to every vertex (+Inf
@@ -742,39 +665,11 @@ func (ix *Index) SSSPContext(ctx context.Context, src int) ([]float64, error) {
 	return ix.fb.ssspCtx(ctx, ix.fb.g, src)
 }
 
-// Sources computes SSSP from many sources, parallelized over sources.
-//
-// Deprecated: use SourcesContext — the context-taking methods are the
-// canonical query surface; Sources is a thin context.Background() wrapper
-// kept for existing callers.
-func (ix *Index) Sources(srcs []int) [][]float64 {
-	return mustQuery(ix.SourcesContext(context.Background(), srcs))
-}
-
-// SourcesContext computes SSSP from many sources, parallelized over
-// sources, with cooperative cancellation; all per-source workers wind down
-// within one phase of a cancellation. It runs the same wave as
-// SourcesBatchedContext.
-func (ix *Index) SourcesContext(ctx context.Context, srcs []int) ([][]float64, error) {
-	return ix.sourcesBatchedStats(ctx, srcs, nil)
-}
-
-// SourcesBatched computes SSSP from many sources as one wave: duplicate
-// sources are computed once, and the distinct ones run as pruned
-// single-source queries spread across the workers; results equal Sources.
-//
-// Deprecated: use SourcesBatchedContext — the context-taking methods are
-// the canonical query surface; SourcesBatched is a thin
-// context.Background() wrapper kept for existing callers.
-func (ix *Index) SourcesBatched(srcs []int) [][]float64 {
-	return mustQuery(ix.SourcesBatchedContext(context.Background(), srcs))
-}
-
 // SourcesBatchedContext computes SSSP from many sources as one wave — a
 // deduplicated fan-out of pruned single-source queries, handed to the
 // workers one source at a time — with cooperative cancellation (every
-// running query polls ctx between phases); results and cost equal
-// SourcesContext, which runs the same wave.
+// running query polls ctx between phases); each row equals SSSPContext
+// from that source.
 func (ix *Index) SourcesBatchedContext(ctx context.Context, srcs []int) ([][]float64, error) {
 	return ix.sourcesBatchedStats(ctx, srcs, nil)
 }
@@ -800,7 +695,7 @@ func (ix *Index) sourcesBatchedStats(ctx context.Context, srcs []int, st *pram.S
 // built (BuildOracle), the answer costs O(n^μ) label-merge work; otherwise
 // Dist runs one full SSSP from u and discards all but one entry — callers
 // with many pair queries should either BuildOracle once or batch sources
-// through SSSP/Sources.
+// through SSSPContext/SourcesBatchedContext.
 func (ix *Index) Dist(u, v int) float64 {
 	if o := ix.oracle.Load(); o != nil {
 		return o.Dist(u, v)
@@ -906,15 +801,6 @@ func (o *Oracle) Pairs(pairs [][2]int) []float64 { return o.o.Pairs(pairs, nil, 
 
 // LabelEntries reports the total hub-label storage (O(n^{1+μ}) entries).
 func (o *Oracle) LabelEntries() int { return o.o.LabelSize() }
-
-// DistTo returns, for every vertex u, the distance FROM u TO dst.
-//
-// Deprecated: use DistToContext — the context-taking methods are the
-// canonical query surface; DistTo is a thin context.Background() wrapper
-// kept for existing callers.
-func (ix *Index) DistTo(dst int) ([]float64, error) {
-	return ix.DistToContext(context.Background(), dst)
-}
 
 // DistToContext returns, for every vertex u, the distance FROM u TO dst,
 // with cooperative cancellation of the reverse query. It runs one query on

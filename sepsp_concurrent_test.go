@@ -52,7 +52,11 @@ func TestIndexConcurrentMixedQueries(t *testing.T) {
 			dst := (w*29 + 7) % n
 			switch w % 6 {
 			case 0:
-				dist := ix.SSSP(src)
+				dist, err := ix.SSSPContext(context.Background(), src)
+				if err != nil {
+					report(err)
+					return
+				}
 				for v := range dist {
 					if !approxEq(dist[v], fwd[src][v]) {
 						report(errAtf("SSSP(%d)[%d] = %v want %v", src, v, dist[v], fwd[src][v]))
@@ -60,7 +64,7 @@ func TestIndexConcurrentMixedQueries(t *testing.T) {
 					}
 				}
 			case 1:
-				dist, err := ix.DistTo(dst)
+				dist, err := ix.DistToContext(context.Background(), dst)
 				if err != nil {
 					report(err)
 					return
@@ -163,9 +167,6 @@ func TestSSSPContextCancelled(t *testing.T) {
 	if _, err := ix.SSSPContext(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SSSPContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := ix.SourcesContext(ctx, []int{0, 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SourcesContext on cancelled ctx: err = %v, want context.Canceled", err)
-	}
 	if _, err := ix.SourcesBatchedContext(ctx, []int{0, 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SourcesBatchedContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -173,9 +174,11 @@ func TestSSSPContextCancelled(t *testing.T) {
 		t.Fatalf("DistToContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
-	// A live context answers identically to the non-context path.
-	want := ix.SSSP(3)
-	got, err := ix.SSSPContext(context.Background(), 3)
+	// A live, cancellable context answers identically to the background one.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	want := mustSSSP(t, ix, 3)
+	got, err := ix.SSSPContext(live, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.SSSP(0)
+	d := mustSSSP(t, ix, 0)
 	if len(d) != 1 || d[0] != 0 {
 		t.Fatalf("d=%v", d)
 	}
@@ -27,7 +27,7 @@ func TestEmptyEdgeSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.SSSP(2)
+	d := mustSSSP(t, ix, 2)
 	for v, x := range d {
 		if v == 2 && x != 0 {
 			t.Fatalf("self distance %v", x)
@@ -47,7 +47,7 @@ func TestPositiveSelfLoopIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.SSSP(0)
+	d := mustSSSP(t, ix, 0)
 	if d[0] != 0 || d[2] != 2 {
 		t.Fatalf("d=%v", d)
 	}
@@ -75,7 +75,7 @@ func TestZeroWeightCyclesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.SSSP(0)
+	d := mustSSSP(t, ix, 0)
 	want := []float64{0, 0, 0, 2, 3}
 	for v := range want {
 		if d[v] != want[v] {
@@ -110,14 +110,14 @@ func TestParallelEdgesKeepMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := ix.SSSP(0)[1]; d != 3 {
+	if d := mustSSSP(t, ix, 0)[1]; d != 3 {
 		t.Fatalf("d=%v", d)
 	}
 }
 
 func TestOraclePublicAPI(t *testing.T) {
 	gg, grid := gridGraph(t, 8, 7, 31)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestOraclePublicAPI(t *testing.T) {
 	pairs := [][2]int{{0, 55}, {10, 3}, {42, 42}}
 	got := o.Pairs(pairs)
 	for i, p := range pairs {
-		want := ix.SSSP(p[0])[p[1]]
+		want := mustSSSP(t, ix, p[0])[p[1]]
 		if math.Abs(got[i]-want) > 1e-8*(1+math.Abs(want)) {
 			t.Fatalf("pair %v: oracle %v engine %v", p, got[i], want)
 		}

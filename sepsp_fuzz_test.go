@@ -29,7 +29,7 @@ func diffCheck(t *testing.T, seed int64, g *Graph, opt *Options, ref *graph.Digr
 			t.Errorf("seed=%d: BF: %v", seed, err)
 			return false
 		}
-		got := ix.SSSP(src)
+		got := mustSSSP(t, ix, src)
 		for v := range want {
 			if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) ||
 				(!math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-8*(1+math.Abs(want[v]))) {
@@ -67,7 +67,7 @@ func TestFuzzGridsAllAlgorithms(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			ref, _ = gen.PotentialShift(ref, 6, rng)
 		}
-		opt := &Options{Coordinates: grid.Coord, LeafSize: 2 + rng.Intn(7)}
+		opt := &Options{Decomposition: GridDecomposition(grid.Coord), LeafSize: 2 + rng.Intn(7)}
 		if rng.Intn(2) == 0 {
 			opt.Algorithm = Simultaneous
 		}
@@ -100,7 +100,7 @@ func TestFuzzKTrees(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		n := k + 2 + rng.Intn(100)
 		kt := gen.NewKTree(n, k, gen.UniformWeights(0.1, 3), rng)
-		opt := &Options{Bags: kt.Decomp.Bags, BagParents: kt.Decomp.Parent}
+		opt := &Options{Decomposition: TreeDecomposition(kt.Decomp.Bags, kt.Decomp.Parent)}
 		return diffCheck(t, seed, toPublic(kt.G), opt, kt.G)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -114,7 +114,7 @@ func TestFuzzGeometric(t *testing.T) {
 		n := 30 + rng.Intn(200)
 		radius := 0.08 + 0.08*rng.Float64()
 		geo := gen.NewGeometric(n, 2, radius, gen.UniformWeights(0.1, 1), rng)
-		opt := &Options{Points: geo.Points, Radius: radius}
+		opt := &Options{Decomposition: GeometricDecomposition(geo.Points, radius)}
 		return diffCheck(t, seed, toPublic(geo.G), opt, geo.G)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -137,7 +137,7 @@ func TestFuzzDelaunayWithRotations(t *testing.T) {
 			return true
 		})
 		ref := refGraph(g)
-		return diffCheck(t, seed, g, &Options{Rotations: d.Rotation}, ref)
+		return diffCheck(t, seed, g, &Options{Decomposition: PlanarDecomposition(d.Rotation)}, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestFuzzOptimizedQueryBitIdentical(t *testing.T) {
 		}
 		ref := b.Build()
 
-		opt := &Options{Coordinates: grid.Coord, LeafSize: 2 + rng.Intn(6)}
+		opt := &Options{Decomposition: GridDecomposition(grid.Coord), LeafSize: 2 + rng.Intn(6)}
 		if rng.Intn(2) == 0 {
 			opt.Workers = 2 + rng.Intn(3)
 		}
@@ -256,7 +256,7 @@ func TestFuzzOracleAgainstEngine(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		grid := gen.NewGrid([]int{3 + rng.Intn(6), 3 + rng.Intn(6)}, gen.UniformWeights(0.5, 2), rng)
-		ix, err := Build(toPublic(grid.G), &Options{Coordinates: grid.Coord, LeafSize: 3 + rng.Intn(4)})
+		ix, err := Build(toPublic(grid.G), &Options{Decomposition: GridDecomposition(grid.Coord), LeafSize: 3 + rng.Intn(4)})
 		if err != nil {
 			t.Errorf("seed=%d: %v", seed, err)
 			return false
@@ -268,7 +268,7 @@ func TestFuzzOracleAgainstEngine(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			u, v := rng.Intn(grid.G.N()), rng.Intn(grid.G.N())
-			want := ix.SSSP(u)[v]
+			want := mustSSSP(t, ix, u)[v]
 			got := o.Dist(u, v)
 			if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
 				t.Errorf("seed=%d (%d,%d): oracle %v engine %v", seed, u, v, got, want)

@@ -1,6 +1,7 @@
 package sepsp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,13 +11,13 @@ import (
 
 func TestDistTo(t *testing.T) {
 	gg, grid := gridGraph(t, 7, 6, 21)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := refGraph(gg)
 	dst := 17
-	got, err := ix.DistTo(dst)
+	got, err := ix.DistToContext(context.Background(), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestDistTo(t *testing.T) {
 	}
 	// Consistency with forward queries: dist(u→dst) via SSSP(u).
 	for _, u := range []int{0, 11, 40} {
-		fwd := ix.SSSP(u)[dst]
+		fwd := mustSSSP(t, ix, u)[dst]
 		if math.Abs(got[u]-fwd) > 1e-9*(1+math.Abs(fwd)) {
 			t.Fatalf("DistTo and SSSP disagree for u=%d: %v vs %v", u, got[u], fwd)
 		}
@@ -41,7 +42,7 @@ func TestDistTo(t *testing.T) {
 
 func TestWithWeightsReusesDecomposition(t *testing.T) {
 	gg, grid := gridGraph(t, 8, 8, 22)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestWithWeightsReusesDecomposition(t *testing.T) {
 		t.Fatal("tree not reused")
 	}
 	want, _ := baseline.BellmanFord(refGraph(g2), 0, nil)
-	got := ix2.SSSP(0)
+	got := mustSSSP(t, ix2, 0)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 			t.Fatalf("v=%d: %v want %v", v, got[v], want[v])
@@ -70,7 +71,7 @@ func TestWithWeightsReusesDecomposition(t *testing.T) {
 
 func TestWithWeightsRejectsDifferentSkeleton(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 23)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestWithWeightsRejectsDifferentSkeleton(t *testing.T) {
 
 func TestWithWeightsDetectsNewNegativeCycle(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 24)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestBuildWorksOnDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.SSSP(0)
+	d := mustSSSP(t, ix, 0)
 	if d[1] != 1 || !math.IsInf(d[2], 1) || !math.IsInf(d[9], 1) {
 		t.Fatalf("distances wrong: %v", d)
 	}

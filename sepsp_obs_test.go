@@ -34,7 +34,7 @@ func obsTestGraph(t *testing.T) (*Graph, [][]int) {
 func TestObserverMetricsReconcileWithStats(t *testing.T) {
 	g, coords := obsTestGraph(t)
 	ob := NewObserver()
-	ix, err := Build(g, &Options{Coordinates: coords, Observer: ob})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestObserverMetricsReconcileWithStats(t *testing.T) {
 	}
 
 	// Dynamic per-phase counters after exactly one query reconcile too.
-	ix.SSSP(0)
+	mustSSSP(t, ix, 0)
 	var snap struct {
 		Counters map[string]int64 `json:"counters"`
 		Gauges   map[string]float64
@@ -116,11 +116,11 @@ func TestObserverMetricsReconcileWithStats(t *testing.T) {
 func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 	g, coords := obsTestGraph(t)
 	ob := NewObserver()
-	ix, err := Build(g, &Options{Coordinates: coords, Observer: ob})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SSSP(0)
+	mustSSSP(t, ix, 0)
 
 	var buf bytes.Buffer
 	if err := ob.WriteTrace(&buf); err != nil {
@@ -165,7 +165,7 @@ func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 // TestBuildWithoutObserverLeavesLevelsNil guards the disabled fast path.
 func TestBuildWithoutObserverLeavesLevelsNil(t *testing.T) {
 	g, coords := obsTestGraph(t)
-	ix, err := Build(g, &Options{Coordinates: coords})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sepsp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -23,6 +24,17 @@ func gridGraph(t testing.TB, w, h int, seed int64) (*Graph, *gen.Grid) {
 	return g, grid
 }
 
+// mustSSSP runs SSSPContext under a background context and fails the test
+// on a query error. Call it only from the test's own goroutine.
+func mustSSSP(t testing.TB, ix *Index, src int) []float64 {
+	t.Helper()
+	dist, err := ix.SSSPContext(context.Background(), src)
+	if err != nil {
+		t.Fatalf("SSSPContext(%d): %v", src, err)
+	}
+	return dist
+}
+
 func refGraph(g *Graph) *graph.Digraph {
 	// Rebuild the internal digraph for the baseline (Build consumes the
 	// builder non-destructively, so this is safe).
@@ -34,9 +46,9 @@ func TestBuildAndQueryAllDecompositions(t *testing.T) {
 	ref := refGraph(gg)
 	for name, opt := range map[string]*Options{
 		"auto":   nil,
-		"coords": {Coordinates: grid.Coord},
-		"alg43":  {Coordinates: grid.Coord, Algorithm: Simultaneous},
-		"par":    {Coordinates: grid.Coord, Workers: 4},
+		"coords": {Decomposition: GridDecomposition(grid.Coord)},
+		"alg43":  {Decomposition: GridDecomposition(grid.Coord), Algorithm: Simultaneous},
+		"par":    {Decomposition: GridDecomposition(grid.Coord), Workers: 4},
 	} {
 		ix, err := Build(gg, opt)
 		if err != nil {
@@ -44,7 +56,7 @@ func TestBuildAndQueryAllDecompositions(t *testing.T) {
 		}
 		for _, src := range []int{0, 35, 71} {
 			want, _ := baseline.BellmanFord(ref, src, nil)
-			got := ix.SSSP(src)
+			got := mustSSSP(t, ix, src)
 			for v := range want {
 				if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 					t.Fatalf("%s src=%d v=%d: %v vs %v", name, src, v, got[v], want[v])
@@ -62,12 +74,12 @@ func TestBuildGeometric(t *testing.T) {
 		g.AddEdge(from, to, w)
 		return true
 	})
-	ix, err := Build(g, &Options{Points: geo.Points, Radius: 0.12})
+	ix, err := Build(g, &Options{Decomposition: GeometricDecomposition(geo.Points, 0.12)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := baseline.BellmanFord(geo.G, 0, nil)
-	got := ix.SSSP(0)
+	got := mustSSSP(t, ix, 0)
 	for v := range want {
 		if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
 			t.Fatalf("reachability mismatch at %d", v)
@@ -86,12 +98,12 @@ func TestBuildKTree(t *testing.T) {
 		g.AddEdge(from, to, w)
 		return true
 	})
-	ix, err := Build(g, &Options{Bags: kt.Decomp.Bags, BagParents: kt.Decomp.Parent})
+	ix, err := Build(g, &Options{Decomposition: TreeDecomposition(kt.Decomp.Bags, kt.Decomp.Parent)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := baseline.BellmanFord(kt.G, 5, nil)
-	got := ix.SSSP(5)
+	got := mustSSSP(t, ix, 5)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 			t.Fatalf("v=%d: %v vs %v", v, got[v], want[v])
@@ -111,7 +123,7 @@ func TestNegativeCycleError(t *testing.T) {
 
 func TestPathAndTree(t *testing.T) {
 	gg, grid := gridGraph(t, 7, 7, 4)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +175,7 @@ func TestReachable(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	gg, grid := gridGraph(t, 12, 12, 5)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,28 +190,28 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	gg, grid := gridGraph(t, 4, 4, 6)
-	if _, err := Build(gg, &Options{Points: [][]float64{{0, 0}}}); err == nil {
+	gg, _ := gridGraph(t, 4, 4, 6)
+	if _, err := Build(gg, &Options{Decomposition: GeometricDecomposition([][]float64{{0, 0}}, 0)}); err == nil {
 		t.Fatal("missing radius not rejected")
 	}
-	if _, err := Build(gg, &Options{Coordinates: grid.Coord, Points: [][]float64{{0}}, Radius: 1}); err == nil {
-		t.Fatal("conflicting hints not rejected")
-	}
-	if _, err := Build(gg, &Options{Bags: [][]int{{0}}, BagParents: nil}); err == nil {
+	if _, err := Build(gg, &Options{Decomposition: TreeDecomposition([][]int{{0}}, nil)}); err == nil {
 		t.Fatal("bag arity not rejected")
 	}
 }
 
 func TestSourcesBatch(t *testing.T) {
 	gg, grid := gridGraph(t, 8, 8, 7)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord, Workers: -1})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srcs := []int{0, 9, 33}
-	rows := ix.Sources(srcs)
+	rows, err := ix.SourcesBatchedContext(context.Background(), srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, src := range srcs {
-		single := ix.SSSP(src)
+		single := mustSSSP(t, ix, src)
 		for v := range single {
 			if rows[i][v] != single[v] {
 				t.Fatalf("Sources disagrees with SSSP at src=%d v=%d", src, v)

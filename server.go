@@ -334,7 +334,7 @@ func (s *Server) budget() int {
 	return s.effectiveLimit() - int(s.serving.Load())
 }
 
-// SSSP returns exact distances from src, like Index.SSSP, but through the
+// SSSP returns exact distances from src, like Index.SSSPContext, but through the
 // server's admission and batching path: the request may wait for the
 // in-progress wave and is then coalesced with other pending requests.
 //

@@ -25,11 +25,14 @@ func benchIndex(b *testing.B) (*Index, int) {
 // closure-free SSSP path; allocs/op should be 1 (the result slice).
 func BenchmarkSSSPSteadyState(b *testing.B) {
 	ix, n := benchIndex(b)
-	ix.SSSP(0)
+	ctx := context.Background()
+	mustSSSP(b, ix, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.SSSP(i % n)
+		if _, err := ix.SSSPContext(ctx, i%n); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -53,11 +56,16 @@ func BenchmarkSourcesBatchedSteadyState(b *testing.B) {
 	for i := range srcs {
 		srcs[i] = (i * 131) % n
 	}
-	ix.SourcesBatched(srcs)
+	ctx := context.Background()
+	if _, err := ix.SourcesBatchedContext(ctx, srcs); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.SourcesBatched(srcs)
+		if _, err := ix.SourcesBatchedContext(ctx, srcs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestServerCacheHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := ix.SSSP(src)
+	fresh := mustSSSP(t, ix, src)
 	for v := range fresh {
 		if first[v] != fresh[v] {
 			t.Fatalf("computed dist[%d] = %v, fresh SSSP %v (must be bit-identical)", v, first[v], fresh[v])
@@ -92,7 +92,7 @@ func TestServerCacheDistBypassesAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ix.SSSP(src)[dst]; d != want {
+	if want := mustSSSP(t, ix, src)[dst]; d != want {
 		t.Fatalf("cached Dist = %v, want %v", d, want)
 	}
 	after := srv.Healthz()
@@ -112,7 +112,7 @@ func TestServerCacheSingleFlight(t *testing.T) {
 	ctx := context.Background()
 	const src, callers = 55, 16
 
-	want := ix.SSSP(src)
+	want := mustSSSP(t, ix, src)
 	var wg sync.WaitGroup
 	dists := make([][]float64, callers)
 	errs := make([]error, callers)
@@ -223,7 +223,7 @@ func TestServerCacheEpochSwapStress(t *testing.T) {
 		gB.AddEdge(from, to, wt*1024)
 		return true
 	})
-	ix, err := Build(gA, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gA, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestServerCacheEpochSwapStress(t *testing.T) {
 	srcs := []int{0, 17, 42, 63}
 	refA := make(map[int][]float64, len(srcs))
 	for _, s := range srcs {
-		refA[s] = ix.SSSP(s)
+		refA[s] = mustSSSP(t, ix, s)
 	}
 	// Epoch parity decides the weight set: odd epochs serve gA (scale 1),
 	// even epochs serve gB (scale 1024).

@@ -41,7 +41,7 @@ func TestServerQueriesRacingClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ix.SSSP(0)
+	want := mustSSSP(t, ix, 0)
 	srv, err := NewServer(ix, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestServerWavePanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ix.SSSP(0)
+	want := mustSSSP(t, ix, 0)
 	inj := faultinject.NewSeeded(faultinject.Config{
 		Seed: 3,
 		Sites: map[string]faultinject.SiteConfig{
@@ -335,7 +335,7 @@ func TestRetryValueThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	want := ix.SSSP(1)
+	want := mustSSSP(t, ix, 1)
 	dist, err := RetryValue(context.Background(), &RetryOptions{Seed: 7}, func() ([]float64, error) {
 		return srv.SSSP(context.Background(), 1)
 	})

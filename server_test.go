@@ -49,7 +49,7 @@ func TestServerCoalescesWave(t *testing.T) {
 		if resp.err != nil {
 			t.Fatalf("request %d: %v", i, resp.err)
 		}
-		want := ix.SSSP(reqs[i].src)
+		want := mustSSSP(t, ix, reqs[i].src)
 		for v := range want {
 			if !approxEq(resp.dist[v], want[v]) {
 				t.Fatalf("request %d: dist[%d] = %v want %v", i, v, resp.dist[v], want[v])
@@ -114,7 +114,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	defer srv.Close()
 	want := make([][]float64, n)
 	for v := 0; v < n; v++ {
-		want[v] = ix.SSSP(v)
+		want[v] = mustSSSP(t, ix, v)
 	}
 	const clients, perClient = 8, 16
 	var wg sync.WaitGroup
@@ -243,7 +243,7 @@ func TestServerDist(t *testing.T) {
 	}
 	defer srv.Close()
 	u, v := 3, n-4
-	want := ix.SSSP(u)[v]
+	want := mustSSSP(t, ix, u)[v]
 	got, err := srv.Dist(context.Background(), u, v)
 	if err != nil {
 		t.Fatal(err)

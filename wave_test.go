@@ -92,7 +92,7 @@ func TestSourcesWaveCancelMidWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, src := range srcs {
-		want := ix.SSSP(src)
+		want := mustSSSP(t, ix, src)
 		for v := range want {
 			if rows[j][v] != want[v] {
 				t.Fatalf("src=%d v=%d: wave %v, SSSP %v", src, v, rows[j][v], want[v])
@@ -155,7 +155,7 @@ func TestSourcesWaveWorkerPanicSurfaces(t *testing.T) {
 			t.Fatalf("disarmed wave: %v", err)
 		}
 		for j, src := range srcs {
-			want := ix.SSSP(src)
+			want := mustSSSP(t, ix, src)
 			for v := range want {
 				if rows[j][v] != want[v] {
 					t.Fatalf("disarmed src=%d v=%d: wave %v, SSSP %v", src, v, rows[j][v], want[v])
