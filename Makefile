@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz-smoke examples serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
+.PHONY: build test vet fmt-check race chaos fuzz-smoke examples serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fmt-check fails when any Go file in the repository is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: panics, delays, and cancellations fire at every instrumented
@@ -55,13 +59,13 @@ serve-drill:
 reweight-drill:
 	$(GO) test -race -run ServeReweight -count=1 -v ./cmd/sepsp
 
-# overload-drill runs the adaptive overload-control drill: the real
-# `serve -overload` command scraped over HTTP, asserting the gradient
-# limiter converges under 4x sustained overload with injected wave latency,
-# interactive queries are never browned out while batch queries are
-# answered exactly from the fallback engine, and the rebuild circuit
-# breaker opens under injected failures then recovers via a half-open
-# probe (see DESIGN.md "Overload control").
+# overload-drill runs the overload-control drill: the real
+# `serve -overload` command scraped over HTTP, asserting that under 4x the
+# MaxInFlight window with injected wave latency the window holds at
+# MaxInFlight, interactive queries are never browned out while batch
+# queries are answered exactly from the fallback engine, and the rebuild
+# circuit breaker opens under injected failures then recovers via a
+# half-open probe (see DESIGN.md "Overload control").
 overload-drill:
 	$(GO) test -race -run OverloadDrill -count=1 -v ./cmd/sepsp
 
@@ -104,7 +108,7 @@ govulncheck:
 
 # check is the tier-1 gate (see README): everything must pass before a
 # change lands.
-check: vet api-check staticcheck govulncheck test race
+check: vet fmt-check api-check staticcheck govulncheck test race
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,10 +1,10 @@
 package sepsp
 
-// Integration tests for the adaptive overload-control stack of ISSUE 8 at
-// the public-API layer: priority-aware eviction, brownout answering shed
-// low-priority queries exactly from the fallback engine, the rebuild
-// circuit breaker's open→half-open→closed cycle on a deterministic clock,
-// and a -race overload ramp asserting the priority latency contract.
+// Integration tests for the overload-control stack at the public-API
+// layer: priority-aware eviction, brownout answering shed low-priority
+// queries exactly from the fallback engine, the rebuild circuit breaker's
+// open→half-open→closed cycle on a deterministic clock, and a -race
+// overload ramp asserting the priority latency contract.
 
 import (
 	"context"

@@ -42,11 +42,10 @@
 //	                         visible as the advancing "epoch" in /healthz).
 //	                         -priority-mix I:B:G spreads the load across the
 //	                         interactive/batch/background priority classes
-//	                         by weight. -overload runs the adaptive
-//	                         overload-control drill instead of the plain
-//	                         load: the gradient limiter must converge under
-//	                         4x overload with injected wave latency, shed
-//	                         batch queries must be browned out exactly
+//	                         by weight. -overload runs the overload-control
+//	                         drill instead of the plain load: under 4x the
+//	                         -inflight window with injected wave latency,
+//	                         shed batch queries must be browned out exactly
 //	                         (never interactive ones), and the rebuild
 //	                         circuit breaker must open under injected
 //	                         failures and recover through a half-open probe;
@@ -129,7 +128,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		logLevel    = fs.String("log-level", "info", "serve: structured log level on stderr (debug|info|warn|error|off)")
 		reweight    = fs.String("reweight", "", "serve: hot-swap the serving index from this graph file on SIGHUP (zero-downtime reload)")
 		reweightDur = fs.Duration("reweight-every", 0, "serve: with -reweight, also reload on this period (reweight drill; 0 = SIGHUP only)")
-		overload    = fs.Bool("overload", false, "serve: run the adaptive overload-control drill (limiter convergence, priority shedding and brownout, rebuild circuit breaker)")
+		overload    = fs.Bool("overload", false, "serve: run the overload-control drill (priority shedding and brownout under 4x the -inflight window, rebuild circuit breaker)")
 		prioMix     = fs.String("priority-mix", "", "serve: interactive:batch:background arrival weights, e.g. 50:40:10 (default all-interactive; -overload defaults to 50:40:10)")
 		cacheMB     = fs.Int("cache-mb", 0, "serve: epoch-aware result cache budget in MiB (0 = cache off)")
 		hotSources  = fs.Int("hot-sources", 0, "serve: draw sources from this many hot vertices instead of the whole graph (cache drill; 0 = uniform)")

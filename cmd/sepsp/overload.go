@@ -62,16 +62,14 @@ func (m priorityMix) draw(rng *rand.Rand) sepsp.Priority {
 	return sepsp.PriorityBackground
 }
 
-// runOverloadDrill exercises the adaptive overload-control stack end to end
-// on the real serving path, in three phases:
+// runOverloadDrill exercises the overload-control stack end to end on the
+// real serving path, in two phases:
 //
-//  1. warmup — fault-free traffic settles the limiter's no-load baseline;
-//  2. overload — every wave is stalled by an injected delay while ~4× the
-//     admission ceiling in mixed-priority clients hammers the server: the
-//     gradient limiter must shrink from its wide-open start and stabilize,
+//  1. overload — every wave is stalled by an injected delay while ~4× the
+//     MaxInFlight window in mixed-priority clients hammers the server:
 //     shedding engages brownout, and batch/background queries are answered
 //     exactly from the fallback engine while interactive queries never are;
-//  3. breaker — injected rebuild panics open the rebuild circuit breaker
+//  2. breaker — injected rebuild panics open the rebuild circuit breaker
 //     (further reweights are refused with ErrBreakerOpen without running),
 //     then injection stops, the cooldown elapses, and one half-open probe
 //     rebuild closes it again.
@@ -124,11 +122,8 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 			faultinject.SiteManagerRebuild: {PanicPerMille: 1000},
 		},
 	})
-	// The wave stall stays on through warmup AND overload: the limiter's
-	// baseline then settles at the stall (well above scheduler noise), and
-	// what distinguishes overload is pure queue wait — RTT is measured from
-	// admission, so 4× the ceiling in arrivals inflates it multiplicatively
-	// over the same per-wave compute.
+	// The wave stall holds every wave for a fixed time, so 4× the window in
+	// arrivals overflows it whatever the machine's speed.
 	tog := faultinject.NewToggle(seeded)
 	tog.Disable(faultinject.SiteManagerRebuild)
 
@@ -168,40 +163,12 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 		fmt.Fprintf(stderr, "telemetry: listening on http://%s\n", ln.Addr())
 	}
 
-	// Phase 1: warmup. Serial fault-free requests settle the no-load RTT
-	// baseline the gradient limiter judges overload against.
-	rng := rand.New(rand.NewSource(cfg.seed))
-	warmed := 0
-	for i := 0; i < inFlight*8 && ctx.Err() == nil; i++ {
-		if _, err := srv.SSSP(ctx, rng.Intn(n)); err == nil {
-			warmed++
-		}
-	}
-	limitStart := srv.Healthz().EffectiveLimit
-
-	// Phase 2: overload. Throw ~4× the ceiling in concurrent mixed-priority
-	// clients at the server, sampling the effective limit the whole time.
+	// Phase 1: overload. Throw ~4× the window in concurrent mixed-priority
+	// clients at the server.
 	clients := 4 * inFlight
 	var okCls, shedCls [3]atomic.Int64
 	var cancelled atomic.Int64
 	var firstErr atomic.Value
-	samplerStop := make(chan struct{})
-	var samples []int
-	var samplerWG sync.WaitGroup
-	samplerWG.Add(1)
-	go func() {
-		defer samplerWG.Done()
-		t := time.NewTicker(2 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-samplerStop:
-				return
-			case <-t.C:
-				samples = append(samples, srv.Healthz().EffectiveLimit)
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		quota := requests / clients
@@ -234,36 +201,9 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 	}
 	wg.Wait()
 	tog.Disable(faultinject.SiteServerWave)
-	close(samplerStop)
-	samplerWG.Wait()
-
-	limitEnd, limitMin := limitStart, limitStart
-	if len(samples) > 0 {
-		limitEnd = samples[len(samples)-1]
-		for _, s := range samples {
-			if s < limitMin {
-				limitMin = s
-			}
-		}
-	}
-	// Stable: the last quarter of the trajectory moved by at most 2 slots.
-	stable := false
-	if tail := samples[len(samples)-len(samples)/4:]; len(tail) > 0 {
-		lo, hi := tail[0], tail[0]
-		for _, s := range tail {
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
-			}
-		}
-		stable = hi-lo <= 2
-	}
-	converged := limitEnd < limitStart
 	health := srv.Healthz()
 
-	// Phase 3: breaker. Injected panics fail rebuilds until the breaker
+	// Phase 2: breaker. Injected panics fail rebuilds until the breaker
 	// opens, a further reweight is refused without running, then recovery:
 	// injection off, cooldown, one probe rebuild closes the breaker.
 	tog.Enable(faultinject.SiteManagerRebuild)
@@ -307,10 +247,9 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 		okTotal += okCls[i].Load()
 		shedTotal += shedCls[i].Load()
 	}
-	fmt.Fprintf(w, "overload: %d requests, %d clients, inflight=%d mix=%s warmup=%d\n",
-		requests, clients, inFlight, mixStr, warmed)
-	fmt.Fprintf(w, "limiter: initial=%d converged=%d min=%d stable=%v\n",
-		limitStart, limitEnd, limitMin, stable)
+	fmt.Fprintf(w, "overload: %d requests, %d clients, inflight=%d mix=%s\n",
+		requests, clients, inFlight, mixStr)
+	fmt.Fprintf(w, "window: inflight=%d\n", health.EffectiveLimit)
 	fmt.Fprintf(w, "outcomes: ok=%d shed=%d cancelled=%d evicted=%d brownouts=%d\n",
 		okTotal, shedTotal, cancelled.Load(), health.Evicted, health.Brownouts)
 	for p := sepsp.PriorityInteractive; p <= sepsp.PriorityBackground; p++ {
@@ -321,10 +260,6 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 	if interrupted {
 		fmt.Fprintf(w, "interrupted=true\n")
 		return 0 // a signalled drill is a clean exit, not a failed invariant
-	}
-	if !converged || !stable {
-		return fail(fmt.Errorf("overload: limiter did not converge (initial=%d end=%d stable=%v)",
-			limitStart, limitEnd, stable))
 	}
 	if health.Brownouts == 0 {
 		return fail(errors.New("overload: brownout never engaged under sustained shedding"))

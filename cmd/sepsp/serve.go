@@ -41,7 +41,7 @@ type serveConfig struct {
 	reweight      string        // graph file hot-swapped in on SIGHUP ("" = off)
 	reweightEvery time.Duration // additionally reload on this period (reweight drill)
 
-	overload    bool   // run the adaptive overload-control drill instead of the plain load
+	overload    bool   // run the overload-control drill instead of the plain load
 	priorityMix string // I:B:G arrival weights ("" = all interactive)
 
 	cacheMB    int // epoch-aware result cache budget in MiB (0 = off)

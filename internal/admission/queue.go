@@ -1,3 +1,12 @@
+// Package admission is the serving stack's overload-control toolkit: a
+// priority queue with LIFO-within-class shedding, a brownout detector that
+// decides when low-priority traffic should be answered degraded instead of
+// refused, and a circuit breaker for operations that fail repeatedly.
+//
+// Everything here is deliberately clock-free or clock-injectable: the
+// brownout detector is a pure function of the samples fed to it, and the
+// breaker takes an injectable `now`, so every state transition is
+// unit-testable with a deterministic schedule.
 package admission
 
 import "sync"
@@ -109,13 +118,12 @@ func NewQueue[T any]() *Queue[T] {
 }
 
 // Push offers item for admission under the given queue budget (the number
-// of items that may be queued right now — the caller derives it from the
-// effective concurrency limit minus in-service work, capped by the hard
-// ceiling). Within budget the item is enqueued. Over budget, the youngest
-// item of the lowest non-empty class *strictly below* c is evicted to make
-// room (AdmittedEvicted, victim returned for the caller to answer);
-// without such a victim the push is Rejected. A closed queue admits
-// nothing.
+// of items that may be queued right now — the caller derives it from its
+// admission window minus in-service work). Within budget the item is
+// enqueued. Over budget, the youngest item of the lowest non-empty class
+// *strictly below* c is evicted to make room (AdmittedEvicted, victim
+// returned for the caller to answer); without such a victim the push is
+// Rejected. A closed queue admits nothing.
 func (q *Queue[T]) Push(item T, c Class, budget int) (PushResult, T) {
 	var zero T
 	if c >= NumClasses {

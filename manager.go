@@ -139,7 +139,7 @@ func (e *epochIndex) acquire() bool {
 type Manager struct {
 	cur atomic.Pointer[epochIndex]
 
-	tel    atomic.Pointer[Telemetry]      // settable post-construction (Server attach)
+	tel    atomic.Pointer[Telemetry]       // settable post-construction (Server attach)
 	cache  atomic.Pointer[distcache.Cache] // result cache whose generation tracks swaps
 	logger *slog.Logger
 	inj    faultinject.Injector

@@ -26,23 +26,21 @@ type ServerOptions struct {
 	// larger waves keep more workers busy per dispatch but make the wave's
 	// members wait for its slowest source.
 	MaxBatch int
-	// MaxInFlight is the hard ceiling on admitted requests queued or being
-	// served (default 1024). The adaptive limiter (see Admission) moves the
-	// effective limit below this ceiling, never above it. Requests beyond
-	// the effective limit are shed by priority: they either evict queued
-	// lower-priority work, are answered degraded (brownout), or are refused
-	// with ErrServerOverloaded.
+	// MaxInFlight is the admission window: the most admitted requests that
+	// may be queued or being served at once (default 1024). Requests beyond
+	// it are shed by priority: they either evict queued lower-priority
+	// work, are answered degraded (brownout), or are refused with
+	// ErrServerOverloaded.
 	MaxInFlight int
 	// QueueTimeout bounds how long one admitted request may spend queued
 	// plus being served; a request that exceeds it is answered with
 	// ErrQueueTimeout (0 = no deadline). Per-request context deadlines
 	// compose with it — whichever ends first wins.
 	QueueTimeout time.Duration
-	// Admission tunes the adaptive overload control: the gradient
-	// concurrency limiter, the brownout detector, and the circuit breaker
-	// around brownout's fallback answers. Nil uses the defaults noted on
-	// AdmissionOptions — adaptive limiting is always on, starting wide open
-	// at MaxInFlight.
+	// Admission tunes the overload control around the MaxInFlight window:
+	// the brownout detector and the circuit breakers around brownout's
+	// fallback answers and the Manager's rebuilds. Nil uses the defaults
+	// noted on AdmissionOptions.
 	Admission *AdmissionOptions
 	// CacheBytes, when positive, enables the epoch-aware result cache with
 	// the given memory budget: completed SSSP distance vectors are retained
@@ -70,23 +68,14 @@ type ServerOptions struct {
 	Logger *slog.Logger
 }
 
-// AdmissionOptions tunes the Server's adaptive overload control. The zero
-// value (or a nil ServerOptions.Admission) uses the defaults noted on each
-// field.
+// AdmissionOptions tunes the Server's overload control. The zero value (or
+// a nil ServerOptions.Admission) uses the defaults noted on each field.
 type AdmissionOptions struct {
-	// Initial is the starting effective limit (default MaxInFlight: begin
-	// wide open and let measured latency narrow the window).
-	Initial int
-	// Min is the floor the adaptive limit cannot shrink below (default 2,
-	// capped at MaxInFlight). A positive floor keeps a trickle of admission
-	// alive so the limiter can observe recovery.
+	// Min must be non-negative.
+	//
+	// Deprecated: Min has no effect. The admission window is always
+	// MaxInFlight and never shrinks below it.
 	Min int
-	// Tolerance is how much recent latency may exceed the no-load baseline
-	// before the limiter shrinks the window (default 1.5).
-	Tolerance float64
-	// DropBackoff is the multiplicative decrease applied to the limit per
-	// shed or eviction, in (0, 1) (default 0.95).
-	DropBackoff float64
 	// BrownoutThreshold is the shed-rate EWMA past which the server stops
 	// refusing batch/background queries and answers them exactly-but-slower
 	// from the baseline fallback engine instead (default 0.1). Negative
@@ -110,16 +99,13 @@ type AdmissionOptions struct {
 // single-source queries across the index's workers — one dispatch keeps
 // every worker busy, and duplicate sources in a wave are computed once.
 //
-// Admission is adaptive: a gradient concurrency limiter watches measured
-// wave latency against a smoothed no-load baseline and moves the effective
-// in-flight limit between AdmissionOptions.Min and the MaxInFlight hard
-// ceiling. Requests carry a Priority (WithPriority); when the effective
-// limit is exhausted, an arriving request sheds the youngest queued request
-// of a lower priority class rather than being refused, and past a sustained
-// shed-rate threshold the server enters brownout: batch and background
-// queries are answered exactly — but slower — by the baseline fallback
-// engine instead of being refused. Interactive queries are never browned
-// out.
+// Admission is a fixed window of MaxInFlight requests queued or being
+// served. Requests carry a Priority (WithPriority); when the window is
+// full, an arriving request sheds the youngest queued request of a lower
+// priority class rather than being refused, and past a sustained shed-rate
+// threshold the server enters brownout: batch and background queries are
+// answered exactly — but slower — by the baseline fallback engine instead
+// of being refused. Interactive queries are never browned out.
 //
 // All methods are safe for concurrent use. Requests carry a
 // context.Context: a request cancelled while queued is answered with
@@ -157,7 +143,6 @@ type Server struct {
 	cache *distcache.Cache
 
 	q           *admission.Queue[*ssspReq]
-	lim         *admission.Limiter
 	brown       *admission.Brownout
 	fbBreaker   *admission.Breaker // nil when disabled
 	brownoutOff bool
@@ -192,7 +177,7 @@ type ssspReq struct {
 	ctx     context.Context
 	resc    chan result // 1-buffered; a sender never blocks
 	cls     admission.Class
-	enq     int64 // admission time, Unix nanos (0 only for test-injected reqs)
+	enq     int64 // admission time, Unix nanos; read only with Telemetry
 	claimed atomic.Bool
 }
 
@@ -257,7 +242,7 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	if o.MaxBatch < 0 || o.MaxInFlight < 0 || o.QueueTimeout < 0 || o.CacheBytes < 0 {
 		return nil, fmt.Errorf("%w: server limits must be non-negative", ErrBadOptions)
 	}
-	if adm.Initial < 0 || adm.Min < 0 {
+	if adm.Min < 0 {
 		return nil, fmt.Errorf("%w: admission limits must be non-negative", ErrBadOptions)
 	}
 	if o.MaxBatch == 0 {
@@ -281,13 +266,6 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 		tel:          o.Telemetry,
 		logger:       o.Logger,
 		q:            admission.NewQueue[*ssspReq](),
-		lim: admission.NewLimiter(admission.LimiterConfig{
-			Initial:     adm.Initial,
-			Min:         adm.Min,
-			Max:         o.MaxInFlight,
-			Tolerance:   adm.Tolerance,
-			DropBackoff: adm.DropBackoff,
-		}),
 		// A negative threshold still runs the detector; answers are gated off.
 		brown:       admission.NewBrownout(admission.BrownoutConfig{Threshold: max(adm.BrownoutThreshold, 0)}),
 		fbBreaker:   adm.FallbackBreaker.build(),
@@ -323,15 +301,10 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// effectiveLimit is the admission window currently in force: the adaptive
-// limit capped by the MaxInFlight hard ceiling.
-func (s *Server) effectiveLimit() int { return min(s.lim.Limit(), s.maxInFlight) }
-
-// budget is how many requests may sit in the queue right now: the effective
-// limit minus work already popped for serving. It can go negative under a
-// shrinking limit; the queue treats that as zero.
+// budget is how many requests may sit in the queue right now: the
+// MaxInFlight window minus work already popped for serving.
 func (s *Server) budget() int {
-	return s.effectiveLimit() - int(s.serving.Load())
+	return s.maxInFlight - int(s.serving.Load())
 }
 
 // SSSP returns exact distances from src, like Index.SSSPContext, but through the
@@ -339,7 +312,7 @@ func (s *Server) budget() int {
 // in-progress wave and is then coalesced with other pending requests.
 //
 // Admission is priority-aware (WithPriority; the default is
-// PriorityInteractive). When the adaptive limit is exhausted the request
+// PriorityInteractive). When the MaxInFlight window is full the request
 // may displace queued lower-priority work; a request that cannot be
 // admitted is answered degraded from the fallback engine if brownout is
 // engaged (batch/background only), and otherwise refused with
@@ -358,7 +331,7 @@ func (s *Server) SSSP(ctx context.Context, src int) ([]float64, error) {
 // Dist returns the u→v distance. When the index's pair oracle has been
 // built it answers directly from the hub labels (no queueing); otherwise a
 // cached distance vector for u answers without entering the admission
-// limiter at all — a zero-allocation point read — and only a cache miss
+// window at all — a zero-allocation point read — and only a cache miss
 // runs one SSSP request through the batching path and picks out v.
 // Both endpoints are validated before any work is enqueued; an
 // out-of-range endpoint fails fast with an error wrapping ErrBadOptions
@@ -444,7 +417,7 @@ func (s *Server) fill(ctx context.Context, src int, epoch uint64) result {
 }
 
 // admit is the admit stage: it arms the queue deadline and offers the
-// request to the priority queue under the adaptive budget. A closed server
+// request to the priority queue under the window's budget. A closed server
 // ends the request here and a refused one is shed; an admitted one may
 // first displace a lower-priority victim, whose own caller then sheds it.
 func (s *Server) admit(ctx context.Context, src int) result {
@@ -458,7 +431,9 @@ func (s *Server) admit(ctx context.Context, src int) result {
 		ctx:  ctx,
 		resc: make(chan result, 1),
 		cls:  PriorityOf(ctx).class(),
-		enq:  time.Now().UnixNano(),
+	}
+	if s.tel != nil {
+		r.enq = time.Now().UnixNano()
 	}
 	pushed, victim := s.q.Push(r, r.cls, s.budget())
 	switch pushed {
@@ -503,11 +478,10 @@ func (s *Server) enqueue(r *ssspReq) result {
 }
 
 // shed ends a request that could not be (or stay) admitted, on its own
-// caller's goroutine: it feeds the limiter and brownout detector, then
-// answers the request exactly from the fallback engine if brownout is
-// engaged and the request is not interactive, and refuses it otherwise.
+// caller's goroutine: it feeds the brownout detector, then answers the
+// request exactly from the fallback engine if brownout is engaged and the
+// request is not interactive, and refuses it otherwise.
 func (s *Server) shed(r *ssspReq) result {
-	s.lim.OnDrop()
 	s.brown.Note(true)
 	res := result{err: ErrServerOverloaded, src: r.src, cls: r.cls, epoch: s.mgr.Epoch(), degraded: true, shed: true}
 	if r.cls != admission.Interactive && !s.brownoutOff && s.brown.Active() {
@@ -668,11 +642,11 @@ type ServerHealth struct {
 	// Waves counts successfully executed coalesced waves.
 	Waves  int64 `json:"waves"`
 	Panics int64 `json:"panics"`
-	// EffectiveLimit is the adaptive admission limit currently in force
-	// (≤ MaxInFlight); Brownout reports whether brownout mode is engaged;
-	// Brownouts counts shed queries answered degraded from the fallback
-	// engine; Evicted counts queued requests displaced by higher-priority
-	// arrivals.
+	// EffectiveLimit is the admission window in force, always MaxInFlight
+	// (kept because the JSON key is part of /healthz); Brownout reports
+	// whether brownout mode is engaged; Brownouts counts shed queries
+	// answered degraded from the fallback engine; Evicted counts queued
+	// requests displaced by higher-priority arrivals.
 	EffectiveLimit int   `json:"effective_limit"`
 	Brownout       bool  `json:"brownout"`
 	Brownouts      int64 `json:"brownouts"`
@@ -718,7 +692,7 @@ func (s *Server) Healthz() ServerHealth {
 		TimedOut:       s.nTimedOut.Load(),
 		Waves:          s.nWaves.Load(),
 		Panics:         s.nPanics.Load(),
-		EffectiveLimit: s.effectiveLimit(),
+		EffectiveLimit: s.maxInFlight,
 		Brownout:       s.brown.Active(),
 		Brownouts:      s.nBrownouts.Load(),
 		Evicted:        s.nEvicted.Load(),
@@ -796,10 +770,7 @@ func (s *Server) gather(batch []*ssspReq) []*ssspReq {
 // release runs, and every request in one wave is served by — and, with
 // Telemetry, attributed to — exactly one epoch.
 //
-// A successful wave feeds the gradient limiter with the wave's worst
-// member round-trip time (admission → decided), the signal the adaptive
-// admission limit steers by. Without Telemetry or a Logger this function
-// performs only the limiter's clock reads.
+// Without Telemetry or a Logger this function reads no clock.
 func (s *Server) serveWave(batch []*ssspReq, srcs []int) {
 	ix, epoch, release := s.mgr.Acquire()
 	defer release()
@@ -821,20 +792,14 @@ func (s *Server) serveWave(batch []*ssspReq, srcs []int) {
 		}
 	}()
 	// Dead members are answered in place, so batch still holds every live
-	// one for the panic path above. oldest is the admission time of the
-	// oldest live member; test-injected requests (enq 0) are skipped so they
-	// cannot poison the limiter's baseline.
+	// one for the panic path above.
 	alive, srcs := batch[:0], srcs[:0]
-	var oldest int64
 	for _, r := range batch {
 		if r.ctx.Err() != nil {
 			s.answer(r, w, start)
 			continue
 		}
 		alive, srcs = append(alive, r), append(srcs, r.src)
-		if r.enq > 0 && (oldest == 0 || r.enq < oldest) {
-			oldest = r.enq
-		}
 	}
 	if len(alive) == 0 {
 		return
@@ -871,11 +836,6 @@ func (s *Server) serveWave(batch []*ssspReq, srcs []int) {
 		}
 		if s.logger != nil {
 			s.logger.Debug("wave served", "wave", w.wave, "size", len(alive), "epoch", epoch, "compute", time.Duration(w.computeNanos))
-		}
-		// Feed the limiter with the wave's worst member RTT: admission time
-		// of the oldest member to now.
-		if oldest > 0 {
-			s.lim.Observe(time.Duration(time.Now().UnixNano() - oldest))
 		}
 	}
 	for i, r := range alive {

@@ -183,6 +183,55 @@ func TestServerAdmissionLimit(t *testing.T) {
 	srv.Close()
 }
 
+// TestServerRefusalKeepsWindow fills a paused server's MaxInFlight window
+// and takes several refusals: refusals must not shrink the window, so the
+// first arrival after one slot frees is admitted and answered.
+func TestServerRefusalKeepsWindow(t *testing.T) {
+	ix, _ := serverIndex(t)
+	srv, err := newServer(ix, &ServerOptions{MaxInFlight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		r := &ssspReq{src: i, ctx: context.Background(), resc: make(chan result, 1)}
+		if pushed, _ := srv.q.Push(r, admission.Interactive, srv.budget()); pushed != admission.Admitted {
+			t.Fatalf("filling the window: push %d = %v, want Admitted", i, pushed)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := srv.SSSP(context.Background(), 0); !errors.Is(err, ErrServerOverloaded) {
+			t.Fatalf("full window: refusal %d err = %v, want ErrServerOverloaded", i, err)
+		}
+	}
+	if h := srv.Healthz(); h.EffectiveLimit != 4 || h.Rejected != 5 {
+		t.Fatalf("after 5 refusals: EffectiveLimit = %d, Rejected = %d; want 4, 5", h.EffectiveLimit, h.Rejected)
+	}
+
+	// Free one slot; the next arrival takes it and is served once the
+	// dispatcher starts.
+	if _, _, ok := srv.q.TryPop(); !ok {
+		t.Fatal("queue unexpectedly empty")
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 5)
+		errc <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.q.Len() < 4 && srv.Healthz().Rejected == 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("arrival never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.wg.Add(1)
+	go srv.run()
+	if err := <-errc; err != nil {
+		t.Fatalf("arrival after a slot freed: %v", err)
+	}
+	srv.Close()
+}
+
 // TestServerCancelledWhileQueued checks a request whose context dies before
 // its wave is answered with the context error, never served, and counted.
 func TestServerCancelledWhileQueued(t *testing.T) {

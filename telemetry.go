@@ -189,8 +189,8 @@ func (t *Telemetry) attach(s *Server) {
 		"Configured admission hard ceiling (MaxInFlight).", slbl,
 		func() float64 { return float64(s.maxInFlight) })
 	t.reg.GaugeFunc("sepsp_admission_limit",
-		"Adaptive effective concurrency limit currently in force (<= MaxInFlight).", slbl,
-		func() float64 { return float64(s.effectiveLimit()) })
+		"Admission window currently in force (always MaxInFlight).", slbl,
+		func() float64 { return float64(s.maxInFlight) })
 	t.reg.GaugeFunc("sepsp_admission_inflight",
 		"Requests admitted and not yet decided (queued + being served).", slbl,
 		func() float64 { return float64(s.q.Len() + int(s.serving.Load())) })
