@@ -28,12 +28,17 @@ chaos:
 
 # fuzz-smoke runs the native fuzz targets for a short budget each: FuzzLoad
 # (persist.go), where mutated Save blobs must never panic and must either
-# load or fail with ErrCorruptIndex, and FuzzRead (internal/graph/io.go),
-# where graph text must never panic Read and accepted graphs must match
-# their p line and survive a Write/Read round trip. Committed corpora under
-# testdata/fuzz also replay under plain `go test`.
+# load or fail with ErrCorruptIndex; FuzzBuildVsBellmanFord, where small
+# digraphs with negative weights must get Bellman-Ford's distances from
+# Build, SSSPContext and SourcesBatchedContext at one and two workers, and
+# ErrNegativeCycle exactly when Bellman-Ford finds a negative cycle; and
+# FuzzRead (internal/graph/io.go), where graph text must never panic Read
+# and accepted graphs must match their p line and survive a Write/Read
+# round trip. Committed corpora under testdata/fuzz also replay under plain
+# `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s .
+	$(GO) test -run='^$$' -fuzz='^FuzzBuildVsBellmanFord$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=20s ./internal/graph
 
 # examples runs every program under examples/ and fails on the first

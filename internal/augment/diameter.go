@@ -32,7 +32,8 @@ func MinWeightDiameter(n int, edges []graph.Edge, maxHops int, ex *pram.Executor
 	if ex == nil {
 		ex = pram.Sequential
 	}
-	diams := pram.Map(ex, n, func(src int) int {
+	diams := make([]int, n)
+	ex.For(n, func(src int) {
 		dist := make([]float64, n)
 		inf := math.Inf(1)
 		for i := range dist {
@@ -59,10 +60,11 @@ func MinWeightDiameter(n int, edges []graph.Edge, maxHops int, ex *pram.Executor
 						worst = h
 					}
 				}
-				return worst
+				diams[src] = worst
+				return
 			}
 		}
-		return maxHops + 1
+		diams[src] = maxHops + 1
 	})
 	worst := 0
 	for _, d := range diams {

@@ -26,7 +26,7 @@ func (e *Engine) SourcesBatched(srcs []int, st *pram.Stats) [][]float64 {
 // worker stops the wave and is re-raised in the caller as a *pram.Panic
 // carrying the worker's value and stack.
 //
-// Workers pull sources from a shared atomic cursor (pram's ForDynamic), so
+// Workers pull sources from a shared atomic cursor (a pram For round), so
 // a source whose query converges early frees its worker for the next one
 // instead of idling it behind a static chunk. Each query draws its scratch
 // from the engine's workspace pool and writes straight into its result
@@ -79,7 +79,7 @@ func (e *Engine) SourcesBatchedContext(ctx context.Context, srcs []int, st *pram
 	}
 	s.err.Store(nil)
 	defer s.release() // also on a re-raised worker panic
-	e.ex.ForDynamic(k, ws.waveFn())
+	e.ex.For(k, ws.waveFn())
 	if err := s.err.Load(); err != nil {
 		return nil, *err
 	}
@@ -90,7 +90,7 @@ func (e *Engine) SourcesBatchedContext(ctx context.Context, srcs []int, st *pram
 }
 
 // waveState is the shared state of one SourcesBatchedContext wave. It
-// lives in the pooled queryWS beside its cached ForDynamic closure, so
+// lives in the pooled queryWS beside its cached For closure, so
 // dispatching a wave allocates nothing.
 type waveState struct {
 	e    *Engine

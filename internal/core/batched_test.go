@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,10 +43,10 @@ func lockstepCost(t *testing.T, e *Engine, srcs []int) (work, avoided, rounds, s
 
 // TestSourcesBatchedMatchesSources: on a P=2 executor, waves of k = 1
 // (k < P), k = P, k > P sources and waves with duplicate sources return
-// rows bitwise equal to the solo SSSP of each source, and both public
-// multi-source methods — on P=2 and on the sequential executor — report
-// the same work, skipped work, rounds and skipped rounds, equal to the
-// lock-step cost of the wave's solo queries.
+// rows bitwise equal to the solo SSSP of each source, and the wave — on
+// P=2 and on the sequential executor — reports the same work, skipped
+// work, rounds and skipped rounds, equal to the lock-step cost of the
+// wave's solo queries.
 func TestSourcesBatchedMatchesSources(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -61,13 +62,16 @@ func TestSourcesBatchedMatchesSources(t *testing.T) {
 		}
 		for _, srcs := range waves {
 			stSeq, stPar := &pram.Stats{}, &pram.Stats{}
-			a := seq.Sources(srcs, stSeq)
+			a, err := seq.SourcesBatchedContext(context.Background(), srcs, stSeq)
+			if err != nil {
+				t.Fatal(err)
+			}
 			b := par.SourcesBatched(srcs, stPar)
 			for i, src := range srcs {
 				solo := seq.SSSP(src, nil)
 				for v := range solo {
 					if a[i][v] != solo[v] || b[i][v] != solo[v] {
-						t.Errorf("seed=%d srcs=%v src=%d v=%d: Sources %v, SourcesBatched %v, SSSP %v",
+						t.Errorf("seed=%d srcs=%v src=%d v=%d: P=1 wave %v, P=2 wave %v, SSSP %v",
 							seed, srcs, src, v, a[i][v], b[i][v], solo[v])
 						return false
 					}

@@ -132,7 +132,7 @@ func (ws *queryWS) growCells(n int) []uint64 {
 	return ws.cells[:n]
 }
 
-// waveFn returns the cached per-source closure for ForDynamic — created
+// waveFn returns the cached per-source closure for the wave round — created
 // once per workspace so steady-state waves allocate no closures.
 func (ws *queryWS) waveFn() func(j int) {
 	if ws.wfn == nil {
@@ -593,20 +593,6 @@ func (e *Engine) SSSPReference(src int, st *pram.Stats) []float64 {
 	st.AddWork(work)
 	st.AddRounds(int64(n))
 	return dist
-}
-
-// Sources computes SSSP from each source in parallel. It is SourcesBatched
-// under its older name: both run the same deduplicated, source-parallel
-// wave with the same rows and the same counted cost.
-func (e *Engine) Sources(srcs []int, st *pram.Stats) [][]float64 {
-	out, _ := e.SourcesBatchedContext(nil, srcs, st)
-	return out
-}
-
-// SourcesContext is Sources with cooperative cancellation; it is
-// SourcesBatchedContext.
-func (e *Engine) SourcesContext(ctx context.Context, srcs []int, st *pram.Stats) ([][]float64, error) {
-	return e.SourcesBatchedContext(ctx, srcs, st)
 }
 
 // SSSPTree computes distances from src plus a shortest-path tree in the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -146,7 +147,10 @@ func TestEngineMultiSourceParallel(t *testing.T) {
 		Config{Ex: pram.NewExecutor(4)})
 	srcs := []int{0, 13, 50, 99}
 	st := &pram.Stats{}
-	got := eng.Sources(srcs, st)
+	got, err := eng.SourcesBatchedContext(context.Background(), srcs, st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, src := range srcs {
 		want, _ := baseline.BellmanFord(g, src, nil)
 		for v := range want {

@@ -75,10 +75,6 @@ func (e *Engine) SSSPParallelContext(ctx context.Context, src int, st *pram.Stat
 	ps := &ws.pst
 	*ps = parallelState{cells: cells}
 	fn := ws.runFn()
-	// On a single-worker executor the chunk dispatch buys nothing; run the
-	// body inline (the executor's per-round panic cell would otherwise cost
-	// one heap allocation per phase).
-	par := e.ex.P() > 1
 	np := e.schedule.Phases()
 	var work, rounds int64
 	for i := 0; i < np; i++ {
@@ -92,11 +88,7 @@ func (e *Engine) SSSPParallelContext(ctx context.Context, src int, st *pram.Stat
 		e.firePhase()
 		_, b := e.schedule.phaseBucketAt(i)
 		ps.bucket = b
-		if par {
-			e.ex.ForChunked(b.runs(), fn)
-		} else {
-			ps.relax(0, b.runs())
-		}
+		e.ex.ForChunked(b.runs(), fn)
 		work += int64(b.edges())
 		rounds++
 	}

@@ -128,10 +128,11 @@ func BuildExperiment(_ *pram.Executor, scale int) (*Result, error) {
 
 	pt := &Table{
 		ID:     "E-build-prep",
-		Title:  "Index build throughput: prep wall clock, triple rate, allocations",
-		Header: []string{"n", "alg", "P", "prep wall", "Mtriples/s", "work", "allocs"},
+		Title:  "Index build throughput: prep wall clock, triple rate, allocations, speedup",
+		Header: []string{"n", "alg", "P", "prep wall", "Mtriples/s", "work", "allocs", "speedup"},
 		Notes: []string{
 			"grid workload (mu=1/2), seed 42; allocs = runtime.MemStats.Mallocs delta across the build",
+			"speedup = P=1 prep wall / P=4 prep wall for the same n and alg (recorded, not gated)",
 			fmt.Sprintf("gate: counted work exact vs baseline, allocs <= %.1fx baseline + %d", allocSlack, allocAbsSlack),
 		},
 	}
@@ -145,6 +146,7 @@ func BuildExperiment(_ *pram.Executor, scale int) (*Result, error) {
 			if alg == "alg43" {
 				run = augment.Alg43
 			}
+			var serial time.Duration
 			for _, p := range []int{1, 4} {
 				ex := pram.NewExecutor(p)
 				st := &pram.Stats{}
@@ -157,12 +159,19 @@ func BuildExperiment(_ *pram.Executor, scale int) (*Result, error) {
 				}
 				el := time.Since(start)
 				runtime.ReadMemStats(&m1)
+				speedup := "-"
+				if p == 1 {
+					serial = el
+				} else {
+					speedup = fmt.Sprintf("%.2f", serial.Seconds()/el.Seconds())
+				}
 				pt.Rows = append(pt.Rows, []string{
 					d(int64(wl.G.N())), alg, d(int64(p)),
 					el.Round(time.Microsecond).String(),
 					rate(st.Work(), el),
 					d(st.Work()),
 					d(int64(m1.Mallocs - m0.Mallocs)),
+					speedup,
 				})
 			}
 		}

@@ -19,9 +19,9 @@ func fakeBuildResult(work256, speedup, allocs string) *Result {
 		},
 		{
 			ID:     "E-build-prep",
-			Header: []string{"n", "alg", "P", "prep wall", "Mtriples/s", "work", "allocs"},
+			Header: []string{"n", "alg", "P", "prep wall", "Mtriples/s", "work", "allocs", "speedup"},
 			Rows: [][]string{
-				{"4096", "alg41", "1", "100ms", "90.0", "9916648", allocs},
+				{"4096", "alg41", "1", "100ms", "90.0", "9916648", allocs, "-"},
 			},
 		},
 	}}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -249,7 +250,9 @@ func SpeedupExperiment(scale int) (*Table, error) {
 		}
 		prepDur := time.Since(start)
 		start = time.Now()
-		eng.Sources(srcs, nil)
+		if _, err := eng.SourcesBatchedContext(context.Background(), srcs, nil); err != nil {
+			return nil, err
+		}
 		batchDur := time.Since(start)
 		if p == 1 {
 			basePrep, baseBatch = prepDur, batchDur

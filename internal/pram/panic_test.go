@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sepsp/internal/faultinject"
 )
@@ -62,6 +64,53 @@ func TestWorkerPanicContained(t *testing.T) {
 		ex.For(10, func(i int) { mu.Lock(); sum += i; mu.Unlock() })
 		if sum != 45 {
 			t.Fatalf("P=%d: post-panic round computed %d, want 45", p, sum)
+		}
+	}
+}
+
+// TestForStopsAfterPanic: once an index has panicked, the other worker
+// starts no further index, so a failed round ends early instead of
+// draining every remaining index.
+func TestForStopsAfterPanic(t *testing.T) {
+	const n = 2000
+	var started atomic.Int64
+	recoverPanic(t, func() {
+		NewExecutor(2).For(n, func(i int) {
+			started.Add(1)
+			if i == 0 {
+				panic("first index boom")
+			}
+			time.Sleep(50 * time.Microsecond)
+		})
+	})
+	if got := started.Load(); got >= n {
+		t.Fatalf("%d of %d indices started after the panic; the round did not stop", got, n)
+	}
+}
+
+// TestForDynamicPanicContainment: a panicking index of the pooled cursor
+// round surfaces as *Panic in the caller (inline and multi-worker paths),
+// the executor latches the panic, and it stays usable for the next round.
+func TestForDynamicPanicContainment(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		ex := NewExecutor(p)
+		got := recoverPanic(t, func() {
+			ex.For(32, func(i int) {
+				if i == 5 {
+					panic("index boom")
+				}
+			})
+		})
+		if got == nil || got.Value != "index boom" {
+			t.Fatalf("p=%d: recovered %v, want the index panic", p, got)
+		}
+		if !ex.Failed() || ex.PanicCount() != 1 {
+			t.Fatalf("p=%d: executor did not latch the panic", p)
+		}
+		var ran atomic.Int64
+		ex.For(32, func(int) { ran.Add(1) })
+		if ran.Load() != 32 {
+			t.Fatalf("p=%d: round after the panic ran %d of 32 indices", p, ran.Load())
 		}
 	}
 }

@@ -15,10 +15,14 @@
 //     corresponds to O(1) (or O(log n), documented per call site) PRAM steps
 //     per element; Stats.AddRounds records the conversion.
 //
-// Executor actually runs iterations on up to P goroutines, so wall-clock
-// speedup with increasing P can be measured on real hardware, standing in for
-// the paper's PRAM processors (the calibration hint for this reproduction:
-// "goroutines simulate parallelism").
+// Executor actually runs a round on up to P workers, so wall-clock speedup
+// with increasing P can be measured on real hardware, standing in for the
+// paper's PRAM processors (the calibration hint for this reproduction:
+// "goroutines simulate parallelism"). There is one round implementation:
+// the caller works as worker slot 0 beside up to P-1 spawned goroutines,
+// every worker takes indices from a shared atomic cursor, and the round's
+// state is pooled. ForChunked and ForTiles2D are For rounds over chunk and
+// tile indices.
 package pram
 
 import (
@@ -141,9 +145,9 @@ func (p *Panic) Unwrap() error {
 // iteration counter (one count per executed loop body), from which
 // LoadStats derives the load imbalance of everything run on the executor.
 //
-// Worker panics do not crash the process: each worker goroutine recovers,
-// the first captured panic is re-raised in the caller of For/ForChunked as
-// a *Panic (remaining workers of that round run to completion), and the
+// Worker panics do not crash the process: each worker recovers, the round
+// starts no further index, the first captured panic is re-raised in the
+// caller of For as a *Panic once the running indices finish, and the
 // executor latches into a failed-but-queryable state — Failed/PanicCount/
 // LastPanic report the history while the executor itself stays fully
 // usable for subsequent rounds.
@@ -172,8 +176,8 @@ var Sequential = NewExecutor(1)
 // P returns the number of workers.
 func (e *Executor) P() int { return e.p }
 
-// SetInjector installs a fault injector fired at every worker-chunk
-// boundary (site faultinject.SitePramWorker). Must be called before the
+// SetInjector installs a fault injector fired as each worker of a round
+// starts (site faultinject.SitePramWorker). Must be called before the
 // executor runs its first loop and never on the shared Sequential executor.
 func (e *Executor) SetInjector(inj faultinject.Injector) {
 	if e == Sequential {
@@ -193,29 +197,6 @@ func (e *Executor) PanicCount() int64 { return e.panics.Load() }
 // LastPanic returns the most recently recovered worker panic (nil if none).
 func (e *Executor) LastPanic() *Panic { return e.lastPanic.Load() }
 
-// panicCell collects the first worker panic of one parallel round. Rounds
-// may run concurrently on a shared executor, so the cell is per-call state.
-type panicCell struct {
-	p atomic.Pointer[Panic]
-}
-
-// capture must be deferred inside a worker goroutine; it records the first
-// panic of the round (with the worker's stack) instead of letting the
-// runtime kill the process.
-func (c *panicCell) capture() {
-	if r := recover(); r != nil {
-		c.p.CompareAndSwap(nil, &Panic{Value: r, Stack: debug.Stack()})
-	}
-}
-
-// rethrow re-raises a captured panic in the calling goroutine, after
-// latching it on the executor. Callers recover it like an inline panic.
-func (c *panicCell) rethrow(e *Executor) {
-	if p := c.p.Load(); p != nil {
-		e.raise(p)
-	}
-}
-
 // raise latches a captured worker panic on the executor and re-raises it
 // in the calling goroutine.
 func (e *Executor) raise(p *Panic) {
@@ -224,7 +205,7 @@ func (e *Executor) raise(p *Panic) {
 	panic(p)
 }
 
-// fire triggers the injector at the worker boundary; a nil injector is the
+// fire triggers the injector at a worker's start; a nil injector is the
 // production fast path.
 func (e *Executor) fire() {
 	if e.inj != nil {
@@ -279,135 +260,55 @@ func (e *Executor) LoadStats() (max int64, mean float64, imbalance float64) {
 	return max, mean, float64(max) / mean
 }
 
-// For executes fn(i) for every i in [0, n) as one parallel round. Iterations
-// are partitioned into contiguous chunks, one chunk per worker task. fn must
-// be safe to call concurrently with distinct i; For provides a happens-before
-// edge between the loop body and its return (all writes made by fn are
-// visible to the caller afterwards).
+// For executes fn(i) for every i in [0, n) as one parallel round: the
+// calling goroutine works as slot 0 beside up to P-1 spawned workers, and
+// each worker takes the next index from a shared atomic cursor until none
+// is left, so an expensive index never strands its neighbours behind a
+// static chunk. A round of one index, or on a one-worker executor, runs
+// inline with no goroutine at all; a round issued from inside another
+// round's body therefore starts on the worker that issued it. The round's
+// bookkeeping comes from a pool, so a steady-state call allocates nothing.
+// fn must be safe to call concurrently with distinct i; For returns after
+// every started index has finished, with all of fn's writes visible to the
+// caller. One busy iteration is charged per index.
 //
-// If fn panics, the remaining chunks still run to completion, the executor
-// latches the failure (Failed/LastPanic), and the first panic is re-raised
-// in the caller as a *Panic carrying the worker's stack — so a panicking
-// iteration can never take down goroutines the caller does not own.
+// If fn panics, no further index is started, the executor latches the
+// failure (Failed/LastPanic), and once the running indices finish the first
+// panic is re-raised in the caller as a *Panic carrying the worker's stack
+// — so a panicking iteration can never take down goroutines the caller
+// does not own.
 func (e *Executor) For(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	var pc panicCell
-	if e.p == 1 || n == 1 {
-		e.forInline(n, fn, &pc)
-		e.busy[0].Add(int64(n))
-		pc.rethrow(e)
-		return
-	}
-	workers := e.p
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer pc.capture()
-			e.fire()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-			e.busy[w].Add(int64(hi - lo))
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	pc.rethrow(e)
-}
-
-// forInline is the single-worker body of For, split out so the deferred
-// panic capture surrounds exactly one round.
-func (e *Executor) forInline(n int, fn func(i int), pc *panicCell) {
-	defer pc.capture()
-	e.fire()
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
+	e.run(n, fn, nil, 0, 0)
 }
 
 // ForChunked executes fn(lo, hi) over a partition of [0, n) into at most P
-// contiguous chunks, as one parallel round. It is the right primitive when
-// the body keeps per-chunk state (e.g. a local work counter flushed once per
-// chunk, to avoid per-iteration atomics). Panic containment matches For.
+// contiguous chunks of equal size (the last may be shorter), each chunk one
+// index of a For round. It is the right primitive when the body keeps
+// per-chunk state (e.g. a local work counter flushed once per chunk, to
+// avoid per-iteration atomics). Each chunk charges its length to the busy
+// counters; panic containment is For's.
 func (e *Executor) ForChunked(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	var pc panicCell
-	if e.p == 1 {
-		e.forChunkedInline(n, fn, &pc)
-		e.busy[0].Add(int64(n))
-		pc.rethrow(e)
-		return
-	}
-	workers := e.p
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer pc.capture()
-			e.fire()
-			fn(lo, hi)
-			e.busy[w].Add(int64(hi - lo))
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	pc.rethrow(e)
-}
-
-// forChunkedInline is the single-worker body of ForChunked.
-func (e *Executor) forChunkedInline(n int, fn func(lo, hi int), pc *panicCell) {
-	defer pc.capture()
-	e.fire()
-	fn(0, n)
+	size := (n + e.p - 1) / e.p
+	e.run((n+size-1)/size, nil, fn, size, n)
 }
 
 // ForTiles2D executes fn(r0, r1, c0, c1) over the tiling of the rows×cols
-// iteration space into tileR×tileC tiles, as one ForDynamic round. It is
-// the scheduling primitive for cache-blocked matrix kernels: each tile is
-// one index of the round, handed to at most P workers from a shared atomic
-// cursor (dynamic assignment, so tiles whose cost collapses — e.g. all-+Inf
-// panels skipped by the kernel — do not leave workers idle), and a kernel
-// whose matrix fits in a single tile runs inline with no goroutine at all.
-// That last property is what lets intra-kernel tile parallelism compose
-// with node-level parallelism across a separator-tree level: the many small
-// kernels at deep levels each occupy exactly the worker already running
-// their node, while the few large kernels near the root fan out across the
-// executor instead of serializing behind per-row chunking.
+// iteration space into tileR×tileC tiles, each tile one index of a For
+// round. It is the scheduling primitive for cache-blocked matrix kernels:
+// tiles whose cost collapses (e.g. all-+Inf panels skipped by the kernel)
+// free their worker for the next tile, and a kernel whose matrix fits in a
+// single tile runs inline on the calling worker. That is what lets
+// intra-kernel tile parallelism compose with node-level parallelism across
+// a separator-tree level: the many small kernels at deep levels each occupy
+// exactly the worker already running their node, while the few large
+// kernels near the root fan out across the executor.
 //
 // fn must be safe to call concurrently for distinct tiles (tiles are
 // disjoint by construction). One busy iteration is charged per tile, and
-// panic containment is ForDynamic's: once a tile has panicked no further
-// tile is started, and the first panic is re-raised in the caller as a
-// *Panic.
+// panic containment is For's.
 func (e *Executor) ForTiles2D(rows, cols, tileR, tileC int, fn func(r0, r1, c0, c1 int)) {
 	if rows <= 0 || cols <= 0 {
 		return
@@ -417,87 +318,91 @@ func (e *Executor) ForTiles2D(rows, cols, tileR, tileC int, fn func(r0, r1, c0, 
 	}
 	tilesC := (cols + tileC - 1) / tileC
 	tilesR := (rows + tileR - 1) / tileR
-	e.ForDynamic(tilesR*tilesC, func(t int) {
+	e.For(tilesR*tilesC, func(t int) {
 		r0 := (t / tilesC) * tileR
 		c0 := (t % tilesC) * tileC
 		fn(r0, min(r0+tileR, rows), c0, min(c0+tileC, cols))
 	})
 }
 
-// ForDynamic executes fn(i) for every i in [0, n) as one parallel round,
-// handing indices to at most P workers one at a time from a shared atomic
-// cursor — for loops whose iterations are few and unevenly priced (a
-// multi-source query wave: one pruned solo query per index; the tiles of
-// ForTiles2D). The calling goroutine works as slot 0 beside P-1 spawned
-// workers, and the round's bookkeeping comes from a pool, so a
-// steady-state call allocates nothing. Panic containment matches For,
-// except that a round stops early: once an index has panicked no further
-// index is started, and after the running ones finish the first panic is
-// re-raised in the caller as a *Panic.
-func (e *Executor) ForDynamic(n int, fn func(i int)) {
+// run is the one parallel round behind For and ForChunked: n indices, each
+// either fn(i) or, when fn is nil, chunk(i*size, min((i+1)*size, total)).
+func (e *Executor) run(n int, fn func(i int), chunk func(lo, hi int), size, total int) {
 	if n <= 0 {
 		return
 	}
-	r := dynPool.Get().(*dynRound)
-	r.e, r.n, r.fn = e, n, fn
-	workers := e.p
-	if workers > n {
-		workers = n
-	}
+	r := roundPool.Get().(*round)
+	r.e, r.n, r.fn, r.chunk, r.size, r.total = e, n, fn, chunk, size, total
+	workers := min(e.p, n)
 	r.wg.Add(workers)
 	for w := 1; w < workers; w++ {
 		go r.spawned()
 	}
 	r.work(0)
 	r.wg.Wait()
-	p := r.pc.p.Swap(nil)
+	p := r.panicked.Swap(nil)
 	r.next.Store(0)
 	r.slot.Store(0)
-	r.e, r.fn = nil, nil // retain nothing the caller owns
-	dynPool.Put(r)
+	r.e, r.fn, r.chunk = nil, nil, nil // retain nothing the caller owns
+	roundPool.Put(r)
 	if p != nil {
 		e.raise(p)
 	}
 }
 
-// dynRound is the pooled state of one ForDynamic round; spawned is a
-// cached closure so starting a worker allocates nothing.
-type dynRound struct {
-	e       *Executor
-	n       int
-	fn      func(i int)
-	next    atomic.Int64 // index cursor
-	slot    atomic.Int64 // last worker slot handed to a spawned worker
-	wg      sync.WaitGroup
-	pc      panicCell
-	spawned func()
+// round is the pooled state of one parallel round; spawned is a cached
+// closure so starting a worker allocates nothing.
+type round struct {
+	e           *Executor
+	n           int
+	fn          func(i int)
+	chunk       func(lo, hi int)
+	size, total int
+	next        atomic.Int64 // index cursor
+	slot        atomic.Int64 // last worker slot handed to a spawned worker
+	wg          sync.WaitGroup
+	panicked    atomic.Pointer[Panic] // first panic of the round
+	spawned     func()
 }
 
-var dynPool = sync.Pool{New: func() any {
-	r := &dynRound{}
+var roundPool = sync.Pool{New: func() any {
+	r := &round{}
 	r.spawned = func() { r.work(int(r.slot.Add(1))) }
 	return r
 }}
 
-// work drains the cursor as worker slot w.
-func (r *dynRound) work(w int) {
+// work drains the cursor as worker slot w. Busy iterations are counted
+// locally and flushed once, also when an index panics.
+func (r *round) work(w int) {
+	var busy int64
 	defer r.wg.Done()
-	defer r.pc.capture()
+	defer r.flush(w, &busy)
+	defer r.capture()
 	r.e.fire()
 	for {
 		i := int(r.next.Add(1)) - 1
-		if i >= r.n || r.pc.p.Load() != nil {
+		if i >= r.n || r.panicked.Load() != nil {
 			return
 		}
-		r.fn(i)
-		r.e.busy[w].Add(1)
+		if r.fn != nil {
+			r.fn(i)
+			busy++
+			continue
+		}
+		lo := i * r.size
+		hi := min(lo+r.size, r.total)
+		r.chunk(lo, hi)
+		busy += int64(hi - lo)
 	}
 }
 
-// Map applies fn to every index and collects results into a fresh slice, as
-// one parallel round.
-func Map[T any](e *Executor, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	e.For(n, func(i int) { out[i] = fn(i) })
-	return out
+func (r *round) flush(w int, busy *int64) { r.e.busy[w].Add(*busy) }
+
+// capture must be deferred inside a worker; it records the first panic of
+// the round (with the worker's stack) instead of letting the runtime kill
+// the process.
+func (r *round) capture() {
+	if v := recover(); v != nil {
+		r.panicked.CompareAndSwap(nil, &Panic{Value: v, Stack: debug.Stack()})
+	}
 }

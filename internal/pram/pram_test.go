@@ -21,6 +21,31 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestForDynamicCoversEveryIndex: on a fresh executor, every index of the
+// pooled cursor round runs exactly once for every worker count, including
+// fewer indices than workers, and one busy iteration is charged per index.
+func TestForDynamicCoversEveryIndex(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 2, 7, 64} {
+			ex := NewExecutor(p)
+			hits := make([]int32, n)
+			ex.For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("p=%d n=%d: index %d ran %d times", p, n, i, h)
+				}
+			}
+			var total int64
+			for _, v := range ex.WorkerIters() {
+				total += v
+			}
+			if total != int64(n) {
+				t.Fatalf("p=%d n=%d: busy iterations %d, want %d", p, n, total, n)
+			}
+		}
+	}
+}
+
 func TestForChunkedPartitions(t *testing.T) {
 	f := func(nRaw uint16, pRaw uint8) bool {
 		n := int(nRaw % 2000)
@@ -97,16 +122,6 @@ func TestStatsConcurrent(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	ex := NewExecutor(4)
-	got := Map(ex, 10, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d]=%d", i, v)
-		}
-	}
-}
-
 func TestNewExecutorDefaults(t *testing.T) {
 	if NewExecutor(0).P() < 1 {
 		t.Fatal("default executor has no workers")
@@ -120,10 +135,11 @@ func TestNewExecutorDefaults(t *testing.T) {
 }
 
 func TestWorkerItersAndLoadStats(t *testing.T) {
-	// Skewed workload: n=5 on P=4 chunks as 2,2,1,0 — imbalance must
-	// exceed 1. The loop body is irrelevant; only iteration counts are.
+	// Skewed workload: n=5 on P=4 chunks as 2,2,1 and leaves a slot idle,
+	// whichever workers take the chunks — imbalance must exceed 1. The
+	// loop body is irrelevant; only iteration counts are.
 	ex := NewExecutor(4)
-	ex.For(5, func(i int) {})
+	ex.ForChunked(5, func(lo, hi int) {})
 	iters := ex.WorkerIters()
 	var total int64
 	for _, v := range iters {
@@ -133,8 +149,8 @@ func TestWorkerItersAndLoadStats(t *testing.T) {
 		t.Fatalf("busy iterations sum to %d, want 5 (%v)", total, iters)
 	}
 	max, mean, imb := ex.LoadStats()
-	if max != 2 || mean != 1.25 {
-		t.Fatalf("max=%d mean=%v, want 2 and 1.25", max, mean)
+	if max < 2 || mean != 1.25 {
+		t.Fatalf("max=%d mean=%v, want max >= 2 and mean 1.25", max, mean)
 	}
 	if imb <= 1 {
 		t.Fatalf("skewed workload on P=4 reports imbalance %v, want > 1", imb)

@@ -103,3 +103,48 @@ func TestForTiles2DPanicContainment(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedForTiles2D: a round issued from inside another round's body on
+// the same executor (a level's nodes, each running a tiled kernel) covers
+// every cell exactly once, a panic in an inner tile reaches the outer
+// caller as *Panic, and the executor stays usable afterwards.
+func TestNestedForTiles2D(t *testing.T) {
+	const outer, rows, cols = 8, 10, 10
+	ex := NewExecutor(4)
+	var covered [outer][rows * cols]int32
+	nested := func(boom int) {
+		ex.For(outer, func(o int) {
+			ex.ForTiles2D(rows, cols, 3, 3, func(r0, r1, c0, c1 int) {
+				if o == boom && r0 == 3 && c0 == 6 {
+					panic("inner tile boom")
+				}
+				for i := r0; i < r1; i++ {
+					for j := c0; j < c1; j++ {
+						atomic.AddInt32(&covered[o][i*cols+j], 1)
+					}
+				}
+			})
+		})
+	}
+
+	coversOnce := func(when string) {
+		covered = [outer][rows * cols]int32{}
+		nested(-1)
+		for o := range covered {
+			for c, hits := range covered[o] {
+				if hits != 1 {
+					t.Fatalf("%s: outer %d cell %d ran %d times, want 1", when, o, c, hits)
+				}
+			}
+		}
+	}
+
+	coversOnce("first round")
+	if got := recoverPanic(t, func() { nested(5) }); got == nil {
+		t.Fatal("inner tile panic did not reach the outer caller")
+	}
+	if !ex.Failed() {
+		t.Fatal("executor did not latch the inner panic")
+	}
+	coversOnce("after the panic")
+}

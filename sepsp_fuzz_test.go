@@ -1,6 +1,8 @@
 package sepsp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,8 +24,16 @@ func diffCheck(t *testing.T, seed int64, g *Graph, opt *Options, ref *graph.Digr
 		return false
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x777))
-	for trial := 0; trial < 3; trial++ {
-		src := rng.Intn(ref.N())
+	srcs := make([]int, 3)
+	for j := range srcs {
+		srcs[j] = rng.Intn(ref.N())
+	}
+	rows, err := ix.SourcesBatchedContext(context.Background(), srcs)
+	if err != nil {
+		t.Errorf("seed=%d: SourcesBatchedContext: %v", seed, err)
+		return false
+	}
+	for j, src := range srcs {
 		want, err := baseline.BellmanFord(ref, src, nil)
 		if err != nil {
 			t.Errorf("seed=%d: BF: %v", seed, err)
@@ -31,9 +41,8 @@ func diffCheck(t *testing.T, seed int64, g *Graph, opt *Options, ref *graph.Digr
 		}
 		got := mustSSSP(t, ix, src)
 		for v := range want {
-			if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) ||
-				(!math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-8*(1+math.Abs(want[v]))) {
-				t.Errorf("seed=%d src=%d v=%d: %v want %v", seed, src, v, got[v], want[v])
+			if !closeDist(got[v], want[v]) || !closeDist(rows[j][v], want[v]) {
+				t.Errorf("seed=%d src=%d v=%d: SSSP %v, wave %v, want %v", seed, src, v, got[v], rows[j][v], want[v])
 				return false
 			}
 		}
@@ -44,6 +53,59 @@ func diffCheck(t *testing.T, seed int64, g *Graph, opt *Options, ref *graph.Digr
 		}
 	}
 	return true
+}
+
+// closeDist reports whether got matches the reference distance want: both
+// unreachable, or equal within a relative 1e-8.
+func closeDist(got, want float64) bool {
+	if math.IsInf(want, 1) || math.IsInf(got, 1) {
+		return math.IsInf(want, 1) && math.IsInf(got, 1)
+	}
+	return math.Abs(got-want) <= 1e-8*(1+math.Abs(want))
+}
+
+// FuzzBuildVsBellmanFord decodes bytes into a small digraph with negative
+// weights and checks Build, SSSPContext and SourcesBatchedContext at one
+// and at two workers against Bellman–Ford (diffCheck), including agreement
+// on whether the graph holds a negative cycle.
+//
+// Encoding: data[0] picks n in [1, 24], the next n bytes are vertex
+// potentials, and each following byte triple (u, v, w) adds the edge
+// u%n → v%n with weight (w%24 − 4) + pot[u] − pot[v]. Reduced weights
+// below zero make most inputs carry negative edges while only some carry
+// a negative cycle. At most 96 edges are read.
+func FuzzBuildVsBellmanFord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%24
+		data = data[1:]
+		if len(data) < n {
+			return
+		}
+		pot, data := data[:n], data[n:]
+		g := NewGraph(n)
+		for m := 0; len(data) >= 3 && m < 96; m++ {
+			u, v := int(data[0])%n, int(data[1])%n
+			g.AddEdge(u, v, float64(int(data[2])%24-4+int(pot[u])-int(pot[v])))
+			data = data[3:]
+		}
+		ref := refGraph(g)
+		_, negCycle := baseline.FindNegativeCycle(ref, nil)
+		for _, workers := range []int{1, 2} {
+			opt := &Options{Workers: workers}
+			if !negCycle {
+				if !diffCheck(t, int64(n), g, opt, ref) {
+					t.Fatalf("workers=%d: mismatch against Bellman-Ford", workers)
+				}
+				continue
+			}
+			if _, err := Build(g, opt); !errors.Is(err, ErrNegativeCycle) {
+				t.Fatalf("workers=%d: Build err = %v, but Bellman-Ford finds a negative cycle", workers, err)
+			}
+		}
+	})
 }
 
 func toPublic(dg *graph.Digraph) *Graph {
