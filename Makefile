@@ -31,7 +31,9 @@ chaos:
 # load or fail with ErrCorruptIndex; FuzzBuildVsBellmanFord, where small
 # digraphs with negative weights must get Bellman-Ford's distances from
 # Build, SSSPContext and SourcesBatchedContext at one and two workers, and
-# ErrNegativeCycle exactly when Bellman-Ford finds a negative cycle; and
+# ErrNegativeCycle exactly when Bellman-Ford finds a negative cycle;
+# FuzzWithWeightsVsBuild, where reweighting an index must give a fresh
+# Build's E+ slice, distances and ErrNegativeCycle verdict; and
 # FuzzRead (internal/graph/io.go), where graph text must never panic Read
 # and accepted graphs must match their p line and survive a Write/Read
 # round trip. Committed corpora under testdata/fuzz also replay under plain
@@ -39,6 +41,7 @@ chaos:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzBuildVsBellmanFord$$' -fuzztime=20s .
+	$(GO) test -run='^$$' -fuzz='^FuzzWithWeightsVsBuild$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=20s ./internal/graph
 
 # examples runs every program under examples/ and fails on the first

@@ -26,6 +26,17 @@ import (
 // rounds per level are the maximum over its nodes, matching the PRAM model
 // where the nodes run concurrently.
 func Alg41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
+	parts, err := alg41Parts(g, t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(g.N(), parts, cfg.ex()), nil
+}
+
+// alg41Parts runs Algorithm 4.1 and returns every tree node's E_t
+// contributions, indexed by node id; each node emits its own inside the
+// level round that computes its distances.
+func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error) {
 	if g.N() != t.N() {
 		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
 	}
@@ -33,8 +44,7 @@ func Alg41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 	nn := len(t.Nodes)
 	db := make([]*matrix.Dense, nn)  // dist_{G(t)} over B(t)×B(t), rows/cols in B order
 	hsm := make([]*matrix.Dense, nn) // closed H_S per internal node, in S order
-	bIdx := make([]map[int]int, nn)  // vertex -> index in B(t)
-	collectors := make([]*collector, nn)
+	parts := make([]part, nn)
 	errs := make([]error, nn)
 	ex := cfg.ex()
 	// One workspace for the whole run: per-node matrices are drawn from it
@@ -65,15 +75,15 @@ func Alg41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 					var rounds int64
 					var err error
 					if nd.IsLeaf() {
-						rounds, err = processLeaf41(g, nd, db, bIdx, c, ws)
+						rounds, err = processLeaf41(g, nd, db, c, ws)
 					} else {
-						rounds, err = processInternal41(nd, db, hsm, bIdx, c, ws)
+						rounds, err = processInternal41(t, nd, db, hsm, c, ws)
 					}
 					if err != nil {
 						errs[id] = err
 						return
 					}
-					collectors[id] = collectNode41(nd, db[id], hsm[id])
+					parts[id] = emitNode41(nd, db[id], hsm[id])
 					mu.Lock()
 					if rounds > maxRounds {
 						maxRounds = rounds
@@ -91,6 +101,14 @@ func Alg41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		if cfg.Obs.Enabled() {
+			shortcuts := cfg.Obs.Counter(obs.LevelKey(obs.MPrepShortcuts, level))
+			perNode := cfg.Obs.Histogram("prep.eplus.per_node")
+			for _, id := range nodes {
+				shortcuts.Add(int64(len(parts[id].to)))
+				perNode.Observe(float64(len(parts[id].to)))
+			}
+		}
 		// Matrices of the level below have now been fully consumed: release
 		// them to the workspace so this level's parents (and the levels
 		// above) reuse the slabs.
@@ -103,97 +121,71 @@ func Alg41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	out := newCollector()
-	for id, c := range collectors {
-		if c == nil {
-			continue
-		}
-		if cfg.Obs.Enabled() {
-			cfg.Obs.Counter(obs.LevelKey(obs.MPrepShortcuts, t.Nodes[id].Level)).Add(int64(len(c.m)))
-			cfg.Obs.Histogram("prep.eplus.per_node").Observe(float64(len(c.m)))
-		}
-		out.raw += c.raw
-		for k, w := range c.m {
-			if old, ok := out.m[k]; !ok || w < old {
-				out.m[k] = w
-			}
-		}
-	}
-	return out.result(), nil
+	return parts, nil
 }
 
-// collectNode41 emits E_t = S(t)×S(t) ∪ B(t)×B(t) with the distances
-// computed at node nd (hs may be nil for leaves).
-func collectNode41(nd *separator.Node, dbt *matrix.Dense, hs *matrix.Dense) *collector {
-	c := newCollector()
+// emitNode41 returns E_t = S(t)×S(t) ∪ B(t)×B(t) as node nd's part, with
+// the distances computed at nd (hs is nil for leaves).
+func emitNode41(nd *separator.Node, dbt, hs *matrix.Dense) part {
+	p := newPart(nd)
 	if hs != nil {
-		for i, u := range nd.S {
-			for j, v := range nd.S {
-				c.add(u, v, hs.At(i, j))
-			}
-		}
+		p.block(nd.S, nil, hs)
 	}
-	for i, u := range nd.B {
-		for j, v := range nd.B {
-			c.add(u, v, dbt.At(i, j))
-		}
-	}
-	return c
+	p.block(nd.B, nil, dbt)
+	return p
 }
 
 // processLeaf41 computes the leaf's boundary-pair distances by a full
 // Floyd-Warshall on the O(1)-size leaf subgraph.
-func processLeaf41(g *graph.Digraph, nd *separator.Node, db []*matrix.Dense, bIdx []map[int]int, cfg Config, ws *matrix.Workspace) (int64, error) {
-	full, idx, err := leafClosure(g, nd, cfg, ws)
+func processLeaf41(g *graph.Digraph, nd *separator.Node, db []*matrix.Dense, cfg Config, ws *matrix.Workspace) (int64, error) {
+	full, err := leafClosure(g, nd, cfg, ws)
 	if err != nil {
 		return 0, err
 	}
 	B := nd.B
+	pos := positions(B, nd.V)
 	d := ws.Get(len(B), len(B))
-	for i, u := range B {
-		for j, v := range B {
-			d.Set(i, j, full.At(idx[u], idx[v]))
+	for i, p := range pos {
+		for j, q := range pos {
+			d.Set(i, j, full.At(p, q))
 		}
 	}
 	ws.Put(full)
 	db[nd.ID] = d
-	bIdx[nd.ID] = indexOf(B)
 	return int64(len(nd.V)), nil // FW phases on the leaf
 }
 
 // processInternal41 runs steps (i)-(v) of Algorithm 4.1 at one internal
 // node. Matrices that outlive the call (db, hsm entries) are drawn from ws
 // and released by the caller once consumed; intra-call temporaries go
-// straight back.
-func processInternal41(nd *separator.Node, db, hsm []*matrix.Dense, bIdx []map[int]int, cfg Config, ws *matrix.Workspace) (int64, error) {
+// straight back. Child matrices are indexed by the child's sorted B, so
+// every position is a merge-walk of two sorted label sets.
+func processInternal41(t *separator.Tree, nd *separator.Node, db, hsm []*matrix.Dense, cfg Config, ws *matrix.Workspace) (int64, error) {
 	c1, c2 := nd.Children[0], nd.Children[1]
 	db1, db2 := db[c1], db[c2]
-	idx1, idx2 := bIdx[c1], bIdx[c2]
 	if db1 == nil || db2 == nil {
 		return 0, fmt.Errorf("augment: node %d processed before its children", nd.ID)
 	}
 	S, B := nd.S, nd.B
-	inf := graph.Inf()
+	B1, B2 := t.Nodes[c1].B, t.Nodes[c2].B
+	s1, s2 := positions(S, B1), positions(S, B2) // S(t) in each child's boundary
+	b1, b2 := positions(B, B1), positions(B, B2) // B(t) in each child's boundary (-1: absent)
+	bs := positions(B, S)                        // B(t) in S(t) (-1: absent)
 
 	// Step (i): H_S with the min of the two child distances. Every s ∈ S(t)
 	// lies in B(t1) ∩ B(t2) by construction. Every entry is assigned below,
 	// so uninitialized workspace scratch is fine.
-	hs := ws.Get(len(S), len(S))
 	for i, u := range S {
-		p1, ok1 := idx1[u]
-		p2, ok2 := idx2[u]
-		if !ok1 || !ok2 {
+		if s1[i] < 0 || s2[i] < 0 {
 			return 0, fmt.Errorf("augment: separator vertex %d missing from child boundary at node %d", u, nd.ID)
 		}
-		for j, v := range S {
-			w := inf
-			if q, ok := idx1[v]; ok {
-				w = db1.At(p1, q)
-			}
-			if q, ok := idx2[v]; ok {
-				if x := db2.At(p2, q); x < w {
-					w = x
-				}
+	}
+	hs := ws.Get(len(S), len(S))
+	for i := range S {
+		for j := range S {
+			w := db1.At(s1[i], s1[j])
+			if x := db2.At(s2[i], s2[j]); x < w {
+				w = x
 			}
 			hs.Set(i, j, w)
 		}
@@ -210,11 +202,10 @@ func processInternal41(nd *separator.Node, db, hsm []*matrix.Dense, bIdx []map[i
 	// Steps (iii)+(iv): 3-limited boundary-to-boundary distances through S,
 	// as (B×S) ⊗ closed(S×S) ⊗ (S×B). Both factor matrices are fully
 	// assigned below.
-	sIdx := indexOf(S)
 	wBS := ws.Get(len(B), len(S))
 	wSB := ws.Get(len(S), len(B))
 	for bi, b := range B {
-		if si, ok := sIdx[b]; ok {
+		if si := bs[bi]; si >= 0 {
 			// b is itself a separator vertex of this node: use the closed
 			// H_S row/column directly.
 			for sj := range S {
@@ -223,18 +214,14 @@ func processInternal41(nd *separator.Node, db, hsm []*matrix.Dense, bIdx []map[i
 			}
 			continue
 		}
-		var d *matrix.Dense
-		var p int
-		var cIdx map[int]int
-		if q, ok := idx1[b]; ok {
-			d, p, cIdx = db1, q, idx1
-		} else if q, ok := idx2[b]; ok {
-			d, p, cIdx = db2, q, idx2
-		} else {
+		d, p, sp := db1, b1[bi], s1
+		if p < 0 {
+			d, p, sp = db2, b2[bi], s2
+		}
+		if p < 0 {
 			return 0, fmt.Errorf("augment: boundary vertex %d of node %d in neither child boundary", b, nd.ID)
 		}
-		for sj, s := range S {
-			q := cIdx[s]
+		for sj, q := range sp {
 			wBS.Set(bi, sj, d.At(p, q))
 			wSB.Set(sj, bi, d.At(q, p))
 		}
@@ -256,19 +243,14 @@ func processInternal41(nd *separator.Node, db, hsm []*matrix.Dense, bIdx []map[i
 
 	// Step (v): combine with within-child boundary distances.
 	dbt := d3 // reuse the 3-limited matrix as the output
-	for i, u := range B {
-		p1, in1 := idx1[u]
-		p2, in2 := idx2[u]
-		for j, v := range B {
-			if in1 {
-				if q, ok := idx1[v]; ok {
-					dbt.SetMin(i, j, db1.At(p1, q))
-				}
+	for i := range B {
+		p1, p2 := b1[i], b2[i]
+		for j := range B {
+			if q := b1[j]; p1 >= 0 && q >= 0 {
+				dbt.SetMin(i, j, db1.At(p1, q))
 			}
-			if in2 {
-				if q, ok := idx2[v]; ok {
-					dbt.SetMin(i, j, db2.At(p2, q))
-				}
+			if q := b2[j]; p2 >= 0 && q >= 0 {
+				dbt.SetMin(i, j, db2.At(p2, q))
 			}
 		}
 		dbt.SetMin(i, i, 0)
@@ -277,6 +259,5 @@ func processInternal41(nd *separator.Node, db, hsm []*matrix.Dense, bIdx []map[i
 
 	db[nd.ID] = dbt
 	hsm[nd.ID] = hs
-	bIdx[nd.ID] = indexOf(B)
 	return rounds + 1, nil
 }

@@ -14,9 +14,8 @@ import (
 // H(t) on VH(t) = S(t) ∪ B(t) and the index plumbing to pull improved
 // weights from the children.
 type node43 struct {
-	u    []int         // VH(t), sorted
-	uIdx map[int]int   // vertex -> position in u
-	d    *matrix.Dense // current weights w_t on VH(t) × VH(t)
+	u []int         // VH(t), sorted
+	d *matrix.Dense // current weights w_t on VH(t) × VH(t)
 	// scratch is the ping-pong partner of d: each squaring iteration writes
 	// min(d, d⊗d) into it and swaps on change, so the whole run performs two
 	// matrix allocations per node instead of one per iteration.
@@ -40,6 +39,16 @@ type node43 struct {
 // per-level closure barrier) and pays a Θ(log n) factor in work (every node
 // keeps squaring until the global fixpoint).
 func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
+	parts, err := alg43Parts(g, t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(g.N(), parts, cfg.ex()), nil
+}
+
+// alg43Parts runs Algorithm 4.3 and returns every tree node's E_t
+// contributions, indexed by node id.
+func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error) {
 	if g.N() != t.N() {
 		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
 	}
@@ -65,18 +74,18 @@ func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 				} else {
 					st.u = unionSorted(nd.S, nd.B)
 				}
-				st.uIdx = indexOf(st.u)
 				k := len(st.u)
 				if st.leaf {
-					full, idx, err := leafClosure(g, nd, c, ws)
+					full, err := leafClosure(g, nd, c, ws)
 					if err != nil {
 						errs[id] = err
 						return
 					}
+					pos := positions(st.u, nd.V)
 					st.d = matrix.New(k, k)
-					for i, a := range st.u {
-						for j, b := range st.u {
-							st.d.Set(i, j, full.At(idx[a], idx[b]))
+					for i, p := range pos {
+						for j, q := range pos {
+							st.d.Set(i, j, full.At(p, q))
 						}
 					}
 					ws.Put(full)
@@ -84,7 +93,7 @@ func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 					st.d = matrix.NewSquare(k)
 					for i, a := range st.u {
 						g.Out(a, func(to int, w float64) bool {
-							if j, ok := st.uIdx[to]; ok {
+							if j := search(st.u, to); j >= 0 {
 								st.d.SetMin(i, j, w)
 							}
 							return true
@@ -116,13 +125,7 @@ func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 			continue
 		}
 		for ci := 0; ci < 2; ci++ {
-			cs := nodes[st.child[ci]]
-			for cp, v := range cs.u {
-				if pp, ok := st.uIdx[v]; ok {
-					st.childPos[ci] = append(st.childPos[ci], int32(cp))
-					st.parPos[ci] = append(st.parPos[ci], int32(pp))
-				}
-			}
+			st.childPos[ci], st.parPos[ci] = shared(nodes[st.child[ci]].u, st.u)
 		}
 	}
 
@@ -207,24 +210,29 @@ func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Step (iii): collect E+ = ∪_t S(t)×S(t) ∪ B(t)×B(t).
-	out := newCollector()
-	for id, st := range nodes {
-		nd := &t.Nodes[id]
-		for _, a := range nd.S {
-			i := st.uIdx[a]
-			for _, b := range nd.S {
-				out.add(a, b, st.d.At(i, st.uIdx[b]))
-			}
-		}
-		for _, a := range nd.B {
-			i := st.uIdx[a]
-			for _, b := range nd.B {
-				out.add(a, b, st.d.At(i, st.uIdx[b]))
-			}
+	// Step (iii): every node emits E_t = S(t)×S(t) ∪ B(t)×B(t).
+	parts := make([]part, nn)
+	ex.For(nn, func(id int) {
+		nd, st := &t.Nodes[id], nodes[id]
+		parts[id] = newPart(nd)
+		parts[id].block(nd.S, positions(nd.S, st.u), st.d)
+		parts[id].block(nd.B, positions(nd.B, st.u), st.d)
+	})
+	return parts, nil
+}
+
+// shared pairs up the vertices a child's sorted VH has in common with its
+// parent's: childPos[k] in the child's matrix is parPos[k] in the parent's.
+func shared(child, parent []int) (childPos, parPos []int32) {
+	pos := positions(child, parent)
+	childPos, parPos = make([]int32, 0, len(pos)), make([]int32, 0, len(pos))
+	for cp, pp := range pos {
+		if pp >= 0 {
+			childPos = append(childPos, int32(cp))
+			parPos = append(parPos, int32(pp))
 		}
 	}
-	return out.result(), nil
+	return childPos, parPos
 }
 
 func unionSorted(a, b []int) []int {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/matrix"
@@ -113,64 +114,212 @@ func (c Config) ex() *pram.Executor {
 // Result is a computed augmentation.
 type Result struct {
 	// Edges is the deduplicated E+: at most one edge per ordered pair (the
-	// minimum-weight parallel edge, per Section 3.1), self-loops omitted.
+	// minimum-weight parallel edge, per Section 3.1), self-loops omitted,
+	// in strictly increasing (From, To) order. The order is part of the
+	// contract: two builds of one graph return identical slices, so every
+	// consumer (the query schedule's buckets, persisted indexes) sees the
+	// same edge sequence.
 	Edges []graph.Edge
 	// RawCount is the number of (pair, node) contributions before
 	// deduplication — the quantity bounded by Theorem 5.1(iii).
 	RawCount int64
 }
 
-// collector deduplicates shortcut edges, keeping the minimum weight per
-// ordered pair. It is not safe for concurrent use; callers merge per-level.
-type collector struct {
-	m   map[int64]float64
-	raw int64
+// part is one tree node's E_t contributions in row form: row r holds the
+// candidate shortcuts (rows[r].from, to[k]) of weight w[k], for k in
+// [rows[r].lo, rows[r].hi), with to ascending. Every E+ construction has
+// each node emit its own part; assemble merges them.
+type part struct {
+	rows []row
+	to   []int32
+	w    []float64
 }
 
-func newCollector() *collector { return &collector{m: make(map[int64]float64)} }
+type row struct{ from, lo, hi int32 }
 
-func pairKey(u, v int) int64 { return int64(u)<<32 | int64(uint32(v)) }
-
-func (c *collector) add(u, v int, w float64) {
-	if u == v || math.IsInf(w, 1) {
-		return
-	}
-	c.raw++
-	k := pairKey(u, v)
-	if old, ok := c.m[k]; !ok || w < old {
-		c.m[k] = w
+// newPart returns an empty part with room for all of node nd's potential
+// contributions, |S|² + |B|².
+func newPart(nd *separator.Node) part {
+	return part{
+		rows: make([]row, 0, len(nd.S)+len(nd.B)),
+		to:   make([]int32, 0, len(nd.S)*len(nd.S)+len(nd.B)*len(nd.B)),
+		w:    make([]float64, 0, len(nd.S)*len(nd.S)+len(nd.B)*len(nd.B)),
 	}
 }
 
-func (c *collector) result() *Result {
-	edges := make([]graph.Edge, 0, len(c.m))
-	for k, w := range c.m {
-		edges = append(edges, graph.Edge{From: int(k >> 32), To: int(uint32(k)), W: w})
+// endRow closes the row of from that began at contribution lo, unless it
+// is empty.
+func (p *part) endRow(from, lo int) {
+	if hi := len(p.to); hi > lo {
+		p.rows = append(p.rows, row{int32(from), int32(lo), int32(hi)})
 	}
-	return &Result{Edges: edges, RawCount: c.raw}
 }
 
-// indexOf builds a vertex -> position map for a sorted label set.
-func indexOf(vs []int) map[int]int {
-	m := make(map[int]int, len(vs))
-	for i, v := range vs {
-		m[v] = i
+// block appends the contributions of set×set: the pair (set[i], set[j])
+// with weight d(pos[i], pos[j]), or d(i, j) when pos is nil. Self-loops and
+// +Inf (unreachable) pairs are not contributions.
+func (p *part) block(set, pos []int, d *matrix.Dense) {
+	for i, u := range set {
+		pi := i
+		if pos != nil {
+			pi = pos[i]
+		}
+		r, lo := d.A[pi*d.C:(pi+1)*d.C], len(p.to)
+		for j, v := range set {
+			pj := j
+			if pos != nil {
+				pj = pos[j]
+			}
+			if w := r[pj]; u != v && !math.IsInf(w, 1) {
+				p.to = append(p.to, int32(v))
+				p.w = append(p.w, w)
+			}
+		}
+		p.endRow(u, lo)
 	}
-	return m
+}
+
+// assemble deduplicates the per-node contributions into E+, keeping the
+// minimum weight per ordered pair; the result's edges are in (From, To)
+// order and RawCount is the number of contributions.
+//
+// A counting sort of the parts' rows by From gives each From its rows in
+// part order, as CSR arrays (start, refs). The Froms are then cut into at
+// most P ranges of about equal contribution counts, and two parallel
+// rounds over the ranges count, then write, each From's distinct Tos
+// straight into the exactly sized edge slice. The write round keeps dense
+// per-To scratch: the first contribution to a To claims it and only a
+// strictly smaller weight replaces it, the rule a map keyed by pair
+// applies when fed the same sequence.
+func assemble(n int, parts []part, ex *pram.Executor) *Result {
+	type ref struct{ part, lo, hi int32 }
+	start := make([]int, n+1) // rows of From v: refs[start[v]:start[v+1]]
+	load := make([]int, n)    // contributions with From v
+	raw := 0
+	for _, p := range parts {
+		raw += len(p.to)
+		for _, r := range p.rows {
+			start[r.from+1]++
+			load[r.from] += int(r.hi - r.lo)
+		}
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	refs := make([]ref, start[n])
+	next := slices.Clone(start[:n])
+	for pi, p := range parts {
+		for _, r := range p.rows {
+			refs[next[r.from]] = ref{int32(pi), r.lo, r.hi}
+			next[r.from]++
+		}
+	}
+
+	// Cut [0, n) into at most P ranges of about raw/P contributions.
+	cuts := []int{0}
+	if p := ex.P(); p > 1 && raw > 0 {
+		per, acc := (raw+p-1)/p, 0
+		for v := 0; v < n-1; v++ {
+			if acc += load[v]; acc >= per {
+				cuts, acc = append(cuts, v+1), 0
+			}
+		}
+	}
+	cuts = append(cuts, n)
+	ranges := len(cuts) - 1
+
+	// Round 1: off[v+1] = distinct Tos of From v; prefix sums turn off
+	// into each From's first edge index.
+	off := make([]int, n+1)
+	ex.For(ranges, func(c int) {
+		mark := make([]int32, n) // v+1 once From v has seen the To
+		for v := cuts[c]; v < cuts[c+1]; v++ {
+			k := 0
+			for _, r := range refs[start[v]:start[v+1]] {
+				for _, t := range parts[r.part].to[r.lo:r.hi] {
+					if mark[t] != int32(v+1) {
+						mark[t] = int32(v + 1)
+						k++
+					}
+				}
+			}
+			off[v+1] = k
+		}
+	})
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+
+	// Round 2: the minimum per (From, To), Tos ascending.
+	edges := make([]graph.Edge, off[n])
+	ex.For(ranges, func(c int) {
+		best := make([]float64, n)
+		for i := range best {
+			best[i] = math.Inf(1)
+		}
+		var seen []int32
+		for v := cuts[c]; v < cuts[c+1]; v++ {
+			seen = seen[:0]
+			for _, r := range refs[start[v]:start[v+1]] {
+				p := &parts[r.part]
+				for k := r.lo; k < r.hi; k++ {
+					t, w := p.to[k], p.w[k]
+					if math.IsInf(best[t], 1) {
+						seen = append(seen, t)
+						best[t] = w
+					} else if w < best[t] {
+						best[t] = w
+					}
+				}
+			}
+			slices.Sort(seen)
+			out := edges[off[v]:off[v+1]]
+			for i, t := range seen {
+				out[i] = graph.Edge{From: v, To: int(t), W: best[t]}
+				best[t] = math.Inf(1)
+			}
+		}
+	})
+	return &Result{Edges: edges, RawCount: int64(raw)}
+}
+
+// positions returns, for each vertex of the sorted set sub, its index in
+// the sorted set sup, or -1 when sup lacks it: one merge-walk over the two
+// label sets (V, S and B are sorted, see separator.Node).
+func positions(sub, sup []int) []int {
+	out := make([]int, len(sub))
+	j := 0
+	for i, v := range sub {
+		for j < len(sup) && sup[j] < v {
+			j++
+		}
+		out[i] = -1
+		if j < len(sup) && sup[j] == v {
+			out[i] = j
+		}
+	}
+	return out
+}
+
+// search returns the index of v in the sorted set s, or -1.
+func search(s []int, v int) int {
+	if i, ok := slices.BinarySearch(s, v); ok {
+		return i
+	}
+	return -1
 }
 
 // leafClosure computes all-pairs distances within the leaf subgraph G(t)
-// (induced on V(t)) and returns the dense |V|×|V| closure along with the
-// local index map. Leaves are O(1)-sized, so Floyd-Warshall is used
-// regardless of mode; a negative diagonal reports a negative cycle confined
-// to the leaf. The returned matrix is ws-owned scratch: callers restrict it
-// to the entries they keep and Put it back.
-func leafClosure(g *graph.Digraph, nd *separator.Node, cfg Config, ws *matrix.Workspace) (*matrix.Dense, map[int]int, error) {
-	idx := indexOf(nd.V)
+// (induced on V(t)) and returns the dense |V|×|V| closure, rows and columns
+// in V order. Leaves are O(1)-sized, so Floyd-Warshall is used regardless
+// of mode; a negative diagonal reports a negative cycle confined to the
+// leaf. The returned matrix is ws-owned scratch: callers restrict it to the
+// entries they keep and Put it back.
+func leafClosure(g *graph.Digraph, nd *separator.Node, cfg Config, ws *matrix.Workspace) (*matrix.Dense, error) {
 	d := ws.GetSquare(len(nd.V))
 	for i, v := range nd.V {
 		g.Out(v, func(to int, w float64) bool {
-			if j, ok := idx[to]; ok {
+			if j := search(nd.V, to); j >= 0 {
 				d.SetMin(i, j, w)
 			}
 			return true
@@ -178,9 +327,9 @@ func leafClosure(g *graph.Digraph, nd *separator.Node, cfg Config, ws *matrix.Wo
 	}
 	if err := matrix.FloydWarshall(d, pram.Sequential, cfg.Stats); err != nil {
 		ws.Put(d)
-		return nil, nil, fmt.Errorf("%w (inside leaf node %d)", ErrNegativeCycle, nd.ID)
+		return nil, fmt.Errorf("%w (inside leaf node %d)", ErrNegativeCycle, nd.ID)
 	}
-	return d, idx, nil
+	return d, nil
 }
 
 // closure runs the configured all-pairs closure in place, drawing doubling

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -300,22 +299,6 @@ func TestNegativeCycleCrossingTopSeparator(t *testing.T) {
 	}
 }
 
-func TestCollectorDedupKeepsMinimum(t *testing.T) {
-	c := newCollector()
-	c.add(1, 2, 5)
-	c.add(1, 2, 3)
-	c.add(1, 2, 9)
-	c.add(1, 1, 0)           // self loop dropped
-	c.add(2, 3, math.Inf(1)) // unreachable dropped
-	res := c.result()
-	if len(res.Edges) != 1 || res.Edges[0].W != 3 {
-		t.Fatalf("edges: %+v", res.Edges)
-	}
-	if res.RawCount != 3 {
-		t.Fatalf("raw=%d", res.RawCount)
-	}
-}
-
 func TestReach43Soundness(t *testing.T) {
 	// Every boolean shortcut must correspond to true reachability.
 	rng := rand.New(rand.NewSource(7))
@@ -372,22 +355,33 @@ func reachabilityRef(g *graph.Digraph) [][]bool {
 	return out
 }
 
-func TestResultEdgesSortable(t *testing.T) {
+// TestResultEdgesCanonicalOrder pins the Result.Edges contract: every
+// construction returns E+ in strictly increasing (From, To) order, so no
+// pair appears twice and two runs return identical slices.
+func TestResultEdgesCanonicalOrder(t *testing.T) {
 	g, tree := gridAndTree(t, []int{5, 5}, gen.UnitWeights(), 9, 3)
-	res, err := Alg41(g, tree, Config{})
+	inc, err := NewIncremental(g, tree, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(res.Edges, func(i, j int) bool {
-		if res.Edges[i].From != res.Edges[j].From {
-			return res.Edges[i].From < res.Edges[j].From
-		}
-		return res.Edges[i].To < res.Edges[j].To
-	})
-	for i := 1; i < len(res.Edges); i++ {
-		a, b := res.Edges[i-1], res.Edges[i]
-		if a.From == b.From && a.To == b.To {
-			t.Fatal("duplicate pair survived dedup")
+	for name, run := range map[string]func(*graph.Digraph, *separator.Tree, Config) (*Result, error){
+		"Alg41": Alg41, "Alg43": Alg43, "Reach41": Reach41, "Reach43": Reach43,
+		"Incremental": func(*graph.Digraph, *separator.Tree, Config) (*Result, error) { return inc.Result(), nil },
+	} {
+		for _, p := range []int{1, 4} {
+			res, err := run(g, tree, Config{Ex: pram.NewExecutor(p)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Edges) == 0 {
+				t.Fatalf("%s: empty E+", name)
+			}
+			for i := 1; i < len(res.Edges); i++ {
+				a, b := res.Edges[i-1], res.Edges[i]
+				if a.From > b.From || (a.From == b.From && a.To >= b.To) {
+					t.Fatalf("%s P=%d: edge %d (%d,%d) does not follow (%d,%d)", name, p, i, b.From, b.To, a.From, a.To)
+				}
+			}
 		}
 	}
 }

@@ -20,15 +20,24 @@ import (
 // is reachable from v1 in G(t) for some node t with {v1,v2} ⊆ S(t) or
 // {v1,v2} ⊆ B(t).
 func Reach43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
+	parts, err := reach43Parts(g, t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(g.N(), parts, cfg.ex()), nil
+}
+
+// reach43Parts runs the boolean Algorithm 4.3 and returns every tree node's
+// E_t contributions, indexed by node id.
+func reach43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error) {
 	if g.N() != t.N() {
 		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
 	}
 	ex := cfg.ex()
 	nn := len(t.Nodes)
 	type bnode struct {
-		u    []int
-		uIdx map[int]int
-		m    *bitmat.Matrix
+		u []int
+		m *bitmat.Matrix
 		// scratch ping-pongs with m across squaring iterations: the product
 		// lands in it, m is OR-merged in place, and the buffers swap — two
 		// matrix allocations per node for the whole run.
@@ -48,31 +57,13 @@ func Reach43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 		} else {
 			st.u = unionSorted(nd.S, nd.B)
 		}
-		st.uIdx = indexOf(st.u)
 		if st.leaf {
-			// Full closure of the O(1)-size leaf subgraph, then restrict.
-			idx := indexOf(nd.V)
-			adj := bitmat.New(len(nd.V))
-			for i, v := range nd.V {
-				g.Out(v, func(to int, _ float64) bool {
-					if j, ok := idx[to]; ok {
-						adj.Set(i, j, true)
-					}
-					return true
-				})
-			}
-			cl := bitmat.Closure(adj, nil, cfg.Stats)
-			st.m = bitmat.New(len(st.u))
-			for i, a := range st.u {
-				for j, b := range st.u {
-					st.m.Set(i, j, cl.Get(idx[a], idx[b]))
-				}
-			}
+			st.m = leafReach(g, nd, cfg)
 		} else {
 			st.m = bitmat.Identity(len(st.u))
 			for i, a := range st.u {
 				g.Out(a, func(to int, _ float64) bool {
-					if j, ok := st.uIdx[to]; ok {
+					if j := search(st.u, to); j >= 0 {
 						st.m.Set(i, j, true)
 					}
 					return true
@@ -92,13 +83,7 @@ func Reach43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 			continue
 		}
 		for ci := 0; ci < 2; ci++ {
-			cs := nodes[st.child[ci]]
-			for cp, v := range cs.u {
-				if pp, ok := st.uIdx[v]; ok {
-					st.childPos[ci] = append(st.childPos[ci], int32(cp))
-					st.parPos[ci] = append(st.parPos[ci], int32(pp))
-				}
-			}
+			st.childPos[ci], st.parPos[ci] = shared(nodes[st.child[ci]].u, st.u)
 		}
 	}
 	cfg.Stats.AddRounds(int64(ceilLog2(t.MaxLeafSize()) + 1))
@@ -154,21 +139,50 @@ func Reach43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 		}
 	}
 
-	out := newCollector()
-	for id, st := range nodes {
-		nd := &t.Nodes[id]
-		emit := func(set []int) {
-			for _, a := range set {
-				i := st.uIdx[a]
-				for _, b := range set {
-					if a != b && st.m.Get(i, st.uIdx[b]) {
-						out.add(a, b, 0)
-					}
-				}
+	parts := make([]part, nn)
+	ex.For(nn, func(id int) {
+		nd, st := &t.Nodes[id], nodes[id]
+		parts[id] = newPart(nd)
+		parts[id].reachBlock(nd.S, positions(nd.S, st.u), st.m)
+		parts[id].reachBlock(nd.B, positions(nd.B, st.u), st.m)
+	})
+	return parts, nil
+}
+
+// leafReach returns the reachability closure of the O(1)-size leaf
+// subgraph G(t) restricted to B(t): rows and columns in B order.
+func leafReach(g *graph.Digraph, nd *separator.Node, cfg Config) *bitmat.Matrix {
+	adj := bitmat.New(len(nd.V))
+	for i, v := range nd.V {
+		g.Out(v, func(to int, _ float64) bool {
+			if j := search(nd.V, to); j >= 0 {
+				adj.Set(i, j, true)
+			}
+			return true
+		})
+	}
+	cl := bitmat.Closure(adj, nil, cfg.Stats)
+	pos := positions(nd.B, nd.V)
+	m := bitmat.New(len(nd.B))
+	for i, p := range pos {
+		for j, q := range pos {
+			m.Set(i, j, cl.Get(p, q))
+		}
+	}
+	return m
+}
+
+// reachBlock appends the boolean contributions of set×set: a zero-weight
+// pair (set[i], set[j]) for every i ≠ j with m(pos[i], pos[j]) set.
+func (p *part) reachBlock(set, pos []int, m *bitmat.Matrix) {
+	for i, a := range set {
+		lo := len(p.to)
+		for j, b := range set {
+			if a != b && m.Get(pos[i], pos[j]) {
+				p.to = append(p.to, int32(b))
+				p.w = append(p.w, 0)
 			}
 		}
-		emit(nd.S)
-		emit(nd.B)
+		p.endRow(a, lo)
 	}
-	return out.result(), nil
 }

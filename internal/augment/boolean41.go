@@ -18,16 +18,26 @@ import (
 // It produces exactly the same boolean E+ as Reach43 (both compute
 // reachability within every G(t) restricted to S(t)×S(t) ∪ B(t)×B(t)).
 func Reach41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
+	parts, err := reach41Parts(g, t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(g.N(), parts, cfg.ex()), nil
+}
+
+// reach41Parts runs the boolean Algorithm 4.1 and returns every tree
+// node's E_t contributions, indexed by node id.
+func reach41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error) {
 	if g.N() != t.N() {
 		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
 	}
 	byLevel := nodesByLevel(t)
 	nn := len(t.Nodes)
 	// rb[id] holds node id's reachability matrix: over B(t) for leaves,
-	// over U(t) = S(t) ∪ B(t) for internal nodes (bIdx maps vertices to
-	// positions). Matrices stay alive until final collection.
+	// over U(t) = S(t) ∪ B(t) for internal nodes; keys[id] is that sorted
+	// index set. Matrices stay alive until final collection.
 	rb := make([]*bitmat.Matrix, nn)
-	bIdx := make([]map[int]int, nn)
+	keys := make([][]int, nn)
 	errs := make([]error, nn)
 	ex := cfg.ex()
 
@@ -43,10 +53,11 @@ func Reach41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 			nd := &t.Nodes[id]
 			var rounds int64
 			if nd.IsLeaf() {
-				rounds = processLeafReach41(g, nd, rb, bIdx, cfg)
+				rb[id], keys[id] = leafReach(g, nd, cfg), nd.B
+				rounds = int64(ceilLog2(len(nd.V)) + 1)
 			} else {
 				var err error
-				rounds, err = processInternalReach41(nd, rb, bIdx, cfg)
+				rounds, err = processInternalReach41(nd, rb, keys, cfg)
 				if err != nil {
 					errs[id] = err
 					return
@@ -66,60 +77,14 @@ func Reach41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 		cfg.Stats.AddRounds(maxRounds)
 	}
 	// Collect E_t = S(t)×S(t) ∪ B(t)×B(t) from every node's stored matrix.
-	out := newCollector()
-	for id := range t.Nodes {
-		nd := &t.Nodes[id]
-		m := rb[id]
-		if m == nil {
-			continue
-		}
-		idx := bIdx[id]
-		emit := func(set []int) {
-			for _, a := range set {
-				ia, ok := idx[a]
-				if !ok {
-					continue
-				}
-				for _, b := range set {
-					ib, ok := idx[b]
-					if !ok {
-						continue
-					}
-					if a != b && m.Get(ia, ib) {
-						out.add(a, b, 0)
-					}
-				}
-			}
-		}
-		emit(nd.S)
-		emit(nd.B)
-	}
-	return out.result(), nil
-}
-
-// processLeafReach41 computes the leaf's U×U reachability (U = B for
-// leaves) from the full closure of the O(1)-size leaf subgraph.
-func processLeafReach41(g *graph.Digraph, nd *separator.Node, rb []*bitmat.Matrix, bIdx []map[int]int, cfg Config) int64 {
-	idx := indexOf(nd.V)
-	adj := bitmat.New(len(nd.V))
-	for i, v := range nd.V {
-		g.Out(v, func(to int, _ float64) bool {
-			if j, ok := idx[to]; ok {
-				adj.Set(i, j, true)
-			}
-			return true
-		})
-	}
-	cl := bitmat.Closure(adj, nil, cfg.Stats)
-	m := bitmat.New(len(nd.B))
-	for i, a := range nd.B {
-		for j, b := range nd.B {
-			m.Set(i, j, cl.Get(idx[a], idx[b]))
-		}
-	}
-	rb[nd.ID] = m
-	bIdx[nd.ID] = indexOf(nd.B)
-	return int64(ceilLog2(len(nd.V)) + 1)
+	parts := make([]part, nn)
+	ex.For(nn, func(id int) {
+		nd, m, k := &t.Nodes[id], rb[id], keys[id]
+		parts[id] = newPart(nd)
+		parts[id].reachBlock(nd.S, positions(nd.S, k), m)
+		parts[id].reachBlock(nd.B, positions(nd.B, k), m)
+	})
+	return parts, nil
 }
 
 // processInternalReach41 mirrors Algorithm 4.1's steps over the boolean
@@ -127,29 +92,26 @@ func processLeafReach41(g *graph.Digraph, nd *separator.Node, rb []*bitmat.Matri
 // child reachabilities are ORed in (step i + the child contributions of
 // step v), the S-block is closed (step ii), and one bounded-power pass
 // H^(2·) ∪ … captures the 3-limited B→S→S→B paths (steps iii-iv).
-func processInternalReach41(nd *separator.Node, rb []*bitmat.Matrix, bIdx []map[int]int, cfg Config) (int64, error) {
+func processInternalReach41(nd *separator.Node, rb []*bitmat.Matrix, keys [][]int, cfg Config) (int64, error) {
 	c1, c2 := nd.Children[0], nd.Children[1]
-	rb1, rb2 := rb[c1], rb[c2]
-	idx1, idx2 := bIdx[c1], bIdx[c2]
-	if rb1 == nil || rb2 == nil {
+	if rb[c1] == nil || rb[c2] == nil {
 		return 0, fmt.Errorf("augment: node %d processed before its children", nd.ID)
 	}
 	u := unionSorted(nd.S, nd.B)
-	uIdx := indexOf(u)
 	k := len(u)
 	h := bitmat.Identity(k)
 	// Child reachability between every pair of U vertices present in the
 	// child's boundary — this covers the H edge sets B×S, S×B (and
 	// contributes the direct child B×B paths of step v).
-	pull := func(m *bitmat.Matrix, idx map[int]int) {
+	for _, c := range nd.Children {
+		m, pos := rb[c], positions(u, keys[c])
 		var work int64
-		for i, a := range u {
-			pa, ok := idx[a]
-			if !ok {
+		for i, pa := range pos {
+			if pa < 0 {
 				continue
 			}
-			for j, b := range u {
-				if pb, ok := idx[b]; ok && m.Get(pa, pb) {
+			for j, pb := range pos {
+				if pb >= 0 && m.Get(pa, pb) {
 					h.Set(i, j, true)
 				}
 			}
@@ -157,8 +119,6 @@ func processInternalReach41(nd *separator.Node, rb []*bitmat.Matrix, bIdx []map[
 		}
 		cfg.Stats.AddWork(work)
 	}
-	pull(rb1, idx1)
-	pull(rb2, idx2)
 	// Close: paths alternate child-segments through S(t); |S| hops suffice,
 	// so squaring ceil(log2 |S|)+2 times reaches the fixpoint. (This folds
 	// steps (ii) and (iv) into one bounded closure on H, which computes the
@@ -175,6 +135,6 @@ func processInternalReach41(nd *separator.Node, rb []*bitmat.Matrix, bIdx []map[
 		h, next = next, h
 	}
 	rb[nd.ID] = h
-	bIdx[nd.ID] = uIdx
+	keys[nd.ID] = u
 	return rounds, nil
 }

@@ -2,7 +2,6 @@ package augment
 
 import (
 	"fmt"
-	"sort"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/matrix"
@@ -17,24 +16,22 @@ import (
 // ancestor set of the touched leaves, O(d_G) nodes per changed edge) need
 // their matrices recomputed.
 type Incremental struct {
-	g    *graph.Digraph
-	t    *separator.Tree
-	cfg  Config
-	db   []*matrix.Dense
-	hsm  []*matrix.Dense
-	bIdx []map[int]int
+	g   *graph.Digraph
+	t   *separator.Tree
+	cfg Config
+	db  []*matrix.Dense
+	hsm []*matrix.Dense
 }
 
 // NewIncremental runs the full Algorithm 4.1 once, retaining all per-node
 // state.
 func NewIncremental(g *graph.Digraph, t *separator.Tree, cfg Config) (*Incremental, error) {
 	inc := &Incremental{
-		g:    g,
-		t:    t,
-		cfg:  cfg,
-		db:   make([]*matrix.Dense, len(t.Nodes)),
-		hsm:  make([]*matrix.Dense, len(t.Nodes)),
-		bIdx: make([]map[int]int, len(t.Nodes)),
+		g:   g,
+		t:   t,
+		cfg: cfg,
+		db:  make([]*matrix.Dense, len(t.Nodes)),
+		hsm: make([]*matrix.Dense, len(t.Nodes)),
 	}
 	if err := inc.recompute(allNodes(t)); err != nil {
 		return nil, err
@@ -75,7 +72,7 @@ func (inc *Incremental) Update(newG *graph.Digraph, changedPairs [][2]int) error
 // pruned frontier).
 func (inc *Incremental) markDirty(id, u, v int, dirty map[int]bool) {
 	nd := &inc.t.Nodes[id]
-	if !containsSorted(nd.V, u) || !containsSorted(nd.V, v) {
+	if search(nd.V, u) < 0 || search(nd.V, v) < 0 {
 		return
 	}
 	dirty[id] = true
@@ -84,11 +81,6 @@ func (inc *Incremental) markDirty(id, u, v int, dirty map[int]bool) {
 	}
 	inc.markDirty(nd.Children[0], u, v, dirty)
 	inc.markDirty(nd.Children[1], u, v, dirty)
-}
-
-func containsSorted(s []int, v int) bool {
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
 }
 
 // recompute rebuilds the matrices of the given nodes, deepest level first
@@ -110,9 +102,9 @@ func (inc *Incremental) recompute(dirty map[int]bool) error {
 			nd := &inc.t.Nodes[id]
 			var err error
 			if nd.IsLeaf() {
-				_, err = processLeaf41(inc.g, nd, inc.db, inc.bIdx, inc.cfg, ws)
+				_, err = processLeaf41(inc.g, nd, inc.db, inc.cfg, ws)
 			} else {
-				_, err = processInternal41(nd, inc.db, inc.hsm, inc.bIdx, inc.cfg, ws)
+				_, err = processInternal41(inc.t, nd, inc.db, inc.hsm, inc.cfg, ws)
 			}
 			if err != nil {
 				return err
@@ -139,23 +131,14 @@ func (inc *Incremental) NodeCount() int { return len(inc.t.Nodes) }
 
 // Result collects the current E+ from the retained matrices.
 func (inc *Incremental) Result() *Result {
-	out := newCollector()
-	for id := range inc.t.Nodes {
-		nd := &inc.t.Nodes[id]
-		if hs := inc.hsm[id]; hs != nil {
-			for i, u := range nd.S {
-				for j, v := range nd.S {
-					out.add(u, v, hs.At(i, j))
-				}
-			}
-		}
-		if d := inc.db[id]; d != nil {
-			for i, u := range nd.B {
-				for j, v := range nd.B {
-					out.add(u, v, d.At(i, j))
-				}
-			}
-		}
-	}
-	return out.result()
+	return assemble(inc.g.N(), inc.parts(), inc.cfg.ex())
+}
+
+// parts emits every node's E_t contributions from the retained matrices.
+func (inc *Incremental) parts() []part {
+	parts := make([]part, len(inc.t.Nodes))
+	inc.cfg.ex().For(len(parts), func(id int) {
+		parts[id] = emitNode41(&inc.t.Nodes[id], inc.db[id], inc.hsm[id])
+	})
+	return parts
 }

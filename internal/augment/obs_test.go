@@ -49,10 +49,10 @@ func TestAlg41LevelAttributionSumsToTotals(t *testing.T) {
 		t.Fatalf("got %d prep.level spans, want %d", sink.Trace.Len(), tree.Height+1)
 	}
 	// E+ contributions: per-level counters count every pre-dedup pair, so
-	// they sum to at least the deduplicated |E+|.
+	// they sum to exactly the raw count.
 	contrib := snap.SumCounters(obs.MPrepShortcuts + ".level.")
-	if contrib < int64(len(res.Edges)) {
-		t.Fatalf("per-level E+ contributions %d < |E+| %d", contrib, len(res.Edges))
+	if contrib != res.RawCount {
+		t.Fatalf("per-level E+ contributions %d, RawCount %d", contrib, res.RawCount)
 	}
 	h := snap.Histograms["prep.eplus.per_node"]
 	if h.Count != int64(len(tree.Nodes)) || int64(h.Sum) != contrib {

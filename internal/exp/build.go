@@ -22,6 +22,10 @@ import (
 // runners with different cache hierarchies do not flap.
 const speedupFloor = 1.3
 
+// prepSpeedupFloor is the E-build gate's floor on P=1 prep wall / P=4 prep
+// wall for every n=16384 build: adding workers must not slow a build down.
+const prepSpeedupFloor = 1.0
+
 // allocSlack is the multiplicative tolerance the gate allows on build-path
 // allocation counts relative to the recorded baseline; allocAbsSlack absorbs
 // scheduler/GC noise on small counts.
@@ -132,8 +136,8 @@ func BuildExperiment(_ *pram.Executor, scale int) (*Result, error) {
 		Header: []string{"n", "alg", "P", "prep wall", "Mtriples/s", "work", "allocs", "speedup"},
 		Notes: []string{
 			"grid workload (mu=1/2), seed 42; allocs = runtime.MemStats.Mallocs delta across the build",
-			"speedup = P=1 prep wall / P=4 prep wall for the same n and alg (recorded, not gated)",
-			fmt.Sprintf("gate: counted work exact vs baseline, allocs <= %.1fx baseline + %d", allocSlack, allocAbsSlack),
+			"speedup = P=1 prep wall / P=4 prep wall for the same n and alg",
+			fmt.Sprintf("gate: counted work exact vs baseline, allocs <= %.1fx baseline + %d, n=16384 speedup >= %.2f", allocSlack, allocAbsSlack, prepSpeedupFloor),
 		},
 	}
 	for _, n := range []int{4096 * scale, 16384 * scale} {
@@ -198,7 +202,9 @@ func rate(work int64, el time.Duration) string {
 //   - the blocked closure kernel must hold the n=256 speedup floor on the
 //     current machine;
 //   - build-path allocation counts may not regress past the tolerance —
-//     the zero-alloc build work pins them to O(tree-nodes).
+//     the zero-alloc build work pins them to O(tree-nodes);
+//   - every n=16384 build must hold the prep speedup floor: P=4 workers
+//     may not be slower than one.
 //
 // Wall-clock and rate columns are recorded for humans and deliberately not
 // gated: they do not transfer between machines.
@@ -232,6 +238,16 @@ func GateBuild(curr, base *Result) []string {
 		}
 		return ""
 	})...)
+	sCol, nCol, pCol, aCol := colIndex(cp, "speedup"), colIndex(cp, "n"), colIndex(cp, "P"), colIndex(cp, "alg")
+	for _, row := range cp.Rows {
+		if row[nCol] != "16384" || row[pCol] != "4" {
+			continue
+		}
+		s, err := strconv.ParseFloat(row[sCol], 64)
+		if err != nil || s < prepSpeedupFloor {
+			bad = append(bad, fmt.Sprintf("prep n=16384 %s speedup %s below floor %.2f", row[aCol], row[sCol], prepSpeedupFloor))
+		}
+	}
 	return bad
 }
 

@@ -6,7 +6,8 @@ import (
 )
 
 // fakeBuildResult builds a minimal E-build result shaped like
-// BuildExperiment's output, for gate tests.
+// BuildExperiment's output, for gate tests; its n=16384 prep speedup is
+// 1.30.
 func fakeBuildResult(work256, speedup, allocs string) *Result {
 	return &Result{Tables: []*Table{
 		{
@@ -22,6 +23,8 @@ func fakeBuildResult(work256, speedup, allocs string) *Result {
 			Header: []string{"n", "alg", "P", "prep wall", "Mtriples/s", "work", "allocs", "speedup"},
 			Rows: [][]string{
 				{"4096", "alg41", "1", "100ms", "90.0", "9916648", allocs, "-"},
+				{"16384", "alg41", "1", "400ms", "200.0", "80291887", "200000", "-"},
+				{"16384", "alg41", "4", "300ms", "260.0", "80291887", "200000", "1.30"},
 			},
 		},
 	}}
@@ -50,6 +53,16 @@ func TestGateBuildCatchesSpeedupFloor(t *testing.T) {
 	viol := GateBuild(curr, base)
 	if len(viol) == 0 || !strings.Contains(strings.Join(viol, ";"), "speedup") {
 		t.Fatalf("speedup floor not enforced: %v", viol)
+	}
+}
+
+func TestGateBuildCatchesPrepSpeedupFloor(t *testing.T) {
+	base := fakeBuildResult("134217728", "2.10", "120000")
+	curr := fakeBuildResult("134217728", "2.10", "120000")
+	curr.Tables[1].Rows[2][7] = "0.95" // four workers slower than one
+	viol := GateBuild(curr, base)
+	if len(viol) != 1 || !strings.Contains(viol[0], "prep n=16384 alg41 speedup") {
+		t.Fatalf("prep speedup floor not enforced: %v", viol)
 	}
 }
 

@@ -272,8 +272,9 @@ type LevelStat struct {
 	// Work / Rounds are the counted PRAM cost of processing the level.
 	Work   int64
 	Rounds int64
-	// Shortcuts is the level's E+ pair contributions (before global
-	// deduplication, so levels sum to at least Stats.Shortcuts).
+	// Shortcuts is the level's E+ pair contributions before any
+	// deduplication: the levels sum to the raw contribution count, which
+	// is at least Stats.Shortcuts.
 	Shortcuts int64
 }
 

@@ -108,6 +108,74 @@ func FuzzBuildVsBellmanFord(f *testing.F) {
 	})
 }
 
+// FuzzWithWeightsVsBuild decodes bytes into a small digraph and a second
+// weight set on the same edges, and checks that reweighting an index
+// (WithWeightsContext) gives what a fresh Build of the reweighted graph
+// gives: the same E+ slice, bit for bit, the same SSSPContext distances
+// from three sources, and ErrNegativeCycle exactly when the fresh Build
+// reports it.
+//
+// Encoding: data[0] picks n in [1, 24], the next n bytes are vertex
+// potentials, and each following byte quadruple (u, v, w1, w2) adds the
+// edge u%n → v%n with weight (w%24 − 4) + pot[u] − pot[v] in the first
+// graph (w = w1) and in the second (w = w2). At most 96 edges are read.
+// Inputs whose first graph has a negative cycle have no index to reweight
+// and are skipped.
+func FuzzWithWeightsVsBuild(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%24
+		data = data[1:]
+		if len(data) < n {
+			return
+		}
+		pot, data := data[:n], data[n:]
+		g1, g2 := NewGraph(n), NewGraph(n)
+		for m := 0; len(data) >= 4 && m < 96; m++ {
+			u, v := int(data[0])%n, int(data[1])%n
+			shift := int(pot[u]) - int(pot[v])
+			g1.AddEdge(u, v, float64(int(data[2])%24-4+shift))
+			g2.AddEdge(u, v, float64(int(data[3])%24-4+shift))
+			data = data[4:]
+		}
+		ctx := context.Background()
+		for _, workers := range []int{1, 2} {
+			opt := &Options{Workers: workers}
+			ix, err := Build(g1, opt)
+			if errors.Is(err, ErrNegativeCycle) {
+				return
+			}
+			if err != nil {
+				t.Fatalf("workers=%d: Build: %v", workers, err)
+			}
+			re, errRe := ix.WithWeightsContext(ctx, g2)
+			fresh, errFresh := Build(g2, opt)
+			if errors.Is(errFresh, ErrNegativeCycle) {
+				if !errors.Is(errRe, ErrNegativeCycle) {
+					t.Fatalf("workers=%d: WithWeights err = %v, fresh Build finds a negative cycle", workers, errRe)
+				}
+				continue
+			}
+			if errFresh != nil || errRe != nil {
+				t.Fatalf("workers=%d: fresh Build err = %v, WithWeights err = %v", workers, errFresh, errRe)
+			}
+			if !sameEdges(re.eng.Augmentation().Edges, fresh.eng.Augmentation().Edges) {
+				t.Fatalf("workers=%d: reweighted E+ differs from a fresh Build's", workers)
+			}
+			for _, src := range []int{0, n / 2, n - 1} {
+				got, want := mustSSSP(t, re, src), mustSSSP(t, fresh, src)
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("workers=%d src=%d v=%d: reweighted %v, fresh %v", workers, src, v, got[v], want[v])
+					}
+				}
+			}
+		}
+	})
+}
+
 func toPublic(dg *graph.Digraph) *Graph {
 	g := NewGraph(dg.N())
 	dg.Edges(func(from, to int, w float64) bool {

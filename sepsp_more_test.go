@@ -4,9 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sepsp/internal/baseline"
+	"sepsp/internal/graph"
 )
 
 func TestDistTo(t *testing.T) {
@@ -67,6 +69,44 @@ func TestWithWeightsReusesDecomposition(t *testing.T) {
 			t.Fatalf("v=%d: %v want %v", v, got[v], want[v])
 		}
 	}
+}
+
+// TestBuildIsDeterministic: E+ arrives in canonical (From, To) order, so
+// two builds of one graph produce identical shortcut slices and identical
+// query-schedule buckets, at either algorithm and with parallel workers.
+func TestBuildIsDeterministic(t *testing.T) {
+	gg, grid := gridGraph(t, 12, 12, 25)
+	for _, alg := range []Algorithm{LeavesUp, Simultaneous} {
+		opt := &Options{Decomposition: GridDecomposition(grid.Coord), Algorithm: alg, Workers: 2}
+		var ixs [2]*Index
+		for i := range ixs {
+			ix, err := Build(gg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ixs[i] = ix
+		}
+		a, b := ixs[0].eng.Augmentation().Edges, ixs[1].eng.Augmentation().Edges
+		if len(a) == 0 || !sameEdges(a, b) {
+			t.Fatalf("alg %v: two builds return different E+ slices (%d and %d edges)", alg, len(a), len(b))
+		}
+		s1, s2 := ixs[0].eng.Schedule(), ixs[1].eng.Schedule()
+		for i := 0; i < s1.Phases(); i++ {
+			_, e1 := s1.PhaseAt(i)
+			_, e2 := s2.PhaseAt(i)
+			if !sameEdges(e1, e2) {
+				t.Fatalf("alg %v: schedule phase %d differs between builds", alg, i)
+			}
+		}
+	}
+}
+
+// sameEdges reports whether a and b hold the same edges in the same order,
+// weights compared bit for bit.
+func sameEdges(a, b []graph.Edge) bool {
+	return slices.EqualFunc(a, b, func(x, y graph.Edge) bool {
+		return x.From == y.From && x.To == y.To && math.Float64bits(x.W) == math.Float64bits(y.W)
+	})
 }
 
 func TestWithWeightsRejectsDifferentSkeleton(t *testing.T) {
