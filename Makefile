@@ -33,7 +33,10 @@ chaos:
 # Build, SSSPContext and SourcesBatchedContext at one and two workers, and
 # ErrNegativeCycle exactly when Bellman-Ford finds a negative cycle;
 # FuzzWithWeightsVsBuild, where reweighting an index must give a fresh
-# Build's E+ slice, distances and ErrNegativeCycle verdict; and
+# Build's E+ slice, distances and ErrNegativeCycle verdict;
+# FuzzQueryVsReference, where SSSP, every SourcesBatched row and SSSPFrom
+# on potential-shifted grids with near-cancelling 2-cycles must be
+# bit-identical to the naive reference relaxer; and
 # FuzzRead (internal/graph/io.go), where graph text must never panic Read
 # and accepted graphs must match their p line and survive a Write/Read
 # round trip. Committed corpora under testdata/fuzz also replay under plain
@@ -42,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzBuildVsBellmanFord$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzWithWeightsVsBuild$$' -fuzztime=20s .
+	$(GO) test -run='^$$' -fuzz='^FuzzQueryVsReference$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=20s ./internal/graph
 
 # examples runs every program under examples/ and fails on the first
@@ -146,12 +150,13 @@ bench-build-baseline:
 	$(GO) run ./cmd/benchtab -exp E-build -json > BENCH_build.json
 
 # bench-query runs the query-path experiment (E-query) and gates it against
-# the recorded baseline BENCH_query.json: executed and pruned counted work
-# must match the baseline exactly (and be independent of P for the batched
-# wave), steady-state query allocations must stay within tolerance, the
-# optimized single-source executor must hold its speedup floor over the
-# retained naive reference relaxer at the largest n, and the k=32 wave must
-# scale on multi-CPU runners (see DESIGN.md "Query performance").
+# the recorded baseline BENCH_query.json: counted work must match the
+# baseline exactly (the optimized query's must equal the reference's, and
+# the batched wave's must be independent of P), steady-state query
+# allocations must stay within tolerance, the optimized single-source
+# executor must hold its speedup floor over the retained naive reference
+# relaxer at the largest n, and the k=32 wave must scale on multi-CPU
+# runners (see DESIGN.md "Query performance").
 # bench-query-baseline re-records the baseline after an intentional kernel
 # change.
 bench-query:

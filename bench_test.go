@@ -278,9 +278,10 @@ func BenchmarkIndexBuildPublicAPI(b *testing.B) {
 }
 
 // BenchmarkSSSPHot times the steady-state single-source query through the
-// public API — the SoA phase arena with convergence pruning, workspace
-// pools warm (see DESIGN.md "Query performance"). Compare against
-// BenchmarkTable1PerSource for the cold, per-artifact view.
+// public API — every phase of the SoA phase arena, with run-delta
+// tracking and the workspace pools warm (see DESIGN.md "Query
+// performance"). Compare against BenchmarkTable1PerSource for the cold,
+// per-artifact view.
 func BenchmarkSSSPHot(b *testing.B) {
 	for _, side := range []int{32, 64} {
 		b.Run(fmt.Sprintf("n=%d", side*side), func(b *testing.B) {
@@ -304,8 +305,8 @@ func BenchmarkSSSPHot(b *testing.B) {
 }
 
 // BenchmarkSourcesBatchedWave times the multi-source wave across wave
-// sizes k and worker counts P: a wave is a deduplicated fan-out of pruned
-// solo queries, the sources handed to the workers one at a time (see
+// sizes k and worker counts P: a wave is a deduplicated fan-out of solo
+// queries, the sources handed to the workers one at a time (see
 // DESIGN.md "Query performance"). The k=1 rows are a solo server wave and
 // should cost about what BenchmarkSSSPHot does; P=4 rows on a multi-CPU
 // machine show the wave's scaling; counted work is independent of P.

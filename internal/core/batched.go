@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"sepsp/internal/pram"
@@ -10,10 +9,10 @@ import (
 
 // SourcesBatched computes SSSP from every source of one wave: duplicate
 // sources collapse to one computed row, and each distinct source runs as
-// its own pruned single-source query (the solo kernel with run-delta
-// tracking, ℓ-block frontiers and the convergence exit), the sources
-// handed to the executor's workers one at a time. Rows are bit-identical
-// to SSSP's; see SourcesBatchedContext for the cost accounting.
+// its own single-source query (the sequential kernels with run-delta
+// tracking), the sources handed to the executor's workers one at a time.
+// Rows are bit-identical to SSSP's; see SourcesBatchedContext for the cost
+// accounting.
 func (e *Engine) SourcesBatched(srcs []int, st *pram.Stats) [][]float64 {
 	out, _ := e.SourcesBatchedContext(nil, srcs, st)
 	return out
@@ -27,16 +26,14 @@ func (e *Engine) SourcesBatched(srcs []int, st *pram.Stats) [][]float64 {
 // carrying the worker's value and stack.
 //
 // Workers pull sources from a shared atomic cursor (a pram For round), so
-// a source whose query converges early frees its worker for the next one
-// instead of idling it behind a static chunk. Each query draws its scratch
+// a source that finishes early frees its worker for the next one instead
+// of idling it behind a static chunk. Each query draws its scratch
 // from the engine's workspace pool and writes straight into its result
 // row: a steady-state wave allocates only its rows and their spine.
 //
-// Stats describe the wave as one lock-step sweep of all its sources: work
-// and avoided work are the per-source sums (k × WorkPerSource in total),
-// and within each ℓ-block the wave runs as long as its slowest source —
-// the block's skipped phases are the fewest any source skipped — so
-// Rounds + SkippedRounds = Phases.
+// Stats describe the wave as one lock-step sweep of its distinct sources:
+// Work is the per-source sum (one WorkPerSource each) and Rounds is
+// Phases. Each duplicate source adds its WorkPerSource to SkippedWork.
 func (e *Engine) SourcesBatchedContext(ctx context.Context, srcs []int, st *pram.Stats) ([][]float64, error) {
 	k := len(srcs)
 	if k == 0 {
@@ -46,15 +43,15 @@ func (e *Engine) SourcesBatchedContext(ctx context.Context, srcs []int, st *pram
 	// collapse to a single computed row, and the vector is fanned back out
 	// on output (later occurrences get independent copies, so every
 	// returned row stays caller-owned). The duplicates' entire static
-	// schedule cost is accounted as avoided work, preserving the audit
-	// identity executed + avoided = k × WorkPerSource. The detection scan
+	// schedule cost is accounted as skipped work, preserving the audit
+	// identity Work + SkippedWork = k × WorkPerSource. The detection scan
 	// allocates nothing when all sources are distinct — the common case.
 	if uniq, slot := dedupSources(srcs); uniq != nil {
 		rows, err := e.SourcesBatchedContext(ctx, uniq, st)
 		if err != nil {
 			return nil, err
 		}
-		st.AddSkipped(int64(k-len(uniq))*e.schedule.WorkPerSource(), 0)
+		st.AddSkipped(int64(k-len(uniq)) * e.schedule.WorkPerSource())
 		out := make([][]float64, k)
 		seen := make([]bool, len(uniq))
 		for j, u := range slot {
@@ -74,18 +71,13 @@ func (e *Engine) SourcesBatchedContext(ctx context.Context, srcs []int, st *pram
 	s := &ws.wave
 	s.e, s.ctx, s.srcs, s.st = e, ctx, srcs, st
 	s.out = make([][]float64, k)
-	for b := range s.skip {
-		s.skip[b].Store(math.MaxInt64)
-	}
 	s.err.Store(nil)
 	defer s.release() // also on a re-raised worker panic
 	e.ex.For(k, ws.waveFn())
 	if err := s.err.Load(); err != nil {
 		return nil, *err
 	}
-	skipped := s.skip[0].Load() + s.skip[1].Load()
-	st.AddRounds(int64(e.schedule.Phases()) - skipped)
-	st.AddSkipped(0, skipped)
+	st.AddRounds(int64(e.schedule.Phases()))
 	return s.out, nil
 }
 
@@ -98,7 +90,6 @@ type waveState struct {
 	srcs []int
 	out  [][]float64
 	st   *pram.Stats
-	skip [2]atomic.Int64 // per ℓ-block: fewest phases any source skipped
 	err  atomic.Pointer[error]
 }
 
@@ -110,21 +101,12 @@ func (s *waveState) run(j int) {
 	}
 	dist := newDistVector(s.e.g.N())
 	dist[s.srcs[j]] = 0
-	c, err := s.e.runSchedule(s.ctx, dist)
-	s.st.AddWork(c.work)
-	s.st.AddSkipped(c.avoided, 0)
+	work, _, err := s.e.runSchedule(s.ctx, dist)
+	s.st.AddWork(work)
 	if err != nil {
 		first := err // declared here so only a failing source allocates it
 		s.err.CompareAndSwap(nil, &first)
 		return
-	}
-	for b := range s.skip {
-		for {
-			cur := s.skip[b].Load()
-			if c.skip[b] >= cur || s.skip[b].CompareAndSwap(cur, c.skip[b]) {
-				break
-			}
-		}
 	}
 	s.out[j] = dist
 }

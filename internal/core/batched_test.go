@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,42 +10,23 @@ import (
 	"sepsp/internal/pram"
 )
 
-// lockstepCost is the cost a wave over srcs must report: the distinct
-// sources' solo queries summed, every duplicate's whole schedule as avoided
-// work, and — the wave running each ℓ-block as long as its slowest source —
-// per block the fewest phases any distinct source skipped.
-func lockstepCost(t *testing.T, e *Engine, srcs []int) (work, avoided, rounds, skippedRounds int64) {
-	t.Helper()
-	minSkip := [2]int64{math.MaxInt64, math.MaxInt64}
-	seen := map[int]bool{}
+// lockstepCost is the cost a wave over srcs must report: one
+// WorkPerSource of work per distinct source, one of skipped work per
+// duplicate, and Phases rounds.
+func lockstepCost(e *Engine, srcs []int) (work, skipped, rounds int64) {
+	distinct := map[int]bool{}
 	for _, src := range srcs {
-		if seen[src] {
-			avoided += e.schedule.WorkPerSource()
-			continue
-		}
-		seen[src] = true
-		dist := newDistVector(e.g.N())
-		dist[src] = 0
-		c, err := e.runSchedule(nil, dist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		work += c.work
-		avoided += c.avoided
-		for b := range minSkip {
-			minSkip[b] = min(minSkip[b], c.skip[b])
-		}
+		distinct[src] = true
 	}
-	skippedRounds = minSkip[0] + minSkip[1]
-	return work, avoided, int64(e.schedule.Phases()) - skippedRounds, skippedRounds
+	wps := e.schedule.WorkPerSource()
+	return int64(len(distinct)) * wps, int64(len(srcs)-len(distinct)) * wps, int64(e.schedule.Phases())
 }
 
 // TestSourcesBatchedMatchesSources: on a P=2 executor, waves of k = 1
 // (k < P), k = P, k > P sources and waves with duplicate sources return
 // rows bitwise equal to the solo SSSP of each source, and the wave — on
-// P=2 and on the sequential executor — reports the same work, skipped
-// work, rounds and skipped rounds, equal to the lock-step cost of the
-// wave's solo queries.
+// P=2 and on the sequential executor — reports the lock-step cost of its
+// sources.
 func TestSourcesBatchedMatchesSources(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -77,11 +57,11 @@ func TestSourcesBatchedMatchesSources(t *testing.T) {
 					}
 				}
 			}
-			work, avoided, rounds, skipped := lockstepCost(t, seq, srcs)
+			work, skipped, rounds := lockstepCost(seq, srcs)
 			for _, st := range []*pram.Stats{stSeq, stPar} {
-				if st.Work() != work || st.SkippedWork() != avoided || st.Rounds() != rounds || st.SkippedRounds() != skipped {
-					t.Errorf("seed=%d srcs=%v: work/avoided/rounds/skipped = %d/%d/%d/%d, want %d/%d/%d/%d",
-						seed, srcs, st.Work(), st.SkippedWork(), st.Rounds(), st.SkippedRounds(), work, avoided, rounds, skipped)
+				if st.Work() != work || st.SkippedWork() != skipped || st.Rounds() != rounds {
+					t.Errorf("seed=%d srcs=%v: work/skipped/rounds = %d/%d/%d, want %d/%d/%d",
+						seed, srcs, st.Work(), st.SkippedWork(), st.Rounds(), work, skipped, rounds)
 					return false
 				}
 			}
@@ -119,8 +99,8 @@ func TestSourcesBatchedDuplicateSources(t *testing.T) {
 // TestSourcesBatchedDedupExact is the dedup satellite's exactness gate: a
 // wave with duplicate sources must return rows bit-identical to the
 // undeduped solo answers, and its work accounting must reconcile to
-// the same total schedule cost — executed + avoided = k × WorkPerSource —
-// with the duplicates' entire cost on the avoided side.
+// the same total schedule cost — Work + SkippedWork = k × WorkPerSource —
+// with the duplicates' entire cost on the skipped side.
 func TestSourcesBatchedDedupExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -147,7 +127,7 @@ func TestSourcesBatchedDedupExact(t *testing.T) {
 		}
 		total := int64(k) * eng.schedule.WorkPerSource()
 		if got := stDup.Work() + stDup.SkippedWork(); got != total {
-			t.Errorf("seed=%d: executed+avoided = %d, want k x WorkPerSource = %d", seed, got, total)
+			t.Errorf("seed=%d: work+skipped = %d, want k x WorkPerSource = %d", seed, got, total)
 			return false
 		}
 		if stDup.Work() >= stSolo.Work() {

@@ -74,21 +74,18 @@ type Engine struct {
 
 // queryWS is the reusable per-query scratch handed out by the engine's
 // pool: an int queue for tight-tree BFS, the atomic cell buffer for
-// SSSPParallel, the convergence-pruning state of the sequential kernels,
-// and the shared state + cached executor closures of the parallel paths.
-// Only scratch that never escapes a query is pooled — result slices
-// returned to callers are always freshly allocated.
+// SSSPParallel, the run-delta tracker of the sequential kernels, and the
+// shared state + cached executor closures of the parallel paths. Only
+// scratch that never escapes a query is pooled — result slices returned to
+// callers are always freshly allocated.
 type queryWS struct {
 	queue []int
 	cells []uint64
 
-	// Convergence-pruning scratch of the sequential executor: prevT is
-	// the run-delta tracker (per global run slot, the head distance at the
-	// run's last relaxation), blockDirty the ℓ-block frontier flags (one
-	// per 64-run block of the eAll bucket, plus the dummy slot for
-	// vertices heading no original edge). See relaxEAllBlocks.
-	prevT      []float64
-	blockDirty []bool
+	// prevT is the sequential executor's run-delta tracker: per global run
+	// slot, the head distance at the run's last relaxation (see
+	// relaxBucketTracked).
+	prevT []float64
 
 	wave waveState
 	wfn  func(j int) // cached closure over &wave (per-source body)
@@ -108,20 +105,6 @@ func (ws *queryWS) growPrev(n int) []float64 {
 		p[i] = inf
 	}
 	return p
-}
-
-// growBlockDirty returns the ℓ-block frontier flags for blocks real blocks
-// plus the dummy marking slot, every flag cleared, reusing capacity.
-func (ws *queryWS) growBlockDirty(blocks int) []bool {
-	n := blocks + 1
-	if cap(ws.blockDirty) < n {
-		ws.blockDirty = make([]bool, n)
-	}
-	d := ws.blockDirty[:n]
-	for i := range d {
-		d[i] = false
-	}
-	return d
 }
 
 // growCells returns a uint64 cell buffer of length n, reusing capacity.
@@ -257,8 +240,9 @@ func (e *Engine) SSSP(src int, st *pram.Stats) []float64 {
 func (e *Engine) SSSPContext(ctx context.Context, src int, st *pram.Stats) ([]float64, error) {
 	dist := newDistVector(e.g.N())
 	dist[src] = 0
-	c, err := e.runSchedule(ctx, dist)
-	c.addTo(st)
+	work, rounds, err := e.runSchedule(ctx, dist)
+	st.AddWork(work)
+	st.AddRounds(rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -277,28 +261,25 @@ func (e *Engine) SSSPFrom(init []float64, st *pram.Stats) []float64 {
 	}
 	dist := make([]float64, len(init))
 	copy(dist, init)
-	c, _ := e.runSchedule(nil, dist)
-	c.addTo(st)
+	work, rounds, _ := e.runSchedule(nil, dist)
+	st.AddWork(work)
+	st.AddRounds(rounds)
 	return dist
 }
 
-// The sequential executor's convergence-pruned kernels. All three relax
-// one SoA phase bucket into dist and report whether any distance improved.
-// Per head-run, dist[head] is loaded once; that is exact because a run's
-// own edges cannot lower its head (an improving self-loop would be a
+// The sequential executor's kernels. Both relax one SoA phase bucket into
+// dist. Per head-run, dist[head] is loaded once; that is exact because a
+// run's own edges cannot lower its head (an improving self-loop would be a
 // negative cycle, rejected at construction), so the cached value equals
 // what a per-edge reload in the same order would read.
 //
 // relaxBucketDense is the single-sweep kernel (desc[L]/asc[L] buckets,
 // each visited once per query): no tracking pays for itself there, so it
 // only skips still-unreachable heads — du = +Inf relaxes nothing, because
-// +Inf + w < x is false for every finite x and for x = +Inf. The loop
-// body is kept store-minimal on purpose: these buckets are the bulk of a
-// query's executed relaxations, and adding frontier bookkeeping here was
-// measured to cost more than the ℓ-block skips it buys (the ℓ-post block
-// instead re-arms every block flag once, see runSchedule).
-func relaxBucketDense(dist []float64, b *soaBucket) bool {
-	changed := false
+// +Inf + w < x is false for every finite x and for x = +Inf. These buckets
+// are the bulk of a query's relaxations, so the loop body stays
+// store-minimal.
+func relaxBucketDense(dist []float64, b *soaBucket) {
 	to, w := b.to, b.w
 	lo := 0
 	for _, hr := range b.rle {
@@ -312,25 +293,24 @@ func relaxBucketDense(dist []float64, b *soaBucket) bool {
 		for j, wj := range ww {
 			if d := du + wj; d < dist[tt[j]] {
 				dist[tt[j]] = d
-				changed = true
 			}
 		}
 		lo = hi
 	}
-	return changed
 }
 
-// relaxBucketTracked is the twice-swept kernel (same[L] buckets, visited
-// once by the descending and once by the ascending sweep). prev is the
-// query's run-delta tracker, one slot per global run (soaBucket.runBase +
-// r): prev holds dist[head] as of the run's last relaxation, and a run
-// whose head is unchanged since then is skipped. The skip is exact:
-// distances only decrease, so du == prev means every comparison
-// du+w < dist[to] already failed with the same du against a dist[to] that
-// can only have shrunk since — a guaranteed no-op. Slots start at +Inf,
-// which subsumes the unreachable-head skip on the first sweep.
-func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) bool {
-	changed := false
+// relaxBucketTracked is the kernel of the repeatedly swept buckets (eAll,
+// swept 2ℓ times, and same[L], swept once by the descending and once by the
+// ascending sweep). prev is the query's run-delta tracker, one slot per
+// global run (soaBucket.runBase + r): prev holds dist[head] as of the run's
+// last relaxation, and a run whose head is unchanged since then is skipped.
+// The skip is exact: distances only decrease, so du == prev means every
+// comparison du+w < dist[to] already failed with the same du against a
+// dist[to] that can only have shrunk since — a guaranteed no-op. Slots
+// start at +Inf, which subsumes the unreachable-head skip on the first
+// sweep. Skipped runs still count as relaxations: counted work is the
+// static schedule's (see DESIGN.md "Query performance").
+func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) {
 	to, w := b.to, b.w
 	pr := prev[b.runBase : int(b.runBase)+len(b.heads)]
 	lo := 0
@@ -346,233 +326,84 @@ func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) bool {
 		for j, wj := range ww {
 			if d := du + wj; d < dist[tt[j]] {
 				dist[tt[j]] = d
-				changed = true
 			}
 		}
 		lo = hi
 	}
-	return changed
 }
 
-// relaxEAllBlocks is the ℓ-block kernel: the eAll bucket is swept 2ℓ times
-// per query, so it layers a block frontier on top of the run-delta
-// tracker — blockDirty has one flag per eAllBlockRuns consecutive runs, and a block
-// whose flag is clear is skipped wholesale. The flag discipline keeps the
-// set of dirty blocks a superset of the runs the prev check would
-// execute: flags are seeded from the finite entries of the initial vector
-// before the ℓ-pre block, maintained here at every improvement this
-// kernel causes (blockOf[v] is the block of v's eAll run, or the
-// branch-free dummy slot), and re-armed wholesale at the start of the
-// ℓ-post block (see runSchedule), the one point where other kernels'
-// unmarked improvements could have accumulated. Skipping a clean block is
-// exact by induction: none of its heads improved since its last scan, so
-// each of its runs would be skipped by the prev check anyway — the head
-// either relaxed at that scan (prev equals it) or was already equal then,
-// and is unchanged since. A dirty block clears its flag and rescans its
-// runs under the prev check; improvements re-mark their target blocks —
-// possibly the current one, keeping it live for the next sweep. Dirty
-// runs execute in ascending run order, the canonical order, so distances
-// stay bit-identical to a full scan while the sweeps become
-// frontier-driven: each late ℓ-post sweep touches only the blocks still
-// propagating (the deepest leaves), and most of the ~half of
-// WorkPerSource parked in the two ℓ-blocks vanishes from the wall clock.
-// Counted work is a schedule property and is unaffected; see DESIGN.md
-// "Query performance".
-func relaxEAllBlocks(dist []float64, b *soaBucket, prev []float64, blockDirty []bool, blockOf []int32) bool {
-	changed := false
-	off, to, w, rle := b.off, b.to, b.w, b.rle
-	pr := prev[b.runBase : int(b.runBase)+len(rle)]
-	for blk := 0; blk < len(blockDirty)-1; blk++ {
-		if !blockDirty[blk] {
-			continue
-		}
-		blockDirty[blk] = false
-		rStart := blk * eAllBlockRuns
-		rEnd := rStart + eAllBlockRuns
-		if rEnd > len(rle) {
-			rEnd = len(rle)
-		}
-		lo := int(off[rStart])
-		for r := rStart; r < rEnd; r++ {
-			hi := int(rle[r].hi)
-			du := dist[rle[r].h]
-			if du == pr[r] {
-				lo = hi
-				continue
-			}
-			pr[r] = du
-			tt, ww := to[lo:hi], w[lo:hi]
-			for j, wj := range ww {
-				if d := du + wj; d < dist[tt[j]] {
-					v := tt[j]
-					dist[v] = d
-					blockDirty[blockOf[v]] = true
-					changed = true
-				}
-			}
-			lo = hi
-		}
+// relaxPhase relaxes phase bucket b of kind k with the matching kernel.
+func relaxPhase(dist []float64, k PhaseKind, b *soaBucket, prev []float64) {
+	switch k {
+	case PhaseDesc, PhaseAsc: // single sweep, tracking can't pay
+		relaxBucketDense(dist, b)
+	default: // eAll and same[L]: swept more than once
+		relaxBucketTracked(dist, b, prev)
 	}
-	return changed
-}
-
-// runCost is the counted cost of one scheduled run: the executed work and
-// phases, and what the ℓ-block convergence exit avoided — the work, and the
-// phases skipped in each ℓ-block (skip[0] ℓ-pre, skip[1] ℓ-post). Keeping
-// the blocks apart lets a wave fold its sources' skips per block.
-type runCost struct {
-	work, rounds, avoided int64
-	skip                  [2]int64
-}
-
-// addTo reports c to st as the cost of one query.
-func (c runCost) addTo(st *pram.Stats) {
-	st.AddWork(c.work)
-	st.AddRounds(c.rounds)
-	st.AddSkipped(c.avoided, c.skip[0]+c.skip[1])
 }
 
 // runSchedule relaxes dist in place through the §3.2 phase schedule,
 // polling ctx between phases when non-nil, and returns the run's counted
-// cost (the cost so far when ctx ends the run). The uninstrumented path is
-// closure-free, so it performs no heap allocation.
-//
-// The two ℓ-blocks take the convergence early exit: a full sweep over the
-// original edges that relaxes nothing is a fixpoint witness — relaxation is
-// monotone and the block re-scans the same bucket, so every remaining sweep
-// of the block would be a no-op and is skipped. Skipped phases neither poll
-// ctx nor fire the injector; their cost is reported as skipped so
-// executed+skipped reconciles exactly with the static schedule.
-func (e *Engine) runSchedule(ctx context.Context, dist []float64) (runCost, error) {
+// work and rounds (the cost so far when ctx ends the run). Every phase
+// runs, so a completed run costs exactly WorkPerSource and Phases. The
+// uninstrumented path is closure-free, so it performs no heap allocation.
+func (e *Engine) runSchedule(ctx context.Context, dist []float64) (work, rounds int64, err error) {
 	if e.obs.Enabled() {
 		return e.runScheduleObserved(ctx, dist)
 	}
-	n := e.schedule.Phases()
 	ws := e.getWS()
 	defer e.putWS(ws)
 	prev := ws.growPrev(e.schedule.prevRuns)
-	bd := ws.growBlockDirty(e.schedule.eAllBlocks)
-	e.schedule.seedDirty(bd, dist)
-	postStart := e.schedule.Phases() - e.schedule.l
-	var c runCost
-	i := 0
-	for i < n {
+	n := e.schedule.Phases()
+	for i := 0; i < n; i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return c, err
+				return work, rounds, err
 			}
 		}
 		e.firePhase()
-		if i == postStart {
-			// Entering the ℓ-post block: the descending/ascending sweeps
-			// improved distances without frontier bookkeeping, so re-arm
-			// every block and let the per-run prev check re-filter.
-			for k := range bd {
-				bd[k] = true
-			}
-		}
 		ph, b := e.schedule.phaseBucketAt(i)
-		var changed bool
-		switch ph.Kind {
-		case PhaseEllPre, PhaseEllPost:
-			changed = relaxEAllBlocks(dist, b, prev, bd, e.schedule.eAllBlockOf)
-		case PhaseSameDown, PhaseSameUp:
-			changed = relaxBucketTracked(dist, b, prev)
-		default: // PhaseDesc, PhaseAsc: single sweep, tracking can't pay
-			changed = relaxBucketDense(dist, b)
-		}
-		c.work += int64(b.edges())
-		c.rounds++ // one phase; O(log n) EREW steps, see Section 2.2
-		if !changed {
-			if _, end, ok := e.schedule.ellBlock(i); ok && end > i+1 {
-				c.skipBlock(i >= postStart, int64(end-i-1), int64(b.edges()))
-				i = end
-				continue
-			}
-		}
-		i++
+		relaxPhase(dist, ph.Kind, b, prev)
+		work += int64(b.edges())
+		rounds++ // one phase; O(log n) EREW steps, see Section 2.2
 	}
-	return c, nil
-}
-
-// skipBlock records that the rest of an ℓ-block — sk phases of eb edges
-// each, in the ℓ-post block when post — was skipped.
-func (c *runCost) skipBlock(post bool, sk, eb int64) {
-	blk := 0
-	if post {
-		blk = 1
-	}
-	c.skip[blk] += sk
-	c.avoided += sk * eb
+	return work, rounds, nil
 }
 
 // runScheduleObserved is runSchedule with per-phase spans, pprof labels,
-// and metric attribution (the instrumented slow path). It prunes exactly
-// like the plain path — same distances, same cost — and additionally
-// attributes the avoided cost to the skipped-phase counters.
-func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64) (runCost, error) {
+// and metric attribution (the instrumented slow path): same kernels, same
+// distances, same cost.
+func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64) (work, rounds int64, err error) {
 	qs := e.obs.Span("query.sssp", "query", "phases", e.schedule.Phases())
 	defer qs.End()
-	n := e.schedule.Phases()
 	ws := e.getWS()
 	defer e.putWS(ws)
 	prev := ws.growPrev(e.schedule.prevRuns)
-	bd := ws.growBlockDirty(e.schedule.eAllBlocks)
-	e.schedule.seedDirty(bd, dist)
-	postStart := e.schedule.Phases() - e.schedule.l
-	var c runCost
-	i := 0
-	for i < n {
+	n := e.schedule.Phases()
+	for i := 0; i < n; i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				e.obs.Counter(obs.MQueryCancelled).Inc()
-				return c, err
+				return work, rounds, err
 			}
 		}
 		e.firePhase()
-		if i == postStart {
-			for k := range bd {
-				bd[k] = true
-			}
-		}
 		ph, b := e.schedule.phaseBucketAt(i)
 		sp := e.obs.Span("query.phase", "query",
 			"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.edges())
-		var changed bool
-		e.obs.Do(func() {
-			switch ph.Kind {
-			case PhaseEllPre, PhaseEllPost:
-				changed = relaxEAllBlocks(dist, b, prev, bd, e.schedule.eAllBlockOf)
-			case PhaseSameDown, PhaseSameUp:
-				changed = relaxBucketTracked(dist, b, prev)
-			default:
-				changed = relaxBucketDense(dist, b)
-			}
-		}, "phase", string(ph.Kind))
+		e.obs.Do(func() { relaxPhase(dist, ph.Kind, b, prev) }, "phase", string(ph.Kind))
 		sp.End()
-		c.work += int64(b.edges())
-		c.rounds++
+		work += int64(b.edges())
+		rounds++
 		e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(int64(b.edges()))
 		e.obs.Counter(obs.MQueryPhases).Inc()
-		if !changed {
-			if _, end, ok := e.schedule.ellBlock(i); ok && end > i+1 {
-				sk := int64(end - i - 1)
-				c.skipBlock(i >= postStart, sk, int64(b.edges()))
-				e.obs.Counter(obs.MQueryPhasesSkipped).Add(sk)
-				e.obs.Counter(obs.MQueryWorkAvoided).Add(sk * int64(b.edges()))
-				i = end
-				continue
-			}
-		}
-		i++
 	}
-	return c, nil
+	return work, rounds, nil
 }
 
 // SSSPReference computes distances from src with the pre-optimization
 // executor: a scalar loop over the AoS phase buckets, no arena streaming,
-// no run skipping, no convergence pruning — all 2ℓ+4(d_G+1) phases scan
-// their full bucket. It relaxes the same canonical edge order as the
+// no run skipping — all 2ℓ+4(d_G+1) phases scan their full bucket. It relaxes the same canonical edge order as the
 // optimized paths, so their results must be bit-identical; it is retained
 // as the exactness oracle for the cross-executor fuzz target and as the
 // baseline the E-query experiment measures speedup against.

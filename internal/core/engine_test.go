@@ -9,6 +9,7 @@ import (
 	"sepsp/internal/baseline"
 	"sepsp/internal/graph"
 	"sepsp/internal/graph/gen"
+	"sepsp/internal/obs"
 	"sepsp/internal/pram"
 	"sepsp/internal/separator"
 )
@@ -180,35 +181,68 @@ func TestEngineNegativeCycleDetection(t *testing.T) {
 	}
 }
 
-// TestScheduleWorkMatchesRun pins the counted-work identity under
-// convergence pruning: executed plus skipped cost reconciles exactly with
-// the static schedule, and the skipped side is genuinely non-trivial on a
-// grid (the ℓ-post sweeps converge early).
+// TestScheduleWorkMatchesRun pins the counted-cost invariant: every
+// executor runs every phase, so one query reports exactly WorkPerSource
+// work, Phases rounds and no skipped work; a wave of k distinct sources
+// reports k·WorkPerSource and Phases, and each duplicate source adds
+// exactly WorkPerSource to SkippedWork. Distances must match the reference
+// relaxer's (within tolerance: SSSPParallel's concurrent relaxation order
+// may reassociate; FuzzQueryVsReference pins the sequential paths bit for
+// bit).
 func TestScheduleWorkMatchesRun(t *testing.T) {
-	eng, _ := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(1, 2), 1, Config{})
-	st := &pram.Stats{}
-	eng.SSSP(0, st)
-	if got := st.Work() + st.SkippedWork(); got != eng.Schedule().WorkPerSource() {
-		t.Fatalf("executed %d + skipped %d = %d != schedule estimate %d",
-			st.Work(), st.SkippedWork(), got, eng.Schedule().WorkPerSource())
+	eng, g := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(1, 2), 1, Config{})
+	obsEng := NewEngineFromParts(g, eng.Tree(), eng.Augmentation(), nil)
+	obsEng.SetObs(&obs.Sink{Metrics: obs.NewRegistry()})
+	par := NewEngineFromParts(g, eng.Tree(), eng.Augmentation(), pram.NewExecutor(2))
+	wps, phases := eng.Schedule().WorkPerSource(), int64(eng.Schedule().Phases())
+	const src = 5
+	ref := eng.SSSPReference(src, nil)
+	init := newDistVector(g.N())
+	init[src] = 0
+
+	for _, tc := range []struct {
+		name string
+		run  func(st *pram.Stats) []float64
+	}{
+		{"SSSPContext", func(st *pram.Stats) []float64 {
+			d, err := eng.SSSPContext(context.Background(), src, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"observed", func(st *pram.Stats) []float64 { return obsEng.SSSP(src, st) }},
+		{"SSSPFrom", func(st *pram.Stats) []float64 { return eng.SSSPFrom(init, st) }},
+		{"SSSPParallel/P=2", func(st *pram.Stats) []float64 { return par.SSSPParallel(src, st) }},
+		{"SSSPReference", func(st *pram.Stats) []float64 { return eng.SSSPReference(src, st) }},
+	} {
+		st := &pram.Stats{}
+		dist := tc.run(st)
+		if st.Work() != wps || st.Rounds() != phases || st.SkippedWork() != 0 {
+			t.Errorf("%s: work/rounds/skipped = %d/%d/%d, want %d/%d/0",
+				tc.name, st.Work(), st.Rounds(), st.SkippedWork(), wps, phases)
+		}
+		for v := range ref {
+			if !almostEqual(dist[v], ref[v]) {
+				t.Fatalf("%s: dist[%d]=%v, reference %v", tc.name, v, dist[v], ref[v])
+			}
+		}
 	}
-	if got := int(st.Rounds() + st.SkippedRounds()); got != eng.Schedule().Phases() {
-		t.Fatalf("executed %d + skipped %d rounds != phases %d",
-			st.Rounds(), st.SkippedRounds(), eng.Schedule().Phases())
-	}
-	if st.SkippedRounds() == 0 {
-		t.Fatal("expected the ℓ-block early exit to skip at least one phase on a grid query")
-	}
-	// The reference relaxer executes everything and must agree bit-for-bit.
-	stRef := &pram.Stats{}
-	ref := eng.SSSPReference(0, stRef)
-	if stRef.Work() != eng.Schedule().WorkPerSource() || stRef.SkippedWork() != 0 {
-		t.Fatalf("reference work %d (skipped %d), want full %d",
-			stRef.Work(), stRef.SkippedWork(), eng.Schedule().WorkPerSource())
-	}
-	for v, d := range eng.SSSP(0, nil) {
-		if d != ref[v] {
-			t.Fatalf("optimized dist[%d]=%v, reference %v", v, d, ref[v])
+
+	for _, w := range []struct {
+		srcs     []int
+		k, dupes int64
+	}{
+		{[]int{0, 7, 50, 143}, 4, 0},
+		{[]int{0, 7, 0, 50, 7, 0}, 3, 3},
+	} {
+		for _, e := range []*Engine{eng, par} {
+			st := &pram.Stats{}
+			e.SourcesBatched(w.srcs, st)
+			if st.Work() != w.k*wps || st.Rounds() != phases || st.SkippedWork() != w.dupes*wps {
+				t.Errorf("wave %v on P=%d: work/rounds/skipped = %d/%d/%d, want %d/%d/%d",
+					w.srcs, e.ex.P(), st.Work(), st.Rounds(), st.SkippedWork(), w.k*wps, phases, w.dupes*wps)
+			}
 		}
 	}
 }

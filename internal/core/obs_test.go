@@ -77,25 +77,16 @@ func TestQueryPhaseMetricsSumToStats(t *testing.T) {
 	if got := snap.SumCounters(obs.MQueryWork + "."); got != st.Work() {
 		t.Fatalf("per-phase work counters sum to %d, Stats total is %d", got, st.Work())
 	}
-	// Executed plus pruning-avoided cost reconciles with the static schedule.
-	if got := st.Work() + snap.Counters[obs.MQueryWorkAvoided]; got != eng.Schedule().WorkPerSource() {
-		t.Fatalf("Stats work %d + avoided %d != WorkPerSource %d",
-			st.Work(), snap.Counters[obs.MQueryWorkAvoided], eng.Schedule().WorkPerSource())
+	if st.Work() != eng.Schedule().WorkPerSource() {
+		t.Fatalf("Stats work %d != WorkPerSource %d", st.Work(), eng.Schedule().WorkPerSource())
 	}
-	executed := int64(eng.Schedule().Phases()) - snap.Counters[obs.MQueryPhasesSkipped]
-	if got := snap.Counters[obs.MQueryPhases]; got != executed {
-		t.Fatalf("phase counter %d, want %d executed (%d total - %d skipped)",
-			got, executed, eng.Schedule().Phases(), snap.Counters[obs.MQueryPhasesSkipped])
+	phases := eng.Schedule().Phases()
+	if got := snap.Counters[obs.MQueryPhases]; got != int64(phases) {
+		t.Fatalf("phase counter %d, want Phases %d", got, phases)
 	}
-	if st.SkippedWork() != snap.Counters[obs.MQueryWorkAvoided] ||
-		st.SkippedRounds() != snap.Counters[obs.MQueryPhasesSkipped] {
-		t.Fatalf("Stats skipped (%d,%d) disagrees with counters (%d,%d)",
-			st.SkippedWork(), st.SkippedRounds(),
-			snap.Counters[obs.MQueryWorkAvoided], snap.Counters[obs.MQueryPhasesSkipped])
-	}
-	// One query.sssp span plus one query.phase span per executed phase.
-	if got := sink.Trace.Len() - prepEvents; got != int(executed)+1 {
-		t.Fatalf("query added %d trace events, want %d", got, int(executed)+1)
+	// One query.sssp span plus one query.phase span per phase.
+	if got := sink.Trace.Len() - prepEvents; got != phases+1 {
+		t.Fatalf("query added %d trace events, want %d", got, phases+1)
 	}
 	if prepEvents == 0 {
 		t.Fatal("preprocessing emitted no spans")
@@ -112,30 +103,23 @@ func TestQueryPhaseMetricsSumToStats(t *testing.T) {
 }
 
 // TestEngineObsDisabledPathUntouched: with no sink, queries take the
-// uninstrumented Run path and counted work (executed + pruning-skipped)
-// matches the schedule exactly — and the plain and instrumented paths
-// prune identically, so their Stats agree to the unit.
+// uninstrumented path and counted work matches the schedule exactly — and
+// the plain and instrumented paths agree to the unit.
 func TestEngineObsDisabledPathUntouched(t *testing.T) {
 	eng, _ := buildGridEngine(t, []int{8, 8}, gen.UniformWeights(0.5, 2), 5, Config{})
 	st := &pram.Stats{}
 	eng.SSSP(3, st)
-	if got := st.Work() + st.SkippedWork(); got != eng.Schedule().WorkPerSource() {
-		t.Fatalf("work %d + skipped %d != WorkPerSource %d",
-			st.Work(), st.SkippedWork(), eng.Schedule().WorkPerSource())
-	}
-	if got := st.Rounds() + st.SkippedRounds(); got != int64(eng.Schedule().Phases()) {
-		t.Fatalf("rounds %d + skipped %d != Phases %d",
-			st.Rounds(), st.SkippedRounds(), eng.Schedule().Phases())
+	if st.Work() != eng.Schedule().WorkPerSource() || st.Rounds() != int64(eng.Schedule().Phases()) {
+		t.Fatalf("work %d, rounds %d; want WorkPerSource %d, Phases %d",
+			st.Work(), st.Rounds(), eng.Schedule().WorkPerSource(), eng.Schedule().Phases())
 	}
 
 	obsEng, _ := buildGridEngine(t, []int{8, 8}, gen.UniformWeights(0.5, 2), 5,
 		Config{Obs: &obs.Sink{Metrics: obs.NewRegistry()}})
 	stObs := &pram.Stats{}
 	obsEng.SSSP(3, stObs)
-	if st.Work() != stObs.Work() || st.Rounds() != stObs.Rounds() ||
-		st.SkippedWork() != stObs.SkippedWork() || st.SkippedRounds() != stObs.SkippedRounds() {
-		t.Fatalf("plain path (%d,%d,+%d,+%d) disagrees with instrumented (%d,%d,+%d,+%d)",
-			st.Work(), st.Rounds(), st.SkippedWork(), st.SkippedRounds(),
-			stObs.Work(), stObs.Rounds(), stObs.SkippedWork(), stObs.SkippedRounds())
+	if st.Work() != stObs.Work() || st.Rounds() != stObs.Rounds() {
+		t.Fatalf("plain path (%d,%d) disagrees with instrumented (%d,%d)",
+			st.Work(), st.Rounds(), stObs.Work(), stObs.Rounds())
 	}
 }

@@ -45,14 +45,8 @@ func (s *parallelState) relax(lo, hi int) {
 // Concurrent relaxations use an atomic min on the distance cells (CAS on
 // the float bit pattern). Extra relaxations caused by same-phase visibility
 // can only move a cell closer to the true distance — every written value is
-// the weight of an actual path — so the result is exactly SSSP's.
-//
-// Unlike the sequential path, SSSPParallel does not take the ℓ-block
-// convergence early exit: whether a concurrent sweep observed "no change"
-// depends on worker interleaving, and pruning on it would make counted work
-// scheduling-dependent — breaking the pram package's determinism contract.
-// All phases execute, so Work here equals the schedule's static
-// WorkPerSource (the sequential path's Work+SkippedWork).
+// the weight of an actual path — so the result is exactly SSSP's, and so
+// is the counted cost: Work is WorkPerSource and Rounds is Phases.
 func (e *Engine) SSSPParallel(src int, st *pram.Stats) []float64 {
 	dist, _ := e.SSSPParallelContext(nil, src, st)
 	return dist

@@ -39,22 +39,10 @@ type Schedule struct {
 	same   [][]graph.Edge // same[L]: level(from) == level(to) == L
 	desc   [][]graph.Edge // desc[L]: level(from) == L > level(to)
 	asc    [][]graph.Edge // asc[L]:  level(to) == L > level(from)
-	runs   int            // total head runs across all buckets
 	// prevRuns counts the run slots of the tracked buckets (eAll and every
 	// same[L]), which the arena packs first: the run-delta tracker only
 	// needs resetting on [0, prevRuns).
 	prevRuns int
-
-	// ℓ-block frontier support: the eAll bucket's runs are grouped into
-	// blocks of eAllBlockRuns consecutive runs, and eAllBlockOf maps each vertex to
-	// the block holding its eAll run — or to the dummy slot eAllBlocks
-	// (one past the last real block) for vertices heading no original
-	// edge, so marking needs no branch. When a relaxation improves
-	// dist[v], the only eAll runs that can stop being no-ops are v's, so
-	// the kernels mark eAllBlockOf[v] dirty and the 2ℓ ℓ-block sweeps
-	// skip clean blocks wholesale (see relaxEAllBlocks).
-	eAllBlocks  int
-	eAllBlockOf []int32
 
 	// SoA phase arena: every bucket above, flattened into one contiguous
 	// allocation with heads/to as int32 and weights as float64 in separate
@@ -85,9 +73,10 @@ type soaBucket struct {
 	rle []headRun
 
 	// runBase is this bucket's first slot in the schedule-wide run
-	// numbering [0, Schedule.runs): run r of this bucket owns global slot
-	// runBase+r. The query workspace keeps one prev[dist[head]] tracker
-	// entry per global run (see relaxBucketTracked).
+	// numbering (one slot per run of every bucket, in arena order): run r
+	// of this bucket owns global slot runBase+r. The query workspace keeps
+	// one prev[dist[head]] tracker entry per global run (see
+	// relaxBucketTracked).
 	runBase int32
 }
 
@@ -103,16 +92,22 @@ func (b *soaBucket) edges() int { return len(b.to) }
 // runs returns the number of distinct-head runs in the bucket.
 func (b *soaBucket) runs() int { return len(b.heads) }
 
-// materialize rebuilds the bucket's []graph.Edge view in arena order.
+// materialize returns a new []graph.Edge view of the bucket in arena order.
 func (b *soaBucket) materialize() []graph.Edge {
-	out := make([]graph.Edge, 0, len(b.to))
+	return b.materializeInto(make([]graph.Edge, len(b.to)))
+}
+
+// materializeInto writes the bucket's edges into dst (len(dst) ==
+// b.edges()) in arena order and returns dst. The arena already holds its own
+// copy, so dst may be the very slice the bucket was built from.
+func (b *soaBucket) materializeInto(dst []graph.Edge) []graph.Edge {
 	for r := range b.heads {
 		f := int(b.heads[r])
 		for j := b.off[r]; j < b.off[r+1]; j++ {
-			out = append(out, graph.Edge{From: f, To: int(b.to[j]), W: b.w[j]})
+			dst[j] = graph.Edge{From: f, To: int(b.to[j]), W: b.w[j]}
 		}
 	}
-	return out
+	return dst
 }
 
 // soaBuilder packs buckets into shared arena slices. runOf is an n-sized
@@ -219,37 +214,58 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 		desc:   make([][]graph.Edge, h),
 		asc:    make([][]graph.Edge, h),
 	}
-	bucket := func(e graph.Edge) {
+	// bucketOf numbers the level buckets same[L] = L, desc[L] = h+L and
+	// asc[L] = 2h+L, or returns -1 for an edge with an undefined endpoint
+	// level: such edges are only reachable through leaf-interior segments,
+	// which the ℓ-phases of original edges cover.
+	bucketOf := func(e graph.Edge) int {
 		lu, lv := t.Level(e.From), t.Level(e.To)
-		if lu == separator.LevelUndef || lv == separator.LevelUndef {
-			// Only reachable through leaf-interior segments; the ℓ-phases
-			// of original edges cover these.
-			return
-		}
 		switch {
+		case lu == separator.LevelUndef || lv == separator.LevelUndef:
+			return -1
 		case lu == lv:
-			s.same[lu] = append(s.same[lu], e)
+			return lu
 		case lu > lv:
-			s.desc[lu] = append(s.desc[lu], e)
+			return h + lu
 		default:
-			s.asc[lv] = append(s.asc[lv], e)
+			return 2*h + lv
 		}
 	}
-	for _, e := range original {
-		bucket(e)
+	// Count every bucket, then carve all of them from one exactly sized
+	// array and scatter the edges in input order.
+	start := make([]int, 3*h+1)
+	for _, list := range [2][]graph.Edge{original, shortcuts} {
+		for _, e := range list {
+			if b := bucketOf(e); b >= 0 {
+				start[b+1]++
+			}
+		}
 	}
-	for _, e := range shortcuts {
-		bucket(e)
+	for b := 1; b <= 3*h; b++ {
+		start[b] += start[b-1]
 	}
-	total := len(original)
+	all := make([]graph.Edge, start[3*h])
+	cur := append([]int(nil), start[:3*h]...)
+	for _, list := range [2][]graph.Edge{original, shortcuts} {
+		for _, e := range list {
+			if b := bucketOf(e); b >= 0 {
+				all[cur[b]] = e
+				cur[b]++
+			}
+		}
+	}
 	for L := 0; L < h; L++ {
-		total += len(s.same[L]) + len(s.desc[L]) + len(s.asc[L])
+		s.same[L] = all[start[L]:start[L+1]:start[L+1]]
+		s.desc[L] = all[start[h+L]:start[h+L+1]:start[h+L+1]]
+		s.asc[L] = all[start[2*h+L]:start[2*h+L+1]:start[2*h+L+1]]
 	}
 	// The tracked buckets (eAll, then every same[L]) are built first so
 	// their global run slots form the prefix [0, prevRuns) — the per-query
 	// +Inf reset of the run-delta tracker then touches only slots a tracked
-	// kernel can read, not the desc/asc runs that never consult it.
-	sb := newSOABuilder(t.N(), total, 1+3*h)
+	// kernel can read, not the desc/asc runs that never consult it. Each
+	// level bucket is then rewritten in place in arena order; eAll gets its
+	// own copy, since original belongs to the caller.
+	sb := newSOABuilder(t.N(), len(original)+len(all), 1+3*h)
 	s.soaEAll = sb.build(original)
 	s.eAll = s.soaEAll.materialize()
 	s.soaSame = make([]soaBucket, h)
@@ -257,45 +273,16 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 	s.soaAsc = make([]soaBucket, h)
 	for L := 0; L < h; L++ {
 		s.soaSame[L] = sb.build(s.same[L])
-		s.same[L] = s.soaSame[L].materialize()
+		s.soaSame[L].materializeInto(s.same[L])
 	}
 	s.prevRuns = sb.hPos
 	for L := 0; L < h; L++ {
 		s.soaDesc[L] = sb.build(s.desc[L])
-		s.desc[L] = s.soaDesc[L].materialize()
+		s.soaDesc[L].materializeInto(s.desc[L])
 		s.soaAsc[L] = sb.build(s.asc[L])
-		s.asc[L] = s.soaAsc[L].materialize()
-	}
-	s.runs = sb.hPos
-	s.eAllBlocks = (len(s.soaEAll.heads) + eAllBlockRuns - 1) / eAllBlockRuns
-	s.eAllBlockOf = make([]int32, t.N())
-	for v := range s.eAllBlockOf {
-		s.eAllBlockOf[v] = int32(s.eAllBlocks) // dummy: no original out-edge
-	}
-	for r, h := range s.soaEAll.heads {
-		s.eAllBlockOf[h] = int32(r / eAllBlockRuns)
+		s.soaAsc[L].materializeInto(s.asc[L])
 	}
 	return s
-}
-
-// eAllBlockRuns is the ℓ-block frontier granularity: runs per dirty flag.
-// Eight consecutive runs ≈ one leaf's worth of vertices on the LeafSize-8
-// workloads the schedule targets, fine enough that a converged region's
-// flags stay clear while one still-propagating leaf keeps only its own
-// blocks live; the per-sweep cost of probing all flags is runs/8
-// predictable byte loads, amortized far below the run scans they replace.
-const eAllBlockRuns = 16
-
-// seedDirty marks the eAll block of every finite-distance vertex of init.
-// A query must call this on its block flags before the first phase: writes
-// to dist made outside the kernels (the source vertex; every finite entry
-// of an SSSPFrom initial vector) are improvements the kernels never saw.
-func (s *Schedule) seedDirty(blockDirty []bool, init []float64) {
-	for v, dv := range init {
-		if !math.IsInf(dv, 1) {
-			blockDirty[s.eAllBlockOf[v]] = true
-		}
-	}
 }
 
 // Phases returns the total number of relaxation phases one query performs:
@@ -406,23 +393,6 @@ func (s *Schedule) phaseBucketAt(i int) (PhaseInfo, *soaBucket) {
 	default:
 		return PhaseInfo{Index: i, Kind: PhaseEllPost, Level: -1}, &s.soaEAll
 	}
-}
-
-// ellBlock returns the bounds [start, end) of the ℓ-sweep block containing
-// phase i, with ok=false when phase i is a bitonic (level-scoped) phase.
-// The two ℓ-blocks re-scan the same bucket every sweep, which is what makes
-// them — and only them — eligible for the convergence early exit: a sweep
-// that relaxes nothing proves the remaining sweeps of the block are no-ops
-// (monotone-relaxation fixpoint, see DESIGN.md "Query performance").
-func (s *Schedule) ellBlock(i int) (start, end int, ok bool) {
-	h := s.height + 1
-	switch {
-	case i < s.l:
-		return 0, s.l, true
-	case i >= s.l+4*h:
-		return s.l + 4*h, s.Phases(), true
-	}
-	return 0, 0, false
 }
 
 // RunPhases executes the schedule like Run, additionally passing each

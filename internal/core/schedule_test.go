@@ -103,3 +103,80 @@ func TestSSSPFromMultiSource(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleBucketsMatchReference rebuilds every phase bucket the plain
+// way — append each edge of E then E+ to its level bucket, then group by
+// head in first-appearance order, keeping input order within a head — and
+// checks that each PhaseAt bucket equals that reference and its SoA bucket
+// edge for edge, in order. The level buckets are carved from one exactly
+// sized array, so none may carry spare capacity into its neighbour.
+func TestScheduleBucketsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	grid := gen.NewGrid([]int{10, 9}, gen.UniformWeights(0.1, 4), rng)
+	g, _ := gen.PotentialShift(grid.G, 6, rng)
+	tree, err := separator.Build(graph.NewSkeleton(g), &separator.CoordinateFinder{Coord: grid.Coord}, separator.Options{LeafSize: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(g, tree, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := eng.Schedule()
+	h := tree.Height + 1
+	same, desc, asc := make([][]graph.Edge, h), make([][]graph.Edge, h), make([][]graph.Edge, h)
+	for _, e := range append(g.EdgeList(), eng.Augmentation().Edges...) {
+		lu, lv := tree.Level(e.From), tree.Level(e.To)
+		switch {
+		case lu == separator.LevelUndef || lv == separator.LevelUndef:
+		case lu == lv:
+			same[lu] = append(same[lu], e)
+		case lu > lv:
+			desc[lu] = append(desc[lu], e)
+		default:
+			asc[lv] = append(asc[lv], e)
+		}
+	}
+	grouped := func(edges []graph.Edge) []graph.Edge {
+		var heads []int
+		byHead := map[int][]graph.Edge{}
+		for _, e := range edges {
+			if _, ok := byHead[e.From]; !ok {
+				heads = append(heads, e.From)
+			}
+			byHead[e.From] = append(byHead[e.From], e)
+		}
+		var out []graph.Edge
+		for _, u := range heads {
+			out = append(out, byHead[u]...)
+		}
+		return out
+	}
+	for i := 0; i < s.Phases(); i++ {
+		ph, edges := s.PhaseAt(i)
+		_, b := s.phaseBucketAt(i)
+		var want []graph.Edge
+		switch ph.Kind {
+		case PhaseEllPre, PhaseEllPost:
+			want = grouped(g.EdgeList())
+		case PhaseSameDown, PhaseSameUp:
+			want = grouped(same[ph.Level])
+		case PhaseDesc:
+			want = grouped(desc[ph.Level])
+		case PhaseAsc:
+			want = grouped(asc[ph.Level])
+		}
+		if len(edges) != len(want) || b.edges() != len(want) {
+			t.Fatalf("phase %d (%s L=%d): PhaseAt %d edges, SoA %d, reference %d", i, ph.Kind, ph.Level, len(edges), b.edges(), len(want))
+		}
+		if cap(edges) != len(edges) {
+			t.Fatalf("phase %d (%s L=%d): bucket cap %d > len %d", i, ph.Kind, ph.Level, cap(edges), len(edges))
+		}
+		arena := b.materialize()
+		for j := range want {
+			if edges[j] != want[j] || arena[j] != want[j] {
+				t.Fatalf("phase %d (%s L=%d) edge %d: PhaseAt %+v, SoA %+v, reference %+v", i, ph.Kind, ph.Level, j, edges[j], arena[j], want[j])
+			}
+		}
+	}
+}

@@ -68,7 +68,7 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 		srcs[j] = rng.Intn(g.N())
 	}
 	var base [][]float64
-	var baseCost [4]int64
+	var baseCost [3]int64
 	for _, p := range []int{1, 2, 4} {
 		eng, err := NewEngine(g, tree, Config{Ex: pram.NewExecutor(p)})
 		if err != nil {
@@ -78,7 +78,7 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 		rows := eng.SourcesBatched(srcs, st)
 		if base == nil {
 			base = rows
-			baseCost = [4]int64{st.Work(), st.SkippedWork(), st.Rounds(), st.SkippedRounds()}
+			baseCost = [3]int64{st.Work(), st.SkippedWork(), st.Rounds()}
 			for j, src := range srcs {
 				ref := eng.SSSPReference(src, nil)
 				for v := range ref {
@@ -89,8 +89,8 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 			}
 			continue
 		}
-		if cost := [4]int64{st.Work(), st.SkippedWork(), st.Rounds(), st.SkippedRounds()}; cost != baseCost {
-			t.Fatalf("P=%d counted work/avoided/rounds/skipped %v, P=1 counted %v", p, cost, baseCost)
+		if cost := [3]int64{st.Work(), st.SkippedWork(), st.Rounds()}; cost != baseCost {
+			t.Fatalf("P=%d counted work/skipped/rounds %v, P=1 counted %v", p, cost, baseCost)
 		}
 		for j := range rows {
 			for v := range rows[j] {
@@ -102,10 +102,9 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 	}
 }
 
-// TestSourcesBatchedPerLanePruningMatchesSolo: per-source convergence
-// inside a wave must mirror the solo queries exactly — summed executed and
-// skipped cost both reconcile, and a wave of k sources accounts for exactly
-// k·WorkPerSource in total.
+// TestSourcesBatchedPerLanePruningMatchesSolo: each lane of a wave runs
+// the solo query, so a wave of k distinct sources counts exactly the k solo
+// queries' work — k·WorkPerSource — in Phases rounds, with nothing skipped.
 func TestSourcesBatchedPerLanePruningMatchesSolo(t *testing.T) {
 	eng, g := buildGridEngine(t, []int{10, 10}, gen.UniformWeights(0.5, 2), 7, Config{})
 	srcs := []int{0, g.N() / 2, g.N() - 1, 17}
@@ -121,14 +120,11 @@ func TestSourcesBatchedPerLanePruningMatchesSolo(t *testing.T) {
 	if wave.Work() != solo.Work() {
 		t.Fatalf("wave executed %d relaxations, solo queries %d", wave.Work(), solo.Work())
 	}
-	if wave.SkippedWork() != solo.SkippedWork() {
-		t.Fatalf("wave avoided %d relaxations, solo queries %d", wave.SkippedWork(), solo.SkippedWork())
+	if wave.Work() != k*eng.Schedule().WorkPerSource() || wave.SkippedWork() != 0 {
+		t.Fatalf("wave work %d (skipped %d), want k·WorkPerSource %d", wave.Work(), wave.SkippedWork(), k*eng.Schedule().WorkPerSource())
 	}
-	if total := wave.Work() + wave.SkippedWork(); total != k*eng.Schedule().WorkPerSource() {
-		t.Fatalf("wave total %d != k·WorkPerSource %d", total, k*eng.Schedule().WorkPerSource())
-	}
-	if total := wave.Rounds() + wave.SkippedRounds(); total != int64(eng.Schedule().Phases()) {
-		t.Fatalf("wave rounds %d + skipped %d != Phases %d", wave.Rounds(), wave.SkippedRounds(), eng.Schedule().Phases())
+	if wave.Rounds() != int64(eng.Schedule().Phases()) {
+		t.Fatalf("wave rounds %d != Phases %d", wave.Rounds(), eng.Schedule().Phases())
 	}
 }
 

@@ -12,19 +12,41 @@ import (
 )
 
 // querySpeedupFloor is the portable part of the E-query gate: the optimized
-// single-source query (SoA phase arena + convergence pruning) must beat the
+// single-source query (SoA phase arena + run-delta tracking) must beat the
 // retained naive reference relaxer by at least this factor, single thread,
-// at the largest measured n. The recorded baseline machine reaches >= 1.5x
-// (the acceptance target of the query-path overhaul, see DESIGN.md "Query
-// performance"); the gate demands only a machine-independent floor.
+// at the largest measured n. A shared 2-vCPU host measures about this ratio,
+// so there the gate fails on some runs (see DESIGN.md "Query performance").
 const querySpeedupFloor = 1.3
 
 // waveScalingFloor is the E-query-wave gate: a k=32 wave on P=4 workers
-// must beat the same wave on P=1 by this factor — handing whole pruned
-// solo queries to the workers must buy real scaling (the baseline machine,
+// must beat the same wave on P=1 by this factor — handing whole solo
+// queries to the workers must buy real scaling (the baseline machine,
 // 2 CPUs, records ~1.7x). Skipped on single-CPU runners where no scaling is
 // physically possible.
 const waveScalingFloor = 1.3
+
+// queryReps and queryBatch size the E-query single-source timing: more
+// batches than kernelReps, because the gated speedup compares two paths
+// that a noisy host slows unevenly when they are timed one after the other.
+const (
+	queryReps  = 15
+	queryBatch = 20
+)
+
+// timeBatch runs run batch times and returns the per-call wall clock and
+// the per-call Mallocs delta.
+func timeBatch(run func(), batch int) (time.Duration, int64) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	for i := 0; i < batch; i++ {
+		run()
+	}
+	el := time.Since(start) / time.Duration(batch)
+	runtime.ReadMemStats(&m1)
+	return el, int64(m1.Mallocs-m0.Mallocs) / int64(batch)
+}
 
 // timeQuery reports the best per-call wall clock of run over kernelReps
 // batches of kernelBatch calls (one warmup call first, mirroring the
@@ -33,42 +55,55 @@ func timeQuery(run func()) (time.Duration, int64) {
 	run() // warmup: workspace pools fill here
 	best := time.Duration(math.MaxInt64)
 	var allocs int64
-	var m0, m1 runtime.MemStats
 	for rep := 0; rep < kernelReps; rep++ {
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for i := 0; i < kernelBatch; i++ {
-			run()
-		}
-		el := time.Since(start) / kernelBatch
-		runtime.ReadMemStats(&m1)
-		if el < best {
-			best = el
-			allocs = int64(m1.Mallocs-m0.Mallocs) / kernelBatch
+		if el, a := timeBatch(run, kernelBatch); el < best {
+			best, allocs = el, a
 		}
 	}
 	return best, allocs
 }
 
+// timeInterleaved is timeQuery for two paths timed against each other: it
+// runs queryReps rounds of one queryBatch-call batch per path, swapping
+// which path goes first each round, so a host slowdown lands on both
+// sides, and reports each path's best per-call wall clock and the Mallocs
+// of that batch.
+func timeInterleaved(ref, opt func()) (tR, tO time.Duration, aR, aO int64) {
+	paths := [2]func(){ref, opt}
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	var allocs [2]int64
+	for _, run := range paths {
+		run() // warmup: workspace pools fill here
+	}
+	for rep := 0; rep < queryReps; rep++ {
+		for k := range paths {
+			i := (rep + k) % 2
+			if el, a := timeBatch(paths[i], queryBatch); el < best[i] {
+				best[i], allocs[i] = el, a
+			}
+		}
+	}
+	return best[0], best[1], allocs[0], allocs[1]
+}
+
 // QueryExperiment (E-query) measures the query path end to end: the
 // optimized single-source executor (SoA phase arena, per-run head caching,
-// ℓ-block convergence pruning) against the retained naive reference relaxer
-// on the same schedule, and the source-parallel wave's scaling across
-// worker counts. Executed and avoided work are counted-model quantities —
-// deterministic, so the gate pins them exactly; wall clock and speedup are
-// the machine-local perf baseline BENCH_query.json records.
+// run-delta tracking) against the retained naive reference relaxer on the
+// same schedule, and the source-parallel wave's scaling across worker
+// counts. Counted work is a property of the static schedule — the same for
+// both paths and deterministic, so the gate pins it exactly; wall clock and
+// speedup are the machine-local perf baseline BENCH_query.json records.
 func QueryExperiment(scale int) (*Result, error) {
 	if scale < 1 {
 		scale = 1
 	}
 	qt := &Table{
 		ID:     "E-query-sssp",
-		Title:  "Single-source query: optimized (SoA + pruning) vs naive reference relaxer (single thread)",
-		Header: []string{"n", "path", "time/query", "work", "avoided", "allocs", "speedup"},
+		Title:  "Single-source query: optimized (SoA + run tracking) vs naive reference relaxer (single thread)",
+		Header: []string{"n", "path", "time/query", "work", "allocs", "speedup"},
 		Notes: []string{
-			fmt.Sprintf("best of %d batches of %d queries; gate: work and avoided exact vs baseline, largest-n speedup >= %.2f (baseline machine target: >= 1.5x), allocs <= %.1fx baseline + %d",
-				kernelReps, kernelBatch, querySpeedupFloor, allocSlack, allocAbsSlack),
+			fmt.Sprintf("best of %d interleaved batches of %d queries per path; gate: work exact vs baseline and optimized == reference, largest-n speedup >= %.2f, allocs <= %.1fx baseline + %d",
+				queryReps, queryBatch, querySpeedupFloor, allocSlack, allocAbsSlack),
 		},
 	}
 	var largestN int
@@ -87,11 +122,10 @@ func QueryExperiment(scale int) (*Result, error) {
 		stR, stO := &pram.Stats{}, &pram.Stats{}
 		eng.SSSPReference(src, stR)
 		eng.SSSP(src, stO)
-		tR, aR := timeQuery(func() { eng.SSSPReference(src, nil) })
-		tO, aO := timeQuery(func() { eng.SSSP(src, nil) })
+		tR, tO, aR, aO := timeInterleaved(func() { eng.SSSPReference(src, nil) }, func() { eng.SSSP(src, nil) })
 		qt.Rows = append(qt.Rows,
-			[]string{d(int64(nn)), "reference", tR.String(), d(stR.Work()), d(stR.SkippedWork()), d(aR), "-"},
-			[]string{d(int64(nn)), "optimized", tO.String(), d(stO.Work()), d(stO.SkippedWork()), d(aO),
+			[]string{d(int64(nn)), "reference", tR.String(), d(stR.Work()), d(aR), "-"},
+			[]string{d(int64(nn)), "optimized", tO.String(), d(stO.Work()), d(aO),
 				fmt.Sprintf("%.2f", tR.Seconds()/tO.Seconds())},
 		)
 	}
@@ -140,9 +174,10 @@ func QueryExperiment(scale int) (*Result, error) {
 // (BENCH_query.json) and returns the violations, empty when the gate
 // passes. Portable invariants only:
 //
-//   - executed and avoided work must match the baseline exactly, row by
-//     row — both halves of the pruning split are deterministic counted
-//     quantities, so any drift means the executors changed semantics;
+//   - counted work must match the baseline exactly, row by row, and the
+//     optimized row's must equal the reference row's at every n — work is
+//     the static schedule's, so any drift means an executor changed
+//     semantics;
 //   - wave work must additionally be independent of P (the workers never
 //     change what is computed, only who computes it);
 //   - the optimized query must hold the speedup floor over the reference
@@ -161,14 +196,24 @@ func GateQuery(curr, base *Result) []string {
 		return []string{"sssp table missing from current run or baseline"}
 	}
 	bad = append(bad, matchColumn(cq, bq, 2, "work", exactMatch)...)
-	bad = append(bad, matchColumn(cq, bq, 2, "avoided", exactMatch)...)
+	nCol, pCol, wCol, sCol := colIndex(cq, "n"), colIndex(cq, "path"), colIndex(cq, "work"), colIndex(cq, "speedup")
+	refWork := map[string]string{}
+	for _, row := range cq.Rows {
+		if row[pCol] == "reference" {
+			refWork[row[nCol]] = row[wCol]
+		}
+	}
+	for _, row := range cq.Rows {
+		if row[pCol] == "optimized" && row[wCol] != refWork[row[nCol]] {
+			bad = append(bad, fmt.Sprintf("sssp n=%s optimized work %s != reference work %s", row[nCol], row[wCol], refWork[row[nCol]]))
+		}
+	}
 	bad = append(bad, matchColumn(cq, bq, 2, "allocs", func(c, b float64) string {
 		if limit := b*allocSlack + allocAbsSlack; c > limit {
 			return fmt.Sprintf("%.0f allocs, baseline %.0f (limit %.0f)", c, b, limit)
 		}
 		return ""
 	})...)
-	nCol, pCol, sCol := colIndex(cq, "n"), colIndex(cq, "path"), colIndex(cq, "speedup")
 	bestN, bestSpeedup := -1.0, ""
 	for _, row := range cq.Rows {
 		if row[pCol] != "optimized" {
@@ -187,7 +232,7 @@ func GateQuery(curr, base *Result) []string {
 		return append(bad, "wave table missing from current run or baseline")
 	}
 	bad = append(bad, matchColumn(cw, bw, 3, "work", exactMatch)...)
-	wCol := colIndex(cw, "work")
+	wCol = colIndex(cw, "work")
 	byNK := map[string]string{}
 	for _, row := range cw.Rows {
 		key := rowKey(row, 2)

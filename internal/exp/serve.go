@@ -12,7 +12,7 @@ import (
 
 // ServeExperiment measures the serving substrate that sepsp.Server's
 // dispatcher runs: the multi-source wave (core.SourcesBatchedContext, a
-// deduplicated fan-out of pruned solo queries across the executor's
+// deduplicated fan-out of solo queries across the executor's
 // workers). It reports, per wave size k, the wall-clock time and
 // counted-model work per served source — what the Server's request
 // coalescing buys is the spread of a wave's sources over the workers — with

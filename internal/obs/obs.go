@@ -95,16 +95,8 @@ const (
 	MQueryWork      = "query.work"      // relaxations, per phase kind
 	MQueryPhases    = "query.phases"    // executed relaxation phases
 	MQueryCancelled = "query.cancelled" // queries abandoned on context cancellation
-
-	// Convergence pruning (the ℓ-block fixpoint early exit): phases proven
-	// no-ops and skipped, and the relaxations those phases would have
-	// scanned. Executed + avoided reconciles with the static schedule cost.
-	// Deliberately outside the "query.work."/"query.phases" namespaces so
-	// per-kind prefix sums keep counting executed relaxations only.
-	MQueryPhasesSkipped = "query.skipped.phases"
-	MQueryWorkAvoided   = "query.skipped.work"
-	MExecImbalance      = "exec.imbalance" // max/mean worker busy iterations
-	MExecWorkers        = "exec.workers"   // executor pool size
+	MExecImbalance  = "exec.imbalance"  // max/mean worker busy iterations
+	MExecWorkers    = "exec.workers"    // executor pool size
 
 	// Graceful-degradation (baseline fallback) series.
 	MFallbackEngaged = "fallback.engaged" // counter: degradation causes observed

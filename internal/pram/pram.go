@@ -43,14 +43,10 @@ type Stats struct {
 	work   atomic.Int64
 	rounds atomic.Int64
 
-	// Skipped cost: work and rounds the schedule's convergence pruning
-	// proved redundant and did not execute. Executed + skipped always
-	// equals the static schedule cost (Work+SkippedWork == WorkPerSource,
-	// Rounds+SkippedRounds == Phases for one query), so the pruning stays
-	// auditable and the determinism contract extends to the split: both
-	// halves are independent of scheduling and GOMAXPROCS.
-	skippedWork   atomic.Int64
-	skippedRounds atomic.Int64
+	// skippedWork is work a caller proved redundant and did not execute
+	// (a query wave's duplicate sources). Like work it is independent of
+	// scheduling and GOMAXPROCS.
+	skippedWork atomic.Int64
 }
 
 // AddWork adds n units of work.
@@ -67,28 +63,19 @@ func (s *Stats) AddRounds(n int64) {
 	}
 }
 
-// AddSkipped adds work units and rounds that convergence pruning avoided.
-func (s *Stats) AddSkipped(work, rounds int64) {
+// AddSkipped adds work units that were avoided rather than executed.
+func (s *Stats) AddSkipped(work int64) {
 	if s != nil {
 		s.skippedWork.Add(work)
-		s.skippedRounds.Add(rounds)
 	}
 }
 
-// SkippedWork returns the counted work avoided by pruning.
+// SkippedWork returns the counted work avoided.
 func (s *Stats) SkippedWork() int64 {
 	if s == nil {
 		return 0
 	}
 	return s.skippedWork.Load()
-}
-
-// SkippedRounds returns the counted rounds avoided by pruning.
-func (s *Stats) SkippedRounds() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.skippedRounds.Load()
 }
 
 // Work returns the total counted work.
@@ -113,7 +100,6 @@ func (s *Stats) Reset() {
 		s.work.Store(0)
 		s.rounds.Store(0)
 		s.skippedWork.Store(0)
-		s.skippedRounds.Store(0)
 	}
 }
 

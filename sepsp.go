@@ -667,7 +667,7 @@ func (ix *Index) SSSPContext(ctx context.Context, src int) ([]float64, error) {
 }
 
 // SourcesBatchedContext computes SSSP from many sources as one wave — a
-// deduplicated fan-out of pruned single-source queries, handed to the
+// deduplicated fan-out of single-source queries, handed to the
 // workers one source at a time — with cooperative cancellation (every
 // running query polls ctx between phases); each row equals SSSPContext
 // from that source.
@@ -676,10 +676,10 @@ func (ix *Index) SourcesBatchedContext(ctx context.Context, srcs []int) ([][]flo
 }
 
 // sourcesBatchedStats is SourcesBatchedContext with an optional PRAM cost
-// collector: st (nil to skip) receives the wave's executed and
-// convergence-pruned work so serving telemetry can surface the pruning
-// rate. Queries degraded to the baseline fallback record nothing — the
-// fallback has no schedule to prune.
+// collector: st (nil to skip) receives the wave's executed work and the
+// work its duplicate-source dedup avoided, which serving telemetry
+// surfaces. Queries degraded to the baseline fallback record nothing — the
+// fallback runs no schedule.
 func (ix *Index) sourcesBatchedStats(ctx context.Context, srcs []int, st *pram.Stats) ([][]float64, error) {
 	if ix.primary() {
 		rows, err := runGuarded("sources", func() ([][]float64, error) {

@@ -3,6 +3,7 @@ package sepsp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -274,18 +275,22 @@ func TestFuzzDelaunayWithRotations(t *testing.T) {
 	}
 }
 
-// TestFuzzOptimizedQueryBitIdentical cross-checks the optimized query
-// executors (SoA sequential with convergence pruning, source-parallel
-// waves) against the retained naive reference relaxer: on the
-// same schedule the distances must be bit-identical, not merely close —
-// the arena rematerializes the exact relaxation order the reference
-// walks. Inputs include negative weights (potential-shifted grids) and
-// negative-cycle-adjacent 2-cycles whose total weight is barely positive,
-// the regime where any reordering of float relaxations would show up as a
-// bit difference. An independent Bellman-Ford run (with tolerance) keeps
-// the pair of executors honest against agreeing on a wrong answer.
-func TestFuzzOptimizedQueryBitIdentical(t *testing.T) {
-	f := func(seed int64) bool {
+// FuzzQueryVsReference cross-checks the optimized query executors against
+// the retained naive reference relaxer (SSSPReference): SSSP, every row of
+// a SourcesBatched wave, and SSSPFrom from a vector with a single 0 at the
+// source must be bit-identical to it, not merely close — the arena
+// rematerializes the exact relaxation order the reference walks. An
+// independent Bellman-Ford run (with tolerance) keeps the executors honest
+// against agreeing on a wrong answer.
+//
+// Encoding: seed drives a potential-shifted grid of 3..9 × 3..9 vertices
+// (negative weights) with 1–4 near-cancelling 2-cycles threaded along grid
+// edges (total weight barely positive, the regime where any reordering of
+// float relaxations shows up as a bit difference), the query sources and
+// the wave size; leaf picks the leaf size 2 + leaf%6 and workers the
+// executor size 1 + workers%4.
+func FuzzQueryVsReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, leaf, workers uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		dims := []int{3 + rng.Intn(7), 3 + rng.Intn(7)}
 		grid := gen.NewGrid(dims, gen.UniformWeights(0.1, 4), rng)
@@ -321,65 +326,55 @@ func TestFuzzOptimizedQueryBitIdentical(t *testing.T) {
 		}
 		ref := b.Build()
 
-		opt := &Options{Decomposition: GridDecomposition(grid.Coord), LeafSize: 2 + rng.Intn(6)}
-		if rng.Intn(2) == 0 {
-			opt.Workers = 2 + rng.Intn(3)
-		}
-		ix, err := Build(g, opt)
+		p := 1 + int(workers)%4
+		ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord), LeafSize: 2 + int(leaf)%6, Workers: p})
 		if err != nil {
-			t.Errorf("seed=%d: Build: %v", seed, err)
-			return false
+			t.Fatalf("Build: %v", err)
 		}
 		eng := ix.eng
+		same := func(what string, src int, got, want []float64) {
+			t.Helper()
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s src=%d v=%d: %v != reference %v (bitwise)", what, src, v, got[v], want[v])
+				}
+			}
+		}
 
-		// Solo queries: optimized vs reference bit-identical, reference vs
-		// Bellman-Ford within tolerance.
+		// Solo queries: SSSP and SSSPFrom vs the reference bit for bit, the
+		// reference vs Bellman-Ford within tolerance.
 		for trial := 0; trial < 2; trial++ {
 			src := rng.Intn(ref.N())
 			want := eng.SSSPReference(src, nil)
-			got := eng.SSSP(src, nil)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Errorf("seed=%d src=%d v=%d: optimized %v != reference %v (bitwise)", seed, src, v, got[v], want[v])
-					return false
-				}
+			same("SSSP", src, eng.SSSP(src, nil), want)
+			init := make([]float64, ref.N())
+			for v := range init {
+				init[v] = math.Inf(1)
 			}
+			init[src] = 0
+			same("SSSPFrom", src, eng.SSSPFrom(init, nil), want)
 			bf, err := baseline.BellmanFord(ref, src, nil)
 			if err != nil {
-				t.Errorf("seed=%d: BF: %v", seed, err)
-				return false
+				t.Fatalf("BF: %v", err)
 			}
 			for v := range bf {
-				if math.IsInf(bf[v], 1) != math.IsInf(want[v], 1) ||
-					(!math.IsInf(bf[v], 1) && math.Abs(want[v]-bf[v]) > 1e-8*(1+math.Abs(bf[v]))) {
-					t.Errorf("seed=%d src=%d v=%d: reference %v, Bellman-Ford %v", seed, src, v, want[v], bf[v])
-					return false
+				if !closeDist(want[v], bf[v]) {
+					t.Fatalf("src=%d v=%d: reference %v, Bellman-Ford %v", src, v, want[v], bf[v])
 				}
 			}
 		}
 
 		// Batched wave: every row bit-identical to the reference; wave
 		// sizes fall on both sides of the worker count.
-		k := 1 + rng.Intn(2*max(opt.Workers, 1)+2)
-		srcs := make([]int, k)
+		srcs := make([]int, 1+rng.Intn(2*p+2))
 		for j := range srcs {
 			srcs[j] = rng.Intn(ref.N())
 		}
 		rows := eng.SourcesBatched(srcs, nil)
 		for j, src := range srcs {
-			want := eng.SSSPReference(src, nil)
-			for v := range want {
-				if rows[j][v] != want[v] {
-					t.Errorf("seed=%d wave k=%d src=%d v=%d: batched %v != reference %v (bitwise)", seed, k, src, v, rows[j][v], want[v])
-					return false
-				}
-			}
+			same(fmt.Sprintf("wave k=%d row %d", len(srcs), j), src, rows[j], eng.SSSPReference(src, nil))
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 18}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestFuzzOracleAgainstEngine(t *testing.T) {

@@ -92,16 +92,13 @@ func TestObserverMetricsReconcileWithStats(t *testing.T) {
 			qw += v
 		}
 	}
-	// The per-kind counters record executed relaxations; adding what the
-	// ℓ-block convergence pruning skipped reconciles with the static
-	// per-source cost in Stats.QueryWork.
-	if got := qw + snap.Counters["query.skipped.work"]; got != st.QueryWork {
-		t.Fatalf("query.work.* counters sum to %d + %d avoided, Stats.QueryWork is %d",
-			qw, snap.Counters["query.skipped.work"], st.QueryWork)
+	// Every phase runs, so the per-kind counters reconcile exactly with
+	// the static per-source cost in Stats.
+	if qw != st.QueryWork {
+		t.Fatalf("query.work.* counters sum to %d, Stats.QueryWork is %d", qw, st.QueryWork)
 	}
-	if got := snap.Counters["query.phases"] + snap.Counters["query.skipped.phases"]; got != int64(st.QueryPhases) {
-		t.Fatalf("query.phases %d + skipped %d, want %d", snap.Counters["query.phases"],
-			snap.Counters["query.skipped.phases"], st.QueryPhases)
+	if got := snap.Counters["query.phases"]; got != int64(st.QueryPhases) {
+		t.Fatalf("query.phases %d, want %d", got, st.QueryPhases)
 	}
 	if snap.Gauges["exec.workers"] != 1 {
 		t.Fatalf("exec.workers gauge %v, want 1", snap.Gauges["exec.workers"])
@@ -155,10 +152,9 @@ func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 			t.Fatalf("no prep.level span for level %d", L)
 		}
 	}
-	// One span per executed phase; the remainder up to the static phase
-	// count was skipped by the convergence early exit.
-	if queryPhases == 0 || queryPhases > st.QueryPhases {
-		t.Fatalf("trace has %d query.phase spans, want 1..%d", queryPhases, st.QueryPhases)
+	// Every phase runs, so there is one span per phase of the schedule.
+	if queryPhases != st.QueryPhases {
+		t.Fatalf("trace has %d query.phase spans, want %d", queryPhases, st.QueryPhases)
 	}
 }
 

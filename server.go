@@ -22,7 +22,7 @@ import (
 type ServerOptions struct {
 	// MaxBatch caps the number of sources coalesced into one
 	// SourcesBatched wave (default 16). A wave answers its distinct sources
-	// as pruned single-source queries spread across the index's workers, so
+	// as single-source queries spread across the index's workers, so
 	// larger waves keep more workers busy per dispatch but make the wave's
 	// members wait for its slowest source.
 	MaxBatch int
@@ -95,7 +95,7 @@ type AdmissionOptions struct {
 // Server serves concurrent shortest-path requests on one shared Index,
 // coalescing requests that arrive while a wave is running into the next
 // multi-source SourcesBatched wave. This turns q concurrent single-source
-// queries into ⌈q/MaxBatch⌉ waves, each a deduplicated fan-out of pruned
+// queries into ⌈q/MaxBatch⌉ waves, each a deduplicated fan-out of
 // single-source queries across the index's workers — one dispatch keeps
 // every worker busy, and duplicate sources in a wave are computed once.
 //
@@ -809,7 +809,7 @@ func (s *Server) serveWave(batch []*ssspReq, srcs []int) {
 	defer detach() // idempotent; guards the early-panic path against watcher leaks
 	var wst *pram.Stats
 	if s.tel != nil {
-		wst = &pram.Stats{} // collect the wave's pruning telemetry
+		wst = &pram.Stats{} // collect the wave's dedup telemetry
 	}
 	// The guard turns an injected or organic panic into a *PanicError
 	// instead of killing the dispatcher (the Index's own FallbackPolicy, if
@@ -831,8 +831,7 @@ func (s *Server) serveWave(batch []*ssspReq, srcs []int) {
 	if err == nil {
 		s.nWaves.Add(1)
 		if s.tel != nil {
-			s.tel.recordWave(w.wave, len(alive), w.computeNanos, epoch, w.degraded,
-				wst.SkippedRounds(), wst.SkippedWork())
+			s.tel.recordWave(w.wave, len(alive), w.computeNanos, epoch, w.degraded, wst.SkippedWork())
 		}
 		if s.logger != nil {
 			s.logger.Debug("wave served", "wave", w.wave, "size", len(alive), "epoch", epoch, "compute", time.Duration(w.computeNanos))

@@ -50,14 +50,11 @@ type Telemetry struct {
 	waves     *live.Counter
 	backoffs  *live.Counter
 
-	// Query-path pruning families: the schedule phases and edge
-	// relaxations the convergence early exit proved redundant across
-	// served waves (executed + avoided always equals the static schedule
-	// cost, so the pruning rate is auditable from the exposition alone).
-	qSkipPhases *live.Counter
-	qSkipWork   *live.Counter
-	fbEngaged   *live.Counter
-	fbQueries   *live.Counter
+	// qAvoided counts the edge relaxations served waves saved by
+	// collapsing duplicate sources (one WorkPerSource per duplicate).
+	qAvoided  *live.Counter
+	fbEngaged *live.Counter
+	fbQueries *live.Counter
 
 	// Admission-control families, indexed by admission.Class / breaker
 	// state. The breaker transition counters are pre-registered for both
@@ -129,10 +126,8 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 		"Executed coalesced waves.", "")
 	t.backoffs = reg.Counter("sepsp_retry_backoffs_total",
 		"Overload retries slept by sepsp.Retry.", "")
-	t.qSkipPhases = reg.Counter("sepsp_query_phases_skipped_total",
-		"Schedule phases skipped by the query convergence early exit, summed over wave lanes.", "")
-	t.qSkipWork = reg.Counter("sepsp_query_relaxations_avoided_total",
-		"Edge relaxations avoided by the query convergence early exit across served waves.", "")
+	t.qAvoided = reg.Counter("sepsp_query_relaxations_avoided_total",
+		"Edge relaxations saved by collapsing duplicate sources in served waves.", "")
 	t.fbEngaged = reg.Counter("sepsp_fallback_engaged_total",
 		"Degradation causes observed by the baseline fallback engine.", "")
 	t.fbQueries = reg.Counter("sepsp_fallback_queries_total",
@@ -310,14 +305,13 @@ func (t *Telemetry) recordQuery(out live.Outcome, src int, wave int64, queueNano
 	})
 }
 
-// recordWave records one executed coalesced wave, including how much of
-// the static schedule cost the convergence pruning avoided (0/0 for waves
-// served degraded — the fallback engine has no schedule to prune).
-func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch uint64, degraded bool, skippedPhases, avoidedWork int64) {
+// recordWave records one executed coalesced wave, including the
+// relaxations its duplicate-source dedup avoided (0 for waves served
+// degraded — the fallback engine runs no schedule).
+func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch uint64, degraded bool, avoidedWork int64) {
 	t.waves.Inc()
 	t.waveSize.Observe(float64(batch))
-	t.qSkipPhases.Add(skippedPhases)
-	t.qSkipWork.Add(avoidedWork)
+	t.qAvoided.Add(avoidedWork)
 	t.rec.Record(live.Event{
 		Time:         live.Now(),
 		Kind:         live.KindWave,
