@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race chaos fuzz-smoke examples serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
+.PHONY: build test vet fmt-check race chaos fuzz-smoke examples serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck cross check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,10 @@ chaos:
 # bit-identical to the naive reference relaxer; and
 # FuzzRead (internal/graph/io.go), where graph text must never panic Read
 # and accepted graphs must match their p line and survive a Write/Read
-# round trip. Committed corpora under testdata/fuzz also replay under plain
+# round trip; and FuzzMulMinPlusVsNaive (internal/matrix), where
+# MulMinPlusInto on shapes up to 70 per side with +Inf, negative and ±0
+# entries must be bit-identical to MulMinPlusNaive and ClosureWS must match
+# ClosureNaive. Committed corpora under testdata/fuzz also replay under plain
 # `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s .
@@ -47,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzWithWeightsVsBuild$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzQueryVsReference$$' -fuzztime=20s .
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=20s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzMulMinPlusVsNaive$$' -fuzztime=20s ./internal/matrix
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit.
@@ -118,9 +122,16 @@ govulncheck:
 		echo "govulncheck: not installed, skipping (enforced in CI)"; \
 	fi
 
+# cross vets and builds every package for arm64, where internal/matrix has
+# no assembly and its row kernels are the Go loops, so the generic path keeps
+# compiling when only amd64 is tested.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+
 # check is the tier-1 gate (see README): everything must pass before a
 # change lands.
-check: vet fmt-check api-check staticcheck govulncheck test race
+check: vet fmt-check api-check staticcheck govulncheck cross test race
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/separator"
@@ -126,22 +127,39 @@ type soaBuilder struct {
 	ePos  int // cursor into to/w
 }
 
-func newSOABuilder(n, totalEdges, buckets int) *soaBuilder {
+// newSOABuilder sizes the arena for exactly the given buckets: to/w by edge
+// count, heads/rle by run count (distinct heads per bucket) and off by runs
+// plus one end offset per bucket.
+func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 	if int64(n) > math.MaxInt32 {
 		panic("core: graph too large for the int32 phase arena")
 	}
-	sb := &soaBuilder{
-		runOf: make([]int32, n),
-		heads: make([]int32, totalEdges),
-		off:   make([]int32, totalEdges+buckets),
-		rle:   make([]headRun, totalEdges),
-		to:    make([]int32, totalEdges),
-		w:     make([]float64, totalEdges),
+	// runOf doubles as a per-bucket stamp while the runs are counted.
+	runOf := make([]int32, n)
+	for i := range runOf {
+		runOf[i] = -1
 	}
-	for i := range sb.runOf {
-		sb.runOf[i] = -1
+	edges, runs := 0, 0
+	for bi, bucket := range buckets {
+		edges += len(bucket)
+		for _, e := range bucket {
+			if runOf[e.From] != int32(bi) {
+				runOf[e.From] = int32(bi)
+				runs++
+			}
+		}
 	}
-	return sb
+	for i := range runOf {
+		runOf[i] = -1
+	}
+	return &soaBuilder{
+		runOf: runOf,
+		heads: make([]int32, runs),
+		off:   make([]int32, runs+len(buckets)),
+		rle:   make([]headRun, runs),
+		to:    make([]int32, edges),
+		w:     make([]float64, edges),
+	}
 }
 
 // build groups edges by head into the next arena region and returns the
@@ -265,7 +283,7 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 	// kernel can read, not the desc/asc runs that never consult it. Each
 	// level bucket is then rewritten in place in arena order; eAll gets its
 	// own copy, since original belongs to the caller.
-	sb := newSOABuilder(t.N(), len(original)+len(all), 1+3*h)
+	sb := newSOABuilder(t.N(), slices.Concat([][]graph.Edge{original}, s.same, s.desc, s.asc))
 	s.soaEAll = sb.build(original)
 	s.eAll = s.soaEAll.materialize()
 	s.soaSame = make([]soaBucket, h)

@@ -179,4 +179,11 @@ func TestScheduleBucketsMatchReference(t *testing.T) {
 			}
 		}
 	}
+	// The arena is sized by runs, not edges: the last bucket built ends
+	// every run array exactly.
+	last := s.soaAsc[tree.Height]
+	if cap(last.heads) != len(last.heads) || cap(last.rle) != len(last.rle) || cap(last.off) != len(last.off) || cap(last.to) != len(last.to) {
+		t.Fatalf("arena has spare slots: heads %d/%d rle %d/%d off %d/%d to %d/%d",
+			len(last.heads), cap(last.heads), len(last.rle), cap(last.rle), len(last.off), cap(last.off), len(last.to), cap(last.to))
+	}
 }

@@ -36,6 +36,21 @@ var sink float64
 func BenchmarkMulMinPlus256(b *testing.B)      { benchMul(b, 256, true) }
 func BenchmarkMulMinPlus256Naive(b *testing.B) { benchMul(b, 256, false) }
 
+// BenchmarkMulMinPlusDense is the all-finite (B×S)⊗(S×B) product at the 16³
+// cube's level-1 shape: every 8-row group takes the relax8 fast path, so it
+// times the row kernel itself rather than the +Inf skipping.
+func BenchmarkMulMinPlusDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	x := randomRect(rng, 256, 144, 1)
+	y := randomRect(rng, 144, 256, 1)
+	dst := New(256, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulMinPlusInto(dst, x, y, pram.Sequential, nil)
+	}
+	sink = dst.A[0]
+}
+
 func benchClosure(b *testing.B, n int, tiled bool) {
 	src := benchMatrix(n)
 	d := New(n, n)

@@ -8,7 +8,11 @@
 // pram.Executor.ForTiles2D), stream b through tileK-row column panels that
 // stay L1-resident across a whole row block, and unroll eight result rows
 // per b-panel load so each loaded b value feeds eight relaxations. Rows of a
-// that are +Inf across a panel skip the panel's b traffic entirely. On top
+// that are +Inf across a panel skip the panel's b traffic entirely. The row
+// kernels (relax8, relax4, relax1) are SSE2 assembly on amd64, two columns
+// per instruction, and the Go loops of relax.go elsewhere; both apply the
+// same strict-< tie rule, so results match bit for bit (see
+// relax_amd64.s for the MINPD operand order that guarantees it). On top
 // of the blocking, ClosureWS squares semi-naively: after the first squaring
 // only triples with a factor entry that improved in the previous step are
 // re-relaxed (provably sufficient — see squareStepDelta), which is what
@@ -271,77 +275,6 @@ func mulTile(dst, a, b *Dense, r0, r1, c0, c1 int) {
 					relax1(orow, b.A[(k0+kk)*bc+c0:(k0+kk)*bc+c1], av)
 				}
 			}
-		}
-	}
-}
-
-// relax8 is the register-blocked inner tile: one streamed b panel row relaxes
-// eight result rows. +Inf v's are harmless no-ops (see mulTile).
-func relax8(o0, o1, o2, o3, o4, o5, o6, o7, brow []float64, v0, v1, v2, v3, v4, v5, v6, v7 float64) {
-	o0 = o0[:len(brow)]
-	o1 = o1[:len(brow)]
-	o2 = o2[:len(brow)]
-	o3 = o3[:len(brow)]
-	o4 = o4[:len(brow)]
-	o5 = o5[:len(brow)]
-	o6 = o6[:len(brow)]
-	o7 = o7[:len(brow)]
-	for j, bv := range brow {
-		if s := v0 + bv; s < o0[j] {
-			o0[j] = s
-		}
-		if s := v1 + bv; s < o1[j] {
-			o1[j] = s
-		}
-		if s := v2 + bv; s < o2[j] {
-			o2[j] = s
-		}
-		if s := v3 + bv; s < o3[j] {
-			o3[j] = s
-		}
-		if s := v4 + bv; s < o4[j] {
-			o4[j] = s
-		}
-		if s := v5 + bv; s < o5[j] {
-			o5[j] = s
-		}
-		if s := v6 + bv; s < o6[j] {
-			o6[j] = s
-		}
-		if s := v7 + bv; s < o7[j] {
-			o7[j] = s
-		}
-	}
-}
-
-// relax4 is the register-blocked inner tile: one streamed b panel row
-// relaxes four result rows.
-func relax4(o0, o1, o2, o3, brow []float64, v0, v1, v2, v3 float64) {
-	o0 = o0[:len(brow)]
-	o1 = o1[:len(brow)]
-	o2 = o2[:len(brow)]
-	o3 = o3[:len(brow)]
-	for j, bv := range brow {
-		if s := v0 + bv; s < o0[j] {
-			o0[j] = s
-		}
-		if s := v1 + bv; s < o1[j] {
-			o1[j] = s
-		}
-		if s := v2 + bv; s < o2[j] {
-			o2[j] = s
-		}
-		if s := v3 + bv; s < o3[j] {
-			o3[j] = s
-		}
-	}
-}
-
-func relax1(orow, brow []float64, av float64) {
-	orow = orow[:len(brow)]
-	for j, bv := range brow {
-		if s := av + bv; s < orow[j] {
-			orow[j] = s
 		}
 	}
 }
