@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race chaos fuzz-smoke examples serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck cross check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
+.PHONY: build test vet fmt-check race chaos fuzz-smoke examples serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck cross generic check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
 
 build:
 	$(GO) build ./...
@@ -123,15 +123,21 @@ govulncheck:
 	fi
 
 # cross vets and builds every package for arm64, where internal/matrix has
-# no assembly and its row kernels are the Go loops, so the generic path keeps
-# compiling when only amd64 is tested.
+# no assembly and its row and lane kernels are the Go loops, so the generic
+# path keeps compiling when only amd64 is tested.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 
+# generic runs the internal/matrix and internal/core tests for 386, where
+# internal/matrix has no assembly: the Go row and lane kernels that cross
+# only compiles execute here, natively on an amd64 host.
+generic:
+	GOARCH=386 $(GO) test ./internal/matrix ./internal/core
+
 # check is the tier-1 gate (see README): everything must pass before a
 # change lands.
-check: vet fmt-check api-check staticcheck govulncheck cross test race
+check: vet fmt-check api-check staticcheck govulncheck cross generic test race
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

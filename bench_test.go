@@ -305,11 +305,12 @@ func BenchmarkSSSPHot(b *testing.B) {
 }
 
 // BenchmarkSourcesBatchedWave times the multi-source wave across wave
-// sizes k and worker counts P: a wave is a deduplicated fan-out of solo
-// queries, the sources handed to the workers one at a time (see
-// DESIGN.md "Query performance"). The k=1 rows are a solo server wave and
-// should cost about what BenchmarkSSSPHot does; P=4 rows on a multi-CPU
-// machine show the wave's scaling; counted work is independent of P.
+// sizes k and worker counts P: a wave splits its distinct sources into
+// lane blocks, one pass over the schedule per block, handed to the workers
+// (see DESIGN.md "Query performance"). The k=1 rows are a solo server wave
+// and should cost about what BenchmarkSSSPHot does; P=4 rows on a
+// multi-CPU machine show the wave's scaling; counted work is independent
+// of P.
 func BenchmarkSourcesBatchedWave(b *testing.B) {
 	for _, k := range []int{1, 8, 32} {
 		for _, p := range []int{1, 4} {

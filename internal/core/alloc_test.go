@@ -29,8 +29,8 @@ func TestSSSPParallelSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSourcesBatchedWaveSteadyStateAllocs pins a k=32 wave on a P=2
-// executor: the wave state, its per-source closure, the dispatcher's round
-// bookkeeping and every query's pruning scratch are pooled, leaving the k
+// executor: the wave state, its per-block closure, the dispatcher's round
+// bookkeeping and every block's lane matrix are pooled, leaving the k
 // result rows and their spine.
 func TestSourcesBatchedWaveSteadyStateAllocs(t *testing.T) {
 	eng, g := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(0.5, 2), 9, Config{Ex: pram.NewExecutor(2)})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,11 +23,11 @@ func lockstepCost(e *Engine, srcs []int) (work, skipped, rounds int64) {
 	return int64(len(distinct)) * wps, int64(len(srcs)-len(distinct)) * wps, int64(e.schedule.Phases())
 }
 
-// TestSourcesBatchedMatchesSources: on a P=2 executor, waves of k = 1
-// (k < P), k = P, k > P sources and waves with duplicate sources return
-// rows bitwise equal to the solo SSSP of each source, and the wave — on
-// P=2 and on the sequential executor — reports the lock-step cost of its
-// sources.
+// TestSourcesBatchedMatchesSources: on a P=2 executor and on the
+// sequential one, waves of k = 1 (k < P), k = P, k > P, up to 40 sources
+// (full and padded lane blocks) and waves with duplicate sources return
+// rows bitwise equal to the solo SSSP and to SSSPReference of each source,
+// and report the lock-step cost of their sources.
 func TestSourcesBatchedMatchesSources(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -38,6 +39,7 @@ func TestSourcesBatchedMatchesSources(t *testing.T) {
 			rng.Perm(g.N())[:1],
 			rng.Perm(g.N())[:2],
 			rng.Perm(g.N())[:3+rng.Intn(6)],
+			rng.Perm(g.N())[:min(g.N(), 17+rng.Intn(24))],
 			{dup[0], dup[1], dup[0], dup[2], dup[1]},
 		}
 		for _, srcs := range waves {
@@ -48,11 +50,12 @@ func TestSourcesBatchedMatchesSources(t *testing.T) {
 			}
 			b := par.SourcesBatched(srcs, stPar)
 			for i, src := range srcs {
-				solo := seq.SSSP(src, nil)
+				solo, ref := seq.SSSP(src, nil), seq.SSSPReference(src, nil)
 				for v := range solo {
-					if a[i][v] != solo[v] || b[i][v] != solo[v] {
-						t.Errorf("seed=%d srcs=%v src=%d v=%d: P=1 wave %v, P=2 wave %v, SSSP %v",
-							seed, srcs, src, v, a[i][v], b[i][v], solo[v])
+					bits := math.Float64bits(ref[v])
+					if math.Float64bits(a[i][v]) != bits || math.Float64bits(b[i][v]) != bits || math.Float64bits(solo[v]) != bits {
+						t.Errorf("seed=%d k=%d src=%d v=%d: P=1 wave %v, P=2 wave %v, SSSP %v, reference %v",
+							seed, len(srcs), src, v, a[i][v], b[i][v], solo[v], ref[v])
 						return false
 					}
 				}
@@ -70,6 +73,21 @@ func TestSourcesBatchedMatchesSources(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWaveWidth pins the block rule: no more blocks than can run at once,
+// each as narrow as that allows, solo queries while every source gets its
+// own worker, and never more than 16 lanes.
+func TestWaveWidth(t *testing.T) {
+	for _, c := range []struct{ k, p, want int }{
+		{1, 1, 1}, {2, 1, 2}, {3, 1, 4}, {9, 1, 16}, {32, 1, 16},
+		{2, 2, 1}, {3, 2, 2}, {4, 2, 2}, {6, 2, 4}, {8, 2, 4}, {12, 2, 8}, {32, 2, 16}, {40, 2, 16},
+		{4, 4, 1}, {5, 4, 2}, {32, 4, 8}, {64, 4, 16}, {100, 4, 16},
+	} {
+		if got := waveWidth(c.k, c.p); got != c.want {
+			t.Errorf("waveWidth(k=%d, p=%d) = %d, want %d", c.k, c.p, got, c.want)
+		}
 	}
 }
 

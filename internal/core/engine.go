@@ -74,32 +74,34 @@ type Engine struct {
 
 // queryWS is the reusable per-query scratch handed out by the engine's
 // pool: an int queue for tight-tree BFS, the atomic cell buffer for
-// SSSPParallel, the run-delta tracker of the sequential kernels, and the
-// shared state + cached executor closures of the parallel paths. Only
-// scratch that never escapes a query is pooled — result slices returned to
-// callers are always freshly allocated.
+// SSSPParallel, the +Inf-initialised float buffer of the sequential
+// kernels, and the shared state + cached executor closures of the parallel
+// paths. Only scratch that never escapes a query is pooled — result slices
+// returned to callers are always freshly allocated.
 type queryWS struct {
 	queue []int
 	cells []uint64
 
-	// prevT is the sequential executor's run-delta tracker: per global run
-	// slot, the head distance at the run's last relaxation (see
-	// relaxBucketTracked).
-	prevT []float64
+	// infs is the sequential kernels' +Inf-initialised buffer: a solo
+	// query's run-delta tracker (per global run slot, the head distance at
+	// the run's last relaxation; see relaxBucketTracked) or a wave block's
+	// lane-major distance matrix (see runLanes). One query uses one of
+	// them.
+	infs []float64
 
 	wave waveState
-	wfn  func(j int) // cached closure over &wave (per-source body)
+	wfn  func(j int) // cached closure over &wave (per-block body)
 	pst  parallelState
 	pfn  func(lo, hi int) // cached closure over &pst (run partition body)
 }
 
-// growPrev returns the run-delta tracker for n runs, every entry reset to
-// +Inf (the state before any relaxation), reusing capacity.
-func (ws *queryWS) growPrev(n int) []float64 {
-	if cap(ws.prevT) < n {
-		ws.prevT = make([]float64, n)
+// growInfs returns n entries of the float buffer, every one reset to +Inf
+// (the state before any relaxation), reusing capacity.
+func (ws *queryWS) growInfs(n int) []float64 {
+	if cap(ws.infs) < n {
+		ws.infs = make([]float64, n)
 	}
-	p := ws.prevT[:n]
+	p := ws.infs[:n]
 	inf := math.Inf(1)
 	for i := range p {
 		p[i] = inf
@@ -115,7 +117,7 @@ func (ws *queryWS) growCells(n int) []uint64 {
 	return ws.cells[:n]
 }
 
-// waveFn returns the cached per-source closure for the wave round — created
+// waveFn returns the cached per-block closure for the wave round — created
 // once per workspace so steady-state waves allocate no closures.
 func (ws *queryWS) waveFn() func(j int) {
 	if ws.wfn == nil {
@@ -283,8 +285,8 @@ func relaxBucketDense(dist []float64, b *soaBucket) {
 	to, w := b.to, b.w
 	lo := 0
 	for _, hr := range b.rle {
-		hi := int(hr.hi)
-		du := dist[hr.h]
+		hi := int(hr.Hi)
+		du := dist[hr.H]
 		if math.IsInf(du, 1) {
 			lo = hi
 			continue
@@ -315,8 +317,8 @@ func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) {
 	pr := prev[b.runBase : int(b.runBase)+len(b.heads)]
 	lo := 0
 	for r, hr := range b.rle {
-		hi := int(hr.hi)
-		du := dist[hr.h]
+		hi := int(hr.Hi)
+		du := dist[hr.H]
 		if du == pr[r] {
 			lo = hi
 			continue
@@ -342,61 +344,58 @@ func relaxPhase(dist []float64, k PhaseKind, b *soaBucket, prev []float64) {
 	}
 }
 
-// runSchedule relaxes dist in place through the §3.2 phase schedule,
-// polling ctx between phases when non-nil, and returns the run's counted
-// work and rounds (the cost so far when ctx ends the run). Every phase
-// runs, so a completed run costs exactly WorkPerSource and Phases. The
-// uninstrumented path is closure-free, so it performs no heap allocation.
+// runSchedule relaxes dist in place through the §3.2 phase schedule with
+// the tracked and dense kernels (see runPhases for polling, injection,
+// observation and the returned cost).
 func (e *Engine) runSchedule(ctx context.Context, dist []float64) (work, rounds int64, err error) {
-	if e.obs.Enabled() {
-		return e.runScheduleObserved(ctx, dist)
-	}
 	ws := e.getWS()
 	defer e.putWS(ws)
-	prev := ws.growPrev(e.schedule.prevRuns)
-	n := e.schedule.Phases()
-	for i := 0; i < n; i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return work, rounds, err
-			}
-		}
-		e.firePhase()
-		ph, b := e.schedule.phaseBucketAt(i)
-		relaxPhase(dist, ph.Kind, b, prev)
-		work += int64(b.edges())
-		rounds++ // one phase; O(log n) EREW steps, see Section 2.2
-	}
-	return work, rounds, nil
+	prev := ws.growInfs(e.schedule.prevRuns)
+	return e.runPhases(ctx, 1, func(k PhaseKind, b *soaBucket) { relaxPhase(dist, k, b, prev) })
 }
 
-// runScheduleObserved is runSchedule with per-phase spans, pprof labels,
-// and metric attribution (the instrumented slow path): same kernels, same
-// distances, same cost.
-func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64) (work, rounds int64, err error) {
-	qs := e.obs.Span("query.sssp", "query", "phases", e.schedule.Phases())
-	defer qs.End()
-	ws := e.getWS()
-	defer e.putWS(ws)
-	prev := ws.growPrev(e.schedule.prevRuns)
+// runPhases runs one pass over the §3.2 phase schedule for lanes sources
+// at once: per phase it polls ctx when non-nil, fires the phase-boundary
+// injector and hands the phase's arena bucket to relax. It returns the
+// counted work, lanes × the bucket's edges per phase, and rounds, one per
+// phase (O(log n) EREW steps, see Section 2.2): the cost so far when ctx
+// ends the run. Every phase runs, so a completed run costs lanes ×
+// WorkPerSource and Phases. With a sink attached, the run and each phase
+// get spans and pprof labels, and the per-kind work and phase counters get
+// what lanes solo queries would add: counters count per source, spans per
+// pass, and every span carries its lanes, so the lanes of a trace's
+// query.phase spans sum to the phase counter. relax does not escape, so the
+// uninstrumented path performs no heap allocation.
+func (e *Engine) runPhases(ctx context.Context, lanes int64, relax func(PhaseKind, *soaBucket)) (work, rounds int64, err error) {
+	observed := e.obs.Enabled()
+	if observed {
+		qs := e.obs.Span("query.sssp", "query", "phases", e.schedule.Phases(), "lanes", lanes)
+		defer qs.End()
+	}
 	n := e.schedule.Phases()
 	for i := 0; i < n; i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				e.obs.Counter(obs.MQueryCancelled).Inc()
+				if observed {
+					e.obs.Counter(obs.MQueryCancelled).Add(lanes)
+				}
 				return work, rounds, err
 			}
 		}
 		e.firePhase()
 		ph, b := e.schedule.phaseBucketAt(i)
-		sp := e.obs.Span("query.phase", "query",
-			"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.edges())
-		e.obs.Do(func() { relaxPhase(dist, ph.Kind, b, prev) }, "phase", string(ph.Kind))
-		sp.End()
-		work += int64(b.edges())
+		if observed {
+			sp := e.obs.Span("query.phase", "query",
+				"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.edges(), "lanes", lanes)
+			e.obs.Do(func() { relax(ph.Kind, b) }, "phase", string(ph.Kind))
+			sp.End()
+			e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(lanes * int64(b.edges()))
+			e.obs.Counter(obs.MQueryPhases).Add(lanes)
+		} else {
+			relax(ph.Kind, b)
+		}
+		work += lanes * int64(b.edges())
 		rounds++
-		e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(int64(b.edges()))
-		e.obs.Counter(obs.MQueryPhases).Inc()
 	}
 	return work, rounds, nil
 }

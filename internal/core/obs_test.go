@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"sepsp/internal/graph"
@@ -121,5 +123,70 @@ func TestEngineObsDisabledPathUntouched(t *testing.T) {
 	if st.Work() != stObs.Work() || st.Rounds() != stObs.Rounds() {
 		t.Fatalf("plain path (%d,%d) disagrees with instrumented (%d,%d)",
 			st.Work(), st.Rounds(), stObs.Work(), stObs.Rounds())
+	}
+}
+
+// TestWaveObservedCounters: with a sink attached, a wave's per-kind
+// relaxation counters add up to k copies of the schedule's Breakdown (so
+// they sum to the wave's Stats work, k × WorkPerSource) and the phase
+// counter to k × Phases — the same totals k solo queries record — for
+// one-lane, padded and multi-block waves on one and two workers. Spans
+// come one per block and phase, and their lanes sum to the phase counter.
+func TestWaveObservedCounters(t *testing.T) {
+	plain, g := buildGridEngine(t, []int{9, 7}, gen.UniformWeights(0.5, 2), 9, Config{})
+	s := plain.Schedule()
+	for _, p := range []int{1, 2} {
+		for _, k := range []int{1, 2, 3, 5, 17, 33} {
+			sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
+			eng := NewEngineFromParts(g, plain.Tree(), plain.Augmentation(), pram.NewExecutor(p))
+			eng.SetObs(sink)
+			srcs := make([]int, k)
+			for j := range srcs {
+				srcs[j] = (j * 5) % g.N()
+			}
+			st := &pram.Stats{}
+			rows := eng.SourcesBatched(srcs, st)
+			for j, src := range srcs {
+				for v, want := range plain.SSSP(src, nil) {
+					if rows[j][v] != want {
+						t.Fatalf("P=%d k=%d src=%d v=%d: observed wave %v, SSSP %v", p, k, src, v, rows[j][v], want)
+					}
+				}
+			}
+			snap := sink.Metrics.Snapshot()
+			for _, pw := range s.Breakdown() {
+				if got, want := snap.Counters[obs.MQueryWork+"."+string(pw.Kind)], int64(k)*pw.Work; got != want {
+					t.Fatalf("P=%d k=%d: %s work counter %d, want k x %d = %d", p, k, pw.Kind, got, pw.Work, want)
+				}
+			}
+			if got, want := snap.SumCounters(obs.MQueryWork+"."), int64(k)*s.WorkPerSource(); got != st.Work() || got != want {
+				t.Fatalf("P=%d k=%d: work counters sum to %d, Stats %d, want k x WorkPerSource = %d", p, k, got, st.Work(), want)
+			}
+			if got, want := snap.Counters[obs.MQueryPhases], int64(k*s.Phases()); got != want {
+				t.Fatalf("P=%d k=%d: phase counter %d, want k x Phases = %d", p, k, got, want)
+			}
+			var buf bytes.Buffer
+			if err := sink.Trace.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Name string         `json:"name"`
+					Args map[string]any `json:"args"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			var spanLanes float64
+			for _, ev := range doc.TraceEvents {
+				if ev.Name == "query.phase" {
+					spanLanes += ev.Args["lanes"].(float64)
+				}
+			}
+			if got := int64(spanLanes); got != snap.Counters[obs.MQueryPhases] {
+				t.Fatalf("P=%d k=%d: query.phase span lanes sum to %d, phase counter %d", p, k, got, snap.Counters[obs.MQueryPhases])
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"sepsp/internal/graph"
+	"sepsp/internal/matrix"
 	"sepsp/internal/separator"
 )
 
@@ -70,8 +71,9 @@ type soaBucket struct {
 	// rle fuses each run's header into one 8-byte record (head vertex and
 	// exclusive end offset; the start offset is the previous record's end,
 	// 0 for run 0). The hot kernels iterate this single sequential stream
-	// instead of loading heads[r] and off[r+1] from two arrays.
-	rle []headRun
+	// instead of loading heads[r] and off[r+1] from two arrays, and the
+	// lane kernels take it as is.
+	rle []matrix.LaneRun
 
 	// runBase is this bucket's first slot in the schedule-wide run
 	// numbering (one slot per run of every bucket, in arena order): run r
@@ -79,12 +81,6 @@ type soaBucket struct {
 	// one prev[dist[head]] tracker entry per global run (see
 	// relaxBucketTracked).
 	runBase int32
-}
-
-// headRun is one fused run header: h heads the run, whose (to, w) pairs end
-// at exclusive offset hi.
-type headRun struct {
-	h, hi int32
 }
 
 // edges returns the number of edges in the bucket.
@@ -119,7 +115,7 @@ type soaBuilder struct {
 	runOf []int32
 	heads []int32
 	off   []int32
-	rle   []headRun
+	rle   []matrix.LaneRun
 	to    []int32
 	w     []float64
 	hPos  int // cursor into heads/rle (off shares it, shifted by bucket count)
@@ -156,7 +152,7 @@ func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 		runOf: runOf,
 		heads: make([]int32, runs),
 		off:   make([]int32, runs+len(buckets)),
-		rle:   make([]headRun, runs),
+		rle:   make([]matrix.LaneRun, runs),
 		to:    make([]int32, edges),
 		w:     make([]float64, edges),
 	}
@@ -206,7 +202,7 @@ func (sb *soaBuilder) build(edges []graph.Edge) soaBucket {
 	}
 	b.rle = sb.rle[sb.hPos : sb.hPos+len(heads)]
 	for r := range heads {
-		b.rle[r] = headRun{h: heads[r], hi: b.off[r+1]}
+		b.rle[r] = matrix.LaneRun{H: heads[r], Hi: b.off[r+1]}
 	}
 	for _, h := range heads {
 		sb.runOf[h] = -1

@@ -19,10 +19,9 @@ import (
 const querySpeedupFloor = 1.3
 
 // waveScalingFloor is the E-query-wave gate: a k=32 wave on P=4 workers
-// must beat the same wave on P=1 by this factor — handing whole solo
-// queries to the workers must buy real scaling (the baseline machine,
-// 2 CPUs, records ~1.7x). Skipped on single-CPU runners where no scaling is
-// physically possible.
+// must beat the same wave on P=1 by this factor — handing the lane blocks
+// to the workers must buy real scaling. Skipped on single-CPU runners where
+// no scaling is physically possible.
 const waveScalingFloor = 1.3
 
 // queryReps and queryBatch size the E-query single-source timing: more
@@ -89,10 +88,10 @@ func timeInterleaved(ref, opt func()) (tR, tO time.Duration, aR, aO int64) {
 // QueryExperiment (E-query) measures the query path end to end: the
 // optimized single-source executor (SoA phase arena, per-run head caching,
 // run-delta tracking) against the retained naive reference relaxer on the
-// same schedule, and the source-parallel wave's scaling across worker
-// counts. Counted work is a property of the static schedule — the same for
-// both paths and deterministic, so the gate pins it exactly; wall clock and
-// speedup are the machine-local perf baseline BENCH_query.json records.
+// same schedule, and the lane-major wave across worker counts. Counted
+// work is a property of the static schedule — the same for both paths and
+// deterministic, so the gate pins it exactly; wall clock and speedup are
+// the machine-local perf baseline BENCH_query.json records.
 func QueryExperiment(scale int) (*Result, error) {
 	if scale < 1 {
 		scale = 1
@@ -134,7 +133,7 @@ func QueryExperiment(scale int) (*Result, error) {
 	const waveK = 32
 	wt := &Table{
 		ID:     "E-query-wave",
-		Title:  fmt.Sprintf("Batched wave: source-parallel scaling, k=%d sources", waveK),
+		Title:  fmt.Sprintf("Batched wave: lane-major blocks across worker counts, k=%d sources", waveK),
 		Header: []string{"n", "k", "P", "time/wave", "work", "speedup"},
 		Notes: []string{
 			fmt.Sprintf("gate: counted work exact vs baseline and independent of P; P=4 speedup >= %.2f (skipped on <2-CPU runners)", waveScalingFloor),

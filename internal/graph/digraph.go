@@ -10,8 +10,11 @@
 // comparison it touches, and -Inf is a degenerate negative cycle —
 // FromEdges panics on them (like it does for out-of-range endpoints), and
 // Builder.CheckWeights reports them as an error for layers that validate
-// untrusted input. Parallel edges are permitted by the representation; most
-// algorithms treat them as alternative weights and only the minimum matters.
+// untrusted input. A −0 weight is stored as +0: the two compare equal, but
+// a tie between them would otherwise let the sign of a zero distance depend
+// on relaxation order. Parallel edges are permitted by the representation;
+// most algorithms treat them as alternative weights and only the minimum
+// matters.
 package graph
 
 import (
@@ -193,7 +196,8 @@ func (b *Builder) Build() *Digraph {
 
 // FromEdges constructs a Digraph from an explicit edge list. It panics on
 // out-of-range endpoints and on NaN/-Inf weights (see CheckWeight); callers
-// holding untrusted edges should validate with CheckEdgeWeights first.
+// holding untrusted edges should validate with CheckEdgeWeights first. A −0
+// weight is stored as +0, so no −0 reaches a closure or a distance.
 func FromEdges(n int, edges []Edge) *Digraph {
 	g := &Digraph{
 		n:       n,
@@ -221,13 +225,17 @@ func FromEdges(n int, edges []Edge) *Digraph {
 	outPos := make([]int32, n)
 	inPos := make([]int32, n)
 	for _, e := range edges {
+		w := e.W
+		if w == 0 {
+			w = 0 // canonical +0 for a −0 weight
+		}
 		p := g.outHead[e.From] + outPos[e.From]
 		g.outTo[p] = int32(e.To)
-		g.outW[p] = e.W
+		g.outW[p] = w
 		outPos[e.From]++
 		q := g.inHead[e.To] + inPos[e.To]
 		g.inFrom[q] = int32(e.From)
-		g.inW[q] = e.W
+		g.inW[q] = w
 		inPos[e.To]++
 	}
 	return g

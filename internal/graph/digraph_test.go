@@ -42,6 +42,33 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 	NewBuilder(2).AddEdge(0, 2, 1)
 }
 
+// TestNegativeZeroWeightStoredPositive: Build and Read store a −0 weight
+// as +0 in both adjacency directions.
+func TestNegativeZeroWeightStoredPositive(t *testing.T) {
+	b := NewBuilder(2)
+	b.AddEdge(0, 1, math.Copysign(0, -1))
+	read, err := Read(bytes.NewBufferString("p 2 1\ne 1 0 -0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Digraph{"Build": b.Build(), "Read": read} {
+		g.Edges(func(from, to int, w float64) bool {
+			if math.Signbit(w) {
+				t.Errorf("%s: out-edge (%d,%d) weight %v", name, from, to, w)
+			}
+			return true
+		})
+		for v := 0; v < g.N(); v++ {
+			g.In(v, func(u int, w float64) bool {
+				if math.Signbit(w) {
+					t.Errorf("%s: in-edge (%d,%d) weight %v", name, u, v, w)
+				}
+				return true
+			})
+		}
+	}
+}
+
 func TestHasEdgeParallelMin(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddEdge(0, 1, 5)

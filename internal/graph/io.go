@@ -18,7 +18,7 @@ import (
 // The "p" line must come first (comments excepted); exactly m "e" lines must
 // follow. n and m must fit the CSR's int32 indices. Weights are parsed with
 // strconv.ParseFloat; NaN and -Inf are rejected, +Inf (an absent edge) is
-// legal.
+// legal, and -0 is stored as 0 (see FromEdges).
 
 // Write serializes g in the text format.
 func Write(w io.Writer, g *Digraph) error {

@@ -23,6 +23,11 @@
 // ClosureNaive keep the straightforward row-parallel kernels as the
 // equivalence and benchmark reference.
 //
+// LaneRelax (lanes.go) is the sparse counterpart the query waves use: it
+// relaxes one bucket of head-grouped edges into a lane-major distance
+// matrix, one row per vertex and one lane per source, under the same tie
+// rule and operand order.
+//
 // Work is counted as one unit per (i,k,j) triple inspected — the tiled
 // kernels charge exactly a.R·a.C·b.C per product regardless of how much the
 // +Inf skipping collapses, so counted work (and every Stats-derived golden

@@ -666,11 +666,11 @@ func (ix *Index) SSSPContext(ctx context.Context, src int) ([]float64, error) {
 	return ix.fb.ssspCtx(ctx, ix.fb.g, src)
 }
 
-// SourcesBatchedContext computes SSSP from many sources as one wave — a
-// deduplicated fan-out of single-source queries, handed to the
-// workers one source at a time — with cooperative cancellation (every
-// running query polls ctx between phases); each row equals SSSPContext
-// from that source.
+// SourcesBatchedContext computes SSSP from many sources as one wave — the
+// distinct sources split into lane blocks across the workers, each block
+// relaxed through one pass of the query schedule for all of its sources —
+// with cooperative cancellation (every running block polls ctx between
+// phases); each row equals SSSPContext from that source, bit for bit.
 func (ix *Index) SourcesBatchedContext(ctx context.Context, srcs []int) ([][]float64, error) {
 	return ix.sourcesBatchedStats(ctx, srcs, nil)
 }

@@ -1,8 +1,12 @@
 package sepsp
 
 import (
+	"context"
 	"math"
+	"math/rand"
 	"testing"
+
+	"sepsp/internal/graph/gen"
 )
 
 // Edge-case behavior of the public API on degenerate inputs.
@@ -96,6 +100,59 @@ func TestZeroWeightCyclesExact(t *testing.T) {
 			u = parent[u]
 			if steps++; steps > 5 {
 				t.Fatalf("parent cycle at %d", v)
+			}
+		}
+	}
+}
+
+// TestNegativeZeroWeightsCanonical: a graph whose zero weights are −0
+// builds the same index as the graph with +0 there — E+ bit for bit, and
+// every SSSP and wave row — because graph input stores −0 as +0.
+func TestNegativeZeroWeightsCanonical(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	grid := gen.NewGrid([]int{7, 6}, gen.UnitWeights(), rand.New(rand.NewSource(3)))
+	build := func(zero float64) *Index {
+		t.Helper()
+		g := NewGraph(grid.G.N())
+		rng := rand.New(rand.NewSource(4))
+		grid.G.Edges(func(from, to int, _ float64) bool {
+			w := []float64{zero, zero, 1, 2}[rng.Intn(4)]
+			g.AddEdge(from, to, w)
+			return true
+		})
+		ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord), LeafSize: 3, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	pos, neg := build(0), build(negZero)
+	pe, ne := pos.eng.Augmentation().Edges, neg.eng.Augmentation().Edges
+	if len(pe) != len(ne) {
+		t.Fatalf("E+ has %d edges with +0 weights, %d with -0", len(pe), len(ne))
+	}
+	for i := range pe {
+		if pe[i].From != ne[i].From || pe[i].To != ne[i].To || math.Float64bits(pe[i].W) != math.Float64bits(ne[i].W) {
+			t.Fatalf("E+ edge %d: %+v with +0 weights, %+v with -0", i, pe[i], ne[i])
+		}
+	}
+	srcs := make([]int, grid.G.N())
+	for v := range srcs {
+		srcs[v] = v
+	}
+	pw, err := pos.SourcesBatchedContext(context.Background(), srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := neg.SourcesBatchedContext(context.Background(), srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range srcs {
+		ps, ns := mustSSSP(t, pos, src), mustSSSP(t, neg, src)
+		for v := range ps {
+			if b := math.Float64bits(ps[v]); b != math.Float64bits(ns[v]) || b != math.Float64bits(pw[src][v]) || b != math.Float64bits(nw[src][v]) {
+				t.Fatalf("src=%d v=%d: SSSP %v / %v, wave %v / %v (+0 / -0 weights)", src, v, ps[v], ns[v], pw[src][v], nw[src][v])
 			}
 		}
 	}

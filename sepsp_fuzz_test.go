@@ -287,8 +287,9 @@ func TestFuzzDelaunayWithRotations(t *testing.T) {
 // (negative weights) with 1–4 near-cancelling 2-cycles threaded along grid
 // edges (total weight barely positive, the regime where any reordering of
 // float relaxations shows up as a bit difference), the query sources and
-// the wave size; leaf picks the leaf size 2 + leaf%6 and workers the
-// executor size 1 + workers%4.
+// the wave size (1..40, with repeats); leaf picks the leaf size 2 + leaf%6
+// and workers the executor size 1 + workers%4. The committed seeds named
+// k<N> draw waves of N sources.
 func FuzzQueryVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, leaf, workers uint8) {
 		rng := rand.New(rand.NewSource(seed))
@@ -364,11 +365,16 @@ func FuzzQueryVsReference(f *testing.F) {
 			}
 		}
 
-		// Batched wave: every row bit-identical to the reference; wave
-		// sizes fall on both sides of the worker count.
-		srcs := make([]int, 1+rng.Intn(2*p+2))
+		// Batched wave: every row bit-identical to the reference. Waves of
+		// up to 40 sources reach one-lane blocks and full and padded blocks
+		// of every lane width, and about a third of the sources repeat an
+		// earlier one.
+		srcs := make([]int, 1+rng.Intn(40))
 		for j := range srcs {
 			srcs[j] = rng.Intn(ref.N())
+			if j > 0 && rng.Intn(3) == 0 {
+				srcs[j] = srcs[rng.Intn(j)]
+			}
 		}
 		rows := eng.SourcesBatched(srcs, nil)
 		for j, src := range srcs {

@@ -21,10 +21,11 @@ import (
 // defaults noted on each field.
 type ServerOptions struct {
 	// MaxBatch caps the number of sources coalesced into one
-	// SourcesBatched wave (default 16). A wave answers its distinct sources
-	// as single-source queries spread across the index's workers, so
-	// larger waves keep more workers busy per dispatch but make the wave's
-	// members wait for its slowest source.
+	// SourcesBatched wave (default 16). A wave splits its distinct sources
+	// into lane blocks spread across the index's workers, each block one
+	// pass over the query schedule, so larger waves keep more workers busy
+	// and share each pass among more sources per dispatch but make the
+	// wave's members wait for its slowest block.
 	MaxBatch int
 	// MaxInFlight is the admission window: the most admitted requests that
 	// may be queued or being served at once (default 1024). Requests beyond
@@ -95,9 +96,10 @@ type AdmissionOptions struct {
 // Server serves concurrent shortest-path requests on one shared Index,
 // coalescing requests that arrive while a wave is running into the next
 // multi-source SourcesBatched wave. This turns q concurrent single-source
-// queries into ⌈q/MaxBatch⌉ waves, each a deduplicated fan-out of
-// single-source queries across the index's workers — one dispatch keeps
-// every worker busy, and duplicate sources in a wave are computed once.
+// queries into ⌈q/MaxBatch⌉ waves, each split into lane blocks of
+// distinct sources across the index's workers — one dispatch keeps every
+// worker busy, one pass over the schedule serves a whole block, and
+// duplicate sources in a wave are computed once.
 //
 // Admission is a fixed window of MaxInFlight requests queued or being
 // served. Requests carry a Priority (WithPriority); when the window is

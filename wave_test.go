@@ -1,7 +1,8 @@
 package sepsp
 
-// Failure paths of the source-parallel multi-source wave: cancellation and
-// panics inside the executor's workers. `make chaos` runs these under -race.
+// Failure paths of the multi-source wave, whose lane blocks run on the
+// executor's workers: cancellation and panics inside those workers.
+// `make chaos` runs these under -race.
 
 import (
 	"context"
