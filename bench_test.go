@@ -277,6 +277,28 @@ func BenchmarkIndexBuildPublicAPI(b *testing.B) {
 	}
 }
 
+// BenchmarkWithWeightsGrid4096 times the reweight path a Manager swap
+// runs: WithWeights on a 64×64 grid, alternating between two weight sets
+// on the same directed edges, so every call reuses the previous index's E+
+// layout and schedule arena and reruns only the min-plus work, the weight
+// gather and the weight scatter (see DESIGN.md "Build performance").
+func BenchmarkWithWeightsGrid4096(b *testing.B) {
+	g1, grid := gridGraph(b, 64, 64, 9)
+	g2, _ := gridGraph(b, 64, 64, 10)
+	ix, err := Build(g1, &Options{Decomposition: GridDecomposition(grid.Coord)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := [2]*Graph{g2, g1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ix, err = ix.WithWeights(sets[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSSSPHot times the steady-state single-source query through the
 // public API — every phase of the SoA phase arena, with run-delta
 // tracking and the workspace pools warm (see DESIGN.md "Query

@@ -30,7 +30,7 @@ func Alg41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(g.N(), parts, cfg.ex()), nil
+	return assemble(g.N(), parts, cfg.Prev, cfg.ex()), nil
 }
 
 // alg41Parts runs Algorithm 4.1 and returns every tree node's E_t

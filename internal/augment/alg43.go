@@ -43,7 +43,7 @@ func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(g.N(), parts, cfg.ex()), nil
+	return assemble(g.N(), parts, cfg.Prev, cfg.ex()), nil
 }
 
 // alg43Parts runs Algorithm 4.3 and returns every tree node's E_t

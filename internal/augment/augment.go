@@ -56,6 +56,11 @@ type Config struct {
 	// and a cancelled run returns ctx.Err() within one level/iteration of
 	// work. Nil runs to completion.
 	Ctx context.Context
+	// Prev, when non-nil, is an earlier Result on the same tree whose E+
+	// layout the run gathers into if its contributions hit exactly Prev's
+	// pairs (see assemble): a reweight that keeps every pair's
+	// reachability. The Edges are identical either way.
+	Prev *Result
 }
 
 // cancelled reports the configured context's error, if any; the cheap poll
@@ -123,7 +128,20 @@ type Result struct {
 	// RawCount is the number of (pair, node) contributions before
 	// deduplication — the quantity bounded by Theorem 5.1(iii).
 	RawCount int64
+
+	// lay is the From-CSR of Edges' pairs, shared by every Result gathered
+	// into it (see assemble); nil for a Result not made by assemble.
+	lay *layout
 }
+
+// layout is E+'s pair structure: the pairs of From v are Edges[off[v]:
+// off[v+1]], Tos ascending.
+type layout struct{ off []int }
+
+// SharesLayout reports whether r was gathered into o's layout (or o into
+// r's): the two hold the same (From, To) pairs in the same order, and only
+// their weights may differ.
+func (r *Result) SharesLayout(o *Result) bool { return r.lay != nil && r.lay == o.lay }
 
 // part is one tree node's E_t contributions in row form: row r holds the
 // candidate shortcuts (rows[r].from, to[k]) of weight w[k], for k in
@@ -183,60 +201,92 @@ func (p *part) block(set, pos []int, d *matrix.Dense) {
 // minimum weight per ordered pair; the result's edges are in (From, To)
 // order and RawCount is the number of contributions.
 //
-// A counting sort of the parts' rows by From gives each From its rows in
-// part order, as CSR arrays (start, refs). The Froms are then cut into at
-// most P ranges of about equal contribution counts, and two parallel
-// rounds over the ranges count, then write, each From's distinct Tos
-// straight into the exactly sized edge slice. The write round keeps dense
-// per-To scratch: the first contribution to a To claims it and only a
-// strictly smaller weight replaces it, the rule a map keyed by pair
-// applies when fed the same sequence.
-func assemble(n int, parts []part, ex *pram.Executor) *Result {
-	type ref struct{ part, lo, hi int32 }
-	start := make([]int, n+1) // rows of From v: refs[start[v]:start[v+1]]
-	load := make([]int, n)    // contributions with From v
+// It runs in two steps. The layout step fixes E+'s pairs: a count round
+// (see count) sizes each From's span of distinct Tos. The weight step,
+// gather, fills the spans. prev, when non-nil, offers an earlier Result's
+// layout instead: E+'s pairs depend only on which pairs are reachable
+// inside each G(t), not on the weights, so a reweight usually hits
+// exactly prev's pairs and skips the layout step; the Result then shares
+// prev's layout. If the pairs differ (a pair flipped between finite and
+// +Inf), the same contributions are laid out afresh. Either way the edges
+// are what a run without prev returns.
+func assemble(n int, parts []part, prev *Result, ex *pram.Executor) *Result {
+	rs := sortRows(n, parts, ex.P())
+	if prev != nil && prev.lay != nil && len(prev.lay.off) == n+1 {
+		edges := make([]graph.Edge, len(prev.Edges))
+		if rs.gather(prev.lay.off, prev.Edges, edges, ex) {
+			return &Result{Edges: edges, RawCount: rs.raw, lay: prev.lay}
+		}
+	}
+	off := rs.count(ex)
+	edges := make([]graph.Edge, off[n])
+	rs.gather(off, nil, edges, ex)
+	return &Result{Edges: edges, RawCount: rs.raw, lay: &layout{off: off}}
+}
+
+// rowsByFrom is the parts' rows grouped by From, as CSR arrays: the rows
+// of From v are refs[start[v]:start[v+1]], in part order. cuts splits the
+// Froms [0, n) into at most P ranges of about equal contribution counts,
+// one worker each in the count and gather rounds.
+type rowsByFrom struct {
+	parts []part
+	start []int
+	refs  []rowRef
+	cuts  []int
+	raw   int64
+}
+
+type rowRef struct{ part, lo, hi int32 }
+
+// sortRows counting-sorts the parts' rows by From and cuts the Froms into
+// at most p ranges.
+func sortRows(n int, parts []part, p int) *rowsByFrom {
+	rs := &rowsByFrom{parts: parts, start: make([]int, n+1)}
+	load := make([]int, n) // contributions with From v
 	raw := 0
-	for _, p := range parts {
-		raw += len(p.to)
-		for _, r := range p.rows {
-			start[r.from+1]++
+	for _, pt := range parts {
+		raw += len(pt.to)
+		for _, r := range pt.rows {
+			rs.start[r.from+1]++
 			load[r.from] += int(r.hi - r.lo)
 		}
 	}
 	for v := 0; v < n; v++ {
-		start[v+1] += start[v]
+		rs.start[v+1] += rs.start[v]
 	}
-	refs := make([]ref, start[n])
-	next := slices.Clone(start[:n])
-	for pi, p := range parts {
-		for _, r := range p.rows {
-			refs[next[r.from]] = ref{int32(pi), r.lo, r.hi}
+	rs.refs = make([]rowRef, rs.start[n])
+	next := slices.Clone(rs.start[:n])
+	for pi, pt := range parts {
+		for _, r := range pt.rows {
+			rs.refs[next[r.from]] = rowRef{int32(pi), r.lo, r.hi}
 			next[r.from]++
 		}
 	}
-
-	// Cut [0, n) into at most P ranges of about raw/P contributions.
-	cuts := []int{0}
-	if p := ex.P(); p > 1 && raw > 0 {
+	rs.raw = int64(raw)
+	rs.cuts = []int{0}
+	if p > 1 && raw > 0 {
 		per, acc := (raw+p-1)/p, 0
 		for v := 0; v < n-1; v++ {
 			if acc += load[v]; acc >= per {
-				cuts, acc = append(cuts, v+1), 0
+				rs.cuts, acc = append(rs.cuts, v+1), 0
 			}
 		}
 	}
-	cuts = append(cuts, n)
-	ranges := len(cuts) - 1
+	rs.cuts = append(rs.cuts, n)
+	return rs
+}
 
-	// Round 1: off[v+1] = distinct Tos of From v; prefix sums turn off
-	// into each From's first edge index.
+// count is the layout step's round: it returns the From-CSR of the
+// distinct contributed (From, To) pairs, From v's at [off[v], off[v+1]).
+func (rs *rowsByFrom) count(ex *pram.Executor) []int {
+	n := len(rs.start) - 1
 	off := make([]int, n+1)
-	ex.For(ranges, func(c int) {
+	ex.For(len(rs.cuts)-1, func(c int) {
 		mark := make([]int32, n) // v+1 once From v has seen the To
-		for v := cuts[c]; v < cuts[c+1]; v++ {
+		for v := rs.cuts[c]; v < rs.cuts[c+1]; v++ {
 			k := 0
-			for _, r := range refs[start[v]:start[v+1]] {
-				for _, t := range parts[r.part].to[r.lo:r.hi] {
+			for _, r := range rs.refs[rs.start[v]:rs.start[v+1]] {
+				for _, t := range rs.parts[r.part].to[r.lo:r.hi] {
 					if mark[t] != int32(v+1) {
 						mark[t] = int32(v + 1)
 						k++
@@ -249,38 +299,72 @@ func assemble(n int, parts []part, ex *pram.Executor) *Result {
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
+	return off
+}
 
-	// Round 2: the minimum per (From, To), Tos ascending.
-	edges := make([]graph.Edge, off[n])
+// gather is the weight step: it writes E+ into out, From v's pairs at
+// out[off[v]:off[v+1]]. The pairs are those of pairs, an earlier E+ on the
+// same layout, or, when pairs is nil, v's distinct contributed Tos in
+// ascending order. Each pair keeps the minimum contributed weight: the
+// first contribution claims it and only a strictly smaller one replaces
+// it, the rule a map keyed by pair applies when fed the same sequence.
+//
+// Each range keeps dense per-To scratch: mark[t] == v+1 once To t is a
+// pair of From v, and best[t] is its weight so far. With pairs, v's pairs
+// are marked before its contributions are read, and gather reports false
+// if a contribution hits an unmarked To or a pair gets no contribution:
+// the contributed pairs are not pairs' pairs.
+func (rs *rowsByFrom) gather(off []int, pairs, out []graph.Edge, ex *pram.Executor) bool {
+	n := len(rs.start) - 1
+	ranges := len(rs.cuts) - 1
+	bad := make([]bool, ranges)
+	inf := math.Inf(1)
 	ex.For(ranges, func(c int) {
+		mark := make([]int32, n)
 		best := make([]float64, n)
-		for i := range best {
-			best[i] = math.Inf(1)
-		}
 		var seen []int32
-		for v := cuts[c]; v < cuts[c+1]; v++ {
+		for v := rs.cuts[c]; v < rs.cuts[c+1]; v++ {
+			stamp, span := int32(v+1), out[off[v]:off[v+1]]
+			if pairs != nil {
+				for _, e := range pairs[off[v]:off[v+1]] {
+					mark[e.To], best[e.To] = stamp, inf
+				}
+			}
 			seen = seen[:0]
-			for _, r := range refs[start[v]:start[v+1]] {
-				p := &parts[r.part]
+			for _, r := range rs.refs[rs.start[v]:rs.start[v+1]] {
+				p := &rs.parts[r.part]
 				for k := r.lo; k < r.hi; k++ {
-					t, w := p.to[k], p.w[k]
-					if math.IsInf(best[t], 1) {
+					t := p.to[k]
+					if mark[t] != stamp {
+						if pairs != nil {
+							bad[c] = true
+							return
+						}
+						mark[t], best[t] = stamp, inf
 						seen = append(seen, t)
-						best[t] = w
-					} else if w < best[t] {
+					}
+					if w := p.w[k]; w < best[t] {
 						best[t] = w
 					}
 				}
 			}
-			slices.Sort(seen)
-			out := edges[off[v]:off[v+1]]
-			for i, t := range seen {
-				out[i] = graph.Edge{From: v, To: int(t), W: best[t]}
-				best[t] = math.Inf(1)
+			if pairs == nil {
+				slices.Sort(seen)
+				for i, t := range seen {
+					span[i] = graph.Edge{From: v, To: int(t), W: best[t]}
+				}
+				continue
+			}
+			for i, e := range pairs[off[v]:off[v+1]] {
+				if math.IsInf(best[e.To], 1) {
+					bad[c] = true
+					return
+				}
+				span[i] = graph.Edge{From: v, To: e.To, W: best[e.To]}
 			}
 		}
 	})
-	return &Result{Edges: edges, RawCount: int64(raw)}
+	return !slices.Contains(bad, true)
 }
 
 // positions returns, for each vertex of the sorted set sub, its index in

@@ -24,7 +24,7 @@ func Reach43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(g.N(), parts, cfg.ex()), nil
+	return assemble(g.N(), parts, nil, cfg.ex()), nil
 }
 
 // reach43Parts runs the boolean Algorithm 4.3 and returns every tree node's

@@ -22,7 +22,7 @@ func Reach41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(g.N(), parts, cfg.ex()), nil
+	return assemble(g.N(), parts, nil, cfg.ex()), nil
 }
 
 // reach41Parts runs the boolean Algorithm 4.1 and returns every tree

@@ -131,7 +131,7 @@ func (inc *Incremental) NodeCount() int { return len(inc.t.Nodes) }
 
 // Result collects the current E+ from the retained matrices.
 func (inc *Incremental) Result() *Result {
-	return assemble(inc.g.N(), inc.parts(), inc.cfg.ex())
+	return assemble(inc.g.N(), inc.parts(), nil, inc.cfg.ex())
 }
 
 // parts emits every node's E_t contributions from the retained matrices.

@@ -95,7 +95,7 @@ func TestAssembleDedupKeepsMinimum(t *testing.T) {
 		p.block([]int{1, 2}, nil, d)
 		parts = append(parts, p)
 	}
-	res := assemble(3, parts, pram.NewExecutor(2))
+	res := assemble(3, parts, nil, pram.NewExecutor(2))
 	if len(res.Edges) != 1 || res.Edges[0] != (graph.Edge{From: 1, To: 2, W: 3}) {
 		t.Fatalf("edges: %+v", res.Edges)
 	}

@@ -49,6 +49,15 @@ type Config struct {
 	// Alg41, doubling iterations for Alg43) and a cancelled construction
 	// returns ctx.Err(). Nil builds to completion.
 	Ctx context.Context
+	// Prev, when non-nil, is the engine this one replaces after a
+	// reweight. If the graph has Prev's directed edges in Prev's order
+	// (graph.Digraph.SameEdges) on Prev's tree, only Algorithm 4.1's or
+	// 4.3's min-plus work reruns: the contributions are gathered into
+	// Prev's E+ layout and scattered into a fresh weight arena that shares
+	// every structural array of Prev's schedule. A pair that flips between
+	// finite and +Inf lays E+ and the schedule out afresh. The engine is
+	// identical either way.
+	Prev *Engine
 }
 
 // Engine is a preprocessed shortest-path oracle for one digraph and one
@@ -151,6 +160,13 @@ func NewEngine(g *graph.Digraph, tree *separator.Tree, cfg Config) (*Engine, err
 		ex = pram.Sequential
 	}
 	acfg := augment.Config{Ex: ex, Stats: cfg.PrepStats, UseFloydWarshall: cfg.UseFloydWarshall, Obs: cfg.Obs, Ctx: cfg.Ctx}
+	prev := cfg.Prev
+	if prev != nil && (prev.tree != tree || !prev.g.SameEdges(g)) {
+		prev = nil
+	}
+	if prev != nil {
+		acfg.Prev = prev.aug
+	}
 	var (
 		res *augment.Result
 		err error
@@ -166,7 +182,12 @@ func NewEngine(g *graph.Digraph, tree *separator.Tree, cfg Config) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	eng := NewEngineFromParts(g, tree, res, ex)
+	var eng *Engine
+	if prev != nil && res.SharesLayout(prev.aug) {
+		eng = &Engine{g: g, tree: tree, aug: res, schedule: prev.schedule.reweighted(g.EdgeList(), res.Edges), ex: ex}
+	} else {
+		eng = NewEngineFromParts(g, tree, res, ex)
+	}
 	eng.obs = cfg.Obs
 	eng.inj = cfg.Inject
 	return eng, nil

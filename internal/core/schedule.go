@@ -9,6 +9,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/matrix"
@@ -37,25 +38,42 @@ import (
 type Schedule struct {
 	height int
 	l      int
-	eAll   []graph.Edge   // original edges, scanned in the ℓ-phases
-	same   [][]graph.Edge // same[L]: level(from) == level(to) == L
-	desc   [][]graph.Edge // desc[L]: level(from) == L > level(to)
-	asc    [][]graph.Edge // asc[L]:  level(to) == L > level(from)
 	// prevRuns counts the run slots of the tracked buckets (eAll and every
 	// same[L]), which the arena packs first: the run-delta tracker only
 	// needs resetting on [0, prevRuns).
 	prevRuns int
 
-	// SoA phase arena: every bucket above, flattened into one contiguous
+	// SoA phase arena: every bucket, flattened into one contiguous
 	// allocation with heads/to as int32 and weights as float64 in separate
 	// slices, edges grouped by head vertex with run-length-encoded heads.
-	// The []graph.Edge views are re-materialized from the arena, so both
-	// forms relax edges in the same canonical order (see DESIGN.md "Query
-	// performance").
+	// soaEAll holds the original edges, scanned in the ℓ-phases; soaSame[L]
+	// the edges with level(from) == level(to) == L; soaDesc[L] those with
+	// level(from) == L > level(to); soaAsc[L] those with level(to) == L >
+	// level(from).
 	soaEAll soaBucket
 	soaSame []soaBucket
 	soaDesc []soaBucket
 	soaAsc  []soaBucket
+
+	// The plan a reweight scatters new weights by (see reweighted): the
+	// arena slot of every input edge. allSlot[i] is original edge i's slot
+	// in eAll; lvlSlot[i] is input edge i's slot in its level bucket, or -1,
+	// counting the originals first and then the shortcuts.
+	allSlot []int32
+	lvlSlot []int32
+
+	// The []graph.Edge views of the buckets for the cold paths (PhaseAt,
+	// RunPhases, Run), materialized from the arena on first use, so both
+	// forms relax edges in the same canonical order (see DESIGN.md "Query
+	// performance").
+	viewsOnce sync.Once
+	views     edgeViews
+}
+
+// edgeViews is every bucket of a Schedule as []graph.Edge, in arena order.
+type edgeViews struct {
+	eAll            []graph.Edge
+	same, desc, asc [][]graph.Edge
 }
 
 // soaBucket is one phase bucket in structure-of-arrays form. Edges sharing a
@@ -91,13 +109,7 @@ func (b *soaBucket) runs() int { return len(b.heads) }
 
 // materialize returns a new []graph.Edge view of the bucket in arena order.
 func (b *soaBucket) materialize() []graph.Edge {
-	return b.materializeInto(make([]graph.Edge, len(b.to)))
-}
-
-// materializeInto writes the bucket's edges into dst (len(dst) ==
-// b.edges()) in arena order and returns dst. The arena already holds its own
-// copy, so dst may be the very slice the bucket was built from.
-func (b *soaBucket) materializeInto(dst []graph.Edge) []graph.Edge {
+	dst := make([]graph.Edge, len(b.to))
 	for r := range b.heads {
 		f := int(b.heads[r])
 		for j := b.off[r]; j < b.off[r+1]; j++ {
@@ -160,7 +172,8 @@ func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 
 // build groups edges by head into the next arena region and returns the
 // bucket view. Within a run, edges keep their relative input order.
-func (sb *soaBuilder) build(edges []graph.Edge) soaBucket {
+// slot[j] receives the arena slot edges[j] lands in.
+func (sb *soaBuilder) build(edges []graph.Edge, slot []int32) soaBucket {
 	heads := sb.heads[sb.hPos:sb.hPos]
 	off := sb.off[sb.oPos:sb.oPos]
 	// Pass 1: assign run ids in first-appearance order, count run sizes.
@@ -183,10 +196,11 @@ func (sb *soaBuilder) build(edges []graph.Edge) soaBucket {
 	// Pass 2: scatter edges to their run slots.
 	cur := make([]int32, len(heads))
 	copy(cur, off[:len(heads)])
-	for _, e := range edges {
+	for j, e := range edges {
 		p := sb.runOf[e.From]
 		sb.to[cur[p]] = int32(e.To)
 		sb.w[cur[p]] = e.W
+		slot[j] = cur[p]
 		cur[p]++
 	}
 	b := soaBucket{
@@ -215,18 +229,20 @@ func (sb *soaBuilder) build(edges []graph.Edge) soaBucket {
 
 // NewSchedule builds the phase buckets for the union of the original edges
 // and the shortcut edges. l is the ℓ of Theorem 3.1 (max leaf diameter);
-// levels come from the decomposition tree. Buckets are stored both as the
-// SoA arena the hot relaxers stream and as []graph.Edge views materialized
-// in the same canonical head-grouped order, so every executor relaxes the
+// levels come from the decomposition tree. The buckets live in the SoA
+// arena the relaxers stream; the []graph.Edge views of the cold paths are
+// materialized from it on first use, so every executor relaxes the
 // identical edge sequence.
 func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Schedule {
 	h := t.Height + 1
 	s := &Schedule{
-		height: t.Height,
-		l:      l,
-		same:   make([][]graph.Edge, h),
-		desc:   make([][]graph.Edge, h),
-		asc:    make([][]graph.Edge, h),
+		height:  t.Height,
+		l:       l,
+		soaSame: make([]soaBucket, h),
+		soaDesc: make([]soaBucket, h),
+		soaAsc:  make([]soaBucket, h),
+		allSlot: make([]int32, len(original)),
+		lvlSlot: make([]int32, len(original)+len(shortcuts)),
 	}
 	// bucketOf numbers the level buckets same[L] = L, desc[L] = h+L and
 	// asc[L] = 2h+L, or returns -1 for an edge with an undefined endpoint
@@ -246,57 +262,120 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 		}
 	}
 	// Count every bucket, then carve all of them from one exactly sized
-	// array and scatter the edges in input order.
+	// array and scatter the edges in input order. lvlSlot holds each
+	// edge's bucket, then its index in that array, until the arena slots
+	// replace it.
 	start := make([]int, 3*h+1)
+	i := 0
 	for _, list := range [2][]graph.Edge{original, shortcuts} {
 		for _, e := range list {
-			if b := bucketOf(e); b >= 0 {
-				start[b+1]++
-			}
+			b := bucketOf(e)
+			s.lvlSlot[i] = int32(b)
+			start[b+1]++ // start[0] counts the edges of no bucket
+			i++
 		}
 	}
+	start[0] = 0
 	for b := 1; b <= 3*h; b++ {
 		start[b] += start[b-1]
 	}
 	all := make([]graph.Edge, start[3*h])
 	cur := append([]int(nil), start[:3*h]...)
+	i = 0
 	for _, list := range [2][]graph.Edge{original, shortcuts} {
 		for _, e := range list {
-			if b := bucketOf(e); b >= 0 {
+			if b := s.lvlSlot[i]; b >= 0 {
 				all[cur[b]] = e
+				s.lvlSlot[i] = int32(cur[b])
 				cur[b]++
 			}
+			i++
 		}
 	}
-	for L := 0; L < h; L++ {
-		s.same[L] = all[start[L]:start[L+1]:start[L+1]]
-		s.desc[L] = all[start[h+L]:start[h+L+1]:start[h+L+1]]
-		s.asc[L] = all[start[2*h+L]:start[2*h+L+1]:start[2*h+L+1]]
-	}
 	// The tracked buckets (eAll, then every same[L]) are built first so
-	// their global run slots form the prefix [0, prevRuns) — the per-query
+	// their global run slots form the prefix [0, prevRuns): the per-query
 	// +Inf reset of the run-delta tracker then touches only slots a tracked
-	// kernel can read, not the desc/asc runs that never consult it. Each
-	// level bucket is then rewritten in place in arena order; eAll gets its
-	// own copy, since original belongs to the caller.
-	sb := newSOABuilder(t.N(), slices.Concat([][]graph.Edge{original}, s.same, s.desc, s.asc))
-	s.soaEAll = sb.build(original)
-	s.eAll = s.soaEAll.materialize()
-	s.soaSame = make([]soaBucket, h)
-	s.soaDesc = make([]soaBucket, h)
-	s.soaAsc = make([]soaBucket, h)
+	// kernel can read, not the desc/asc runs that never consult it. The
+	// build order is the arena order (see arena).
+	buckets := [][]graph.Edge{original}
+	for b := 0; b < 3*h; b++ {
+		buckets = append(buckets, all[start[b]:start[b+1]])
+	}
+	sb := newSOABuilder(t.N(), buckets)
+	at := make([]int32, len(all)) // arena slot of all[j]
+	level := func(b int) ([]graph.Edge, []int32) { return all[start[b]:start[b+1]], at[start[b]:start[b+1]] }
+	s.soaEAll = sb.build(original, s.allSlot)
 	for L := 0; L < h; L++ {
-		s.soaSame[L] = sb.build(s.same[L])
-		s.soaSame[L].materializeInto(s.same[L])
+		s.soaSame[L] = sb.build(level(L))
 	}
 	s.prevRuns = sb.hPos
 	for L := 0; L < h; L++ {
-		s.soaDesc[L] = sb.build(s.desc[L])
-		s.soaDesc[L].materializeInto(s.desc[L])
-		s.soaAsc[L] = sb.build(s.asc[L])
-		s.soaAsc[L].materializeInto(s.asc[L])
+		s.soaDesc[L] = sb.build(level(h + L))
+		s.soaAsc[L] = sb.build(level(2*h + L))
+	}
+	for i, j := range s.lvlSlot {
+		if j >= 0 {
+			s.lvlSlot[i] = at[j]
+		}
 	}
 	return s
+}
+
+// arena returns the schedule's buckets in arena order: eAll, every
+// same[L], then desc[L] and asc[L] for each L.
+func (s *Schedule) arena() []*soaBucket {
+	out := make([]*soaBucket, 0, 1+3*len(s.soaSame))
+	out = append(out, &s.soaEAll)
+	for L := range s.soaSame {
+		out = append(out, &s.soaSame[L])
+	}
+	for L := range s.soaDesc {
+		out = append(out, &s.soaDesc[L], &s.soaAsc[L])
+	}
+	return out
+}
+
+// reweighted returns the schedule of the same edge sequence with new
+// weights: original and shortcuts must hold the (From, To) pairs s was built
+// from, in the same order. The result shares every structural array with s
+// (heads, off, rle, to, the run numbering and the slot plan) and gets a
+// fresh weight arena, filled by scattering each input edge's weight to its
+// recorded slots.
+func (s *Schedule) reweighted(original, shortcuts []graph.Edge) *Schedule {
+	if len(original) != len(s.allSlot) || len(original)+len(shortcuts) != len(s.lvlSlot) {
+		panic("core: reweighted schedule needs the edge counts it was built from")
+	}
+	r := &Schedule{
+		height:   s.height,
+		l:        s.l,
+		prevRuns: s.prevRuns,
+		soaEAll:  s.soaEAll,
+		soaSame:  slices.Clone(s.soaSame),
+		soaDesc:  slices.Clone(s.soaDesc),
+		soaAsc:   slices.Clone(s.soaAsc),
+		allSlot:  s.allSlot,
+		lvlSlot:  s.lvlSlot,
+	}
+	buckets, size := r.arena(), 0
+	for _, b := range buckets {
+		size += b.edges()
+	}
+	w := make([]float64, size)
+	for i, e := range original {
+		w[s.allSlot[i]] = e.W
+		if j := s.lvlSlot[i]; j >= 0 {
+			w[j] = e.W
+		}
+	}
+	for k, e := range shortcuts {
+		if j := s.lvlSlot[len(original)+k]; j >= 0 {
+			w[j] = e.W
+		}
+	}
+	for _, b := range buckets {
+		b.w, w = w[:b.edges()], w[b.edges():]
+	}
+	return r
 }
 
 // Phases returns the total number of relaxation phases one query performs:
@@ -343,11 +422,12 @@ func (s *Schedule) Breakdown() []PhaseWork {
 		out[i].Kind = k
 		by[k] = &out[i]
 	}
-	s.RunPhases(func(ph PhaseInfo, edges []graph.Edge) {
+	for i := 0; i < s.Phases(); i++ {
+		ph, b := s.phaseBucketAt(i)
 		pw := by[ph.Kind]
 		pw.Phases++
-		pw.Work += int64(len(edges))
-	})
+		pw.Work += int64(b.edges())
+	}
 	return out
 }
 
@@ -356,29 +436,42 @@ func (s *Schedule) Breakdown() []PhaseWork {
 // ℓ sweeps of all original edges, the descending sweep (same-level then
 // descending edges for L = d_G … 0), the ascending sweep (ascending then
 // same-level edges for L = 0 … d_G), and ℓ closing sweeps. Random access
-// lets hot query loops iterate phases without allocating closures.
+// lets hot query loops iterate phases without allocating closures. The
+// first call materializes every bucket's []graph.Edge view from the arena.
 func (s *Schedule) PhaseAt(i int) (PhaseInfo, []graph.Edge) {
-	h := s.height + 1
-	switch {
-	case i < s.l:
-		return PhaseInfo{Index: i, Kind: PhaseEllPre, Level: -1}, s.eAll
-	case i < s.l+2*h:
-		j := i - s.l
-		L := s.height - j/2
-		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseSameDown, Level: L}, s.same[L]
-		}
-		return PhaseInfo{Index: i, Kind: PhaseDesc, Level: L}, s.desc[L]
-	case i < s.l+4*h:
-		j := i - s.l - 2*h
-		L := j / 2
-		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseAsc, Level: L}, s.asc[L]
-		}
-		return PhaseInfo{Index: i, Kind: PhaseSameUp, Level: L}, s.same[L]
+	ph, _ := s.phaseBucketAt(i)
+	v := s.edgeViews()
+	switch ph.Kind {
+	case PhaseEllPre, PhaseEllPost:
+		return ph, v.eAll
+	case PhaseSameDown, PhaseSameUp:
+		return ph, v.same[ph.Level]
+	case PhaseDesc:
+		return ph, v.desc[ph.Level]
 	default:
-		return PhaseInfo{Index: i, Kind: PhaseEllPost, Level: -1}, s.eAll
+		return ph, v.asc[ph.Level]
 	}
+}
+
+// edgeViews returns the buckets' []graph.Edge views, materializing them
+// from the arena on the first call.
+func (s *Schedule) edgeViews() *edgeViews {
+	s.viewsOnce.Do(func() {
+		views := func(bs []soaBucket) [][]graph.Edge {
+			out := make([][]graph.Edge, len(bs))
+			for L := range bs {
+				out[L] = bs[L].materialize()
+			}
+			return out
+		}
+		s.views = edgeViews{
+			eAll: s.soaEAll.materialize(),
+			same: views(s.soaSame),
+			desc: views(s.soaDesc),
+			asc:  views(s.soaAsc),
+		}
+	})
+	return &s.views
 }
 
 // phaseBucketAt is PhaseAt in arena form: the identity and SoA bucket of
@@ -424,9 +517,9 @@ func (s *Schedule) RunPhases(relax func(ph PhaseInfo, edges []graph.Edge)) {
 // the quantity bounded by O(ℓ·|E| + |E ∪ E+|) in Section 3.2 (same-level
 // buckets are scanned twice, once per sweep direction).
 func (s *Schedule) WorkPerSource() int64 {
-	w := int64(2*s.l) * int64(len(s.eAll))
+	w := int64(2*s.l) * int64(s.soaEAll.edges())
 	for L := 0; L <= s.height; L++ {
-		w += int64(2*len(s.same[L]) + len(s.desc[L]) + len(s.asc[L]))
+		w += int64(2*s.soaSame[L].edges() + s.soaDesc[L].edges() + s.soaAsc[L].edges())
 	}
 	return w
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/graph/gen"
+	"sepsp/internal/pram"
 	"sepsp/internal/separator"
 )
 
@@ -36,32 +39,33 @@ func TestScheduleBucketInvariants(t *testing.T) {
 			definedCount++
 		}
 	}
+	v := s.edgeViews()
 	bucketed := 0
 	for L := 0; L <= s.height; L++ {
-		for _, e := range s.same[L] {
+		for _, e := range v.same[L] {
 			if tree.Level(e.From) != L || tree.Level(e.To) != L {
 				t.Fatalf("same[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
 			}
 		}
-		for _, e := range s.desc[L] {
+		for _, e := range v.desc[L] {
 			if tree.Level(e.From) != L || tree.Level(e.To) >= L {
 				t.Fatalf("desc[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
 			}
 		}
-		for _, e := range s.asc[L] {
+		for _, e := range v.asc[L] {
 			if tree.Level(e.To) != L || tree.Level(e.From) >= L {
 				t.Fatalf("asc[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
 			}
 		}
-		bucketed += len(s.same[L]) + len(s.desc[L]) + len(s.asc[L])
+		bucketed += len(v.same[L]) + len(v.desc[L]) + len(v.asc[L])
 	}
 	if bucketed != definedCount {
 		t.Fatalf("bucketed %d edges, expected %d", bucketed, definedCount)
 	}
 	// Work formula cross-check.
-	var want int64 = int64(2*s.l) * int64(len(s.eAll))
+	var want int64 = int64(2*s.l) * int64(len(v.eAll))
 	for L := 0; L <= s.height; L++ {
-		want += int64(2*len(s.same[L]) + len(s.desc[L]) + len(s.asc[L]))
+		want += int64(2*len(v.same[L]) + len(v.desc[L]) + len(v.asc[L]))
 	}
 	if s.WorkPerSource() != want {
 		t.Fatalf("WorkPerSource=%d want %d", s.WorkPerSource(), want)
@@ -72,10 +76,8 @@ func TestScheduleBucketInvariants(t *testing.T) {
 // ordering: ℓ all-edge phases, descending sweep (same, desc interleaved
 // from high L), ascending sweep (asc, same from low L), ℓ all-edge phases.
 func TestScheduleRunOrder(t *testing.T) {
-	tree := &separator.Tree{} // only Height is consulted via the schedule fields
-	s := &Schedule{height: 2, l: 2, eAll: []graph.Edge{{}},
-		same: make([][]graph.Edge, 3), desc: make([][]graph.Edge, 3), asc: make([][]graph.Edge, 3)}
-	_ = tree
+	s := &Schedule{height: 2, l: 2, soaEAll: soaBucket{heads: []int32{0}, off: []int32{0, 1}, to: []int32{0}, w: []float64{0}},
+		soaSame: make([]soaBucket, 3), soaDesc: make([]soaBucket, 3), soaAsc: make([]soaBucket, 3)}
 	var phases int
 	s.Run(func([]graph.Edge) { phases++ })
 	if phases != s.Phases() {
@@ -108,9 +110,29 @@ func TestSSSPFromMultiSource(t *testing.T) {
 // way — append each edge of E then E+ to its level bucket, then group by
 // head in first-appearance order, keeping input order within a head — and
 // checks that each PhaseAt bucket equals that reference and its SoA bucket
-// edge for edge, in order. The level buckets are carved from one exactly
-// sized array, so none may carry spare capacity into its neighbour.
+// edge for edge, in order. Each view is materialized exactly sized, so
+// none may carry spare capacity into its neighbour.
 func TestScheduleBucketsMatchReference(t *testing.T) {
+	g, tree := referenceGraph(t)
+	eng, err := NewEngine(g, tree, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBucketsMatchReference(t, eng)
+	// The arena is sized by runs, not edges: the last bucket built ends
+	// every run array exactly.
+	s := eng.Schedule()
+	last := s.soaAsc[tree.Height]
+	if cap(last.heads) != len(last.heads) || cap(last.rle) != len(last.rle) || cap(last.off) != len(last.off) || cap(last.to) != len(last.to) {
+		t.Fatalf("arena has spare slots: heads %d/%d rle %d/%d off %d/%d to %d/%d",
+			len(last.heads), cap(last.heads), len(last.rle), cap(last.rle), len(last.off), cap(last.off), len(last.to), cap(last.to))
+	}
+}
+
+// referenceGraph is a potential-shifted 10×9 grid (negative weights, no
+// negative cycle) and its coordinate decomposition tree.
+func referenceGraph(t *testing.T) (*graph.Digraph, *separator.Tree) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(8))
 	grid := gen.NewGrid([]int{10, 9}, gen.UniformWeights(0.1, 4), rng)
 	g, _ := gen.PotentialShift(grid.G, 6, rng)
@@ -118,11 +140,14 @@ func TestScheduleBucketsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(g, tree, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := eng.Schedule()
+	return g, tree
+}
+
+// checkBucketsMatchReference runs TestScheduleBucketsMatchReference's
+// checks on eng's schedule.
+func checkBucketsMatchReference(t *testing.T, eng *Engine) {
+	t.Helper()
+	g, tree, s := eng.Graph(), eng.Tree(), eng.Schedule()
 	h := tree.Height + 1
 	same, desc, asc := make([][]graph.Edge, h), make([][]graph.Edge, h), make([][]graph.Edge, h)
 	for _, e := range append(g.EdgeList(), eng.Augmentation().Edges...) {
@@ -179,11 +204,97 @@ func TestScheduleBucketsMatchReference(t *testing.T) {
 			}
 		}
 	}
-	// The arena is sized by runs, not edges: the last bucket built ends
-	// every run array exactly.
-	last := s.soaAsc[tree.Height]
-	if cap(last.heads) != len(last.heads) || cap(last.rle) != len(last.rle) || cap(last.off) != len(last.off) || cap(last.to) != len(last.to) {
-		t.Fatalf("arena has spare slots: heads %d/%d rle %d/%d off %d/%d to %d/%d",
-			len(last.heads), cap(last.heads), len(last.rle), cap(last.rle), len(last.off), cap(last.off), len(last.to), cap(last.to))
+}
+
+// TestReweightSharesPlan: an engine built with Prev over the same directed
+// edges and new weights shares Prev's E+ layout and every structural
+// array of its schedule arena, gets its own weights, and equals a fresh
+// engine (E+ bit for bit, every PhaseAt view against the reference, SSSP
+// rows); after a direction flip, or a pair flipping from finite to +Inf
+// or back, nothing is shared.
+func TestReweightSharesPlan(t *testing.T) {
+	g1, tree := referenceGraph(t)
+	rng := rand.New(rand.NewSource(9))
+	edges := g1.EdgeList()
+	reweighted := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		reweighted[i] = graph.Edge{From: e.From, To: e.To, W: e.W + rng.Float64()}
+	}
+	// Every out-edge of a vertex with shortcuts leaving it at +Inf: its E+
+	// pairs become unreachable.
+	base, err := NewEngine(g1, tree, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := base.Augmentation().Edges[0].From
+	infCut := slices.Clone(reweighted)
+	for i, e := range infCut {
+		if e.From == cut {
+			infCut[i].W = math.Inf(1)
+		}
+	}
+	flipped := slices.Clone(reweighted)
+	flipped[0].From, flipped[0].To = flipped[0].To, flipped[0].From
+	for _, tc := range []struct {
+		name          string
+		before, after []graph.Edge
+		share         bool
+	}{
+		{"weights", edges, reweighted, true},
+		{"to +Inf", edges, infCut, false},
+		{"from +Inf", infCut, reweighted, false},
+		{"direction", edges, flipped, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.FromEdges(g1.N(), tc.after)
+			for _, alg := range []Algorithm{Alg41, Alg43} {
+				old, err := NewEngine(graph.FromEdges(g1.N(), tc.before), tree, Config{Algorithm: alg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, err := NewEngine(g, tree, Config{Algorithm: alg, Prev: old, Ex: pram.NewExecutor(2)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewEngine(g, tree, Config{Algorithm: alg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := re.Augmentation().SharesLayout(old.Augmentation()); got != tc.share {
+					t.Fatalf("alg %d: E+ shares the old layout = %v, want %v", alg, got, tc.share)
+				}
+				a, b := old.Schedule().arena(), re.Schedule().arena()
+				for k := range a {
+					if len(a[k].to) == 0 {
+						continue
+					}
+					sameTo, sameRLE := &a[k].to[0] == &b[k].to[0], &a[k].rle[0] == &b[k].rle[0]
+					if sameTo != tc.share || sameRLE != tc.share {
+						t.Fatalf("alg %d bucket %d: shares to %v, rle %v; want %v", alg, k, sameTo, sameRLE, tc.share)
+					}
+					if &a[k].w[0] == &b[k].w[0] {
+						t.Fatalf("alg %d bucket %d: weight arena shared", alg, k)
+					}
+				}
+				ra, fa := re.Augmentation(), fresh.Augmentation()
+				if ra.RawCount != fa.RawCount || len(ra.Edges) != len(fa.Edges) {
+					t.Fatalf("alg %d: reweighted E+ has %d edges of %d contributions, fresh %d of %d", alg, len(ra.Edges), ra.RawCount, len(fa.Edges), fa.RawCount)
+				}
+				for i, e := range ra.Edges {
+					if f := fa.Edges[i]; e.From != f.From || e.To != f.To || math.Float64bits(e.W) != math.Float64bits(f.W) {
+						t.Fatalf("alg %d: reweighted E+ edge %d is %+v, fresh %+v", alg, i, e, f)
+					}
+				}
+				checkBucketsMatchReference(t, re)
+				for _, src := range []int{0, g.N() / 2, g.N() - 1} {
+					got, want := re.SSSP(src, nil), fresh.SSSP(src, nil)
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("alg %d src %d v %d: reweighted %v, fresh %v", alg, src, v, got[v], want[v])
+						}
+					}
+				}
+			}
+		})
 	}
 }

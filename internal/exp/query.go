@@ -72,7 +72,9 @@ func timeInterleaved(ref, opt func()) (tR, tO time.Duration, aR, aO int64) {
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
 	var allocs [2]int64
 	for _, run := range paths {
-		run() // warmup: workspace pools fill here
+		// Warm-up: workspace pools fill, and the schedule's []graph.Edge
+		// views, the reference's input, are materialized here.
+		run()
 	}
 	for rep := 0; rep < queryReps; rep++ {
 		for k := range paths {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -115,6 +116,15 @@ func (g *Digraph) EdgeList() []Edge {
 		return true
 	})
 	return es
+}
+
+// SameEdges reports whether g and o have the same vertex count and the same
+// directed edges in the same order, weights aside: identical out-CSR heads
+// and targets. Such graphs have equal skeletons, and everything derived
+// from the edge sequence alone (EdgeList's pairs, a separator tree, the
+// query schedule's layout) carries over from one to the other.
+func (g *Digraph) SameEdges(o *Digraph) bool {
+	return g.n == o.n && slices.Equal(g.outHead, o.outHead) && slices.Equal(g.outTo, o.outTo)
 }
 
 // HasEdge reports whether a directed edge from -> to exists, and if so

@@ -8,17 +8,25 @@ package matrix
 // (relax_amd64.s), elsewhere the Go loops below. The loops are compiled on
 // every platform so the assembly is tested against them bit for bit.
 
+import "fmt"
+
+// shortRow panics for an output row shorter than the b row it is relaxed
+// against. Every kernel compares lengths first: reslicing a row to
+// [:len(brow)] would check only its capacity, and a short row with spare
+// capacity would be written past its end.
+func shortRow(n int) {
+	panic(fmt.Sprintf("matrix: output row shorter than its %d-entry b row", n))
+}
+
 // relax8Go relaxes eight result rows against one b row. +Inf v's are
 // harmless no-ops (see mulTile).
 func relax8Go(o0, o1, o2, o3, o4, o5, o6, o7, brow []float64, v0, v1, v2, v3, v4, v5, v6, v7 float64) {
-	o0 = o0[:len(brow)]
-	o1 = o1[:len(brow)]
-	o2 = o2[:len(brow)]
-	o3 = o3[:len(brow)]
-	o4 = o4[:len(brow)]
-	o5 = o5[:len(brow)]
-	o6 = o6[:len(brow)]
-	o7 = o7[:len(brow)]
+	n := len(brow)
+	if len(o0) < n || len(o1) < n || len(o2) < n || len(o3) < n ||
+		len(o4) < n || len(o5) < n || len(o6) < n || len(o7) < n {
+		shortRow(n)
+	}
+	o0, o1, o2, o3, o4, o5, o6, o7 = o0[:n], o1[:n], o2[:n], o3[:n], o4[:n], o5[:n], o6[:n], o7[:n]
 	for j, bv := range brow {
 		if s := v0 + bv; s < o0[j] {
 			o0[j] = s
@@ -49,10 +57,11 @@ func relax8Go(o0, o1, o2, o3, o4, o5, o6, o7, brow []float64, v0, v1, v2, v3, v4
 
 // relax4Go relaxes four result rows against one b row.
 func relax4Go(o0, o1, o2, o3, brow []float64, v0, v1, v2, v3 float64) {
-	o0 = o0[:len(brow)]
-	o1 = o1[:len(brow)]
-	o2 = o2[:len(brow)]
-	o3 = o3[:len(brow)]
+	n := len(brow)
+	if len(o0) < n || len(o1) < n || len(o2) < n || len(o3) < n {
+		shortRow(n)
+	}
+	o0, o1, o2, o3 = o0[:n], o1[:n], o2[:n], o3[:n]
 	for j, bv := range brow {
 		if s := v0 + bv; s < o0[j] {
 			o0[j] = s
@@ -71,6 +80,9 @@ func relax4Go(o0, o1, o2, o3, brow []float64, v0, v1, v2, v3 float64) {
 
 // relax1Go relaxes one result row against one b row.
 func relax1Go(orow, brow []float64, av float64) {
+	if len(orow) < len(brow) {
+		shortRow(len(brow))
+	}
 	orow = orow[:len(brow)]
 	for j, bv := range brow {
 		if s := av + bv; s < orow[j] {

@@ -86,10 +86,20 @@ func TestRelaxShortRowPanics(t *testing.T) {
 	b := make([]float64, 9)
 	long := make([]float64, 9)
 	short := make([]float64, 8)
+	// A row shorter than b with spare capacity behind it: reslicing it to
+	// len(b) would not panic, and the kernel would write backing[8].
+	backing := make([]float64, 9)
+	spare := backing[:8]
 	for i, call := range []func(){
 		func() { relax8(long, long, long, long, long, long, long, short, b, 0, 0, 0, 0, 0, 0, 0, 0) },
 		func() { relax4(long, short, long, long, b, 0, 0, 0, 0) },
 		func() { relax1(short, b, 0) },
+		func() { relax8(long, long, long, spare, long, long, long, long, b, -1, -1, -1, -1, -1, -1, -1, -1) },
+		func() { relax4(long, long, spare, long, b, -1, -1, -1, -1) },
+		func() { relax1(spare, b, -1) },
+		func() { relax8Go(long, long, long, long, long, long, spare, long, b, -1, -1, -1, -1, -1, -1, -1, -1) },
+		func() { relax4Go(spare, long, long, long, b, -1, -1, -1, -1) },
+		func() { relax1Go(spare, b, -1) },
 	} {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
 			defer func() {
@@ -99,5 +109,8 @@ func TestRelaxShortRowPanics(t *testing.T) {
 			}()
 			call()
 		})
+	}
+	if backing[8] != 0 {
+		t.Fatalf("a kernel wrote %v past the end of a short row", backing[8])
 	}
 }

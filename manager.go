@@ -265,6 +265,13 @@ func (m *Manager) release(e *epochIndex) {
 // single-flight: while one rebuild runs, others fail fast with
 // ErrRebuildInFlight.
 //
+// The rebuild is Index.WithWeightsContext on the current epoch: the
+// separator tree is always reused, and when g keeps the current graph's
+// directed edges in the same order, so are E+'s pair layout and the query
+// schedule's arena structure, shared read-only between the two epochs;
+// only the min-plus work of the E+ construction and the new weights are
+// computed.
+//
 // ctx cancels the rebuild (polled at the reconstruction's outer-loop
 // boundaries): a cancelled rebuild returns ctx's error, does not count as
 // a failure, and leaves the current epoch serving. A rebuild that fails or

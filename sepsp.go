@@ -465,18 +465,7 @@ func buildPrimary(ctx context.Context, dg *graph.Digraph, finder separator.Finde
 		}
 		return nil, err
 	}
-	ix = &Index{eng: eng, g: dg, ex: ex, alg: alg, sink: sink}
-	ix.stats = Stats{
-		PrepWork:       prep.Work(),
-		PrepRounds:     prep.Rounds(),
-		Shortcuts:      len(eng.Augmentation().Edges),
-		TreeHeight:     tree.Height,
-		MaxSeparator:   tree.MaxSeparatorSize(),
-		DiameterBound:  eng.DiameterBound(),
-		QueryPhases:    eng.Schedule().Phases(),
-		QueryWork:      eng.Schedule().WorkPerSource(),
-		PhaseBreakdown: phaseBreakdown(eng.Schedule()),
-	}
+	ix = &Index{eng: eng, g: dg, ex: ex, alg: alg, sink: sink, stats: engineStats(eng, prep)}
 	if sink != nil {
 		if alg == core.Alg41 {
 			ix.stats.Levels = levelBreakdown(sink.Metrics, tree)
@@ -488,6 +477,23 @@ func buildPrimary(ctx context.Context, dg *graph.Digraph, finder separator.Finde
 		sink.Metrics.Gauge("exec.busy.mean").Set(mean)
 	}
 	return ix, nil
+}
+
+// engineStats is the Stats of an engine whose E+ construction counted
+// into prep; Levels, which only an observed Build records, stays nil.
+func engineStats(eng *core.Engine, prep *pram.Stats) Stats {
+	tree := eng.Tree()
+	return Stats{
+		PrepWork:       prep.Work(),
+		PrepRounds:     prep.Rounds(),
+		Shortcuts:      len(eng.Augmentation().Edges),
+		TreeHeight:     tree.Height,
+		MaxSeparator:   tree.MaxSeparatorSize(),
+		DiameterBound:  eng.DiameterBound(),
+		QueryPhases:    eng.Schedule().Phases(),
+		QueryWork:      eng.Schedule().WorkPerSource(),
+		PhaseBreakdown: phaseBreakdown(eng.Schedule()),
+	}
 }
 
 // selfCheck validates the built index against the paper's own invariants
@@ -838,9 +844,16 @@ func (ix *Index) reverseEngine() error {
 // separator decomposition — the paper's comment (iv): the decomposition
 // "needs to be computed only once for a group of instances which differ in
 // the weights and direction on edges". Only the E+ construction reruns.
-// Returns an error if g's skeleton differs from the indexed graph's. It is
-// WithWeightsContext with a background context; for rebuild-and-swap
-// without downtime, see Manager.
+// When g also keeps the indexed graph's directed edges in the same order,
+// so only weights change, the new index reuses more: E+'s pair layout and
+// the query schedule's arena structure (run heads, targets, run numbering)
+// are shared with the receiver, and only the min-plus work of the E+
+// construction, a weight gather and a weight scatter run. A pair that
+// flips between finite and +Inf, or any change of direction, rebuilds E+'s
+// layout and the schedule on the reused tree. The result is identical to a
+// fresh Build of g either way. Returns an error if g's skeleton differs
+// from the indexed graph's. It is WithWeightsContext with a background
+// context; for rebuild-and-swap without downtime, see Manager.
 func (ix *Index) WithWeights(g *Graph) (*Index, error) {
 	return ix.WithWeightsContext(context.Background(), g)
 }
@@ -860,9 +873,8 @@ func (ix *Index) WithWeightsContext(ctx context.Context, g *Graph) (*Index, erro
 		return nil, fmt.Errorf("%w: %v", ErrInvalidWeight, err)
 	}
 	dg := g.b.Build()
-	oldSk := graph.NewSkeleton(ix.eng.Graph())
-	newSk := graph.NewSkeleton(dg)
-	if !oldSk.Equal(newSk) {
+	// The same directed edges in the same order imply the same skeleton.
+	if old := ix.eng.Graph(); !old.SameEdges(dg) && !graph.NewSkeleton(old).Equal(graph.NewSkeleton(dg)) {
 		return nil, fmt.Errorf("%w: WithWeights requires the same undirected skeleton", ErrSkeletonMismatch)
 	}
 	var fb *fallbackEngine
@@ -872,23 +884,14 @@ func (ix *Index) WithWeightsContext(ctx context.Context, g *Graph) (*Index, erro
 			return nil, err
 		}
 	}
-	eng, err := core.NewEngine(dg, ix.eng.Tree(), core.Config{Ex: ix.ex, Algorithm: ix.alg, Ctx: ctx})
+	prep := &pram.Stats{}
+	eng, err := core.NewEngine(dg, ix.eng.Tree(), core.Config{Ex: ix.ex, Algorithm: ix.alg, PrepStats: prep, Ctx: ctx, Prev: ix.eng})
 	if err != nil {
 		if errors.Is(err, augment.ErrNegativeCycle) {
 			return nil, fmt.Errorf("%w: %v", ErrNegativeCycle, err)
 		}
 		return nil, err
 	}
-	out := &Index{eng: eng, g: dg, ex: ix.ex, alg: ix.alg, sink: ix.sink, fb: fb}
-	tree := ix.eng.Tree()
-	out.stats = Stats{
-		Shortcuts:      len(eng.Augmentation().Edges),
-		TreeHeight:     tree.Height,
-		MaxSeparator:   tree.MaxSeparatorSize(),
-		DiameterBound:  eng.DiameterBound(),
-		QueryPhases:    eng.Schedule().Phases(),
-		QueryWork:      eng.Schedule().WorkPerSource(),
-		PhaseBreakdown: phaseBreakdown(eng.Schedule()),
-	}
+	out := &Index{eng: eng, g: dg, ex: ix.ex, alg: ix.alg, sink: ix.sink, fb: fb, stats: engineStats(eng, prep)}
 	return out, nil
 }

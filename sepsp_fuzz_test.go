@@ -113,13 +113,25 @@ func FuzzBuildVsBellmanFord(f *testing.F) {
 // weight set on the same edges, and checks that reweighting an index
 // (WithWeightsContext) gives what a fresh Build of the reweighted graph
 // gives: the same E+ slice, bit for bit, the same SSSPContext distances
-// from three sources, and ErrNegativeCycle exactly when the fresh Build
-// reports it.
+// and SourcesBatchedContext rows from three sources, and ErrNegativeCycle
+// exactly when the fresh Build reports it.
 //
 // Encoding: data[0] picks n in [1, 24], the next n bytes are vertex
 // potentials, and each following byte quadruple (u, v, w1, w2) adds the
 // edge u%n → v%n with weight (w%24 − 4) + pot[u] − pot[v] in the first
 // graph (w = w1) and in the second (w = w2). At most 96 edges are read.
+// The first byte after them, if any, is a control byte c that picks the
+// path the reweight takes, by c%5:
+//
+//	0: new weights only (the E+ layout and the schedule arena are reused);
+//	1: the second graph reverses edge i when (c/8 + i)%3 == 0 (same
+//	   skeleton, new directed edge set);
+//	2: edge i weighs +Inf when (c/8 + i)%3 == 0, in the second graph when
+//	   c/8 is even and in the first when it is odd (a pair may flip from
+//	   finite to +Inf, or back);
+//	3: the second graph gets its edges in a permutation seeded by c;
+//	4: both builds run Algorithm 4.3 (Simultaneous).
+//
 // Inputs whose first graph has a negative cycle have no index to reweight
 // and are skipped.
 func FuzzWithWeightsVsBuild(f *testing.F) {
@@ -133,17 +145,54 @@ func FuzzWithWeightsVsBuild(f *testing.F) {
 			return
 		}
 		pot, data := data[:n], data[n:]
-		g1, g2 := NewGraph(n), NewGraph(n)
+		type edge struct {
+			u, v   int
+			w1, w2 float64
+		}
+		var edges []edge
 		for m := 0; len(data) >= 4 && m < 96; m++ {
 			u, v := int(data[0])%n, int(data[1])%n
 			shift := int(pot[u]) - int(pot[v])
-			g1.AddEdge(u, v, float64(int(data[2])%24-4+shift))
-			g2.AddEdge(u, v, float64(int(data[3])%24-4+shift))
+			edges = append(edges, edge{u, v, float64(int(data[2])%24 - 4 + shift), float64(int(data[3])%24 - 4 + shift)})
 			data = data[4:]
 		}
+		c := 0
+		if len(data) > 0 {
+			c = int(data[0])
+		}
+		opt := &Options{}
+		g1, g2 := NewGraph(n), NewGraph(n)
+		for i, e := range edges {
+			if c%5 == 2 && (c/8)%2 == 1 && (c/8+i)%3 == 0 {
+				e.w1 = math.Inf(1)
+			}
+			g1.AddEdge(e.u, e.v, e.w1)
+		}
+		order := make([]int, len(edges))
+		for i := range order {
+			order[i] = i
+		}
+		if c%5 == 3 {
+			order = rand.New(rand.NewSource(int64(c))).Perm(len(edges))
+		}
+		for i, j := range order {
+			e, picked := edges[j], (c/8+i)%3 == 0
+			switch {
+			case c%5 == 1 && picked:
+				g2.AddEdge(e.v, e.u, e.w2+float64(2*(int(pot[e.v])-int(pot[e.u]))))
+			case c%5 == 2 && (c/8)%2 == 0 && picked:
+				g2.AddEdge(e.u, e.v, math.Inf(1))
+			default:
+				g2.AddEdge(e.u, e.v, e.w2)
+			}
+		}
+		if c%5 == 4 {
+			opt.Algorithm = Simultaneous
+		}
 		ctx := context.Background()
+		srcs := []int{0, n / 2, n - 1}
 		for _, workers := range []int{1, 2} {
-			opt := &Options{Workers: workers}
+			opt.Workers = workers
 			ix, err := Build(g1, opt)
 			if errors.Is(err, ErrNegativeCycle) {
 				return
@@ -165,11 +214,18 @@ func FuzzWithWeightsVsBuild(f *testing.F) {
 			if !sameEdges(re.eng.Augmentation().Edges, fresh.eng.Augmentation().Edges) {
 				t.Fatalf("workers=%d: reweighted E+ differs from a fresh Build's", workers)
 			}
-			for _, src := range []int{0, n / 2, n - 1} {
+			if c%5 == 0 && !re.eng.Augmentation().SharesLayout(ix.eng.Augmentation()) {
+				t.Fatalf("workers=%d: new finite weights on the same edges did not reuse the E+ layout", workers)
+			}
+			rows, err := re.SourcesBatchedContext(ctx, srcs)
+			if err != nil {
+				t.Fatalf("workers=%d: SourcesBatchedContext: %v", workers, err)
+			}
+			for i, src := range srcs {
 				got, want := mustSSSP(t, re, src), mustSSSP(t, fresh, src)
 				for v := range want {
-					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("workers=%d src=%d v=%d: reweighted %v, fresh %v", workers, src, v, got[v], want[v])
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) || math.Float64bits(rows[i][v]) != math.Float64bits(want[v]) {
+						t.Fatalf("workers=%d src=%d v=%d: reweighted %v (wave %v), fresh %v", workers, src, v, got[v], rows[i][v], want[v])
 					}
 				}
 			}

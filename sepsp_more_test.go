@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -67,6 +68,52 @@ func TestWithWeightsReusesDecomposition(t *testing.T) {
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 			t.Fatalf("v=%d: %v want %v", v, got[v], want[v])
+		}
+	}
+}
+
+// TestWithWeightsStatsMatchBuild: a reweighted index reports the Stats a
+// fresh Build of the same graph reports, preprocessing work and rounds
+// included, whether the reweight reused the E+ layout (new weights only)
+// or laid it out afresh (some directions flipped), at either algorithm.
+func TestWithWeightsStatsMatchBuild(t *testing.T) {
+	gg, grid := gridGraph(t, 8, 8, 26)
+	rng := rand.New(rand.NewSource(7))
+	weights, flipped := NewGraph(grid.G.N()), NewGraph(grid.G.N())
+	i := 0
+	refGraph(gg).Edges(func(from, to int, _ float64) bool {
+		w := 1 + 9*rng.Float64()
+		weights.AddEdge(from, to, w)
+		if i%5 == 0 {
+			from, to = to, from
+		}
+		flipped.AddEdge(from, to, w)
+		i++
+		return true
+	})
+	for _, alg := range []Algorithm{LeavesUp, Simultaneous} {
+		opt := &Options{Decomposition: GridDecomposition(grid.Coord), Algorithm: alg, Workers: 2}
+		ix, err := Build(gg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, g2 := range map[string]*Graph{"weights": weights, "directions": flipped} {
+			re, err := ix.WithWeights(g2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Build(g2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := re.Stats(), fresh.Stats()
+			got.Levels, want.Levels = nil, nil
+			if got.PrepWork == 0 || got.PrepRounds == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("alg %v, %s: reweighted Stats %+v, fresh Build %+v", alg, name, got, want)
+			}
+			if shared := re.eng.Augmentation().SharesLayout(ix.eng.Augmentation()); shared != (name == "weights") {
+				t.Fatalf("alg %v, %s: E+ layout reused = %v", alg, name, shared)
+			}
 		}
 	}
 }
