@@ -30,8 +30,10 @@ chaos:
 # (persist.go), where mutated Save blobs must never panic and must either
 # load or fail with ErrCorruptIndex; FuzzBuildVsBellmanFord, where small
 # digraphs with negative weights must get Bellman-Ford's distances from
-# Build, SSSPContext and SourcesBatchedContext at one and two workers, and
-# ErrNegativeCycle exactly when Bellman-Ford finds a negative cycle;
+# Build, SSSPContext and SourcesBatchedContext at one and two workers,
+# Reachable from every source must return the vertices Bellman-Ford
+# reaches, and ErrNegativeCycle must come exactly when Bellman-Ford finds a
+# negative cycle;
 # FuzzWithWeightsVsBuild, where reweighting an index must give a fresh
 # Build's E+ slice, distances and ErrNegativeCycle verdict;
 # FuzzQueryVsReference, where SSSP, every SourcesBatched row and SSSPFrom

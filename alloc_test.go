@@ -9,6 +9,8 @@ package sepsp
 import (
 	"context"
 	"testing"
+
+	"sepsp/internal/reach"
 )
 
 // TestSSSPSteadyStateAllocs locks in the zero-scratch query path: after
@@ -82,5 +84,27 @@ func TestSourcesBatchedSteadyStateAllocs(t *testing.T) {
 	k := float64(len(srcs))
 	if avg := testing.AllocsPerRun(50, func() { _, _ = ix.SourcesBatchedContext(ctx, srcs) }); avg > k+2 {
 		t.Fatalf("SourcesBatched allocates %.1f objects per call, want <= %g (k rows + spine + slack)", avg, k+2)
+	}
+}
+
+// TestReachFirstQueryAllocsOnlyItsResult: the boolean engine relaxes the
+// schedule's arena in place, so even the first From on a fresh engine
+// allocates only the returned set.
+func TestReachFirstQueryAllocsOnlyItsResult(t *testing.T) {
+	g, grid := gridGraph(t, 12, 12, 9)
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	engs := make([]*reach.Engine, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range engs {
+		if engs[i], err = reach.NewEngine(ix.eng.Graph(), ix.eng.Tree(), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(runs, func() { _ = engs[i].From(0, nil); i++ }); avg != 1 {
+		t.Fatalf("first From on a fresh engine allocates %.1f objects, want 1", avg)
 	}
 }

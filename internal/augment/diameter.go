@@ -9,15 +9,11 @@ import (
 )
 
 // DiameterBound returns the paper's Theorem 3.1(ii) bound on the
-// minimum-weight diameter of the augmented graph: 4·d_G + 2ℓ + 1, using
-// ℓ = MaxLeafSize − 1 (a path inside an O(1)-size leaf needs at most
-// |V(leaf)|−1 edges when no negative cycles exist).
+// minimum-weight diameter of the augmented graph: 4·d_G + 2ℓ + 1, with
+// ℓ = t.Ell() (a path inside an O(1)-size leaf needs at most |V(leaf)|−1
+// edges when no negative cycles exist).
 func DiameterBound(t *separator.Tree) int {
-	l := t.MaxLeafSize() - 1
-	if l < 0 {
-		l = 0
-	}
-	return 4*t.Height + 2*l + 1
+	return 4*t.Height + 2*t.Ell() + 1
 }
 
 // MinWeightDiameter measures the minimum-weight diameter (Section 2.2) of

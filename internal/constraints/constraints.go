@@ -8,7 +8,7 @@
 // weight c per constraint x_i − x_j ≤ c. The system is feasible iff the
 // graph has no negative cycle, and x = (distances from a virtual
 // super-source with zero-weight edges to every vertex) is the canonical
-// solution. The super-source never materializes: both solvers start from
+// solution. The super-source is never built: both solvers start from
 // the all-zeros distance vector, so the constraint graph's separator
 // structure is preserved.
 package constraints

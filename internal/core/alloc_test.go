@@ -44,3 +44,18 @@ func TestSourcesBatchedWaveSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SourcesBatched allocates %.1f objects per call, want <= %g", avg, budget)
 	}
 }
+
+// TestSSSPReferenceAllocsOnlyItsResult: the reference relaxer walks the
+// arena in place, so even its first call on a fresh engine allocates only
+// the returned distance vector.
+func TestSSSPReferenceAllocsOnlyItsResult(t *testing.T) {
+	const runs = 5
+	engs := make([]*Engine, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range engs {
+		engs[i], _ = buildGridEngine(t, []int{12, 12}, gen.UniformWeights(0.5, 2), 9, Config{})
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(runs, func() { _ = engs[i].SSSPReference(0, nil); i++ }); avg != 1 {
+		t.Fatalf("first SSSPReference on a fresh engine allocates %.1f objects, want 1", avg)
+	}
+}

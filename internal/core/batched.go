@@ -176,7 +176,7 @@ func (e *Engine) runLanes(ctx context.Context, srcs []int, out [][]float64) (wor
 	for l, src := range srcs {
 		d[src*width+l] = 0
 	}
-	work, _, err = e.runPhases(ctx, int64(len(srcs)), func(_ PhaseKind, b *soaBucket) {
+	work, _, err = e.runPhases(ctx, int64(len(srcs)), func(_ PhaseKind, b *Bucket) {
 		matrix.LaneRelax(d, width, b.rle, b.to, b.w)
 	})
 	if err != nil {

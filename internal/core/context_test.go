@@ -116,25 +116,30 @@ func TestSourcesBatchedContextCancel(t *testing.T) {
 }
 
 // TestPhaseAtMatchesRunOrder checks the random-access PhaseAt enumeration
-// is exactly the sequence RunPhases emits (index, kind, level, bucket).
+// against the exported phase order: phase i carries index i and PhaseOf's
+// identity, PhaseOf's bucket id names the bucket its kind and level say
+// (BucketAll for the ℓ sweeps, same[L] = L, desc[L] = h+L, asc[L] = 2h+L),
+// and PhaseAt hands out exactly that arena bucket.
 func TestPhaseAtMatchesRunOrder(t *testing.T) {
 	eng := contextTestEngine(t)
 	s := eng.Schedule()
-	i := 0
-	s.RunPhases(func(ph PhaseInfo, edges []graph.Edge) {
-		if ph.Index != i {
-			t.Fatalf("phase %d: Index = %d", i, ph.Index)
+	h := s.height + 1
+	for i := 0; i < s.Phases(); i++ {
+		ph, b := s.PhaseAt(i)
+		of, id := PhaseOf(s.l, s.height, i)
+		if ph.Index != i || ph != of {
+			t.Fatalf("phase %d: PhaseAt = %+v, PhaseOf = %+v", i, ph, of)
 		}
-		at, atEdges := s.PhaseAt(i)
-		if at != ph {
-			t.Fatalf("phase %d: PhaseAt = %+v, RunPhases emitted %+v", i, at, ph)
+		want := map[PhaseKind]int{PhaseEllPre: BucketAll, PhaseEllPost: BucketAll,
+			PhaseSameDown: ph.Level, PhaseSameUp: ph.Level, PhaseDesc: h + ph.Level, PhaseAsc: 2*h + ph.Level}[ph.Kind]
+		if id != want {
+			t.Fatalf("phase %d (%s L=%d): bucket id %d, want %d", i, ph.Kind, ph.Level, id, want)
 		}
-		if len(atEdges) != len(edges) {
-			t.Fatalf("phase %d: bucket size %d vs %d", i, len(atEdges), len(edges))
+		if (id == BucketAll && b != &s.eAll) || (id != BucketAll && b != &s.lvl[id]) {
+			t.Fatalf("phase %d: PhaseAt bucket is not bucket %d of the arena", i, id)
 		}
-		i++
-	})
-	if i != s.Phases() {
-		t.Fatalf("enumerated %d phases, want %d", i, s.Phases())
+	}
+	if got := PhaseCount(s.l, s.height); got != s.Phases() {
+		t.Fatalf("PhaseCount = %d, Phases = %d", got, s.Phases())
 	}
 }

@@ -201,15 +201,11 @@ func NewEngineFromParts(g *graph.Digraph, tree *separator.Tree, res *augment.Res
 	if ex == nil {
 		ex = pram.Sequential
 	}
-	l := tree.MaxLeafSize() - 1
-	if l < 0 {
-		l = 0
-	}
 	return &Engine{
 		g:        g,
 		tree:     tree,
 		aug:      res,
-		schedule: NewSchedule(tree, g.EdgeList(), res.Edges, l),
+		schedule: NewSchedule(tree, g.EdgeList(), res.Edges),
 		ex:       ex,
 	}
 }
@@ -302,7 +298,7 @@ func (e *Engine) SSSPFrom(init []float64, st *pram.Stats) []float64 {
 // +Inf + w < x is false for every finite x and for x = +Inf. These buckets
 // are the bulk of a query's relaxations, so the loop body stays
 // store-minimal.
-func relaxBucketDense(dist []float64, b *soaBucket) {
+func relaxBucketDense(dist []float64, b *Bucket) {
 	to, w := b.to, b.w
 	lo := 0
 	for _, hr := range b.rle {
@@ -325,7 +321,7 @@ func relaxBucketDense(dist []float64, b *soaBucket) {
 // relaxBucketTracked is the kernel of the repeatedly swept buckets (eAll,
 // swept 2ℓ times, and same[L], swept once by the descending and once by the
 // ascending sweep). prev is the query's run-delta tracker, one slot per
-// global run (soaBucket.runBase + r): prev holds dist[head] as of the run's
+// global run (Bucket.runBase + r): prev holds dist[head] as of the run's
 // last relaxation, and a run whose head is unchanged since then is skipped.
 // The skip is exact: distances only decrease, so du == prev means every
 // comparison du+w < dist[to] already failed with the same du against a
@@ -333,7 +329,7 @@ func relaxBucketDense(dist []float64, b *soaBucket) {
 // start at +Inf, which subsumes the unreachable-head skip on the first
 // sweep. Skipped runs still count as relaxations: counted work is the
 // static schedule's (see DESIGN.md "Query performance").
-func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) {
+func relaxBucketTracked(dist []float64, b *Bucket, prev []float64) {
 	to, w := b.to, b.w
 	pr := prev[b.runBase : int(b.runBase)+len(b.heads)]
 	lo := 0
@@ -356,7 +352,7 @@ func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) {
 }
 
 // relaxPhase relaxes phase bucket b of kind k with the matching kernel.
-func relaxPhase(dist []float64, k PhaseKind, b *soaBucket, prev []float64) {
+func relaxPhase(dist []float64, k PhaseKind, b *Bucket, prev []float64) {
 	switch k {
 	case PhaseDesc, PhaseAsc: // single sweep, tracking can't pay
 		relaxBucketDense(dist, b)
@@ -372,7 +368,7 @@ func (e *Engine) runSchedule(ctx context.Context, dist []float64) (work, rounds 
 	ws := e.getWS()
 	defer e.putWS(ws)
 	prev := ws.growInfs(e.schedule.prevRuns)
-	return e.runPhases(ctx, 1, func(k PhaseKind, b *soaBucket) { relaxPhase(dist, k, b, prev) })
+	return e.runPhases(ctx, 1, func(k PhaseKind, b *Bucket) { relaxPhase(dist, k, b, prev) })
 }
 
 // runPhases runs one pass over the §3.2 phase schedule for lanes sources
@@ -387,7 +383,7 @@ func (e *Engine) runSchedule(ctx context.Context, dist []float64) (work, rounds 
 // pass, and every span carries its lanes, so the lanes of a trace's
 // query.phase spans sum to the phase counter. relax does not escape, so the
 // uninstrumented path performs no heap allocation.
-func (e *Engine) runPhases(ctx context.Context, lanes int64, relax func(PhaseKind, *soaBucket)) (work, rounds int64, err error) {
+func (e *Engine) runPhases(ctx context.Context, lanes int64, relax func(PhaseKind, *Bucket)) (work, rounds int64, err error) {
 	observed := e.obs.Enabled()
 	if observed {
 		qs := e.obs.Span("query.sssp", "query", "phases", e.schedule.Phases(), "lanes", lanes)
@@ -404,42 +400,48 @@ func (e *Engine) runPhases(ctx context.Context, lanes int64, relax func(PhaseKin
 			}
 		}
 		e.firePhase()
-		ph, b := e.schedule.phaseBucketAt(i)
+		ph, b := e.schedule.PhaseAt(i)
 		if observed {
 			sp := e.obs.Span("query.phase", "query",
-				"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.edges(), "lanes", lanes)
+				"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.Edges(), "lanes", lanes)
 			e.obs.Do(func() { relax(ph.Kind, b) }, "phase", string(ph.Kind))
 			sp.End()
-			e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(lanes * int64(b.edges()))
+			e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(lanes * int64(b.Edges()))
 			e.obs.Counter(obs.MQueryPhases).Add(lanes)
 		} else {
 			relax(ph.Kind, b)
 		}
-		work += lanes * int64(b.edges())
+		work += lanes * int64(b.Edges())
 		rounds++
 	}
 	return work, rounds, nil
 }
 
 // SSSPReference computes distances from src with the pre-optimization
-// executor: a scalar loop over the AoS phase buckets, no arena streaming,
-// no run skipping — all 2ℓ+4(d_G+1) phases scan their full bucket. It relaxes the same canonical edge order as the
-// optimized paths, so their results must be bit-identical; it is retained
-// as the exactness oracle for the cross-executor fuzz target and as the
-// baseline the E-query experiment measures speedup against.
+// executor: a scalar loop that walks each arena run edge by edge, reloading
+// dist[head] per edge, with no run skipping and no tracker — all
+// 2ℓ+4(d_G+1) phases scan their full bucket. It relaxes the same canonical
+// edge order as the optimized paths, so their results must be
+// bit-identical; it is retained as the exactness oracle for the
+// cross-executor fuzz target and as the baseline the E-query experiment
+// measures speedup against.
 func (e *Engine) SSSPReference(src int, st *pram.Stats) []float64 {
 	dist := newDistVector(e.g.N())
 	dist[src] = 0
 	n := e.schedule.Phases()
 	var work int64
 	for i := 0; i < n; i++ {
-		_, edges := e.schedule.PhaseAt(i)
-		for _, ed := range edges {
-			if du := dist[ed.From]; du+ed.W < dist[ed.To] {
-				dist[ed.To] = du + ed.W
+		_, b := e.schedule.PhaseAt(i)
+		lo := int32(0)
+		for _, run := range b.rle {
+			for j := lo; j < run.Hi; j++ {
+				if du := dist[run.H]; du+b.w[j] < dist[b.to[j]] {
+					dist[b.to[j]] = du + b.w[j]
+				}
 			}
+			lo = run.Hi
 		}
-		work += int64(len(edges))
+		work += int64(b.Edges())
 	}
 	st.AddWork(work)
 	st.AddRounds(int64(n))

@@ -5,22 +5,21 @@ import (
 	"encoding/json"
 	"testing"
 
-	"sepsp/internal/graph"
 	"sepsp/internal/graph/gen"
 	"sepsp/internal/obs"
 	"sepsp/internal/pram"
 )
 
 // TestSchedulePhasesFormula is the deterministic regression test for the
-// §3.2 schedule shape: Phases() == 2ℓ + 4(d_G + 1), RunPhases emits exactly
-// that many phases with consecutive indices, and the static Breakdown
-// reconciles with WorkPerSource.
+// §3.2 schedule shape: Phases() == 2ℓ + 4(d_G + 1), PhaseAt enumerates
+// that many phases with consecutive indices, whose arena buckets sum to
+// WorkPerSource, and the static Breakdown reconciles with WorkPerSource.
 func TestSchedulePhasesFormula(t *testing.T) {
 	eng, _ := buildGridEngine(t, []int{8, 8}, gen.UniformWeights(0.5, 2), 5, Config{})
 	s := eng.Schedule()
 	tree := eng.Tree()
 
-	l := tree.MaxLeafSize() - 1
+	l := tree.Ell()
 	want := 2*l + 4*(tree.Height+1)
 	if got := s.Phases(); got != want {
 		t.Fatalf("Phases()=%d, want 2ℓ+4(d_G+1)=%d (ℓ=%d, d_G=%d)", got, want, l, tree.Height)
@@ -28,7 +27,8 @@ func TestSchedulePhasesFormula(t *testing.T) {
 
 	var emitted int
 	var relaxations int64
-	s.RunPhases(func(ph PhaseInfo, edges []graph.Edge) {
+	for i := 0; i < s.Phases(); i++ {
+		ph, b := s.PhaseAt(i)
 		if ph.Index != emitted {
 			t.Fatalf("phase index %d out of order (want %d)", ph.Index, emitted)
 		}
@@ -43,13 +43,13 @@ func TestSchedulePhasesFormula(t *testing.T) {
 			}
 		}
 		emitted++
-		relaxations += int64(len(edges))
-	})
+		relaxations += int64(b.Edges())
+	}
 	if emitted != want {
-		t.Fatalf("RunPhases emitted %d phases, want %d", emitted, want)
+		t.Fatalf("PhaseAt enumerated %d phases, want %d", emitted, want)
 	}
 	if relaxations != s.WorkPerSource() {
-		t.Fatalf("RunPhases scans %d edges, WorkPerSource says %d", relaxations, s.WorkPerSource())
+		t.Fatalf("PhaseAt buckets hold %d edges, WorkPerSource says %d", relaxations, s.WorkPerSource())
 	}
 
 	var bdPhases int

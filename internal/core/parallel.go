@@ -12,7 +12,7 @@ import (
 // body; like waveState it lives in the pooled queryWS next to its cached
 // executor closure, so a steady-state call allocates only its result.
 type parallelState struct {
-	bucket *soaBucket
+	bucket *Bucket
 	cells  []uint64
 }
 
@@ -80,10 +80,10 @@ func (e *Engine) SSSPParallelContext(ctx context.Context, src int, st *pram.Stat
 			}
 		}
 		e.firePhase()
-		_, b := e.schedule.phaseBucketAt(i)
+		_, b := e.schedule.PhaseAt(i)
 		ps.bucket = b
-		e.ex.ForChunked(b.runs(), fn)
-		work += int64(b.edges())
+		e.ex.ForChunked(len(b.rle), fn)
+		work += int64(b.Edges())
 		rounds++
 	}
 	st.AddWork(work)

@@ -9,7 +9,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/matrix"
@@ -43,17 +42,13 @@ type Schedule struct {
 	// needs resetting on [0, prevRuns).
 	prevRuns int
 
-	// SoA phase arena: every bucket, flattened into one contiguous
-	// allocation with heads/to as int32 and weights as float64 in separate
-	// slices, edges grouped by head vertex with run-length-encoded heads.
-	// soaEAll holds the original edges, scanned in the ℓ-phases; soaSame[L]
-	// the edges with level(from) == level(to) == L; soaDesc[L] those with
-	// level(from) == L > level(to); soaAsc[L] those with level(to) == L >
-	// level(from).
-	soaEAll soaBucket
-	soaSame []soaBucket
-	soaDesc []soaBucket
-	soaAsc  []soaBucket
+	// The phase arena, the schedule's only form: every bucket, flattened
+	// into one contiguous allocation with heads/to as int32 and weights as
+	// float64 in separate slices, edges grouped by head vertex with
+	// run-length-encoded heads. eAll holds the original edges, scanned in
+	// the ℓ-phases; lvl[b] the level bucket with id b (see LevelBucket).
+	eAll Bucket
+	lvl  []Bucket
 
 	// The plan a reweight scatters new weights by (see reweighted): the
 	// arena slot of every input edge. allSlot[i] is original edge i's slot
@@ -61,26 +56,15 @@ type Schedule struct {
 	// counting the originals first and then the shortcuts.
 	allSlot []int32
 	lvlSlot []int32
-
-	// The []graph.Edge views of the buckets for the cold paths (PhaseAt,
-	// RunPhases, Run), materialized from the arena on first use, so both
-	// forms relax edges in the same canonical order (see DESIGN.md "Query
-	// performance").
-	viewsOnce sync.Once
-	views     edgeViews
 }
 
-// edgeViews is every bucket of a Schedule as []graph.Edge, in arena order.
-type edgeViews struct {
-	eAll            []graph.Edge
-	same, desc, asc [][]graph.Edge
-}
-
-// soaBucket is one phase bucket in structure-of-arrays form. Edges sharing a
+// Bucket is one phase bucket in structure-of-arrays form. Edges sharing a
 // head vertex form one run: run r has head heads[r] and its (to, w) pairs
 // occupy positions [off[r], off[r+1]). The hot loop loads dist[head] once
-// per run, skips whole +Inf runs, and streams to/w sequentially.
-type soaBucket struct {
+// per run, skips whole +Inf runs, and streams to/w sequentially. Callers
+// outside the package read a bucket through Runs, To and W and must not
+// modify what they return.
+type Bucket struct {
 	heads []int32 // distinct head (from) vertices, in first-appearance order
 	off   []int32 // len(heads)+1 run boundaries into to/w
 	to    []int32
@@ -101,23 +85,19 @@ type soaBucket struct {
 	runBase int32
 }
 
-// edges returns the number of edges in the bucket.
-func (b *soaBucket) edges() int { return len(b.to) }
+// Runs returns the bucket's head runs in relaxation order: run r holds the
+// edges from Runs()[r].H to To()[j] with weight W()[j] for j from the
+// previous run's Hi (0 for run 0) up to Runs()[r].Hi.
+func (b *Bucket) Runs() []matrix.LaneRun { return b.rle }
 
-// runs returns the number of distinct-head runs in the bucket.
-func (b *soaBucket) runs() int { return len(b.heads) }
+// To returns the target vertex of every edge of the bucket.
+func (b *Bucket) To() []int32 { return b.to }
 
-// materialize returns a new []graph.Edge view of the bucket in arena order.
-func (b *soaBucket) materialize() []graph.Edge {
-	dst := make([]graph.Edge, len(b.to))
-	for r := range b.heads {
-		f := int(b.heads[r])
-		for j := b.off[r]; j < b.off[r+1]; j++ {
-			dst[j] = graph.Edge{From: f, To: int(b.to[j]), W: b.w[j]}
-		}
-	}
-	return dst
-}
+// W returns the weight of every edge of the bucket.
+func (b *Bucket) W() []float64 { return b.w }
+
+// Edges returns the number of edges in the bucket.
+func (b *Bucket) Edges() int { return len(b.to) }
 
 // soaBuilder packs buckets into shared arena slices. runOf is an n-sized
 // scratch mapping a vertex to its run index within the bucket being built
@@ -173,7 +153,7 @@ func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 // build groups edges by head into the next arena region and returns the
 // bucket view. Within a run, edges keep their relative input order.
 // slot[j] receives the arena slot edges[j] lands in.
-func (sb *soaBuilder) build(edges []graph.Edge, slot []int32) soaBucket {
+func (sb *soaBuilder) build(edges []graph.Edge, slot []int32) Bucket {
 	heads := sb.heads[sb.hPos:sb.hPos]
 	off := sb.off[sb.oPos:sb.oPos]
 	// Pass 1: assign run ids in first-appearance order, count run sizes.
@@ -203,7 +183,7 @@ func (sb *soaBuilder) build(edges []graph.Edge, slot []int32) soaBucket {
 		slot[j] = cur[p]
 		cur[p]++
 	}
-	b := soaBucket{
+	b := Bucket{
 		heads:   heads,
 		off:     off,
 		to:      sb.to[sb.ePos : sb.ePos+len(edges)],
@@ -228,38 +208,17 @@ func (sb *soaBuilder) build(edges []graph.Edge, slot []int32) soaBucket {
 }
 
 // NewSchedule builds the phase buckets for the union of the original edges
-// and the shortcut edges. l is the ℓ of Theorem 3.1 (max leaf diameter);
-// levels come from the decomposition tree. The buckets live in the SoA
-// arena the relaxers stream; the []graph.Edge views of the cold paths are
-// materialized from it on first use, so every executor relaxes the
-// identical edge sequence.
-func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Schedule {
+// and the shortcut edges, with ℓ = t.Ell() and levels from the
+// decomposition tree. The buckets live in the SoA arena every executor
+// streams, so all of them relax the identical edge sequence.
+func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge) *Schedule {
 	h := t.Height + 1
 	s := &Schedule{
 		height:  t.Height,
-		l:       l,
-		soaSame: make([]soaBucket, h),
-		soaDesc: make([]soaBucket, h),
-		soaAsc:  make([]soaBucket, h),
+		l:       t.Ell(),
+		lvl:     make([]Bucket, 3*h),
 		allSlot: make([]int32, len(original)),
 		lvlSlot: make([]int32, len(original)+len(shortcuts)),
-	}
-	// bucketOf numbers the level buckets same[L] = L, desc[L] = h+L and
-	// asc[L] = 2h+L, or returns -1 for an edge with an undefined endpoint
-	// level: such edges are only reachable through leaf-interior segments,
-	// which the ℓ-phases of original edges cover.
-	bucketOf := func(e graph.Edge) int {
-		lu, lv := t.Level(e.From), t.Level(e.To)
-		switch {
-		case lu == separator.LevelUndef || lv == separator.LevelUndef:
-			return -1
-		case lu == lv:
-			return lu
-		case lu > lv:
-			return h + lu
-		default:
-			return 2*h + lv
-		}
 	}
 	// Count every bucket, then carve all of them from one exactly sized
 	// array and scatter the edges in input order. lvlSlot holds each
@@ -269,7 +228,7 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 	i := 0
 	for _, list := range [2][]graph.Edge{original, shortcuts} {
 		for _, e := range list {
-			b := bucketOf(e)
+			b := LevelBucket(t, e.From, e.To)
 			s.lvlSlot[i] = int32(b)
 			start[b+1]++ // start[0] counts the edges of no bucket
 			i++
@@ -292,26 +251,23 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 			i++
 		}
 	}
-	// The tracked buckets (eAll, then every same[L]) are built first so
-	// their global run slots form the prefix [0, prevRuns): the per-query
-	// +Inf reset of the run-delta tracker then touches only slots a tracked
-	// kernel can read, not the desc/asc runs that never consult it. The
-	// build order is the arena order (see arena).
+	// The arena holds eAll, then the level buckets by id. The tracked
+	// buckets (eAll and every same[L]) thus come first and their global
+	// run slots form the prefix [0, prevRuns): the per-query +Inf reset of
+	// the run-delta tracker touches only slots a tracked kernel can read,
+	// not the desc/asc runs that never consult it.
 	buckets := [][]graph.Edge{original}
 	for b := 0; b < 3*h; b++ {
 		buckets = append(buckets, all[start[b]:start[b+1]])
 	}
 	sb := newSOABuilder(t.N(), buckets)
 	at := make([]int32, len(all)) // arena slot of all[j]
-	level := func(b int) ([]graph.Edge, []int32) { return all[start[b]:start[b+1]], at[start[b]:start[b+1]] }
-	s.soaEAll = sb.build(original, s.allSlot)
-	for L := 0; L < h; L++ {
-		s.soaSame[L] = sb.build(level(L))
-	}
-	s.prevRuns = sb.hPos
-	for L := 0; L < h; L++ {
-		s.soaDesc[L] = sb.build(level(h + L))
-		s.soaAsc[L] = sb.build(level(2*h + L))
+	s.eAll = sb.build(original, s.allSlot)
+	for b := range s.lvl {
+		if b == h {
+			s.prevRuns = sb.hPos
+		}
+		s.lvl[b] = sb.build(all[start[b]:start[b+1]], at[start[b]:start[b+1]])
 	}
 	for i, j := range s.lvlSlot {
 		if j >= 0 {
@@ -321,16 +277,39 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 	return s
 }
 
-// arena returns the schedule's buckets in arena order: eAll, every
-// same[L], then desc[L] and asc[L] for each L.
-func (s *Schedule) arena() []*soaBucket {
-	out := make([]*soaBucket, 0, 1+3*len(s.soaSame))
-	out = append(out, &s.soaEAll)
-	for L := range s.soaSame {
-		out = append(out, &s.soaSame[L])
+// BucketAll is the bucket id of the original edges E, which the ℓ sweeps
+// relax. LevelBucket returns it for an edge in no level bucket.
+const BucketAll = -1
+
+// LevelBucket is the §3.2 classification of an edge (from, to) of E ∪ E+
+// on the decomposition tree t of height d_G, with h = d_G + 1 levels. It
+// returns the id of the edge's level bucket: same[L] = L when
+// level(from) = level(to) = L, desc[L] = h+L when level(from) = L >
+// level(to), asc[L] = 2h+L when level(to) = L > level(from). An edge with an
+// undefined endpoint level gets BucketAll: it is only reachable through
+// leaf-interior segments, which the ℓ sweeps of the original edges cover.
+func LevelBucket(t *separator.Tree, from, to int) int {
+	h := t.Height + 1
+	lu, lv := t.Level(from), t.Level(to)
+	switch {
+	case lu == separator.LevelUndef || lv == separator.LevelUndef:
+		return BucketAll
+	case lu == lv:
+		return lu
+	case lu > lv:
+		return h + lu
+	default:
+		return 2*h + lv
 	}
-	for L := range s.soaDesc {
-		out = append(out, &s.soaDesc[L], &s.soaAsc[L])
+}
+
+// arena returns the schedule's buckets in arena order: eAll, then the
+// level buckets by id.
+func (s *Schedule) arena() []*Bucket {
+	out := make([]*Bucket, 0, 1+len(s.lvl))
+	out = append(out, &s.eAll)
+	for b := range s.lvl {
+		out = append(out, &s.lvl[b])
 	}
 	return out
 }
@@ -349,16 +328,14 @@ func (s *Schedule) reweighted(original, shortcuts []graph.Edge) *Schedule {
 		height:   s.height,
 		l:        s.l,
 		prevRuns: s.prevRuns,
-		soaEAll:  s.soaEAll,
-		soaSame:  slices.Clone(s.soaSame),
-		soaDesc:  slices.Clone(s.soaDesc),
-		soaAsc:   slices.Clone(s.soaAsc),
+		eAll:     s.eAll,
+		lvl:      slices.Clone(s.lvl),
 		allSlot:  s.allSlot,
 		lvlSlot:  s.lvlSlot,
 	}
 	buckets, size := r.arena(), 0
 	for _, b := range buckets {
-		size += b.edges()
+		size += b.Edges()
 	}
 	w := make([]float64, size)
 	for i, e := range original {
@@ -373,14 +350,14 @@ func (s *Schedule) reweighted(original, shortcuts []graph.Edge) *Schedule {
 		}
 	}
 	for _, b := range buckets {
-		b.w, w = w[:b.edges()], w[b.edges():]
+		b.w, w = w[:b.Edges()], w[b.Edges():]
 	}
 	return r
 }
 
 // Phases returns the total number of relaxation phases one query performs:
 // 2ℓ + 4(d_G + 1).
-func (s *Schedule) Phases() int { return 2*s.l + 4*(s.height+1) }
+func (s *Schedule) Phases() int { return PhaseCount(s.l, s.height) }
 
 // PhaseKind labels a phase's position within the §3.2 bitonic schedule.
 type PhaseKind string
@@ -423,110 +400,66 @@ func (s *Schedule) Breakdown() []PhaseWork {
 		by[k] = &out[i]
 	}
 	for i := 0; i < s.Phases(); i++ {
-		ph, b := s.phaseBucketAt(i)
+		ph, b := s.PhaseAt(i)
 		pw := by[ph.Kind]
 		pw.Phases++
-		pw.Work += int64(b.edges())
+		pw.Work += int64(b.Edges())
 	}
 	return out
 }
 
-// PhaseAt returns the identity and edge bucket of phase i of the schedule
-// (0 ≤ i < Phases()), the random-access form of the bitonic ordering:
-// ℓ sweeps of all original edges, the descending sweep (same-level then
-// descending edges for L = d_G … 0), the ascending sweep (ascending then
-// same-level edges for L = 0 … d_G), and ℓ closing sweeps. Random access
-// lets hot query loops iterate phases without allocating closures. The
-// first call materializes every bucket's []graph.Edge view from the arena.
-func (s *Schedule) PhaseAt(i int) (PhaseInfo, []graph.Edge) {
-	ph, _ := s.phaseBucketAt(i)
-	v := s.edgeViews()
-	switch ph.Kind {
-	case PhaseEllPre, PhaseEllPost:
-		return ph, v.eAll
-	case PhaseSameDown, PhaseSameUp:
-		return ph, v.same[ph.Level]
-	case PhaseDesc:
-		return ph, v.desc[ph.Level]
-	default:
-		return ph, v.asc[ph.Level]
-	}
-}
+// PhaseCount returns the number of phases of the §3.2 schedule for leaf
+// diameter bound ℓ = l on a tree of height d_G = height: 2ℓ + 4(d_G + 1).
+func PhaseCount(l, height int) int { return 2*l + 4*(height+1) }
 
-// edgeViews returns the buckets' []graph.Edge views, materializing them
-// from the arena on the first call.
-func (s *Schedule) edgeViews() *edgeViews {
-	s.viewsOnce.Do(func() {
-		views := func(bs []soaBucket) [][]graph.Edge {
-			out := make([][]graph.Edge, len(bs))
-			for L := range bs {
-				out[L] = bs[L].materialize()
-			}
-			return out
-		}
-		s.views = edgeViews{
-			eAll: s.soaEAll.materialize(),
-			same: views(s.soaSame),
-			desc: views(s.soaDesc),
-			asc:  views(s.soaAsc),
-		}
-	})
-	return &s.views
-}
-
-// phaseBucketAt is PhaseAt in arena form: the identity and SoA bucket of
-// phase i. The bucket holds the same edges as PhaseAt's slice, in the same
-// canonical order — hot relaxers stream the arena, observability keeps the
-// AoS view.
-func (s *Schedule) phaseBucketAt(i int) (PhaseInfo, *soaBucket) {
-	h := s.height + 1
+// PhaseOf returns the identity and bucket id (see LevelBucket) of phase i
+// (0 ≤ i < PhaseCount(l, height)) of the bitonic ordering: ℓ sweeps of all
+// original edges, the descending sweep (same-level then descending edges
+// for L = d_G … 0), the ascending sweep (ascending then same-level edges
+// for L = 0 … d_G), and ℓ closing sweeps.
+func PhaseOf(l, height, i int) (PhaseInfo, int) {
+	h := height + 1
 	switch {
-	case i < s.l:
-		return PhaseInfo{Index: i, Kind: PhaseEllPre, Level: -1}, &s.soaEAll
-	case i < s.l+2*h:
-		j := i - s.l
-		L := s.height - j/2
+	case i < l:
+		return PhaseInfo{Index: i, Kind: PhaseEllPre, Level: -1}, BucketAll
+	case i < l+2*h:
+		j := i - l
+		L := height - j/2
 		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseSameDown, Level: L}, &s.soaSame[L]
+			return PhaseInfo{Index: i, Kind: PhaseSameDown, Level: L}, L
 		}
-		return PhaseInfo{Index: i, Kind: PhaseDesc, Level: L}, &s.soaDesc[L]
-	case i < s.l+4*h:
-		j := i - s.l - 2*h
+		return PhaseInfo{Index: i, Kind: PhaseDesc, Level: L}, h + L
+	case i < l+4*h:
+		j := i - l - 2*h
 		L := j / 2
 		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseAsc, Level: L}, &s.soaAsc[L]
+			return PhaseInfo{Index: i, Kind: PhaseAsc, Level: L}, 2*h + L
 		}
-		return PhaseInfo{Index: i, Kind: PhaseSameUp, Level: L}, &s.soaSame[L]
+		return PhaseInfo{Index: i, Kind: PhaseSameUp, Level: L}, L
 	default:
-		return PhaseInfo{Index: i, Kind: PhaseEllPost, Level: -1}, &s.soaEAll
+		return PhaseInfo{Index: i, Kind: PhaseEllPost, Level: -1}, BucketAll
 	}
 }
 
-// RunPhases executes the schedule like Run, additionally passing each
-// phase's identity — the hook the observability layer attributes per-phase
-// relaxation counts and trace spans to.
-func (s *Schedule) RunPhases(relax func(ph PhaseInfo, edges []graph.Edge)) {
-	n := s.Phases()
-	for i := 0; i < n; i++ {
-		ph, edges := s.PhaseAt(i)
-		relax(ph, edges)
+// PhaseAt returns the identity and arena bucket of phase i of the schedule
+// (0 ≤ i < Phases()), in the order of PhaseOf. Random access lets hot
+// query loops iterate phases without allocating closures.
+func (s *Schedule) PhaseAt(i int) (PhaseInfo, *Bucket) {
+	ph, b := PhaseOf(s.l, s.height, i)
+	if b == BucketAll {
+		return ph, &s.eAll
 	}
+	return ph, &s.lvl[b]
 }
 
 // WorkPerSource returns the number of edge relaxations one query performs —
 // the quantity bounded by O(ℓ·|E| + |E ∪ E+|) in Section 3.2 (same-level
 // buckets are scanned twice, once per sweep direction).
 func (s *Schedule) WorkPerSource() int64 {
-	w := int64(2*s.l) * int64(s.soaEAll.edges())
-	for L := 0; L <= s.height; L++ {
-		w += int64(2*s.soaSame[L].edges() + s.soaDesc[L].edges() + s.soaAsc[L].edges())
+	var w int64
+	for i := 0; i < s.Phases(); i++ {
+		_, b := s.PhaseAt(i)
+		w += int64(b.Edges())
 	}
 	return w
-}
-
-// Run executes the schedule, invoking relax(bucket) once per phase. relax
-// is abstracted so the min-plus engine and the boolean reachability engine
-// share one schedule.
-func (s *Schedule) Run(relax func(edges []graph.Edge)) {
-	s.RunPhases(func(_ PhaseInfo, edges []graph.Edge) { relax(edges) })
 }

@@ -8,6 +8,7 @@ import (
 
 	"sepsp/internal/graph"
 	"sepsp/internal/graph/gen"
+	"sepsp/internal/matrix"
 	"sepsp/internal/pram"
 	"sepsp/internal/separator"
 )
@@ -39,49 +40,86 @@ func TestScheduleBucketInvariants(t *testing.T) {
 			definedCount++
 		}
 	}
-	v := s.edgeViews()
+	h := s.height + 1
 	bucketed := 0
-	for L := 0; L <= s.height; L++ {
-		for _, e := range v.same[L] {
-			if tree.Level(e.From) != L || tree.Level(e.To) != L {
-				t.Fatalf("same[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
+	for id := range s.lvl {
+		b := &s.lvl[id]
+		for _, e := range arenaEdges(b) {
+			lu, lv := tree.Level(e.From), tree.Level(e.To)
+			var ok bool
+			switch L := id % h; id / h {
+			case 0:
+				ok = lu == L && lv == L
+			case 1:
+				ok = lu == L && lv < L
+			default:
+				ok = lv == L && lu < L
+			}
+			if !ok || LevelBucket(tree, e.From, e.To) != id {
+				t.Fatalf("bucket %d holds edge with levels %d,%d", id, lu, lv)
 			}
 		}
-		for _, e := range v.desc[L] {
-			if tree.Level(e.From) != L || tree.Level(e.To) >= L {
-				t.Fatalf("desc[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
-			}
-		}
-		for _, e := range v.asc[L] {
-			if tree.Level(e.To) != L || tree.Level(e.From) >= L {
-				t.Fatalf("asc[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
-			}
-		}
-		bucketed += len(v.same[L]) + len(v.desc[L]) + len(v.asc[L])
+		bucketed += b.Edges()
 	}
 	if bucketed != definedCount {
 		t.Fatalf("bucketed %d edges, expected %d", bucketed, definedCount)
 	}
-	// Work formula cross-check.
-	var want int64 = int64(2*s.l) * int64(len(v.eAll))
-	for L := 0; L <= s.height; L++ {
-		want += int64(2*len(v.same[L]) + len(v.desc[L]) + len(v.asc[L]))
+	// Work formula cross-check: ℓ sweeps of E twice, same[L] twice, every
+	// other level bucket once.
+	want := int64(2*s.l) * int64(s.eAll.Edges())
+	for id := range s.lvl {
+		want += int64(s.lvl[id].Edges())
+		if id < h {
+			want += int64(s.lvl[id].Edges())
+		}
 	}
 	if s.WorkPerSource() != want {
 		t.Fatalf("WorkPerSource=%d want %d", s.WorkPerSource(), want)
 	}
 }
 
-// TestScheduleRunOrder records the phase sequence and verifies the bitonic
-// ordering: ℓ all-edge phases, descending sweep (same, desc interleaved
-// from high L), ascending sweep (asc, same from low L), ℓ all-edge phases.
+// arenaEdges expands bucket b run by run into its edge sequence.
+func arenaEdges(b *Bucket) []graph.Edge {
+	out := make([]graph.Edge, 0, b.Edges())
+	lo := int32(0)
+	for _, run := range b.Runs() {
+		for j := lo; j < run.Hi; j++ {
+			out = append(out, graph.Edge{From: int(run.H), To: int(b.To()[j]), W: b.W()[j]})
+		}
+		lo = run.Hi
+	}
+	return out
+}
+
+// TestScheduleRunOrder walks a hand-built schedule and verifies the
+// bitonic ordering: ℓ all-edge phases, descending sweep (same, desc
+// interleaved from high L), ascending sweep (asc, same from low L), ℓ
+// all-edge phases, each phase reading the bucket its kind and level name.
 func TestScheduleRunOrder(t *testing.T) {
-	s := &Schedule{height: 2, l: 2, soaEAll: soaBucket{heads: []int32{0}, off: []int32{0, 1}, to: []int32{0}, w: []float64{0}},
-		soaSame: make([]soaBucket, 3), soaDesc: make([]soaBucket, 3), soaAsc: make([]soaBucket, 3)}
-	var phases int
-	s.Run(func([]graph.Edge) { phases++ })
-	if phases != s.Phases() {
-		t.Fatalf("ran %d phases, Phases()=%d", phases, s.Phases())
+	s := &Schedule{height: 2, l: 2, eAll: Bucket{heads: []int32{0}, off: []int32{0, 1}, to: []int32{0}, w: []float64{0}},
+		lvl: make([]Bucket, 9)}
+	type step struct {
+		kind PhaseKind
+		b    *Bucket
+	}
+	same, desc, asc := s.lvl[0:3], s.lvl[3:6], s.lvl[6:9]
+	want := []step{
+		{PhaseEllPre, &s.eAll}, {PhaseEllPre, &s.eAll},
+		{PhaseSameDown, &same[2]}, {PhaseDesc, &desc[2]},
+		{PhaseSameDown, &same[1]}, {PhaseDesc, &desc[1]},
+		{PhaseSameDown, &same[0]}, {PhaseDesc, &desc[0]},
+		{PhaseAsc, &asc[0]}, {PhaseSameUp, &same[0]},
+		{PhaseAsc, &asc[1]}, {PhaseSameUp, &same[1]},
+		{PhaseAsc, &asc[2]}, {PhaseSameUp, &same[2]},
+		{PhaseEllPost, &s.eAll}, {PhaseEllPost, &s.eAll},
+	}
+	if s.Phases() != len(want) {
+		t.Fatalf("Phases()=%d, want %d", s.Phases(), len(want))
+	}
+	for i, w := range want {
+		if ph, b := s.PhaseAt(i); ph.Index != i || ph.Kind != w.kind || b != w.b {
+			t.Fatalf("phase %d: %+v, bucket %p; want kind %s, bucket %p", i, ph, b, w.kind, w.b)
+		}
 	}
 }
 
@@ -109,9 +147,9 @@ func TestSSSPFromMultiSource(t *testing.T) {
 // TestScheduleBucketsMatchReference rebuilds every phase bucket the plain
 // way — append each edge of E then E+ to its level bucket, then group by
 // head in first-appearance order, keeping input order within a head — and
-// checks that each PhaseAt bucket equals that reference and its SoA bucket
-// edge for edge, in order. Each view is materialized exactly sized, so
-// none may carry spare capacity into its neighbour.
+// checks that each PhaseAt arena bucket equals that reference edge for
+// edge, in order, with a well-formed run encoding, and that the arena is
+// exactly sized.
 func TestScheduleBucketsMatchReference(t *testing.T) {
 	g, tree := referenceGraph(t)
 	eng, err := NewEngine(g, tree, Config{})
@@ -122,7 +160,7 @@ func TestScheduleBucketsMatchReference(t *testing.T) {
 	// The arena is sized by runs, not edges: the last bucket built ends
 	// every run array exactly.
 	s := eng.Schedule()
-	last := s.soaAsc[tree.Height]
+	last := s.lvl[len(s.lvl)-1]
 	if cap(last.heads) != len(last.heads) || cap(last.rle) != len(last.rle) || cap(last.off) != len(last.off) || cap(last.to) != len(last.to) {
 		t.Fatalf("arena has spare slots: heads %d/%d rle %d/%d off %d/%d to %d/%d",
 			len(last.heads), cap(last.heads), len(last.rle), cap(last.rle), len(last.off), cap(last.off), len(last.to), cap(last.to))
@@ -178,8 +216,7 @@ func checkBucketsMatchReference(t *testing.T, eng *Engine) {
 		return out
 	}
 	for i := 0; i < s.Phases(); i++ {
-		ph, edges := s.PhaseAt(i)
-		_, b := s.phaseBucketAt(i)
+		ph, b := s.PhaseAt(i)
 		var want []graph.Edge
 		switch ph.Kind {
 		case PhaseEllPre, PhaseEllPost:
@@ -191,16 +228,27 @@ func checkBucketsMatchReference(t *testing.T, eng *Engine) {
 		case PhaseAsc:
 			want = grouped(asc[ph.Level])
 		}
-		if len(edges) != len(want) || b.edges() != len(want) {
-			t.Fatalf("phase %d (%s L=%d): PhaseAt %d edges, SoA %d, reference %d", i, ph.Kind, ph.Level, len(edges), b.edges(), len(want))
+		if b.Edges() != len(want) {
+			t.Fatalf("phase %d (%s L=%d): arena %d edges, reference %d", i, ph.Kind, ph.Level, b.Edges(), len(want))
 		}
-		if cap(edges) != len(edges) {
-			t.Fatalf("phase %d (%s L=%d): bucket cap %d > len %d", i, ph.Kind, ph.Level, cap(edges), len(edges))
+		// The run encoding: distinct heads, dense offsets, and the fused
+		// rle records repeating heads and off.
+		if len(b.off) != len(b.heads)+1 || len(b.rle) != len(b.heads) || b.off[0] != 0 || int(b.off[len(b.heads)]) != len(b.to) {
+			t.Fatalf("phase %d: malformed run offsets %v for %d heads, %d rle records", i, b.off, len(b.heads), len(b.rle))
 		}
-		arena := b.materialize()
-		for j := range want {
-			if edges[j] != want[j] || arena[j] != want[j] {
-				t.Fatalf("phase %d (%s L=%d) edge %d: PhaseAt %+v, SoA %+v, reference %+v", i, ph.Kind, ph.Level, j, edges[j], arena[j], want[j])
+		seen := map[int32]bool{}
+		for r, h := range b.heads {
+			if seen[h] {
+				t.Fatalf("phase %d: head %d appears in two runs", i, h)
+			}
+			seen[h] = true
+			if b.rle[r] != (matrix.LaneRun{H: h, Hi: b.off[r+1]}) {
+				t.Fatalf("phase %d run %d: rle %+v, head %d end %d", i, r, b.rle[r], h, b.off[r+1])
+			}
+		}
+		for j, e := range arenaEdges(b) {
+			if e != want[j] {
+				t.Fatalf("phase %d (%s L=%d) edge %d: arena %+v, reference %+v", i, ph.Kind, ph.Level, j, e, want[j])
 			}
 		}
 	}
@@ -209,7 +257,7 @@ func checkBucketsMatchReference(t *testing.T, eng *Engine) {
 // TestReweightSharesPlan: an engine built with Prev over the same directed
 // edges and new weights shares Prev's E+ layout and every structural
 // array of its schedule arena, gets its own weights, and equals a fresh
-// engine (E+ bit for bit, every PhaseAt view against the reference, SSSP
+// engine (E+ bit for bit, every PhaseAt bucket against the reference, SSSP
 // rows); after a direction flip, or a pair flipping from finite to +Inf
 // or back, nothing is shared.
 func TestReweightSharesPlan(t *testing.T) {

@@ -12,44 +12,6 @@ import (
 	"sepsp/internal/separator"
 )
 
-// TestSoAArenaMatchesAoSViews checks the two forms of every phase bucket
-// describe the same edge sequence: the SoA arena expanded run-by-run must
-// equal the materialized []graph.Edge view element for element, and the
-// run-length encoding must be well-formed (distinct heads, dense offsets).
-func TestSoAArenaMatchesAoSViews(t *testing.T) {
-	eng, _ := buildGridEngine(t, []int{11, 9}, gen.UniformWeights(0.2, 3), 4, Config{})
-	s := eng.Schedule()
-	for i := 0; i < s.Phases(); i++ {
-		phA, edges := s.PhaseAt(i)
-		phB, b := s.phaseBucketAt(i)
-		if phA != phB {
-			t.Fatalf("phase %d: PhaseAt info %+v != phaseBucketAt info %+v", i, phA, phB)
-		}
-		if b.edges() != len(edges) {
-			t.Fatalf("phase %d: arena holds %d edges, view %d", i, b.edges(), len(edges))
-		}
-		if len(b.off) != len(b.heads)+1 || b.off[0] != 0 || int(b.off[len(b.heads)]) != len(b.to) {
-			t.Fatalf("phase %d: malformed run offsets %v for %d heads", i, b.off, len(b.heads))
-		}
-		seen := map[int32]bool{}
-		pos := 0
-		for r := range b.heads {
-			if seen[b.heads[r]] {
-				t.Fatalf("phase %d: head %d appears in two runs", i, b.heads[r])
-			}
-			seen[b.heads[r]] = true
-			for j := b.off[r]; j < b.off[r+1]; j++ {
-				want := edges[pos]
-				if int(b.heads[r]) != want.From || int(b.to[j]) != want.To || b.w[j] != want.W {
-					t.Fatalf("phase %d edge %d: arena (%d,%d,%v) != view %+v",
-						i, pos, b.heads[r], b.to[j], b.w[j], want)
-				}
-				pos++
-			}
-		}
-	}
-}
-
 // TestSourcesBatchedBitIdenticalAcrossExecutors: workers only decide who
 // answers which source, never what is computed, so a k=32 wave's rows and
 // counted cost must be the same for every worker count, and its rows must

@@ -39,7 +39,7 @@ func DiameterExperiment(ex *pram.Executor) (*Table, error) {
 		edges := append(wl.G.EdgeList(), res.Edges...)
 		diamPlus := augment.MinWeightDiameter(wl.G.N(), edges, bound+4, ex)
 		diamPlain := augment.MinWeightDiameter(wl.G.N(), wl.G.EdgeList(), wl.G.N(), ex)
-		l := wl.Tree.MaxLeafSize() - 1
+		l := wl.Tree.Ell()
 		t.Rows = append(t.Rows, []string{
 			wl.Name, d(int64(wl.G.N())), d(int64(wl.Tree.Height)), d(int64(l)),
 			d(int64(diamPlain)), d(int64(diamPlus)), d(int64(bound)),

@@ -72,8 +72,7 @@ func timeInterleaved(ref, opt func()) (tR, tO time.Duration, aR, aO int64) {
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
 	var allocs [2]int64
 	for _, run := range paths {
-		// Warm-up: workspace pools fill, and the schedule's []graph.Edge
-		// views, the reference's input, are materialized here.
+		// Warm-up: the optimized path's workspace pool fills here.
 		run()
 	}
 	for rep := 0; rep < queryReps; rep++ {

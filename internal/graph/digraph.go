@@ -107,8 +107,8 @@ func (g *Digraph) Edges(fn func(from, to int, w float64) bool) {
 	}
 }
 
-// EdgeList materializes all edges. Useful for edge-centric algorithms such as
-// Bellman-Ford; the slice is freshly allocated.
+// EdgeList returns all edges in a freshly allocated slice. Useful for
+// edge-centric algorithms such as Bellman-Ford.
 func (g *Digraph) EdgeList() []Edge {
 	es := make([]Edge, 0, g.M())
 	g.Edges(func(from, to int, w float64) bool {

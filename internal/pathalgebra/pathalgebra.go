@@ -16,6 +16,7 @@ package pathalgebra
 import (
 	"fmt"
 
+	"sepsp/internal/core"
 	"sepsp/internal/semiring"
 	"sepsp/internal/separator"
 )
@@ -34,11 +35,9 @@ type Engine[T any] struct {
 	edges []Edge[T] // original edges
 	plus  []Edge[T] // shortcut edges E+
 
-	// query schedule buckets (same structure as core.Schedule)
-	same [][]Edge[T]
-	desc [][]Edge[T]
-	asc  [][]Edge[T]
-	l    int
+	// buckets holds the query schedule's level buckets, indexed by the
+	// bucket ids of core.LevelBucket and walked in core.PhaseOf order.
+	buckets [][]Edge[T]
 }
 
 // dense is a tiny generic matrix over the semiring.
@@ -258,7 +257,14 @@ func New[T any](sr semiring.Semiring[T], n int, edges []Edge[T], tree *separator
 	for k, w := range dedup {
 		e.plus = append(e.plus, Edge[T]{From: int(k >> 32), To: int(uint32(k)), W: w})
 	}
-	e.buildSchedule()
+	e.buckets = make([][]Edge[T], 3*(tree.Height+1))
+	for _, list := range [2][]Edge[T]{e.edges, e.plus} {
+		for _, ed := range list {
+			if b := core.LevelBucket(tree, ed.From, ed.To); b != core.BucketAll {
+				e.buckets[b] = append(e.buckets[b], ed)
+			}
+		}
+	}
 	return e, nil
 }
 
@@ -268,37 +274,6 @@ func indexOf(vs []int) map[int]int {
 		m[v] = i
 	}
 	return m
-}
-
-func (e *Engine[T]) buildSchedule() {
-	h := e.tree.Height
-	e.same = make([][]Edge[T], h+1)
-	e.desc = make([][]Edge[T], h+1)
-	e.asc = make([][]Edge[T], h+1)
-	e.l = e.tree.MaxLeafSize() - 1
-	if e.l < 0 {
-		e.l = 0
-	}
-	bucket := func(ed Edge[T]) {
-		lu, lv := e.tree.Level(ed.From), e.tree.Level(ed.To)
-		if lu == separator.LevelUndef || lv == separator.LevelUndef {
-			return
-		}
-		switch {
-		case lu == lv:
-			e.same[lu] = append(e.same[lu], ed)
-		case lu > lv:
-			e.desc[lu] = append(e.desc[lu], ed)
-		default:
-			e.asc[lv] = append(e.asc[lv], ed)
-		}
-	}
-	for _, ed := range e.edges {
-		bucket(ed)
-	}
-	for _, ed := range e.plus {
-		bucket(ed)
-	}
 }
 
 // ShortcutCount returns |E+| for this semiring instance.
@@ -324,24 +299,15 @@ func (e *Engine[T]) SingleSource(src int) []T {
 		dist[i] = zero
 	}
 	dist[src] = sr.One()
-	relax := func(edges []Edge[T]) {
+	l, height := e.tree.Ell(), e.tree.Height
+	for i := 0; i < core.PhaseCount(l, height); i++ {
+		edges := e.edges
+		if _, b := core.PhaseOf(l, height, i); b != core.BucketAll {
+			edges = e.buckets[b]
+		}
 		for _, ed := range edges {
 			dist[ed.To] = sr.Plus(dist[ed.To], sr.Times(dist[ed.From], ed.W))
 		}
-	}
-	for i := 0; i < e.l; i++ {
-		relax(e.edges)
-	}
-	for L := e.tree.Height; L >= 0; L-- {
-		relax(e.same[L])
-		relax(e.desc[L])
-	}
-	for L := 0; L <= e.tree.Height; L++ {
-		relax(e.asc[L])
-		relax(e.same[L])
-	}
-	for i := 0; i < e.l; i++ {
-		relax(e.edges)
 	}
 	return dist
 }

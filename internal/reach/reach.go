@@ -34,15 +34,11 @@ func NewEngine(g *graph.Digraph, tree *separator.Tree, ex *pram.Executor, st *pr
 	if err != nil {
 		return nil, err
 	}
-	l := tree.MaxLeafSize() - 1
-	if l < 0 {
-		l = 0
-	}
 	return &Engine{
 		g:        g,
 		tree:     tree,
 		aug:      res,
-		schedule: core.NewSchedule(tree, g.EdgeList(), res.Edges, l),
+		schedule: core.NewSchedule(tree, g.EdgeList(), res.Edges),
 		ex:       ex,
 	}, nil
 }
@@ -55,19 +51,30 @@ func (e *Engine) Schedule() *core.Schedule { return e.schedule }
 
 // From returns the set of vertices reachable from src, as a boolean slice.
 // One query costs Schedule.WorkPerSource() OR-relaxations over
-// Schedule.Phases() phases.
+// Schedule.Phases() phases. Each phase walks its arena bucket run by run: a
+// reached head marks every target of its run. That is the per-edge OR in
+// arena order, because a run's own edges can only mark its head when it is
+// already reached.
 func (e *Engine) From(src int, st *pram.Stats) []bool {
 	reached := make([]bool, e.g.N())
 	reached[src] = true
-	e.schedule.Run(func(edges []graph.Edge) {
-		for _, ed := range edges {
-			if reached[ed.From] && !reached[ed.To] {
-				reached[ed.To] = true
+	n := e.schedule.Phases()
+	var work int64
+	for i := 0; i < n; i++ {
+		_, b := e.schedule.PhaseAt(i)
+		to, lo := b.To(), int32(0)
+		for _, run := range b.Runs() {
+			if reached[run.H] {
+				for _, v := range to[lo:run.Hi] {
+					reached[v] = true
+				}
 			}
+			lo = run.Hi
 		}
-		st.AddWork(int64(len(edges)))
-		st.AddRounds(1)
-	})
+		work += int64(b.Edges())
+	}
+	st.AddWork(work)
+	st.AddRounds(int64(n))
 	return reached
 }
 

@@ -94,6 +94,10 @@ func (t *Tree) MaxLeafSize() int {
 	return m
 }
 
+// Ell returns the paper's ℓ as the engines use it: MaxLeafSize - 1, the
+// most edges a shortest path inside one leaf needs, clamped at 0.
+func (t *Tree) Ell() int { return max(t.MaxLeafSize()-1, 0) }
+
 // MaxSeparatorSize returns the largest |S(t)| over internal nodes.
 func (t *Tree) MaxSeparatorSize() int {
 	m := 0

@@ -885,7 +885,8 @@ func (ix *Index) WithWeightsContext(ctx context.Context, g *Graph) (*Index, erro
 		}
 	}
 	prep := &pram.Stats{}
-	eng, err := core.NewEngine(dg, ix.eng.Tree(), core.Config{Ex: ix.ex, Algorithm: ix.alg, PrepStats: prep, Ctx: ctx, Prev: ix.eng})
+	eng, err := core.NewEngine(dg, ix.eng.Tree(), core.Config{Ex: ix.ex, Algorithm: ix.alg, PrepStats: prep,
+		Obs: ix.sink, Inject: ix.eng.Injector(), Ctx: ctx, Prev: ix.eng})
 	if err != nil {
 		if errors.Is(err, augment.ErrNegativeCycle) {
 			return nil, fmt.Errorf("%w: %v", ErrNegativeCycle, err)

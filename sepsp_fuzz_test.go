@@ -65,10 +65,42 @@ func closeDist(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-8*(1+math.Abs(want))
 }
 
+// reachCheck builds g with opt and checks Reachable from every source
+// against ref's Bellman–Ford: v is reachable exactly when its distance is
+// finite. ref must hold no negative cycle.
+func reachCheck(t *testing.T, g *Graph, opt *Options, ref *graph.Digraph) bool {
+	t.Helper()
+	ix, err := Build(g, opt)
+	if err != nil {
+		t.Errorf("Build: %v", err)
+		return false
+	}
+	for src := 0; src < ref.N(); src++ {
+		want, err := baseline.BellmanFord(ref, src, nil)
+		if err != nil {
+			t.Errorf("src=%d: BF: %v", src, err)
+			return false
+		}
+		got, err := ix.Reachable(src)
+		if err != nil {
+			t.Errorf("src=%d: Reachable: %v", src, err)
+			return false
+		}
+		for v := range want {
+			if got[v] != !math.IsInf(want[v], 1) {
+				t.Errorf("src=%d v=%d: Reachable %v, Bellman-Ford distance %v", src, v, got[v], want[v])
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // FuzzBuildVsBellmanFord decodes bytes into a small digraph with negative
 // weights and checks Build, SSSPContext and SourcesBatchedContext at one
-// and at two workers against Bellman–Ford (diffCheck), including agreement
-// on whether the graph holds a negative cycle.
+// and at two workers against Bellman–Ford (diffCheck), Reachable from
+// every source against the vertices Bellman–Ford reaches (reachCheck), and
+// agreement on whether the graph holds a negative cycle.
 //
 // Encoding: data[0] picks n in [1, 24], the next n bytes are vertex
 // potentials, and each following byte triple (u, v, w) adds the edge
@@ -97,7 +129,7 @@ func FuzzBuildVsBellmanFord(f *testing.F) {
 		for _, workers := range []int{1, 2} {
 			opt := &Options{Workers: workers}
 			if !negCycle {
-				if !diffCheck(t, int64(n), g, opt, ref) {
+				if !diffCheck(t, int64(n), g, opt, ref) || !reachCheck(t, g, opt, ref) {
 					t.Fatalf("workers=%d: mismatch against Bellman-Ford", workers)
 				}
 				continue
@@ -334,8 +366,8 @@ func TestFuzzDelaunayWithRotations(t *testing.T) {
 // FuzzQueryVsReference cross-checks the optimized query executors against
 // the retained naive reference relaxer (SSSPReference): SSSP, every row of
 // a SourcesBatched wave, and SSSPFrom from a vector with a single 0 at the
-// source must be bit-identical to it, not merely close — the arena
-// rematerializes the exact relaxation order the reference walks. An
+// source must be bit-identical to it, not merely close — every executor
+// walks the same arena runs in the same order as the reference. An
 // independent Bellman-Ford run (with tolerance) keeps the executors honest
 // against agreeing on a wrong answer.
 //

@@ -139,9 +139,10 @@ func TestBuildIsDeterministic(t *testing.T) {
 		}
 		s1, s2 := ixs[0].eng.Schedule(), ixs[1].eng.Schedule()
 		for i := 0; i < s1.Phases(); i++ {
-			_, e1 := s1.PhaseAt(i)
-			_, e2 := s2.PhaseAt(i)
-			if !sameEdges(e1, e2) {
+			_, b1 := s1.PhaseAt(i)
+			_, b2 := s2.PhaseAt(i)
+			if !slices.Equal(b1.Runs(), b2.Runs()) || !slices.Equal(b1.To(), b2.To()) ||
+				!slices.EqualFunc(b1.W(), b2.W(), func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
 				t.Fatalf("alg %v: schedule phase %d differs between builds", alg, i)
 			}
 		}

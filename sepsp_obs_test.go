@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"sepsp/internal/faultinject"
 )
 
 func obsTestGraph(t *testing.T) (*Graph, [][]int) {
@@ -171,5 +173,36 @@ func TestBuildWithoutObserverLeavesLevelsNil(t *testing.T) {
 	}
 	if len(st.PhaseBreakdown) == 0 {
 		t.Fatal("PhaseBreakdown should always be populated")
+	}
+}
+
+// TestWithWeightsKeepsObserverAndInjector: the index WithWeights returns
+// reports its queries to the Observer the original index was built with
+// and fires its fault injector at every query phase, so a Manager epoch
+// after the first stays observed.
+func TestWithWeightsKeepsObserverAndInjector(t *testing.T) {
+	g, coords := obsTestGraph(t)
+	ob := NewObserver()
+	inj := faultinject.NewSeeded(faultinject.Config{Seed: 1, Sites: map[string]faultinject.SiteConfig{faultinject.SiteQueryPhase: {}}})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob, Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := NewGraph(g.N())
+	for _, e := range refGraph(g).EdgeList() {
+		g2.AddEdge(e.From, e.To, e.W+1)
+	}
+	re, err := ix.WithWeights(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases, calls := ob.CounterValue("query.phases"), inj.Calls(faultinject.SiteQueryPhase)
+	mustSSSP(t, re, 0)
+	want := int64(re.Stats().QueryPhases)
+	if got := ob.CounterValue("query.phases") - phases; got != want {
+		t.Fatalf("query.phases grew by %d on the reweighted index, want %d", got, want)
+	}
+	if got := inj.Calls(faultinject.SiteQueryPhase) - calls; got != uint64(want) {
+		t.Fatalf("injector fired %d times on the reweighted index, want %d", got, want)
 	}
 }
