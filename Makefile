@@ -21,10 +21,13 @@ fmt-check:
 # chaos runs the deterministic fault-injection suite under the race
 # detector: panics, delays, and cancellations fire at every instrumented
 # boundary while concurrent clients assert each request still ends in a
-# correct answer or a typed error (see DESIGN.md "Failure model").
+# correct answer or a typed error (see DESIGN.md "Failure model"). It then
+# stress-runs the flight recorder's concurrent-writer test 50 times, which
+# fails on any torn event (see DESIGN.md "Live telemetry").
 chaos:
 	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|ServerQueriesCountedOnce|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject
+	$(GO) test -race -count=50 -run 'TestRecorderConcurrent$$' ./internal/obs
 
 # fuzz-smoke runs the native fuzz targets for a short budget each: FuzzLoad
 # (persist.go), where mutated Save blobs must never panic and must either

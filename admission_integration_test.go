@@ -78,7 +78,7 @@ func TestServerPriorityEviction(t *testing.T) {
 	}
 	// Brownout must not have engaged off a single eviction, and the victim
 	// was refused, not answered degraded.
-	if got := srv.nBrownouts.Load(); got != 0 {
+	if got := srv.Healthz().Brownouts; got != 0 {
 		t.Fatalf("brownouts = %d, want 0", got)
 	}
 
@@ -153,7 +153,7 @@ func TestServerBrownoutExactAnswers(t *testing.T) {
 				v, dist[v], want[v])
 		}
 	}
-	if got := srv.nBrownouts.Load(); got != 1 {
+	if got := srv.Healthz().Brownouts; got != 1 {
 		t.Fatalf("brownouts = %d, want 1", got)
 	}
 	if !srv.brown.Active() {
@@ -169,7 +169,7 @@ func TestServerBrownoutExactAnswers(t *testing.T) {
 	if errors.Is(err, ErrBrownout) {
 		t.Fatalf("interactive refusal carries ErrBrownout: %v", err)
 	}
-	if got := srv.nBrownouts.Load(); got != 1 {
+	if got := srv.Healthz().Brownouts; got != 1 {
 		t.Fatalf("interactive query was browned out (count %d, want 1)", got)
 	}
 

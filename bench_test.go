@@ -64,7 +64,6 @@ func BenchmarkConstraints(b *testing.B)           { benchExperiment(b, "E-ineq")
 func BenchmarkIncrementalRepair(b *testing.B)     { benchExperiment(b, "E-incr") }
 func BenchmarkPairsOracle(b *testing.B)           { benchExperiment(b, "E-pairs") }
 func BenchmarkFinderAblation(b *testing.B)        { benchExperiment(b, "E-finders") }
-func BenchmarkServeWaves(b *testing.B)            { benchExperiment(b, "E-serve") }
 func BenchmarkBuildThroughput(b *testing.B)       { benchExperiment(b, "E-build") }
 func BenchmarkResultCache(b *testing.B)           { benchExperiment(b, "E-cache") }
 

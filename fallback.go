@@ -10,7 +10,6 @@ import (
 	"sepsp/internal/core"
 	"sepsp/internal/graph"
 	"sepsp/internal/obs"
-	"sepsp/internal/obs/live"
 )
 
 // FallbackPolicy selects what happens when the separator engine cannot be
@@ -45,23 +44,25 @@ type fallbackEngine struct {
 	revOnce sync.Once
 	rev     *graph.Digraph // reverse graph, built lazily for distTo
 
-	// Registry instruments; nil-safe no-ops without an Observer.
+	// Observer registry counters of the build; nil-safe no-ops without an
+	// Observer.
 	cEngaged *obs.Counter
 	cQueries *obs.Counter
 
-	// Live telemetry counters, set via setLiveCounters when a Telemetry
-	// attaches to a Server over this index (atomic: attachment races with
-	// in-flight degraded queries). Nil-safe no-ops until then.
-	liveEngaged atomic.Pointer[live.Counter]
-	liveQueries atomic.Pointer[live.Counter]
+	// Telemetry counters, set via setTelemetryCounters when a Telemetry
+	// attaches to a Server over this index or its Manager swaps this
+	// index in (atomic: attachment races with in-flight degraded
+	// queries). Nil-safe no-ops until then.
+	telEngaged atomic.Pointer[obs.Counter]
+	telQueries atomic.Pointer[obs.Counter]
 }
 
-// setLiveCounters routes future engage/query counts to the live telemetry
+// setTelemetryCounters routes future engage/query counts to Telemetry's
 // registry as well ("sepsp_fallback_engaged_total" /
 // "sepsp_fallback_queries_total").
-func (f *fallbackEngine) setLiveCounters(engaged, queries *live.Counter) {
-	f.liveEngaged.Store(engaged)
-	f.liveQueries.Store(queries)
+func (f *fallbackEngine) setTelemetryCounters(engaged, queries *obs.Counter) {
+	f.telEngaged.Store(engaged)
+	f.telQueries.Store(queries)
 }
 
 // newFallbackEngine vets g for fallback service: baseline queries must
@@ -94,12 +95,12 @@ func newFallbackEngine(g *graph.Digraph, sink *obs.Sink) (*fallbackEngine, error
 // violation, or a recovered panic).
 func (f *fallbackEngine) engage() {
 	f.cEngaged.Inc()
-	f.liveEngaged.Load().Inc()
+	f.telEngaged.Load().Inc()
 }
 
 func (f *fallbackEngine) note() {
 	f.cQueries.Inc()
-	f.liveQueries.Load().Inc()
+	f.telQueries.Load().Inc()
 }
 
 // sssp answers one exact single-source query on the original graph. The

@@ -331,7 +331,7 @@ func relaxBucketDense(dist []float64, b *Bucket) {
 // static schedule's (see DESIGN.md "Query performance").
 func relaxBucketTracked(dist []float64, b *Bucket, prev []float64) {
 	to, w := b.to, b.w
-	pr := prev[b.runBase : int(b.runBase)+len(b.heads)]
+	pr := prev[b.runBase : int(b.runBase)+len(b.rle)]
 	lo := 0
 	for r, hr := range b.rle {
 		hi := int(hr.Hi)

@@ -24,13 +24,17 @@ type parallelState struct {
 func (s *parallelState) relax(lo, hi int) {
 	b := s.bucket
 	cells := s.cells
-	heads, off, to, ws := b.heads, b.off, b.to, b.w
+	rle, to, ws := b.rle, b.to, b.w
 	for r := lo; r < hi; r++ {
-		du := math.Float64frombits(atomic.LoadUint64(&cells[heads[r]]))
+		du := math.Float64frombits(atomic.LoadUint64(&cells[rle[r].H]))
 		if math.IsInf(du, 1) {
 			continue
 		}
-		for j := off[r]; j < off[r+1]; j++ {
+		var start int32
+		if r > 0 {
+			start = rle[r-1].Hi
+		}
+		for j := start; j < rle[r].Hi; j++ {
 			atomicMinFloat(&cells[to[j]], du+ws[j])
 		}
 	}

@@ -43,7 +43,7 @@ type Schedule struct {
 	prevRuns int
 
 	// The phase arena, the schedule's only form: every bucket, flattened
-	// into one contiguous allocation with heads/to as int32 and weights as
+	// into one contiguous allocation with targets as int32 and weights as
 	// float64 in separate slices, edges grouped by head vertex with
 	// run-length-encoded heads. eAll holds the original edges, scanned in
 	// the ℓ-phases; lvl[b] the level bucket with id b (see LevelBucket).
@@ -59,23 +59,17 @@ type Schedule struct {
 }
 
 // Bucket is one phase bucket in structure-of-arrays form. Edges sharing a
-// head vertex form one run: run r has head heads[r] and its (to, w) pairs
-// occupy positions [off[r], off[r+1]). The hot loop loads dist[head] once
-// per run, skips whole +Inf runs, and streams to/w sequentially. Callers
-// outside the package read a bucket through Runs, To and W and must not
-// modify what they return.
+// head vertex form one run, and rle holds one 8-byte record per run: the
+// head vertex H and the exclusive end Hi of its (to, w) pairs; the run's
+// start is the previous record's Hi, 0 for run 0. The hot loop loads
+// dist[head] once per run, skips whole +Inf runs, and streams to/w
+// sequentially; the lane kernels take rle as is. Callers outside the
+// package read a bucket through Runs, To and W and must not modify what
+// they return.
 type Bucket struct {
-	heads []int32 // distinct head (from) vertices, in first-appearance order
-	off   []int32 // len(heads)+1 run boundaries into to/w
-	to    []int32
-	w     []float64
-
-	// rle fuses each run's header into one 8-byte record (head vertex and
-	// exclusive end offset; the start offset is the previous record's end,
-	// 0 for run 0). The hot kernels iterate this single sequential stream
-	// instead of loading heads[r] and off[r+1] from two arrays, and the
-	// lane kernels take it as is.
-	rle []matrix.LaneRun
+	rle []matrix.LaneRun // runs in first-appearance order of their heads
+	to  []int32
+	w   []float64
 
 	// runBase is this bucket's first slot in the schedule-wide run
 	// numbering (one slot per run of every bucket, in arena order): run r
@@ -105,19 +99,15 @@ func (b *Bucket) Edges() int { return len(b.to) }
 // n-sized work.
 type soaBuilder struct {
 	runOf []int32
-	heads []int32
-	off   []int32
 	rle   []matrix.LaneRun
 	to    []int32
 	w     []float64
-	hPos  int // cursor into heads/rle (off shares it, shifted by bucket count)
-	oPos  int
+	rPos  int // cursor into rle
 	ePos  int // cursor into to/w
 }
 
 // newSOABuilder sizes the arena for exactly the given buckets: to/w by edge
-// count, heads/rle by run count (distinct heads per bucket) and off by runs
-// plus one end offset per bucket.
+// count, rle by run count (distinct heads per bucket).
 func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 	if int64(n) > math.MaxInt32 {
 		panic("core: graph too large for the int32 phase arena")
@@ -142,8 +132,6 @@ func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 	}
 	return &soaBuilder{
 		runOf: runOf,
-		heads: make([]int32, runs),
-		off:   make([]int32, runs+len(buckets)),
 		rle:   make([]matrix.LaneRun, runs),
 		to:    make([]int32, edges),
 		w:     make([]float64, edges),
@@ -154,28 +142,26 @@ func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 // bucket view. Within a run, edges keep their relative input order.
 // slot[j] receives the arena slot edges[j] lands in.
 func (sb *soaBuilder) build(edges []graph.Edge, slot []int32) Bucket {
-	heads := sb.heads[sb.hPos:sb.hPos]
-	off := sb.off[sb.oPos:sb.oPos]
-	// Pass 1: assign run ids in first-appearance order, count run sizes.
+	// Pass 1: assign run ids in first-appearance order, count run sizes
+	// in Hi.
+	rle := sb.rle[sb.rPos:sb.rPos]
 	for _, e := range edges {
 		if sb.runOf[e.From] < 0 {
-			sb.runOf[e.From] = int32(len(heads))
-			heads = append(heads, int32(e.From))
-			off = append(off, 0)
+			sb.runOf[e.From] = int32(len(rle))
+			rle = append(rle, matrix.LaneRun{H: int32(e.From)})
 		}
-		off[sb.runOf[e.From]]++
+		rle[sb.runOf[e.From]].Hi++
 	}
-	// Prefix-sum the counts into run start cursors.
-	base := int32(sb.ePos)
-	for r := range off {
-		c := off[r]
-		off[r] = base
-		base += c
+	// Prefix-sum the counts into bucket-relative run ends, keeping each
+	// run's arena start as its scatter cursor.
+	cur := make([]int32, len(rle))
+	var end int32
+	for r := range rle {
+		cur[r] = int32(sb.ePos) + end
+		end += rle[r].Hi
+		rle[r].Hi = end
 	}
-	off = append(off, base)
 	// Pass 2: scatter edges to their run slots.
-	cur := make([]int32, len(heads))
-	copy(cur, off[:len(heads)])
 	for j, e := range edges {
 		p := sb.runOf[e.From]
 		sb.to[cur[p]] = int32(e.To)
@@ -183,26 +169,16 @@ func (sb *soaBuilder) build(edges []graph.Edge, slot []int32) Bucket {
 		slot[j] = cur[p]
 		cur[p]++
 	}
+	for _, run := range rle {
+		sb.runOf[run.H] = -1
+	}
 	b := Bucket{
-		heads:   heads,
-		off:     off,
+		rle:     rle,
 		to:      sb.to[sb.ePos : sb.ePos+len(edges)],
 		w:       sb.w[sb.ePos : sb.ePos+len(edges)],
-		runBase: int32(sb.hPos),
+		runBase: int32(sb.rPos),
 	}
-	// Rebase offsets to be bucket-relative and reset the scratch.
-	for r := range b.off {
-		b.off[r] -= int32(sb.ePos)
-	}
-	b.rle = sb.rle[sb.hPos : sb.hPos+len(heads)]
-	for r := range heads {
-		b.rle[r] = matrix.LaneRun{H: heads[r], Hi: b.off[r+1]}
-	}
-	for _, h := range heads {
-		sb.runOf[h] = -1
-	}
-	sb.hPos += len(heads)
-	sb.oPos += len(off)
+	sb.rPos += len(rle)
 	sb.ePos += len(edges)
 	return b
 }
@@ -265,7 +241,7 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge) *Schedule 
 	s.eAll = sb.build(original, s.allSlot)
 	for b := range s.lvl {
 		if b == h {
-			s.prevRuns = sb.hPos
+			s.prevRuns = sb.rPos
 		}
 		s.lvl[b] = sb.build(all[start[b]:start[b+1]], at[start[b]:start[b+1]])
 	}
@@ -317,7 +293,7 @@ func (s *Schedule) arena() []*Bucket {
 // reweighted returns the schedule of the same edge sequence with new
 // weights: original and shortcuts must hold the (From, To) pairs s was built
 // from, in the same order. The result shares every structural array with s
-// (heads, off, rle, to, the run numbering and the slot plan) and gets a
+// (rle, to, the run numbering and the slot plan) and gets a
 // fresh weight arena, filled by scattering each input edge's weight to its
 // recorded slots.
 func (s *Schedule) reweighted(original, shortcuts []graph.Edge) *Schedule {

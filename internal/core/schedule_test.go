@@ -96,7 +96,7 @@ func arenaEdges(b *Bucket) []graph.Edge {
 // interleaved from high L), ascending sweep (asc, same from low L), ℓ
 // all-edge phases, each phase reading the bucket its kind and level name.
 func TestScheduleRunOrder(t *testing.T) {
-	s := &Schedule{height: 2, l: 2, eAll: Bucket{heads: []int32{0}, off: []int32{0, 1}, to: []int32{0}, w: []float64{0}},
+	s := &Schedule{height: 2, l: 2, eAll: Bucket{rle: []matrix.LaneRun{{H: 0, Hi: 1}}, to: []int32{0}, w: []float64{0}},
 		lvl: make([]Bucket, 9)}
 	type step struct {
 		kind PhaseKind
@@ -161,9 +161,8 @@ func TestScheduleBucketsMatchReference(t *testing.T) {
 	// every run array exactly.
 	s := eng.Schedule()
 	last := s.lvl[len(s.lvl)-1]
-	if cap(last.heads) != len(last.heads) || cap(last.rle) != len(last.rle) || cap(last.off) != len(last.off) || cap(last.to) != len(last.to) {
-		t.Fatalf("arena has spare slots: heads %d/%d rle %d/%d off %d/%d to %d/%d",
-			len(last.heads), cap(last.heads), len(last.rle), cap(last.rle), len(last.off), cap(last.off), len(last.to), cap(last.to))
+	if cap(last.rle) != len(last.rle) || cap(last.to) != len(last.to) {
+		t.Fatalf("arena has spare slots: rle %d/%d to %d/%d", len(last.rle), cap(last.rle), len(last.to), cap(last.to))
 	}
 }
 
@@ -231,20 +230,22 @@ func checkBucketsMatchReference(t *testing.T, eng *Engine) {
 		if b.Edges() != len(want) {
 			t.Fatalf("phase %d (%s L=%d): arena %d edges, reference %d", i, ph.Kind, ph.Level, b.Edges(), len(want))
 		}
-		// The run encoding: distinct heads, dense offsets, and the fused
-		// rle records repeating heads and off.
-		if len(b.off) != len(b.heads)+1 || len(b.rle) != len(b.heads) || b.off[0] != 0 || int(b.off[len(b.heads)]) != len(b.to) {
-			t.Fatalf("phase %d: malformed run offsets %v for %d heads, %d rle records", i, b.off, len(b.heads), len(b.rle))
-		}
+		// The run encoding: distinct heads and non-empty runs whose ends
+		// rise to the bucket's edge count.
 		seen := map[int32]bool{}
-		for r, h := range b.heads {
-			if seen[h] {
-				t.Fatalf("phase %d: head %d appears in two runs", i, h)
+		lo := int32(0)
+		for r, run := range b.rle {
+			if seen[run.H] {
+				t.Fatalf("phase %d: head %d appears in two runs", i, run.H)
 			}
-			seen[h] = true
-			if b.rle[r] != (matrix.LaneRun{H: h, Hi: b.off[r+1]}) {
-				t.Fatalf("phase %d run %d: rle %+v, head %d end %d", i, r, b.rle[r], h, b.off[r+1])
+			seen[run.H] = true
+			if run.Hi <= lo {
+				t.Fatalf("phase %d run %d: end %d not past start %d", i, r, run.Hi, lo)
 			}
+			lo = run.Hi
+		}
+		if int(lo) != len(b.to) {
+			t.Fatalf("phase %d: runs end at %d, bucket has %d edges", i, lo, len(b.to))
 		}
 		for j, e := range arenaEdges(b) {
 			if e != want[j] {

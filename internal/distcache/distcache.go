@@ -41,7 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sepsp/internal/obs/live"
+	"sepsp/internal/obs"
 )
 
 // ErrLeaderPanicked answers a flight's waiters when the leader's
@@ -158,16 +158,13 @@ type Cache struct {
 	fmu     sync.Mutex
 	flights map[key]*flight
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	sharedN    atomic.Int64
-	evictions  atomic.Int64
-	bytesNow   atomic.Int64
-	bytesTotal atomic.Int64
-	entriesN   atomic.Int64
+	// The event counts behind Stats, which Server.Healthz and Telemetry's
+	// sepsp_cache_*_total families both read; sharded, because every hit
+	// advances one.
+	hits, misses, shared, evictions, bytesTotal *obs.Counter
 
-	// Live telemetry counters (nil no-ops until SetLiveCounters).
-	lHits, lMisses, lShared, lEvictions, lBytes *live.Counter
+	bytesNow atomic.Int64
+	entriesN atomic.Int64
 }
 
 // New builds a cache for cfg, or returns nil (a valid always-miss cache)
@@ -192,10 +189,15 @@ func New(cfg Config) *Cache {
 		p *= 2
 	}
 	c := &Cache{
-		shards:    make([]shard, p),
-		mask:      uint64(p - 1),
-		retryable: cfg.Retryable,
-		flights:   make(map[key]*flight),
+		shards:     make([]shard, p),
+		mask:       uint64(p - 1),
+		retryable:  cfg.Retryable,
+		flights:    make(map[key]*flight),
+		hits:       obs.NewCounter(),
+		misses:     obs.NewCounter(),
+		shared:     obs.NewCounter(),
+		evictions:  obs.NewCounter(),
+		bytesTotal: obs.NewCounter(),
 	}
 	if c.retryable == nil {
 		c.retryable = func(err error) bool {
@@ -207,16 +209,6 @@ func New(cfg Config) *Cache {
 		c.shards[i].budget = per
 	}
 	return c
-}
-
-// SetLiveCounters wires the cache's hit/miss/eviction/bytes/shared events
-// into live telemetry counters (each may be nil). Idempotent; called by
-// Telemetry attachment.
-func (c *Cache) SetLiveCounters(hits, misses, evictions, bytesTotal, shared *live.Counter) {
-	if c == nil {
-		return
-	}
-	c.lHits, c.lMisses, c.lEvictions, c.lBytes, c.lShared = hits, misses, evictions, bytesTotal, shared
 }
 
 // BumpGeneration marks every epoch below gen stale: stale entries stop
@@ -243,18 +235,19 @@ func (c *Cache) Generation() uint64 {
 	return c.gen.Load()
 }
 
-// Stats snapshots the counters. Cheap: a handful of atomic loads.
+// Stats snapshots the counters. Cheap enough for health probes and
+// scrapes: each sharded counter sums a few cache lines.
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
 	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Shared:     c.sharedN.Load(),
-		Evictions:  c.evictions.Load(),
+		Hits:       c.hits.Value(),
+		Misses:     c.misses.Value(),
+		Shared:     c.shared.Value(),
+		Evictions:  c.evictions.Value(),
 		Bytes:      c.bytesNow.Load(),
-		BytesTotal: c.bytesTotal.Load(),
+		BytesTotal: c.bytesTotal.Value(),
 		Entries:    c.entriesN.Load(),
 		Generation: c.gen.Load(),
 	}
@@ -282,8 +275,7 @@ func (c *Cache) peek(src int, epoch uint64) *entry {
 		return nil
 	}
 	e.touch.Store(c.clock.Add(1))
-	c.hits.Add(1)
-	c.lHits.Inc()
+	c.hits.Inc()
 	return e
 }
 
@@ -376,12 +368,10 @@ func (c *Cache) Put(src int, epoch uint64, dist []float64) bool {
 
 	if n := int64(len(victims)); n > 0 {
 		c.evictions.Add(n)
-		c.lEvictions.Add(n)
 	}
 	c.entriesN.Add(1 - int64(len(victims)))
 	c.bytesNow.Store(c.residentBytes())
 	c.bytesTotal.Add(need)
-	c.lBytes.Add(need)
 	return true
 }
 
@@ -479,14 +469,12 @@ func (c *Cache) Do(ctx context.Context, src int, epoch uint64, compute func() ([
 					if f.retry {
 						continue // leader-local failure: re-race for leadership
 					}
-					c.sharedN.Add(1)
-					c.lShared.Inc()
+					c.shared.Inc()
 					return nil, Shared, f.err
 				}
 				out := make([]float64, len(f.dist))
 				copy(out, f.dist)
-				c.sharedN.Add(1)
-				c.lShared.Inc()
+				c.shared.Inc()
 				return out, Shared, nil
 			case <-ctx.Done():
 				return nil, Shared, context.Cause(ctx)
@@ -495,8 +483,7 @@ func (c *Cache) Do(ctx context.Context, src int, epoch uint64, compute func() ([
 		f := &flight{done: make(chan struct{})}
 		c.flights[k] = f
 		c.fmu.Unlock()
-		c.misses.Add(1)
-		c.lMisses.Inc()
+		c.misses.Inc()
 		return c.lead(k, f, compute)
 	}
 }

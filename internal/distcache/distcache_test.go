@@ -467,7 +467,6 @@ func TestNilCache(t *testing.T) {
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil Stats = %+v", st)
 	}
-	c.SetLiveCounters(nil, nil, nil, nil, nil)
 	dist, how, err := c.Do(context.Background(), 3, 1, func() ([]float64, uint64, bool, error) {
 		return vec(4, 3), 1, true, nil
 	})

@@ -102,10 +102,6 @@ var registry = map[string]Runner{
 		t, err := FinderAblation(ex, scale)
 		return oneTable(t), err
 	},
-	"E-serve": func(ex *pram.Executor, scale int, _ *obs.Sink) (*Result, error) {
-		t, err := ServeExperiment(ex, scale)
-		return oneTable(t), err
-	},
 	"E-build": func(ex *pram.Executor, scale int, _ *obs.Sink) (*Result, error) {
 		return BuildExperiment(ex, scale)
 	},

@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the separator engine: phase-
-// scoped tracing, a metrics registry, and profiling hooks, threaded through
-// preprocessing (internal/augment), queries (internal/core), the executor
-// (internal/pram), the CLI (cmd/sepsp) and the experiment harness
-// (internal/exp).
+// scoped tracing, one metrics model, a flight recorder, and profiling
+// hooks, threaded through preprocessing (internal/augment), queries
+// (internal/core), the executor (internal/pram), the serving stack (the
+// root package's Server and Telemetry, internal/distcache), the CLI
+// (cmd/sepsp) and the experiment harness (internal/exp).
 //
 // The paper's claims are cost-model claims — preprocessing work
 // O(max(n, n^{3μ})), span O(log² n), per-source work O(ℓ|E| + |E ∪ E+|) —
@@ -11,10 +12,27 @@
 // Bellman-Ford phase of the §3.2 bitonic schedule during queries, and per
 // executor worker for load balance.
 //
+// The metric instruments are built for per-query hot-path updates under
+// heavy concurrency, and nothing on their write path takes a lock:
+//
+//   - Counter shards its cells across cache lines so concurrent Inc calls
+//     from many goroutines do not serialize on one hot word.
+//   - Gauge is one atomic float64 word.
+//   - Histogram buckets observations by power-of-two magnitude with one
+//     atomic add per observation and estimates quantiles from the bucket
+//     counts when read (HistogramSnapshot.Quantile).
+//   - Recorder (flight recorder) is a fixed-size per-slot-seqlock ring that
+//     keeps the last N query/wave/failure events for postmortems.
+//
+// One Registry holds them and is read three ways: Prometheus text for live
+// scrapes (WritePrometheus), a Snapshot for the offline JSON and text
+// exports, and CounterValue.
+//
 // Everything follows the repository's nil-collector idiom (see
-// pram.Stats): a nil *Tracer, *Registry, *Counter, or *Sink is valid and
-// every method on it is a no-op, so instrumented call sites cost one
-// predictable branch when observability is off.
+// pram.Stats): a nil *Tracer, *Registry, *Counter, *Gauge, *Histogram,
+// *Recorder or *Sink is valid and every method on it is a no-op, so
+// instrumented call sites cost one predictable branch when observability
+// is off.
 package obs
 
 import (
@@ -55,7 +73,7 @@ func (s *Sink) Counter(name string) *Counter {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Counter(name)
+	return s.Metrics.Counter(name, "", "")
 }
 
 // Gauge returns the named registry gauge (nil when metrics are off).
@@ -63,7 +81,7 @@ func (s *Sink) Gauge(name string) *Gauge {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Gauge(name)
+	return s.Metrics.Gauge(name, "", "")
 }
 
 // Histogram returns the named registry histogram (nil when metrics are off).
@@ -71,7 +89,7 @@ func (s *Sink) Histogram(name string) *Histogram {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Histogram(name)
+	return s.Metrics.Histogram(name, "", "")
 }
 
 // Do runs f, wrapped in a runtime/pprof label set when PprofLabels is on.

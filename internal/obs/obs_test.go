@@ -24,9 +24,9 @@ func TestNilCollectorsAreNoOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reg *Registry
-	reg.Counter("a").Add(5)
-	reg.Gauge("b").Set(1)
-	reg.Histogram("c").Observe(1)
+	reg.Counter("a", "", "").Add(5)
+	reg.Gauge("b", "", "").Set(1)
+	reg.Histogram("c", "", "").Observe(1)
 	if reg.CounterValue("a") != 0 {
 		t.Fatal("nil registry counted")
 	}
@@ -111,16 +111,16 @@ func TestTracerConcurrentSpans(t *testing.T) {
 
 func TestRegistrySnapshotAndSums(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(LevelKey(MPrepWork, 0)).Add(10)
-	r.Counter(LevelKey(MPrepWork, 12)).Add(32)
-	r.Counter("other").Add(5)
-	r.Gauge(MExecImbalance).Set(1.5)
-	h := r.Histogram("eplus.per_node")
+	r.Counter(LevelKey(MPrepWork, 0), "", "").Add(10)
+	r.Counter(LevelKey(MPrepWork, 12), "", "").Add(32)
+	r.Counter("other", "", "").Add(5)
+	r.Gauge(MExecImbalance, "", "").Set(1.5)
+	h := r.Histogram("eplus.per_node", "", "")
 	h.Observe(3)
 	h.Observe(5)
 
 	// Same name must return the same instrument.
-	r.Counter("other").Add(1)
+	r.Counter("other", "", "").Add(1)
 	if got := r.CounterValue("other"); got != 6 {
 		t.Fatalf("counter identity broken: %d", got)
 	}
@@ -211,9 +211,9 @@ func TestSinkDoAppliesLabels(t *testing.T) {
 }
 
 func TestHistogramSnapshotQuantile(t *testing.T) {
-	// 100 observations of 1..100 in DefaultBuckets (powers of four).
+	// 100 observations of 1..100 in the log2 buckets.
 	reg := NewRegistry()
-	h := reg.Histogram("q")
+	h := reg.Histogram("q", "", "")
 	for v := 1; v <= 100; v++ {
 		h.Observe(float64(v))
 	}
@@ -223,11 +223,11 @@ func TestHistogramSnapshotQuantile(t *testing.T) {
 	}
 	for _, tc := range []struct{ q, lo, hi float64 }{
 		// The estimate must land in the same bucket as the true order
-		// statistic: p50 (true 50) in (16, 64], p99 (true 99) in (64, 256].
-		{0.5, 16, 64},
-		{0.99, 64, 256},
-		{0, 0, 1},    // clamped to rank 1: first bucket
-		{1, 64, 256}, // rank 100
+		// statistic: p50 (true 50) in (32, 64], p99 (true 99) in (64, 128].
+		{0.5, 32, 64},
+		{0.99, 64, 128},
+		{0, 0.5, 1},  // clamped to rank 1: the (0.5, 1] bucket
+		{1, 64, 128}, // rank 100
 	} {
 		got := s.Quantile(tc.q)
 		if got < tc.lo || got > tc.hi {

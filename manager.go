@@ -356,9 +356,9 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 	m.cache.Load().BumpGeneration(next)
 	tel := m.tel.Load()
 	if tel != nil && res.ix.fb != nil {
-		// Re-wire the fresh fallback engine's live counters (the old
+		// Re-wire the fresh fallback engine's Telemetry counters (the old
 		// index's engine carried them until now).
-		res.ix.fb.setLiveCounters(tel.fbEngaged, tel.fbQueries)
+		res.ix.fb.setTelemetryCounters(tel.fbEngaged, tel.fbQueries)
 	}
 	e := &epochIndex{ix: res.ix, id: next}
 	e.refs.Store(1)

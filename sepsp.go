@@ -471,10 +471,10 @@ func buildPrimary(ctx context.Context, dg *graph.Digraph, finder separator.Finde
 			ix.stats.Levels = levelBreakdown(sink.Metrics, tree)
 		}
 		max, mean, imb := ex.LoadStats()
-		sink.Metrics.Gauge(obs.MExecWorkers).Set(float64(ex.P()))
-		sink.Metrics.Gauge(obs.MExecImbalance).Set(imb)
-		sink.Metrics.Gauge("exec.busy.max").Set(float64(max))
-		sink.Metrics.Gauge("exec.busy.mean").Set(mean)
+		sink.Gauge(obs.MExecWorkers).Set(float64(ex.P()))
+		sink.Gauge(obs.MExecImbalance).Set(imb)
+		sink.Gauge("exec.busy.max").Set(float64(max))
+		sink.Gauge("exec.busy.mean").Set(mean)
 	}
 	return ix, nil
 }

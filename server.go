@@ -13,7 +13,7 @@ import (
 	"sepsp/internal/admission"
 	"sepsp/internal/distcache"
 	"sepsp/internal/faultinject"
-	"sepsp/internal/obs/live"
+	"sepsp/internal/obs"
 	"sepsp/internal/pram"
 )
 
@@ -129,8 +129,8 @@ type AdmissionOptions struct {
 // Each stage either hands the request on or ends it with a terminal
 // result — an answer, a shed (refusal or brownout, also after eviction), a
 // timeout, a cancellation, a panic, or an error — and the answer stage
-// counts every ended request exactly once, in Healthz and, when attached,
-// in Telemetry.
+// counts every ended request exactly once, in the one counter set that
+// Healthz and, when attached, Telemetry read.
 type Server struct {
 	mgr          *Manager
 	n            int // skeleton vertex count; constant across epoch swaps
@@ -152,16 +152,14 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// Always-on counters backing Healthz. The outcome counters (rejected
-	// through brownouts) are advanced only by finish.
-	nRequests  atomic.Int64
-	nRejected  atomic.Int64
-	nCancelled atomic.Int64
-	nTimedOut  atomic.Int64
-	nWaves     atomic.Int64
-	nPanics    atomic.Int64
-	nBrownouts atomic.Int64
-	nEvicted   atomic.Int64
+	// Always-on counters backing Healthz. outcomes, indexed by
+	// obs.Outcome and advanced only by finish, and waves are also what
+	// Telemetry's sepsp_server_queries_total and sepsp_server_waves_total
+	// families read.
+	nRequests atomic.Int64
+	nEvicted  atomic.Int64
+	outcomes  [obs.NumOutcomes]*obs.Counter
+	waves     *obs.Counter
 
 	// Live telemetry and structured logging; both nil by default, and the
 	// hot path pays only a nil check for each.
@@ -272,6 +270,10 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 		brown:       admission.NewBrownout(admission.BrownoutConfig{Threshold: max(adm.BrownoutThreshold, 0)}),
 		fbBreaker:   adm.FallbackBreaker.build(),
 		brownoutOff: adm.BrownoutThreshold < 0,
+		waves:       obs.NewCounter(),
+	}
+	for i := range s.outcomes {
+		s.outcomes[i] = obs.NewCounter()
 	}
 	// New(MaxBytes ≤ 0) is nil: the cache stays off as a nil receiver.
 	// Leader-local errors — the leader's own context or queue deadline
@@ -536,31 +538,20 @@ func (s *Server) brownoutAnswer(ctx context.Context, src int) ([]float64, uint64
 }
 
 // finish is the answer stage: the one place an ended request is counted.
-// It advances the request's Healthz outcome counter and calls Telemetry's
-// recorder for its outcome, then hands res back.
+// It advances the request's outcome counter and calls Telemetry's recorder
+// for its outcome, then hands res back.
 func (s *Server) finish(ctx context.Context, res result) result {
 	out := outcomeOf(ctx, res)
-	switch out {
-	case live.OutcomeShed:
-		s.nRejected.Add(1)
-	case live.OutcomeBrownout:
-		s.nBrownouts.Add(1)
-	case live.OutcomeTimeout:
-		s.nTimedOut.Add(1)
-	case live.OutcomeCancelled:
-		s.nCancelled.Add(1)
-	case live.OutcomePanic:
-		s.nPanics.Add(1)
-	}
+	s.outcomes[out].Inc()
 	if s.tel == nil {
 		return res
 	}
 	switch {
-	case out == live.OutcomeShed:
+	case out == obs.OutcomeShed:
 		s.tel.recordShed(res.src, res.epoch, res.cls)
-	case out == live.OutcomeBrownout:
+	case out == obs.OutcomeBrownout:
 		s.tel.recordBrownout(res.src, res.epoch, res.cls)
-	case out == live.OutcomeOK && res.wave == 0:
+	case out == obs.OutcomeOK && res.wave == 0:
 		// Answered from resident state: a cached vector, a shared flight,
 		// or the pair oracle.
 		s.tel.recordCacheHit(res.src, res.epoch)
@@ -571,22 +562,22 @@ func (s *Server) finish(ctx context.Context, res result) result {
 }
 
 // outcomeOf classifies an ended request; ctx is the request's own context.
-func outcomeOf(ctx context.Context, res result) live.Outcome {
+func outcomeOf(ctx context.Context, res result) obs.Outcome {
 	switch {
 	case res.err == nil && res.shed:
-		return live.OutcomeBrownout
+		return obs.OutcomeBrownout
 	case res.err == nil:
-		return live.OutcomeOK
+		return obs.OutcomeOK
 	case res.shed || errors.Is(res.err, ErrServerOverloaded):
-		return live.OutcomeShed
+		return obs.OutcomeShed
 	case isPanic(res.err):
-		return live.OutcomePanic
+		return obs.OutcomePanic
 	case errors.Is(res.err, ErrQueueTimeout):
-		return live.OutcomeTimeout
+		return obs.OutcomeTimeout
 	case ctx.Err() != nil:
-		return live.OutcomeCancelled
+		return obs.OutcomeCancelled
 	}
-	return live.OutcomeError
+	return obs.OutcomeError
 }
 
 // isPanic reports whether err carries a *PanicError. It is split out so
@@ -689,14 +680,14 @@ func (s *Server) Healthz() ServerHealth {
 		MaxInFlight:    s.maxInFlight,
 		MaxBatch:       s.maxBatch,
 		Requests:       s.nRequests.Load(),
-		Rejected:       s.nRejected.Load(),
-		Cancelled:      s.nCancelled.Load(),
-		TimedOut:       s.nTimedOut.Load(),
-		Waves:          s.nWaves.Load(),
-		Panics:         s.nPanics.Load(),
+		Rejected:       s.outcomes[obs.OutcomeShed].Value(),
+		Cancelled:      s.outcomes[obs.OutcomeCancelled].Value(),
+		TimedOut:       s.outcomes[obs.OutcomeTimeout].Value(),
+		Waves:          s.waves.Value(),
+		Panics:         s.outcomes[obs.OutcomePanic].Value(),
 		EffectiveLimit: s.maxInFlight,
 		Brownout:       s.brown.Active(),
-		Brownouts:      s.nBrownouts.Load(),
+		Brownouts:      s.outcomes[obs.OutcomeBrownout].Value(),
 		Evicted:        s.nEvicted.Load(),
 		CacheHits:      cst.Hits,
 		CacheMisses:    cst.Misses,
@@ -831,7 +822,7 @@ func (s *Server) serveWave(batch []*ssspReq, srcs []int) {
 		s.logger.Error("wave panicked", "wave", w.wave, "size", len(alive), "err", err)
 	}
 	if err == nil {
-		s.nWaves.Add(1)
+		s.waves.Inc()
 		if s.tel != nil {
 			s.tel.recordWave(w.wave, len(alive), w.computeNanos, epoch, w.degraded, wst.SkippedWork())
 		}

@@ -12,7 +12,7 @@ import (
 
 	"sepsp/internal/admission"
 	"sepsp/internal/faultinject"
-	"sepsp/internal/obs/live"
+	"sepsp/internal/obs"
 )
 
 func serverIndex(t testing.TB) (*Index, int) {
@@ -478,10 +478,11 @@ func TestServerQueriesCountedOnce(t *testing.T) {
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			var series [live.OutcomeBrownout + 1]int64
+			q := promSeries(t, tel, "sepsp_server_queries_total")
+			var series [obs.NumOutcomes]int64
 			var total int64
 			for out := range series {
-				series[out] = tel.queries[out].Value()
+				series[out] = q[`outcome="`+obs.Outcome(out).String()+`"`]
 				total += series[out]
 			}
 			if total != calls.Load() {
@@ -492,18 +493,18 @@ func TestServerQueriesCountedOnce(t *testing.T) {
 				name         string
 				health, want int64
 			}{
-				{"rejected", h.Rejected, series[live.OutcomeShed]},
-				{"cancelled", h.Cancelled, series[live.OutcomeCancelled]},
-				{"timed_out", h.TimedOut, series[live.OutcomeTimeout]},
-				{"panics", h.Panics, series[live.OutcomePanic]},
-				{"brownouts", h.Brownouts, series[live.OutcomeBrownout]},
+				{"rejected", h.Rejected, series[obs.OutcomeShed]},
+				{"cancelled", h.Cancelled, series[obs.OutcomeCancelled]},
+				{"timed_out", h.TimedOut, series[obs.OutcomeTimeout]},
+				{"panics", h.Panics, series[obs.OutcomePanic]},
+				{"brownouts", h.Brownouts, series[obs.OutcomeBrownout]},
 			} {
 				if c.health != c.want {
 					t.Errorf("Healthz %s = %d, queries_total series = %d", c.name, c.health, c.want)
 				}
 			}
 			t.Logf("outcomes %v, cache %+v", series, srv.cache.Stats())
-			if series[live.OutcomePanic] == 0 || series[live.OutcomeCancelled]+series[live.OutcomeTimeout] == 0 {
+			if series[obs.OutcomePanic] == 0 || series[obs.OutcomeCancelled]+series[obs.OutcomeTimeout] == 0 {
 				t.Fatalf("outcomes %v: seeded faults produced no panic or no cancellation; the test is vacuous", series)
 			}
 		})

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"sepsp/internal/admission"
-	"sepsp/internal/obs/live"
+	"sepsp/internal/obs"
 )
 
 // TelemetryOptions configures NewTelemetry. The zero value (or nil) uses
@@ -37,49 +37,41 @@ type TelemetryOptions struct {
 // finishes — Telemetry is safe to scrape continuously while serving. All
 // methods are safe for concurrent use. A Telemetry may be shared by
 // several Servers; per-server gauges are distinguished by a server="N"
-// label in attachment order, and /healthz reports the first server.
+// label in attachment order, the query, wave and cache counter families sum
+// over the attached servers, and /healthz reports the first server.
 type Telemetry struct {
-	reg *live.Registry
-	rec *live.Recorder
+	reg *obs.Registry
+	rec *obs.Recorder
 
-	// queries is indexed by live.Outcome; degradedQ counts queries served
-	// while the index was degraded to the baseline fallback (orthogonal to
-	// outcome — a degraded query usually still succeeds).
-	queries   [7]*live.Counter
-	degradedQ *live.Counter
-	waves     *live.Counter
-	backoffs  *live.Counter
+	// degradedQ counts queries served while the index was degraded to the
+	// baseline fallback (orthogonal to outcome — a degraded query usually
+	// still succeeds). The outcome, wave and cache counts are the servers'
+	// own (see NewTelemetry).
+	degradedQ *obs.Counter
+	backoffs  *obs.Counter
 
 	// qAvoided counts the edge relaxations served waves saved by
 	// collapsing duplicate sources (one WorkPerSource per duplicate).
-	qAvoided  *live.Counter
-	fbEngaged *live.Counter
-	fbQueries *live.Counter
+	qAvoided  *obs.Counter
+	fbEngaged *obs.Counter
+	fbQueries *obs.Counter
 
 	// Admission-control families, indexed by admission.Class / breaker
 	// state. The breaker transition counters are pre-registered for both
 	// breakers ("rebuild", "fallback") and every target state.
-	sheds        [admission.NumClasses]*live.Counter
-	brownouts    [admission.NumClasses]*live.Counter
-	rebuildTrans [3]*live.Counter
-	fbTrans      [3]*live.Counter
+	sheds        [admission.NumClasses]*obs.Counter
+	brownouts    [admission.NumClasses]*obs.Counter
+	rebuildTrans [3]*obs.Counter
+	fbTrans      [3]*obs.Counter
 
 	// Index-lifecycle families, driven by Manager reweighting rebuilds.
-	swapsTotal   *live.Counter
-	rebuildFails *live.Counter
+	swapsTotal   *obs.Counter
+	rebuildFails *obs.Counter
 
-	// Result-cache families, driven by the server's distance cache (see
-	// ServerOptions.CacheBytes); flat at zero when the cache is disabled.
-	cacheHits   *live.Counter
-	cacheMisses *live.Counter
-	cacheEvicts *live.Counter
-	cacheBytes  *live.Counter
-	cacheShared *live.Counter
-
-	queueWait   *live.Histogram // seconds queued: admission → wave start
-	computeTime *live.Histogram // seconds of shared wave compute
-	waveSize    *live.Histogram // live requests per executed wave
-	rebuildTime *live.Histogram // seconds per reweighting rebuild attempt
+	queueWait   *obs.Histogram // seconds queued: admission → wave start
+	computeTime *obs.Histogram // seconds of shared wave compute
+	waveSize    *obs.Histogram // live requests per executed wave
+	rebuildTime *obs.Histogram // seconds per reweighting rebuild attempt
 
 	mu      sync.Mutex
 	servers []*Server
@@ -93,16 +85,20 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	if opt != nil && opt.FlightRecorderSize > 0 {
 		size = opt.FlightRecorderSize
 	}
-	reg := live.NewRegistry()
+	reg := obs.NewRegistry()
 	t := &Telemetry{
 		reg:     reg,
-		rec:     live.NewRecorder(size),
+		rec:     obs.NewRecorder(size),
 		indexes: make(map[*Index]int),
 	}
+	// The outcome, wave and cache counts live in each server and its
+	// cache, where Healthz reads them too; these families sum them over
+	// the attached servers (never detached, so the sums never fall).
 	const qname = "sepsp_server_queries_total"
 	const qhelp = "Requests decided by the server, by outcome."
-	for out := live.OutcomeOK; out <= live.OutcomeBrownout; out++ {
-		t.queries[out] = reg.Counter(qname, qhelp, `outcome="`+out.String()+`"`)
+	for out := obs.OutcomeOK; out <= obs.OutcomeBrownout; out++ {
+		reg.CounterFunc(qname, qhelp, `outcome="`+out.String()+`"`,
+			t.sum(func(s *Server) int64 { return s.outcomes[out].Value() }))
 	}
 	for c := admission.Class(0); c < admission.NumClasses; c++ {
 		plbl := `priority="` + c.String() + `"`
@@ -122,8 +118,9 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	}
 	t.degradedQ = reg.Counter("sepsp_server_degraded_queries_total",
 		"Queries served while the index was degraded to the baseline fallback engine.", "")
-	t.waves = reg.Counter("sepsp_server_waves_total",
-		"Executed coalesced waves.", "")
+	reg.CounterFunc("sepsp_server_waves_total",
+		"Executed coalesced waves.", "",
+		t.sum(func(s *Server) int64 { return s.waves.Value() }))
 	t.backoffs = reg.Counter("sepsp_retry_backoffs_total",
 		"Overload retries slept by sepsp.Retry.", "")
 	t.qAvoided = reg.Counter("sepsp_query_relaxations_avoided_total",
@@ -136,16 +133,22 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 		"Completed epoch hot-swaps (successful reweighting rebuilds).", "")
 	t.rebuildFails = reg.Counter("sepsp_index_rebuild_failures_total",
 		"Reweighting rebuilds that failed or panicked (old epoch kept serving).", "")
-	t.cacheHits = reg.Counter("sepsp_cache_hits_total",
-		"Queries answered from a cached distance vector (no admission, no wave).", "")
-	t.cacheMisses = reg.Counter("sepsp_cache_misses_total",
-		"Cache misses that became single-flight leaders and computed a fresh vector.", "")
-	t.cacheEvicts = reg.Counter("sepsp_cache_evictions_total",
-		"Cached distance vectors evicted for memory-budget room.", "")
-	t.cacheBytes = reg.Counter("sepsp_cache_bytes_total",
-		"Cumulative bytes of distance vectors admitted to the cache.", "")
-	t.cacheShared = reg.Counter("sepsp_cache_singleflight_shared_total",
-		"Concurrent requests answered by sharing another request's in-flight computation.", "")
+	// A disabled cache reads as zero Stats, leaving its families flat.
+	reg.CounterFunc("sepsp_cache_hits_total",
+		"Queries answered from a cached distance vector (no admission, no wave).", "",
+		t.sum(func(s *Server) int64 { return s.cache.Stats().Hits }))
+	reg.CounterFunc("sepsp_cache_misses_total",
+		"Cache misses that became single-flight leaders and computed a fresh vector.", "",
+		t.sum(func(s *Server) int64 { return s.cache.Stats().Misses }))
+	reg.CounterFunc("sepsp_cache_evictions_total",
+		"Cached distance vectors evicted for memory-budget room.", "",
+		t.sum(func(s *Server) int64 { return s.cache.Stats().Evictions }))
+	reg.CounterFunc("sepsp_cache_bytes_total",
+		"Cumulative bytes of distance vectors admitted to the cache.", "",
+		t.sum(func(s *Server) int64 { return s.cache.Stats().BytesTotal }))
+	reg.CounterFunc("sepsp_cache_singleflight_shared_total",
+		"Concurrent requests answered by sharing another request's in-flight computation.", "",
+		t.sum(func(s *Server) int64 { return s.cache.Stats().Shared }))
 	t.rebuildTime = reg.Histogram("sepsp_index_rebuild_duration_seconds",
 		"Seconds one reweighting rebuild attempt took, successful or not.", "")
 	t.queueWait = reg.Histogram("sepsp_server_queue_wait_seconds",
@@ -157,8 +160,22 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	return t
 }
 
+// sum returns a func series reading count summed over the attached
+// servers.
+func (t *Telemetry) sum(count func(*Server) int64) func() int64 {
+	return func() int64 {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		var total int64
+		for _, s := range t.servers {
+			total += count(s)
+		}
+		return total
+	}
+}
+
 // attach wires a server's scrape-time gauges (and, once per index, the
-// executor's per-worker busy gauges and the fallback engine's live
+// executor's per-worker busy gauges and the fallback engine's Telemetry
 // counters) into the registry. Called by NewServer.
 func (t *Telemetry) attach(s *Server) {
 	ix := s.mgr.Index()
@@ -172,9 +189,6 @@ func (t *Telemetry) attach(s *Server) {
 	}
 	t.mu.Unlock()
 	s.mgr.setTelemetry(t)
-	// Wire the distance cache's live counters (nil-safe: a disabled cache
-	// leaves every sepsp_cache_* family flat at zero).
-	s.cache.SetLiveCounters(t.cacheHits, t.cacheMisses, t.cacheEvicts, t.cacheBytes, t.cacheShared)
 
 	slbl := fmt.Sprintf(`server="%d"`, sid)
 	t.reg.GaugeFunc("sepsp_server_queue_depth",
@@ -248,7 +262,7 @@ func (t *Telemetry) attach(s *Server) {
 		"Max/mean busy iterations across the executor's workers (1 = balanced).", ilbl,
 		func() float64 { _, _, imb := ex.LoadStats(); return imb })
 	if ix.fb != nil {
-		ix.fb.setLiveCounters(t.fbEngaged, t.fbQueries)
+		ix.fb.setTelemetryCounters(t.fbEngaged, t.fbQueries)
 	}
 }
 
@@ -258,16 +272,16 @@ func (t *Telemetry) attach(s *Server) {
 // epoch.
 func (t *Telemetry) recordRebuild(epoch uint64, elapsed time.Duration, swapped bool) {
 	t.rebuildTime.Observe(elapsed.Seconds())
-	out := live.OutcomeOK
+	out := obs.OutcomeOK
 	if swapped {
 		t.swapsTotal.Inc()
 	} else {
 		t.rebuildFails.Inc()
-		out = live.OutcomeError
+		out = obs.OutcomeError
 	}
-	t.rec.Record(live.Event{
-		Time:         live.Now(),
-		Kind:         live.KindSwap,
+	t.rec.Record(obs.Event{
+		Time:         obs.Now(),
+		Kind:         obs.KindSwap,
 		Outcome:      out,
 		Source:       -1,
 		ComputeNanos: elapsed.Nanoseconds(),
@@ -275,24 +289,23 @@ func (t *Telemetry) recordRebuild(epoch uint64, elapsed time.Duration, swapped b
 	})
 }
 
-// recordQuery records one decided request: outcome counter, phase
-// histograms, and a flight-recorder event (KindQuery on success,
+// recordQuery records one request a wave decided: phase histograms and a
+// flight-recorder event (KindQuery on success,
 // KindFailure otherwise) tagged with the epoch that served it.
-func (t *Telemetry) recordQuery(out live.Outcome, src int, wave int64, queueNanos, computeNanos int64, batch int, epoch uint64, degraded bool) {
-	t.queries[out].Inc()
+func (t *Telemetry) recordQuery(out obs.Outcome, src int, wave int64, queueNanos, computeNanos int64, batch int, epoch uint64, degraded bool) {
 	if degraded {
 		t.degradedQ.Inc()
 	}
 	t.queueWait.Observe(float64(queueNanos) / 1e9)
-	if out == live.OutcomeOK {
+	if out == obs.OutcomeOK {
 		t.computeTime.Observe(float64(computeNanos) / 1e9)
 	}
-	kind := live.KindQuery
-	if out != live.OutcomeOK {
-		kind = live.KindFailure
+	kind := obs.KindQuery
+	if out != obs.OutcomeOK {
+		kind = obs.KindFailure
 	}
-	t.rec.Record(live.Event{
-		Time:         live.Now(),
+	t.rec.Record(obs.Event{
+		Time:         obs.Now(),
 		Kind:         kind,
 		Outcome:      out,
 		Source:       int32(src),
@@ -309,13 +322,12 @@ func (t *Telemetry) recordQuery(out live.Outcome, src int, wave int64, queueNano
 // relaxations its duplicate-source dedup avoided (0 for waves served
 // degraded — the fallback engine runs no schedule).
 func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch uint64, degraded bool, avoidedWork int64) {
-	t.waves.Inc()
 	t.waveSize.Observe(float64(batch))
 	t.qAvoided.Add(avoidedWork)
-	t.rec.Record(live.Event{
-		Time:         live.Now(),
-		Kind:         live.KindWave,
-		Outcome:      live.OutcomeOK,
+	t.rec.Record(obs.Event{
+		Time:         obs.Now(),
+		Kind:         obs.KindWave,
+		Outcome:      obs.OutcomeOK,
 		Source:       -1,
 		Wave:         wave,
 		Batch:        int32(batch),
@@ -326,16 +338,13 @@ func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch 
 }
 
 // recordCacheHit records one query answered from resident state — a cached
-// vector, another request's in-flight computation, or the pair oracle: it
-// still counts as a decided-OK query, plus a KindCacheHit flight-recorder
-// event. The sepsp_cache_* counter families are advanced by the cache
-// itself.
+// vector, another request's in-flight computation, or the pair oracle — as
+// a KindCacheHit flight-recorder event.
 func (t *Telemetry) recordCacheHit(src int, epoch uint64) {
-	t.queries[live.OutcomeOK].Inc()
-	t.rec.Record(live.Event{
-		Time:    live.Now(),
-		Kind:    live.KindCacheHit,
-		Outcome: live.OutcomeOK,
+	t.rec.Record(obs.Event{
+		Time:    obs.Now(),
+		Kind:    obs.KindCacheHit,
+		Outcome: obs.OutcomeOK,
 		Source:  int32(src),
 		Epoch:   epoch,
 	})
@@ -345,10 +354,10 @@ func (t *Telemetry) recordCacheHit(src int, epoch uint64) {
 // admission path as a single-flight leader. Ring event only: the serving
 // wave counts the query's outcome when it is decided.
 func (t *Telemetry) recordCacheMiss(src int, epoch uint64) {
-	t.rec.Record(live.Event{
-		Time:    live.Now(),
-		Kind:    live.KindCacheMiss,
-		Outcome: live.OutcomeOK,
+	t.rec.Record(obs.Event{
+		Time:    obs.Now(),
+		Kind:    obs.KindCacheMiss,
+		Outcome: obs.OutcomeOK,
 		Source:  int32(src),
 		Epoch:   epoch,
 	})
@@ -356,15 +365,14 @@ func (t *Telemetry) recordCacheMiss(src int, epoch uint64) {
 
 // recordShed records a request refused with ErrServerOverloaded — shed at
 // admission, evicted, or sharing a shed single-flight leader's refusal; it
-// was not served by a wave, so only the outcome and per-priority counters
-// and the flight recorder see it.
+// was not served by a wave, so only the per-priority counter and the
+// flight recorder see it.
 func (t *Telemetry) recordShed(src int, epoch uint64, cls admission.Class) {
-	t.queries[live.OutcomeShed].Inc()
 	t.sheds[cls].Inc()
-	t.rec.Record(live.Event{
-		Time:    live.Now(),
-		Kind:    live.KindFailure,
-		Outcome: live.OutcomeShed,
+	t.rec.Record(obs.Event{
+		Time:    obs.Now(),
+		Kind:    obs.KindFailure,
+		Outcome: obs.OutcomeShed,
 		Source:  int32(src),
 		Epoch:   epoch,
 	})
@@ -373,12 +381,11 @@ func (t *Telemetry) recordShed(src int, epoch uint64, cls admission.Class) {
 // recordBrownout records a shed request answered exactly from the baseline
 // fallback engine instead of being refused.
 func (t *Telemetry) recordBrownout(src int, epoch uint64, cls admission.Class) {
-	t.queries[live.OutcomeBrownout].Inc()
 	t.brownouts[cls].Inc()
-	t.rec.Record(live.Event{
-		Time:     live.Now(),
-		Kind:     live.KindQuery,
-		Outcome:  live.OutcomeBrownout,
+	t.rec.Record(obs.Event{
+		Time:     obs.Now(),
+		Kind:     obs.KindQuery,
+		Outcome:  obs.OutcomeBrownout,
 		Source:   int32(src),
 		Epoch:    epoch,
 		Degraded: true,
@@ -424,11 +431,11 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 // same bytes the /flightrecorder endpoint serves.
 func (t *Telemetry) WriteFlightRecorder(w io.Writer) error {
 	payload := struct {
-		Capacity int          `json:"capacity"`
-		Events   []live.Event `json:"events"`
+		Capacity int         `json:"capacity"`
+		Events   []obs.Event `json:"events"`
 	}{Capacity: t.rec.Cap(), Events: t.rec.Snapshot()}
 	if payload.Events == nil {
-		payload.Events = []live.Event{}
+		payload.Events = []obs.Event{}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sepsp/internal/faultinject"
+	"sepsp/internal/obs"
 )
 
 // telemetryServer builds a small served index with live telemetry attached.
@@ -31,6 +33,140 @@ func telemetryServer(t *testing.T, sopt *ServerOptions) (*Telemetry, *Server, in
 	}
 	t.Cleanup(func() { srv.Close() })
 	return tel, srv, n
+}
+
+// promSeries scrapes tel and returns the samples of one metric family by
+// rendered label set ("" for an unlabeled series).
+func promSeries(t *testing.T, tel *Telemetry, family string) map[string]int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := tel.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, rest, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		labels := ""
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name, labels = name[:i], strings.TrimSuffix(name[i+1:], "}")
+		}
+		if name != family {
+			continue
+		}
+		v, err := strconv.ParseFloat(rest, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[labels] = int64(v)
+	}
+	return out
+}
+
+// TestTelemetrySumsServerCounts: two servers with caches share one
+// Telemetry and end requests every way seeded faults, client cancels,
+// queue deadlines and a thrashing cache allow. Each outcome series of
+// sepsp_server_queries_total, sepsp_server_waves_total and every
+// sepsp_cache_*_total family must equal the sum over both servers of the
+// matching Healthz (or cache) count, and the outcome series must add up to
+// the calls made.
+func TestTelemetrySumsServerCounts(t *testing.T) {
+	ix, n := serverIndex(t)
+	tel := NewTelemetry(nil)
+	var srvs [2]*Server
+	var calls int64
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	for i := range srvs {
+		inj := faultinject.NewSeeded(faultinject.Config{
+			Seed:  int64(11 + i),
+			Delay: 300 * time.Microsecond,
+			Sites: map[string]faultinject.SiteConfig{
+				faultinject.SiteServerWave:   {PanicPerMille: 150, DelayPerMille: 500},
+				faultinject.SiteClientCancel: {CancelPerMille: 200},
+			},
+		})
+		srv, err := NewServer(ix, &ServerOptions{
+			MaxBatch:     4,
+			MaxInFlight:  6,
+			QueueTimeout: 5 * time.Millisecond,
+			CacheBytes:   int64(n) * 8 * 2,
+			Telemetry:    tel,
+			Inject:       inj,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = srv
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for k := 0; k < 50; k++ {
+					ctx, cancel := context.WithCancel(context.Background())
+					if inj.Fire(faultinject.SiteClientCancel) == faultinject.Cancel {
+						time.AfterFunc(time.Duration(k%4)*100*time.Microsecond, cancel)
+					}
+					src := (c + k) % 5
+					if k%2 == 0 {
+						_, _ = srv.SSSP(ctx, src)
+					} else {
+						_, _ = srv.Dist(ctx, src, n-1-src)
+					}
+					cancel()
+				}
+				mu.Lock()
+				calls += 50
+				mu.Unlock()
+			}(c)
+		}
+	}
+	wg.Wait()
+	var h [2]ServerHealth
+	var bytesTotal int64
+	for i, srv := range srvs {
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		h[i] = srv.Healthz()
+		bytesTotal += srv.cache.Stats().BytesTotal
+	}
+	sum := func(f func(ServerHealth) int64) int64 { return f(h[0]) + f(h[1]) }
+	q := promSeries(t, tel, "sepsp_server_queries_total")
+	var total int64
+	for out := 0; out < obs.NumOutcomes; out++ {
+		total += q[`outcome="`+obs.Outcome(out).String()+`"`]
+	}
+	if total != calls || tel.QueriesTotal() != calls {
+		t.Fatalf("queries_total series %v (QueriesTotal %d), want %d calls", q, tel.QueriesTotal(), calls)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"outcome=shed", q[`outcome="shed"`], sum(func(h ServerHealth) int64 { return h.Rejected })},
+		{"outcome=cancelled", q[`outcome="cancelled"`], sum(func(h ServerHealth) int64 { return h.Cancelled })},
+		{"outcome=timeout", q[`outcome="timeout"`], sum(func(h ServerHealth) int64 { return h.TimedOut })},
+		{"outcome=panic", q[`outcome="panic"`], sum(func(h ServerHealth) int64 { return h.Panics })},
+		{"outcome=brownout", q[`outcome="brownout"`], sum(func(h ServerHealth) int64 { return h.Brownouts })},
+		{"waves", promSeries(t, tel, "sepsp_server_waves_total")[""], sum(func(h ServerHealth) int64 { return h.Waves })},
+		{"cache hits", promSeries(t, tel, "sepsp_cache_hits_total")[""], sum(func(h ServerHealth) int64 { return h.CacheHits })},
+		{"cache misses", promSeries(t, tel, "sepsp_cache_misses_total")[""], sum(func(h ServerHealth) int64 { return h.CacheMisses })},
+		{"cache shared", promSeries(t, tel, "sepsp_cache_singleflight_shared_total")[""], sum(func(h ServerHealth) int64 { return h.CacheShared })},
+		{"cache evictions", promSeries(t, tel, "sepsp_cache_evictions_total")[""], sum(func(h ServerHealth) int64 { return h.CacheEvictions })},
+		{"cache bytes", promSeries(t, tel, "sepsp_cache_bytes_total")[""], bytesTotal},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: /metrics %d, servers' sum %d", c.name, c.got, c.want)
+		}
+	}
+	t.Logf("queries %v, health %+v / %+v", q, h[0], h[1])
+	if sum(func(h ServerHealth) int64 { return h.Panics }) == 0 || sum(func(h ServerHealth) int64 { return h.CacheHits }) == 0 ||
+		h[0].Waves == 0 || h[1].Waves == 0 {
+		t.Fatal("seeded load produced no panic, no cache hit, or left a server idle; the test is vacuous")
+	}
 }
 
 // TestTelemetryCountsQueries drives queries through an instrumented server
