@@ -23,11 +23,16 @@ fmt-check:
 # boundary while concurrent clients assert each request still ends in a
 # correct answer or a typed error (see DESIGN.md "Failure model"). It then
 # stress-runs the flight recorder's concurrent-writer test 50 times, which
-# fails on any torn event (see DESIGN.md "Live telemetry").
+# fails on any torn event (see DESIGN.md "Live telemetry"), and the result
+# cache's single-flight tests: the late-settle re-peek 50 times and the
+# E-cache small run 20 times, both of which fail if a cold source is
+# computed twice.
 chaos:
 	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|ServerQueriesCountedOnce|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject
 	$(GO) test -race -count=50 -run 'TestRecorderConcurrent$$' ./internal/obs
+	$(GO) test -race -count=50 -run 'TestDoRepeeksAfterLateSettle$$' ./internal/distcache
+	$(GO) test -race -count=20 -run 'TestCacheExperimentSmall$$' ./internal/exp
 
 # fuzz-smoke runs the native fuzz targets for a short budget each: FuzzLoad
 # (persist.go), where mutated Save blobs must never panic and must either

@@ -61,7 +61,6 @@ func BenchmarkSpeedup(b *testing.B)               { benchExperiment(b, "E-speedu
 func BenchmarkNegativeCycles(b *testing.B)        { benchExperiment(b, "E-negcyc") }
 func BenchmarkSemiring(b *testing.B)              { benchExperiment(b, "E-semiring") }
 func BenchmarkConstraints(b *testing.B)           { benchExperiment(b, "E-ineq") }
-func BenchmarkIncrementalRepair(b *testing.B)     { benchExperiment(b, "E-incr") }
 func BenchmarkPairsOracle(b *testing.B)           { benchExperiment(b, "E-pairs") }
 func BenchmarkFinderAblation(b *testing.B)        { benchExperiment(b, "E-finders") }
 func BenchmarkBuildThroughput(b *testing.B)       { benchExperiment(b, "E-build") }
@@ -205,28 +204,6 @@ func BenchmarkOracleQueryGrid4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		orc.Dist(i%wl.G.N(), (i*31)%wl.G.N(), nil)
 	}
-}
-
-func BenchmarkIncrementalOneEdgeGrid4096(b *testing.B) {
-	wl := benchWorkload(b, 0.5, 4096)
-	inc, err := augment.NewIncremental(wl.G, wl.Tree, augment.Config{UseFloydWarshall: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	edges := wl.G.EdgeList()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := &edges[i%len(edges)]
-		e.W += 0.001
-		newG := graphFromEdges(wl.G.N(), edges)
-		if err := inc.Update(newG, [][2]int{{e.From, e.To}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func graphFromEdges(n int, es []graph.Edge) *graph.Digraph {
-	return graph.FromEdges(n, es)
 }
 
 func BenchmarkMinPlusMul256(b *testing.B) {

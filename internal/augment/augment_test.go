@@ -360,13 +360,8 @@ func reachabilityRef(g *graph.Digraph) [][]bool {
 // pair appears twice and two runs return identical slices.
 func TestResultEdgesCanonicalOrder(t *testing.T) {
 	g, tree := gridAndTree(t, []int{5, 5}, gen.UnitWeights(), 9, 3)
-	inc, err := NewIncremental(g, tree, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, run := range map[string]func(*graph.Digraph, *separator.Tree, Config) (*Result, error){
 		"Alg41": Alg41, "Alg43": Alg43, "Reach41": Reach41, "Reach43": Reach43,
-		"Incremental": func(*graph.Digraph, *separator.Tree, Config) (*Result, error) { return inc.Result(), nil },
 	} {
 		for _, p := range []int{1, 4} {
 			res, err := run(g, tree, Config{Ex: pram.NewExecutor(p)})

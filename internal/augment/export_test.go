@@ -11,9 +11,8 @@ import (
 var SameBits = sameBits
 
 // ReferenceEPlus runs the emission stage of the named E+ construction
-// ("alg41", "alg43", "reach41", "reach43" or "incremental", the last being
-// NewIncremental's retained state) and deduplicates its contributions with
-// the retained map collector instead of assemble.
+// ("alg41", "alg43", "reach41" or "reach43") and deduplicates its
+// contributions with the retained map collector instead of assemble.
 func ReferenceEPlus(alg string, g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 	var parts []part
 	var err error
@@ -26,11 +25,6 @@ func ReferenceEPlus(alg string, g *graph.Digraph, t *separator.Tree, cfg Config)
 		parts, err = reach41Parts(g, t, cfg)
 	case "reach43":
 		parts, err = reach43Parts(g, t, cfg)
-	case "incremental":
-		var inc *Incremental
-		if inc, err = NewIncremental(g, t, cfg); err == nil {
-			parts = inc.parts()
-		}
 	default:
 		return nil, fmt.Errorf("unknown construction %q", alg)
 	}

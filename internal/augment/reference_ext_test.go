@@ -37,21 +37,13 @@ func TestAssembleMatchesMapReference(t *testing.T) {
 		}
 		wls = append(wls, workload{wl, true})
 	}
-	incremental := func(g *graph.Digraph, t *separator.Tree, cfg augment.Config) (*augment.Result, error) {
-		inc, err := augment.NewIncremental(g, t, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return inc.Result(), nil
-	}
 	runs := map[string]func(*graph.Digraph, *separator.Tree, augment.Config) (*augment.Result, error){
 		"alg41": augment.Alg41, "alg43": augment.Alg43,
 		"reach41": augment.Reach41, "reach43": augment.Reach43,
-		"incremental": incremental,
 	}
 	ex := pram.NewExecutor(2)
 	for _, w := range wls {
-		for _, alg := range []string{"alg41", "alg43", "reach41", "reach43", "incremental"} {
+		for _, alg := range []string{"alg41", "alg43", "reach41", "reach43"} {
 			t.Run(fmt.Sprintf("%s/%s", w.wl.Name, alg), func(t *testing.T) {
 				cfg := augment.Config{Ex: ex, UseFloydWarshall: w.fw}
 				got, err := runs[alg](w.wl.G, w.wl.Tree, cfg)

@@ -194,9 +194,9 @@ func NewEngine(g *graph.Digraph, tree *separator.Tree, cfg Config) (*Engine, err
 }
 
 // NewEngineFromParts assembles an engine from an already-computed
-// augmentation — the entry point for deserialized indexes and for
-// augment.Incremental users who repaired E+ in place. No recomputation or
-// negative-cycle check happens here; the parts are trusted.
+// augmentation — the entry point for deserialized indexes. No
+// recomputation or negative-cycle check happens here; the parts are
+// trusted.
 func NewEngineFromParts(g *graph.Digraph, tree *separator.Tree, res *augment.Result, ex *pram.Executor) *Engine {
 	if ex == nil {
 		ex = pram.Sequential

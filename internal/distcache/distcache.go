@@ -480,6 +480,15 @@ func (c *Cache) Do(ctx context.Context, src int, epoch uint64, compute func() ([
 				return nil, Shared, context.Cause(ctx)
 			}
 		}
+		// A leader may have Put and settled between the peek above and
+		// taking fmu; without this second look the caller would lead a
+		// fresh flight and compute the vector again.
+		if e := c.peek(src, epoch); e != nil {
+			c.fmu.Unlock()
+			out := make([]float64, len(e.dist))
+			copy(out, e.dist)
+			return out, Hit, nil
+		}
 		f := &flight{done: make(chan struct{})}
 		c.flights[k] = f
 		c.fmu.Unlock()

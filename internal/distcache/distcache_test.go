@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -240,6 +242,68 @@ func TestSingleFlightSharing(t *testing.T) {
 	if err != nil || how != Hit {
 		t.Fatalf("post-flight Do = %v,%v want Hit", how, err)
 	}
+}
+
+// TestDoRepeeksAfterLateSettle covers a caller that peeked before the
+// leader's Put and took fmu after the leader settled: it must answer from
+// the cache instead of leading a second flight that recomputes the vector.
+func TestDoRepeeksAfterLateSettle(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	var computes atomic.Int64
+	type answer struct {
+		dist []float64
+		how  How
+		err  error
+	}
+	done := make(chan answer, 1)
+	c.fmu.Lock()
+	go func() {
+		dist, how, err := c.Do(context.Background(), 5, 1, func() ([]float64, uint64, bool, error) {
+			computes.Add(1)
+			return vec(16, 0), 1, true, nil
+		})
+		done <- answer{dist, how, err}
+	}()
+	// Wait until the caller has peeked (a miss) and blocks on fmu.
+	deadline := time.Now().Add(2 * time.Second)
+	for !parkedInDo() {
+		if time.Now().After(deadline) {
+			c.fmu.Unlock()
+			t.Fatal("Do never blocked on fmu")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The leader's Put and settle land in that window.
+	c.Put(5, 1, vec(16, 5))
+	c.fmu.Unlock()
+	a := <-done
+	if a.err != nil || a.how != Hit {
+		t.Fatalf("Do = %v,%v want Hit", a.how, a.err)
+	}
+	if n := computes.Load(); n != 0 {
+		t.Fatalf("compute ran %d times on a key settled before the flight", n)
+	}
+	for j, d := range a.dist {
+		if d != float64(5+j) {
+			t.Fatalf("dist[%d] = %v", j, d)
+		}
+	}
+	if st := c.Stats(); st.Misses != 0 {
+		t.Fatalf("stats = %+v, want no miss", st)
+	}
+}
+
+// parkedInDo reports whether some goroutine is inside Cache.Do and
+// acquiring a mutex.
+func parkedInDo() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "distcache.(*Cache).Do(") && strings.Contains(g, "Mutex).") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSingleFlightSharedError(t *testing.T) {

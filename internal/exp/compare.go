@@ -581,61 +581,6 @@ func PairsExperiment(ex *pram.Executor, scale int) (*Table, error) {
 	return t, nil
 }
 
-// IncrementalExperiment is the ablation for the incremental E+ repair built
-// on the paper's comment (iv): after changing k edge weights, only the tree
-// nodes containing a changed edge are recomputed.
-func IncrementalExperiment(ex *pram.Executor, scale int) (*Table, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	t := &Table{
-		ID:     "E-incr",
-		Title:  "Ablation: incremental E+ repair vs full rebuild (comment (iv))",
-		Header: []string{"n", "changed edges", "dirty nodes / total", "repair work", "rebuild work"},
-		Notes:  []string{"work counted inside Algorithm 4.1 node processing"},
-	}
-	rng := rand.New(rand.NewSource(17))
-	wl, err := MuWorkload(0.5, 4096*scale, 16)
-	if err != nil {
-		return nil, err
-	}
-	inc, err := augment.NewIncremental(wl.G, wl.Tree, augment.Config{Ex: ex, UseFloydWarshall: true})
-	if err != nil {
-		return nil, err
-	}
-	edges := wl.G.EdgeList()
-	for _, k := range []int{1, 8, 64} {
-		var changed [][2]int
-		for c := 0; c < k; c++ {
-			i := rng.Intn(len(edges))
-			edges[i].W = 0.5 + 2*rng.Float64()
-			changed = append(changed, [2]int{edges[i].From, edges[i].To})
-		}
-		newG := graph.FromEdges(wl.G.N(), edges)
-		repairStats := &pram.Stats{}
-		incRepair, err := augment.NewIncremental(wl.G, wl.Tree,
-			augment.Config{Stats: repairStats, UseFloydWarshall: true})
-		if err != nil {
-			return nil, err
-		}
-		buildWork := repairStats.Work()
-		if err := incRepair.Update(newG, changed); err != nil {
-			return nil, err
-		}
-		repairWork := repairStats.Work() - buildWork
-		rebuildStats := &pram.Stats{}
-		if _, err := augment.Alg41(newG, wl.Tree, augment.Config{Stats: rebuildStats, UseFloydWarshall: true}); err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			d(int64(wl.G.N())), d(int64(k)),
-			fmt.Sprintf("%d / %d", inc.DirtyCount(changed), inc.NodeCount()),
-			d(repairWork), d(rebuildStats.Work()),
-		})
-	}
-	return t, nil
-}
-
 func approxEq(a, b float64) bool {
 	if a == b {
 		return true

@@ -88,8 +88,8 @@ func TestRegistryUnknownID(t *testing.T) {
 		t.Fatal("unknown id accepted")
 	}
 	ids := IDs()
-	if len(ids) != 22 {
-		t.Fatalf("expected 22 registered experiments, have %d: %v", len(ids), ids)
+	if len(ids) != 21 {
+		t.Fatalf("expected 21 registered experiments, have %d: %v", len(ids), ids)
 	}
 }
 

@@ -90,10 +90,6 @@ var registry = map[string]Runner{
 		t, err := ConstraintsExperiment(ex, scale)
 		return oneTable(t), err
 	},
-	"E-incr": func(ex *pram.Executor, scale int, _ *obs.Sink) (*Result, error) {
-		t, err := IncrementalExperiment(ex, scale)
-		return oneTable(t), err
-	},
 	"E-pairs": func(ex *pram.Executor, scale int, _ *obs.Sink) (*Result, error) {
 		t, err := PairsExperiment(ex, scale)
 		return oneTable(t), err

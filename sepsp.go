@@ -656,11 +656,26 @@ func mustQuery[T any](out T, err error) T {
 	return out
 }
 
+// checkVertex rejects a vertex outside [0,n) with an error wrapping
+// ErrBadOptions that names its role ("source", "destination"). Queries
+// call it before any work, so a bad vertex never reaches the engines or
+// the fallback's panic guard.
+func checkVertex(n, v int, role string) error {
+	if v < 0 || v >= n {
+		return fmt.Errorf("%w: %s vertex %d out of range [0,%d)", ErrBadOptions, role, v, n)
+	}
+	return nil
+}
+
 // SSSPContext computes exact distances from src to every vertex (+Inf
 // where unreachable) with cooperative cancellation: ctx is polled between
 // Bellman-Ford phases, so a cancelled or expired context returns
-// (nil, ctx.Err()) within one phase of relaxation work.
+// (nil, ctx.Err()) within one phase of relaxation work. An out-of-range
+// src fails with an error wrapping ErrBadOptions.
 func (ix *Index) SSSPContext(ctx context.Context, src int) ([]float64, error) {
+	if err := checkVertex(ix.g.N(), src, "source"); err != nil {
+		return nil, err
+	}
 	if ix.primary() {
 		dist, err := runGuarded("sssp", func() ([]float64, error) {
 			return ix.eng.SSSPContext(ctx, src, nil)
@@ -677,7 +692,14 @@ func (ix *Index) SSSPContext(ctx context.Context, src int) ([]float64, error) {
 // relaxed through one pass of the query schedule for all of its sources —
 // with cooperative cancellation (every running block polls ctx between
 // phases); each row equals SSSPContext from that source, bit for bit.
+// An out-of-range source fails the whole wave with an error wrapping
+// ErrBadOptions before any work runs.
 func (ix *Index) SourcesBatchedContext(ctx context.Context, srcs []int) ([][]float64, error) {
+	for _, s := range srcs {
+		if err := checkVertex(ix.g.N(), s, "source"); err != nil {
+			return nil, err
+		}
+	}
 	return ix.sourcesBatchedStats(ctx, srcs, nil)
 }
 
@@ -745,8 +767,12 @@ func (ix *Index) Path(src, dst int) (path []int, w float64, ok bool) {
 // Reachable returns the set of vertices reachable from src, using the
 // boolean (transitive-closure) instantiation of the engine; the reach
 // preprocessing runs exactly once on first use (concurrent first callers
-// block on the one run and share its result — or its error).
+// block on the one run and share its result — or its error). An
+// out-of-range src fails with an error wrapping ErrBadOptions.
 func (ix *Index) Reachable(src int) ([]bool, error) {
+	if err := checkVertex(ix.g.N(), src, "source"); err != nil {
+		return nil, err
+	}
 	if ix.primary() {
 		set, err := runGuarded("reachable", func() ([]bool, error) {
 			ix.reachOnce.Do(func() {
@@ -815,8 +841,12 @@ func (o *Oracle) LabelEntries() int { return o.o.LabelSize() }
 // depends only on the undirected skeleton (paper comment (iv)), which edge
 // reversal preserves. The reverse engine is preprocessed exactly once on
 // first use (concurrent first callers block on the one run; the one-time
-// preprocessing itself is not interrupted by ctx).
+// preprocessing itself is not interrupted by ctx). An out-of-range dst
+// fails with an error wrapping ErrBadOptions.
 func (ix *Index) DistToContext(ctx context.Context, dst int) ([]float64, error) {
+	if err := checkVertex(ix.g.N(), dst, "destination"); err != nil {
+		return nil, err
+	}
 	if ix.primary() {
 		dist, err := runGuarded("distto", func() ([]float64, error) {
 			if err := ix.reverseEngine(); err != nil {

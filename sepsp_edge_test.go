@@ -2,8 +2,11 @@ package sepsp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sepsp/internal/graph/gen"
@@ -194,6 +197,62 @@ func TestOraclePublicAPI(t *testing.T) {
 		}
 		if o.Dist(p[0], p[1]) != got[i] {
 			t.Fatal("Dist and Pairs disagree")
+		}
+	}
+}
+
+// TestIndexRejectsOutOfRangeVertices: every vertex-taking query on an Index
+// fails an out-of-range vertex with an error wrapping ErrBadOptions that
+// names its role, before any work runs, under both fallback policies. A
+// bad vertex is a caller error, not an engine fault: it must neither
+// surface as a *PanicError nor count a fallback engagement.
+func TestIndexRejectsOutOfRangeVertices(t *testing.T) {
+	g := NewGraph(4)
+	for v := 0; v < 3; v++ {
+		g.AddEdge(v, v+1, 1)
+	}
+	ctx := context.Background()
+	for _, fb := range []FallbackPolicy{FallbackOff, FallbackBaseline} {
+		obsv := NewObserver()
+		ix, err := Build(g, &Options{Fallback: fb, Observer: obsv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name, role string
+			call       func() error
+		}{
+			{"SSSPContext(7)", "source", func() error { _, err := ix.SSSPContext(ctx, 7); return err }},
+			{"SSSPContext(-1)", "source", func() error { _, err := ix.SSSPContext(ctx, -1); return err }},
+			{"SourcesBatchedContext([0 9])", "source", func() error {
+				_, err := ix.SourcesBatchedContext(ctx, []int{0, 9})
+				return err
+			}},
+			{"SourcesBatchedContext([-2 0])", "source", func() error {
+				_, err := ix.SourcesBatchedContext(ctx, []int{-2, 0})
+				return err
+			}},
+			{"DistToContext(4)", "destination", func() error { _, err := ix.DistToContext(ctx, 4); return err }},
+			{"Reachable(-1)", "source", func() error { _, err := ix.Reachable(-1); return err }},
+			{"Reachable(4)", "source", func() error { _, err := ix.Reachable(4); return err }},
+		} {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panicked: %v", r)
+					}
+				}()
+				return tc.call()
+			}()
+			if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), tc.role+" vertex") {
+				t.Errorf("fallback=%d %s: err = %v, want ErrBadOptions naming the %s", fb, tc.name, err, tc.role)
+			}
+		}
+		if n := obsv.CounterValue("fallback.engaged"); n != 0 {
+			t.Errorf("fallback=%d: %d fallback engagements from bad vertices", fb, n)
+		}
+		if d := mustSSSP(t, ix, 0); d[3] != 3 {
+			t.Errorf("fallback=%d: dist(0,3) = %v after rejections, want 3", fb, d[3])
 		}
 	}
 }

@@ -354,10 +354,7 @@ func (s *Server) Dist(ctx context.Context, u, v int) (float64, error) {
 // checkVertex is the validate stage: an out-of-range endpoint fails before
 // anything is counted or enqueued.
 func (s *Server) checkVertex(v int, role string) error {
-	if v < 0 || v >= s.n {
-		return fmt.Errorf("%w: %s vertex %d out of range [0,%d)", ErrBadOptions, role, v, s.n)
-	}
-	return nil
+	return checkVertex(s.n, v, role)
 }
 
 // cached is the cache stage. A point read (dst ≥ 0, from Dist) is answered
