@@ -40,7 +40,9 @@ chaos:
 # digraphs with negative weights must get Bellman-Ford's distances from
 # Build, SSSPContext and SourcesBatchedContext at one and two workers,
 # Reachable from every source must return the vertices Bellman-Ford
-# reaches, and ErrNegativeCycle must come exactly when Bellman-Ford finds a
+# reaches, PathContext for every pair must return a path over graph edges
+# exactly when the distance is finite, weighing SSSPContext's entry bit for
+# bit, and ErrNegativeCycle must come exactly when Bellman-Ford finds a
 # negative cycle;
 # FuzzWithWeightsVsBuild, where reweighting an index must give a fresh
 # Build's E+ slice, distances and ErrNegativeCycle verdict;

@@ -37,9 +37,10 @@ func TestSSSPTreeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SSSPTree(0)
-	if avg := testing.AllocsPerRun(50, func() { _, _ = ix.SSSPTree(1) }); avg > 4 {
-		t.Fatalf("SSSPTree allocates %.1f objects per call, want <= 4", avg)
+	ctx := context.Background()
+	_, _, _ = ix.SSSPTreeContext(ctx, 0)
+	if avg := testing.AllocsPerRun(50, func() { _, _, _ = ix.SSSPTreeContext(ctx, 1) }); avg > 4 {
+		t.Fatalf("SSSPTreeContext allocates %.1f objects per call, want <= 4", avg)
 	}
 }
 

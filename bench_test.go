@@ -164,18 +164,6 @@ func BenchmarkReachQueryGrid16384(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryScheduledParallelGrid16384(b *testing.B) {
-	wl := benchWorkload(b, 0.5, 16384)
-	eng, err := core.NewEngine(wl.G, wl.Tree, core.Config{Ex: pram.NewExecutor(-1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.SSSPParallel(i%wl.G.N(), nil)
-	}
-}
-
 func BenchmarkOracleBuildGrid4096(b *testing.B) {
 	wl := benchWorkload(b, 0.5, 4096)
 	eng, err := core.NewEngine(wl.G, wl.Tree, core.Config{})
@@ -200,9 +188,12 @@ func BenchmarkOracleQueryGrid4096(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	o := &Oracle{o: orc} // the public query, endpoint checks included
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		orc.Dist(i%wl.G.N(), (i*31)%wl.G.N(), nil)
+		if _, err := o.Dist(i%wl.G.N(), (i*31)%wl.G.N()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -324,7 +324,10 @@ func runCommand(w *bufio.Writer, ix *sepsp.Index, dg *graph.Digraph, cmd string,
 			fmt.Fprintf(w, "%d %g\n", v, d)
 		}
 	case "path":
-		path, wgt, ok := ix.Path(src, dst)
+		path, wgt, ok, err := ix.PathContext(context.Background(), src, dst)
+		if err != nil {
+			return fail(err)
+		}
 		if !ok {
 			fmt.Fprintf(w, "unreachable\n")
 			return 0
@@ -354,7 +357,11 @@ func runCommand(w *bufio.Writer, ix *sepsp.Index, dg *graph.Digraph, cmd string,
 		if err != nil {
 			return fail(err)
 		}
-		for i, d := range o.Pairs(pairs) {
+		dists, err := o.Pairs(pairs)
+		if err != nil {
+			return fail(err)
+		}
+		for i, d := range dists {
 			fmt.Fprintf(w, "%d %d %g\n", pairs[i][0], pairs[i][1], d)
 		}
 	case "apsp":

@@ -27,8 +27,8 @@ func ExampleBuild() {
 	// Output: [0 1.5 3.5 4.5]
 }
 
-// ExampleIndex_Path extracts an explicit minimum-weight path.
-func ExampleIndex_Path() {
+// ExampleIndex_PathContext extracts an explicit minimum-weight path.
+func ExampleIndex_PathContext() {
 	g := sepsp.NewGraph(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
@@ -39,7 +39,10 @@ func ExampleIndex_Path() {
 	if err != nil {
 		panic(err)
 	}
-	path, w, ok := ix.Path(0, 3)
+	path, w, ok, err := ix.PathContext(context.Background(), 0, 3)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(path, w, ok)
 	// Output: [0 1 2 3] 3 true
 }

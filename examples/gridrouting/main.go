@@ -94,7 +94,10 @@ func main() {
 				best, bestCost = i, c
 			}
 		}
-		path, _, ok := ix.Path(robots[best], p)
+		path, _, ok, err := ix.PathContext(context.Background(), robots[best], p)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if !ok {
 			log.Fatalf("pick %d unreachable", p)
 		}

@@ -48,7 +48,10 @@ func main() {
 		fmt.Printf("  to %d: %g\n", v, d)
 	}
 
-	path, w, ok := ix.Path(0, 7)
+	path, w, ok, err := ix.PathContext(context.Background(), 0, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !ok {
 		log.Fatal("junction 7 unreachable")
 	}

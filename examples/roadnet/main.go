@@ -56,7 +56,10 @@ func main() {
 	for k := 0; k < 5; k++ {
 		pairs = append(pairs, [2]int{rng.Intn(n), rng.Intn(n)})
 	}
-	dists := o.Pairs(pairs)
+	dists, err := o.Pairs(pairs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, p := range pairs {
 		d := dists[i]
 		// Cross-check one of them against a full query.
@@ -75,7 +78,10 @@ func main() {
 	}
 
 	// An actual turn-by-turn route.
-	path, w, ok := ix.Path(pairs[0][0], pairs[0][1])
+	path, w, ok, err := ix.PathContext(context.Background(), pairs[0][0], pairs[0][1])
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !ok {
 		fmt.Println("destination unreachable (one-way streets)")
 		return

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,7 +67,11 @@ func main() {
 	fmt.Printf("initial build: %v  (|E+|=%d)\n", time.Since(start).Round(time.Millisecond), ix.Stats().Shortcuts)
 
 	home, office := cell(0, 0), cell(29, 29)
-	path, w, _ := ix.Path(home, office)
+	ctx := context.Background()
+	path, w, _, err := ix.PathContext(ctx, home, office)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("morning commute: %.1f min over %d segments\n", w, len(path)-1)
 
 	// Persist the index (e.g. to ship to route servers).
@@ -79,7 +84,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if d := restored.Dist(home, office); d != w {
+	d, err := restored.DistContext(ctx, home, office)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if d != w {
 		log.Fatalf("restored index disagrees: %v vs %v", d, w)
 	}
 	fmt.Println("restored index answers identically")
@@ -98,7 +107,10 @@ func main() {
 	}
 	fmt.Printf("rush-hour reweighting: %v (tree reused)\n", time.Since(start).Round(time.Millisecond))
 
-	path2, w2, _ := rush.Path(home, office)
+	path2, w2, _, err := rush.PathContext(ctx, home, office)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("rush-hour commute: %.1f min over %d segments\n", w2, len(path2)-1)
 	if w2 < w {
 		log.Fatal("congestion cannot shorten the commute")

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"sepsp/internal/baseline"
-	"sepsp/internal/core"
 	"sepsp/internal/graph"
 	"sepsp/internal/obs"
 )
@@ -151,11 +150,6 @@ func (f *fallbackEngine) sources(ctx context.Context, srcs []int) ([][]float64, 
 func (f *fallbackEngine) distTo(ctx context.Context, dst int) ([]float64, error) {
 	f.revOnce.Do(func() { f.rev = f.g.Reverse() })
 	return f.ssspCtx(ctx, f.rev, dst)
-}
-
-func (f *fallbackEngine) ssspTree(src int) ([]float64, []int) {
-	dist := f.sssp(f.g, src)
-	return dist, core.TightTree(f.g, src, dist)
 }
 
 // reachable is a plain BFS over out-edges — reachability needs no weights.

@@ -212,16 +212,6 @@ func (q *Queue[T]) Len() int {
 	return q.size
 }
 
-// LenClass returns the number of queued items in class c.
-func (q *Queue[T]) LenClass(c Class) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if c >= NumClasses {
-		return 0
-	}
-	return q.classes[c].len()
-}
-
 // Close stops admission. Items already queued remain poppable — the
 // consumer drains them before PopWait reports closed. Returns true on the
 // first call.

@@ -13,21 +13,6 @@ import (
 	"sepsp/internal/pram"
 )
 
-// TestSSSPParallelSteadyStateAllocs pins the pooled parallel query: the
-// atomic cell buffer comes from the engine workspace pool, the worker
-// closure is cached in it and every phase's round is pooled, so after
-// warmup a call allocates only the returned distance slice (plus one for
-// slack), on one worker and on two.
-func TestSSSPParallelSteadyStateAllocs(t *testing.T) {
-	for _, p := range []int{1, 2} {
-		eng, _ := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(0.5, 2), 9, Config{Ex: pram.NewExecutor(p)})
-		eng.SSSPParallel(0, nil) // warm the workspace pool
-		if avg := testing.AllocsPerRun(50, func() { _ = eng.SSSPParallel(1, nil) }); avg > 2 {
-			t.Fatalf("P=%d: SSSPParallel allocates %.1f objects per call, want <= 2", p, avg)
-		}
-	}
-}
-
 // TestSourcesBatchedWaveSteadyStateAllocs pins a k=32 wave on a P=2
 // executor: the wave state, its per-block closure, the dispatcher's round
 // bookkeeping and every block's lane matrix are pooled, leaving the k

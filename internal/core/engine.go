@@ -82,15 +82,11 @@ type Engine struct {
 }
 
 // queryWS is the reusable per-query scratch handed out by the engine's
-// pool: an int queue for tight-tree BFS, the atomic cell buffer for
-// SSSPParallel, the +Inf-initialised float buffer of the sequential
-// kernels, and the shared state + cached executor closures of the parallel
-// paths. Only scratch that never escapes a query is pooled — result slices
-// returned to callers are always freshly allocated.
+// pool: the +Inf-initialised float buffer of the sequential kernels and the
+// shared state + cached executor closure of the wave. Only scratch that
+// never escapes a query is pooled — result slices returned to callers are
+// always freshly allocated.
 type queryWS struct {
-	queue []int
-	cells []uint64
-
 	// infs is the sequential kernels' +Inf-initialised buffer: a solo
 	// query's run-delta tracker (per global run slot, the head distance at
 	// the run's last relaxation; see relaxBucketTracked) or a wave block's
@@ -100,8 +96,6 @@ type queryWS struct {
 
 	wave waveState
 	wfn  func(j int) // cached closure over &wave (per-block body)
-	pst  parallelState
-	pfn  func(lo, hi int) // cached closure over &pst (run partition body)
 }
 
 // growInfs returns n entries of the float buffer, every one reset to +Inf
@@ -118,14 +112,6 @@ func (ws *queryWS) growInfs(n int) []float64 {
 	return p
 }
 
-// growCells returns a uint64 cell buffer of length n, reusing capacity.
-func (ws *queryWS) growCells(n int) []uint64 {
-	if cap(ws.cells) < n {
-		ws.cells = make([]uint64, n)
-	}
-	return ws.cells[:n]
-}
-
 // waveFn returns the cached per-block closure for the wave round — created
 // once per workspace so steady-state waves allocate no closures.
 func (ws *queryWS) waveFn() func(j int) {
@@ -133,14 +119,6 @@ func (ws *queryWS) waveFn() func(j int) {
 		ws.wfn = func(j int) { ws.wave.run(j) }
 	}
 	return ws.wfn
-}
-
-// runFn returns the cached run-partition closure for SSSPParallel.
-func (ws *queryWS) runFn() func(lo, hi int) {
-	if ws.pfn == nil {
-		ws.pfn = func(lo, hi int) { ws.pst.relax(lo, hi) }
-	}
-	return ws.pfn
 }
 
 func (e *Engine) getWS() *queryWS {
@@ -448,49 +426,26 @@ func (e *Engine) SSSPReference(src int, st *pram.Stats) []float64 {
 	return dist
 }
 
-// SSSPTree computes distances from src plus a shortest-path tree in the
-// ORIGINAL graph: parent[v] is v's predecessor on a minimum-weight src→v
-// path using only edges of E (parent[src] = src, parent[unreachable] = -1).
-// Because the computed distances are exact G-distances, the tree is
-// recovered by a BFS over "tight" edges (dist[u] + w ≈ dist[v]) without any
-// witness bookkeeping in the preprocessing. Tightness uses a relative
-// tolerance to absorb floating-point reassociation between the shortcut
-// path and the original path.
-func (e *Engine) SSSPTree(src int, st *pram.Stats) (dist []float64, parent []int) {
-	dist, parent, _ = e.SSSPTreeContext(nil, src, st)
-	return dist, parent
-}
+// queuePool recycles TightTree's BFS queue, so a steady-state tree
+// costs only its parent array.
+var queuePool = sync.Pool{New: func() any { return new([]int) }}
 
-// SSSPTreeContext is SSSPTree with cooperative cancellation during the
-// distance computation (the tight-tree BFS afterwards is linear and is not
-// interrupted). The BFS queue comes from the engine's workspace pool.
-func (e *Engine) SSSPTreeContext(ctx context.Context, src int, st *pram.Stats) (dist []float64, parent []int, err error) {
-	dist, err = e.SSSPContext(ctx, src, st)
-	if err != nil {
-		return nil, nil, err
-	}
-	ws := e.getWS()
-	parent, ws.queue = tightTree(e.g, src, dist, ws.queue)
-	e.putWS(ws)
-	return dist, parent, nil
-}
-
-// TightTree builds a shortest-path tree in g from exact distance values by
-// BFS over tight edges. Exported for reuse by baselines and applications.
+// TightTree builds a shortest-path tree in g from exact distance values:
+// parent[v] is v's predecessor on a minimum-weight src→v path using only
+// edges of g (parent[src] = src, parent[unreachable] = -1). Because the
+// distances are exact G-distances, the tree is recovered by a BFS over
+// "tight" edges (dist[u] + w ≈ dist[v]) without any witness bookkeeping in
+// the preprocessing. Tightness uses a relative tolerance to absorb
+// floating-point reassociation between the shortcut path and the original
+// path.
 func TightTree(g *graph.Digraph, src int, dist []float64) []int {
-	parent, _ := tightTree(g, src, dist, nil)
-	return parent
-}
-
-// tightTree is TightTree with caller-provided queue scratch; it returns the
-// (possibly grown) scratch so pooled callers can retain it.
-func tightTree(g *graph.Digraph, src int, dist []float64, queue []int) ([]int, []int) {
 	parent := make([]int, g.N())
 	for i := range parent {
 		parent[i] = -1
 	}
 	parent[src] = src
-	queue = append(queue[:0], src)
+	qp := queuePool.Get().(*[]int)
+	queue := append((*qp)[:0], src)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
@@ -502,7 +457,9 @@ func tightTree(g *graph.Digraph, src int, dist []float64, queue []int) ([]int, [
 			return true
 		})
 	}
-	return parent, queue
+	*qp = queue
+	queuePool.Put(qp)
+	return parent
 }
 
 // tight reports a ≈ b with relative tolerance 1e-9 (both finite).
@@ -516,7 +473,7 @@ func tight(a, b float64) bool {
 }
 
 // PathTo extracts the src→dst vertex sequence from a parent array produced
-// by SSSPTree/TightTree. ok is false if dst is unreachable.
+// by TightTree. ok is false if dst is unreachable.
 func PathTo(parent []int, src, dst int) (path []int, ok bool) {
 	if parent[dst] == -1 {
 		return nil, false

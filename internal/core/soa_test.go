@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -87,35 +85,5 @@ func TestSourcesBatchedPerLanePruningMatchesSolo(t *testing.T) {
 	}
 	if wave.Rounds() != int64(eng.Schedule().Phases()) {
 		t.Fatalf("wave rounds %d != Phases %d", wave.Rounds(), eng.Schedule().Phases())
-	}
-}
-
-// TestSSSPParallelContextCancel: the parallel query honors mid-run
-// cancellation with the same poll-per-phase contract as the sequential one.
-func TestSSSPParallelContextCancel(t *testing.T) {
-	eng := contextTestEngine(t)
-	for _, k := range []int{0, 2, 5} {
-		st := &pram.Stats{}
-		dist, err := eng.SSSPParallelContext(&countdownCtx{n: k}, 0, st)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
-		}
-		if dist != nil {
-			t.Fatalf("k=%d: got a distance vector on cancellation", k)
-		}
-		if got := st.Rounds(); got != int64(k) {
-			t.Fatalf("k=%d: ran %d phases before stopping, want exactly %d", k, got, k)
-		}
-	}
-	// A surviving context completes with the full answer.
-	want := eng.SSSP(3, nil)
-	got, err := eng.SSSPParallelContext(context.Background(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if !almostEqual(got[v], want[v]) {
-			t.Fatalf("dist[%d] = %v want %v", v, got[v], want[v])
-		}
 	}
 }

@@ -174,13 +174,6 @@ func (b *Builder) AddBoth(u, v int, w float64) {
 	b.AddEdge(v, u, w)
 }
 
-// AddEdges adds a batch of edges.
-func (b *Builder) AddEdges(es []Edge) {
-	for _, e := range es {
-		b.AddEdge(e.From, e.To, e.W)
-	}
-}
-
 // CheckWeights reports the first NaN or -Inf edge weight accumulated so
 // far. Layers accepting untrusted input call this before Build to get a
 // typed error instead of FromEdges' panic.

@@ -84,25 +84,3 @@ func SCC(g *Digraph) (comp []int, count int) {
 	}
 	return comp, count
 }
-
-// Condense returns the condensation of g under the given SCC labeling: one
-// vertex per component, one zero-weight edge per distinct inter-component
-// adjacency. Together with SCC's reverse-topological ids, the condensation
-// is a DAG whose edges go from higher to lower component id.
-func Condense(g *Digraph, comp []int, count int) *Digraph {
-	seen := make(map[int64]bool)
-	b := NewBuilder(count)
-	g.Edges(func(from, to int, _ float64) bool {
-		cf, ct := comp[from], comp[to]
-		if cf == ct {
-			return true
-		}
-		k := int64(cf)<<32 | int64(uint32(ct))
-		if !seen[k] {
-			seen[k] = true
-			b.AddEdge(cf, ct, 0)
-		}
-		return true
-	})
-	return b.Build()
-}

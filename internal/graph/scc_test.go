@@ -73,11 +73,11 @@ func TestSCCReverseTopologicalOrder(t *testing.T) {
 			edges = append(edges, Edge{rng.Intn(n), rng.Intn(n), 1})
 		}
 		g := FromEdges(n, edges)
-		comp, count := SCC(g)
-		dag := Condense(g, comp, count)
+		comp, _ := SCC(g)
 		ok := true
-		dag.Edges(func(from, to int, _ float64) bool {
-			if from <= to { // must strictly decrease along edges
+		g.Edges(func(from, to int, _ float64) bool {
+			// Component ids strictly decrease along inter-component edges.
+			if cf, ct := comp[from], comp[to]; cf != ct && cf <= ct {
 				ok = false
 				return false
 			}
@@ -106,18 +106,5 @@ func TestSCCDeepChainNoOverflow(t *testing.T) {
 		if c != 0 {
 			t.Fatal("cycle split into components")
 		}
-	}
-}
-
-func TestCondense(t *testing.T) {
-	// Two 2-cycles joined by one edge.
-	g := FromEdges(4, []Edge{{0, 1, 1}, {1, 0, 1}, {2, 3, 1}, {3, 2, 1}, {1, 2, 1}, {0, 2, 1}})
-	comp, count := SCC(g)
-	if count != 2 {
-		t.Fatalf("count=%d", count)
-	}
-	dag := Condense(g, comp, count)
-	if dag.M() != 1 {
-		t.Fatalf("condensation should dedup to 1 edge, got %d", dag.M())
 	}
 }

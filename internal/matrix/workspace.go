@@ -27,7 +27,6 @@ import (
 type Workspace struct {
 	mu     sync.Mutex
 	free   map[int][]*Dense // capacity class (power of two) -> free matrices
-	allocs atomic.Int64     // fresh slab allocations (telemetry for tests)
 	reuses atomic.Int64     // Gets served from the free lists
 }
 
@@ -65,7 +64,6 @@ func (w *Workspace) Get(r, c int) *Dense {
 		return d
 	}
 	w.mu.Unlock()
-	w.allocs.Add(1)
 	return &Dense{R: r, C: c, A: make([]float64, n, class)}
 }
 
@@ -105,15 +103,6 @@ func (w *Workspace) Put(d *Dense) {
 	w.mu.Lock()
 	w.free[class] = append(w.free[class], d)
 	w.mu.Unlock()
-}
-
-// Allocs returns the number of fresh slab allocations performed so far — the
-// quantity the build-path allocation regression pins to O(tree-nodes).
-func (w *Workspace) Allocs() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.allocs.Load()
 }
 
 // Reuses returns the number of Gets served from the free lists.

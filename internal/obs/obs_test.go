@@ -15,7 +15,6 @@ func TestNilCollectorsAreNoOps(t *testing.T) {
 	var tr *Tracer
 	sp := tr.Start("x", "c", "k", 1)
 	sp.End()
-	tr.Instant("x", "c")
 	if tr.Len() != 0 {
 		t.Fatal("nil tracer recorded events")
 	}
@@ -56,8 +55,7 @@ func TestTracerChromeJSON(t *testing.T) {
 	sp := tr.Start("prep.level", "prep", "level", 3, "nodes", 7)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	tr.StartTid(2, "worker", "exec").End()
-	tr.Instant("mark", "prep")
+	tr.Start("worker", "exec").End()
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -69,8 +67,8 @@ func TestTracerChromeJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("got %d events, want 3", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 2 {
+		t.Fatalf("got %d events, want 2", len(doc.TraceEvents))
 	}
 	ev := doc.TraceEvents[0]
 	if ev["name"] != "prep.level" || ev["ph"] != "X" {
@@ -83,11 +81,8 @@ func TestTracerChromeJSON(t *testing.T) {
 	if args["level"].(float64) != 3 || args["nodes"].(float64) != 7 {
 		t.Fatalf("bad args: %v", args)
 	}
-	if doc.TraceEvents[1]["tid"].(float64) != 2 {
-		t.Fatalf("StartTid lost the tid: %v", doc.TraceEvents[1])
-	}
-	if doc.TraceEvents[2]["ph"] != "i" {
-		t.Fatalf("instant event not ph=i: %v", doc.TraceEvents[2])
+	if ev := doc.TraceEvents[1]; ev["name"] != "worker" || ev["tid"].(float64) != 0 {
+		t.Fatalf("bad second event: %v", ev)
 	}
 }
 
@@ -99,7 +94,7 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.StartTid(g, "s", "c").End()
+				tr.Start("s", "c", "g", g).End()
 			}
 		}(g)
 	}

@@ -16,8 +16,8 @@ type Tracer struct {
 	events []traceEvent
 }
 
-// traceEvent is one complete ("ph":"X") or instant ("ph":"i") event in the
-// trace_event format. Timestamps are microseconds since the tracer's epoch.
+// traceEvent is one complete ("ph":"X") event in the trace_event format.
+// Timestamps are microseconds since the tracer's epoch.
 type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
@@ -26,7 +26,6 @@ type traceEvent struct {
 	Tid  int            `json:"tid"`
 	Ts   float64        `json:"ts"`
 	Dur  float64        `json:"dur,omitempty"`
-	S    string         `json:"s,omitempty"` // instant scope
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -39,7 +38,6 @@ type Span struct {
 	t     *Tracer
 	name  string
 	cat   string
-	tid   int
 	start time.Time
 	args  map[string]any
 }
@@ -51,14 +49,6 @@ func (t *Tracer) Start(name, cat string, kv ...any) Span {
 		return Span{}
 	}
 	return Span{t: t, name: name, cat: cat, start: time.Now(), args: kvMap(kv)}
-}
-
-// StartTid opens a span attributed to a specific trace thread lane (e.g. an
-// executor worker id), so parallel activity renders on parallel tracks.
-func (t *Tracer) StartTid(tid int, name, cat string, kv ...any) Span {
-	sp := t.Start(name, cat, kv...)
-	sp.tid = tid
-	return sp
 }
 
 // End closes the span and records it.
@@ -73,31 +63,11 @@ func (s Span) End() {
 		Cat:  s.cat,
 		Ph:   "X",
 		Pid:  1,
-		Tid:  s.tid,
 		Ts:   float64(s.start.Sub(s.t.epoch)) / float64(time.Microsecond),
 		Dur:  float64(end.Sub(s.start)) / float64(time.Microsecond),
 		Args: s.args,
 	})
 	s.t.mu.Unlock()
-}
-
-// Instant records a zero-duration marker event.
-func (t *Tracer) Instant(name, cat string, kv ...any) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	t.mu.Lock()
-	t.events = append(t.events, traceEvent{
-		Name: name,
-		Cat:  cat,
-		Ph:   "i",
-		Pid:  1,
-		S:    "g",
-		Ts:   float64(now.Sub(t.epoch)) / float64(time.Microsecond),
-		Args: kvMap(kv),
-	})
-	t.mu.Unlock()
 }
 
 // Len returns the number of recorded events.

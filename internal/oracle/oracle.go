@@ -190,6 +190,9 @@ func (o *Oracle) LabelSize() int {
 	return total
 }
 
+// N returns the number of vertices the oracle answers for.
+func (o *Oracle) N() int { return o.n }
+
 // Dist returns the exact distance from u to v in O(|L(u)| + |L(v)|) work.
 func (o *Oracle) Dist(u, v int, st *pram.Stats) float64 {
 	if u == v {

@@ -41,7 +41,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The loaded index supports the full feature surface.
-	if _, _, ok := loaded.Path(0, 71); !ok {
+	if _, _, ok := mustPath(t, loaded, 0, 71); !ok {
 		t.Fatal("path on loaded index failed")
 	}
 	if _, err := loaded.Reachable(0); err != nil {

@@ -126,12 +126,15 @@ func TestFallbackAbsorbsQueryPanics(t *testing.T) {
 	if _, err := ix.SSSPContext(context.Background(), 1); err != nil {
 		t.Fatalf("SSSPContext with fallback: %v", err)
 	}
-	dist, parent := ix.SSSPTree(0)
+	dist, parent, err := ix.SSSPTreeContext(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("SSSPTreeContext with fallback: %v", err)
+	}
 	if !approxEq(dist[len(dist)-1], want[len(want)-1]) {
-		t.Fatalf("fallback SSSPTree dist mismatch")
+		t.Fatalf("fallback SSSPTreeContext dist mismatch")
 	}
 	if parent[0] != 0 {
-		t.Fatalf("fallback SSSPTree parent[src] = %d, want src", parent[0])
+		t.Fatalf("fallback SSSPTreeContext parent[src] = %d, want src", parent[0])
 	}
 }
 
@@ -153,18 +156,13 @@ func TestPanicSurfacesWithoutFallback(t *testing.T) {
 		t.Fatal("PanicError.Stack empty")
 	}
 
-	// A value-returning entry point re-raises the typed error in the
-	// caller's goroutine.
-	func() {
-		defer func() {
-			r := recover()
-			if _, ok := r.(*PanicError); !ok {
-				t.Fatalf("Dist recover = %v, want *PanicError", r)
-			}
-		}()
-		ix.Dist(0, 1)
-		t.Fatal("Dist did not panic")
-	}()
+	// The point and path queries return the same typed error.
+	if _, err := ix.DistContext(context.Background(), 0, 1); !errors.As(err, &pe) {
+		t.Fatalf("DistContext err = %v, want *PanicError", err)
+	}
+	if _, _, _, err := ix.PathContext(context.Background(), 0, 1); !errors.As(err, &pe) {
+		t.Fatalf("PathContext err = %v, want *PanicError", err)
+	}
 }
 
 func TestIndexUsableAfterPanic(t *testing.T) {
@@ -234,7 +232,7 @@ func TestDegradedBuildServesExact(t *testing.T) {
 			t.Fatalf("degraded SSSP[%d] = %v want %v", v, got[v], want[v])
 		}
 	}
-	if d := ix.Dist(2, 5); !approxEq(d, want[5]) {
+	if d := mustDist(t, ix, 2, 5); !approxEq(d, want[5]) {
 		t.Fatalf("degraded Dist = %v want %v", d, want[5])
 	}
 	if rows, err := ix.SourcesBatchedContext(context.Background(), []int{0, 2}); err != nil || !approxEq(rows[1][5], want[5]) {
@@ -246,7 +244,7 @@ func TestDegradedBuildServesExact(t *testing.T) {
 	if set, err := ix.Reachable(0); err != nil || !set[ref.N()-1] {
 		t.Fatalf("degraded Reachable = %v, %v", set, err)
 	}
-	if path, w, ok := ix.Path(2, 5); !ok || len(path) == 0 || !approxEq(w, want[5]) {
+	if path, w, ok := mustPath(t, ix, 2, 5); !ok || len(path) == 0 || !approxEq(w, want[5]) {
 		t.Fatalf("degraded Path = %v, %v, %v", path, w, ok)
 	}
 

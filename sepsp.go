@@ -610,8 +610,12 @@ func (ix *Index) RenderDecomposition() string {
 
 // Verify checks a distance certificate produced by SSSP against the
 // indexed graph (see internal/core.VerifyDistances); useful when consuming
-// persisted or externally transported results.
+// persisted or externally transported results. An out-of-range src fails
+// with an error wrapping ErrBadOptions.
 func (ix *Index) Verify(src int, dist []float64) error {
+	if err := checkVertex(ix.g.N(), src, "source"); err != nil {
+		return err
+	}
 	return core.VerifyDistances(ix.g, src, dist, 1e-9)
 }
 
@@ -643,19 +647,6 @@ func runGuarded[T any](op string, primary func() (T, error)) (out T, err error) 
 	return primary()
 }
 
-// mustQuery unwraps a primary-path result for the value-returning queries
-// (Dist, SSSPTree), which have no error to return: with a fallback engine
-// errors cannot occur (a recovered panic was absorbed and the query
-// re-answered by the baseline), and without one a *PanicError re-raises in
-// the caller's goroutine. A context error is impossible: Dist runs under
-// context.Background() and SSSPTree takes no context.
-func mustQuery[T any](out T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // checkVertex rejects a vertex outside [0,n) with an error wrapping
 // ErrBadOptions that names its role ("source", "destination"). Queries
 // call it before any work, so a bad vertex never reaches the engines or
@@ -665,6 +656,14 @@ func checkVertex(n, v int, role string) error {
 		return fmt.Errorf("%w: %s vertex %d out of range [0,%d)", ErrBadOptions, role, v, n)
 	}
 	return nil
+}
+
+// checkPair is checkVertex for both endpoints of a point query.
+func checkPair(n, u, v int) error {
+	if err := checkVertex(n, u, "source"); err != nil {
+		return err
+	}
+	return checkVertex(n, v, "destination")
 }
 
 // SSSPContext computes exact distances from src to every vertex (+Inf
@@ -720,48 +719,55 @@ func (ix *Index) sourcesBatchedStats(ctx context.Context, srcs []int, st *pram.S
 	return ix.fb.sources(ctx, srcs)
 }
 
-// Dist returns the distance from u to v. When the pair oracle has been
-// built (BuildOracle), the answer costs O(n^μ) label-merge work; otherwise
-// Dist runs one full SSSP from u and discards all but one entry — callers
-// with many pair queries should either BuildOracle once or batch sources
-// through SSSPContext/SourcesBatchedContext.
-func (ix *Index) Dist(u, v int) float64 {
+// DistContext returns the distance from u to v. When the pair oracle has
+// been built (BuildOracle), the answer costs O(n^μ) label-merge work;
+// otherwise it runs SSSPContext from u and discards all but one entry —
+// callers with many pair queries should either BuildOracle once or batch
+// sources through SSSPContext/SourcesBatchedContext. An out-of-range u or
+// v fails with an error wrapping ErrBadOptions before any work.
+func (ix *Index) DistContext(ctx context.Context, u, v int) (float64, error) {
+	if err := checkPair(ix.g.N(), u, v); err != nil {
+		return 0, err
+	}
 	if o := ix.oracle.Load(); o != nil {
-		return o.Dist(u, v)
+		return o.o.Dist(u, v, nil), nil
 	}
-	return mustQuery(ix.SSSPContext(context.Background(), u))[v]
+	dist, err := ix.SSSPContext(ctx, u)
+	if err != nil {
+		return 0, err
+	}
+	return dist[v], nil
 }
 
-// SSSPTree returns distances plus a shortest-path tree in the original
-// graph: parent[v] is the predecessor of v on a minimum-weight src→v path
-// (parent[src] = src; -1 for unreachable vertices).
-func (ix *Index) SSSPTree(src int) (dist []float64, parent []int) {
-	type tree struct {
-		dist   []float64
-		parent []int
+// SSSPTreeContext returns SSSPContext's distances plus a shortest-path
+// tree in the original graph: parent[v] is the predecessor of v on a
+// minimum-weight src→v path (parent[src] = src; -1 for unreachable
+// vertices). The tree is derived from the exact distances by a BFS over
+// tight edges, so it needs no bookkeeping in the query.
+func (ix *Index) SSSPTreeContext(ctx context.Context, src int) (dist []float64, parent []int, err error) {
+	dist, err = ix.SSSPContext(ctx, src)
+	if err != nil {
+		return nil, nil, err
 	}
-	if ix.primary() {
-		out, err := runGuarded("sssptree", func() (tree, error) {
-			d, p := ix.eng.SSSPTree(src, nil)
-			return tree{d, p}, nil
-		})
-		if err == nil || !ix.fallbackFor(err) {
-			t := mustQuery(out, err)
-			return t.dist, t.parent
-		}
-	}
-	return ix.fb.ssspTree(src)
+	return dist, core.TightTree(ix.g, src, dist), nil
 }
 
-// Path returns a minimum-weight path from src to dst as a vertex sequence,
-// with its weight. ok is false when dst is unreachable.
-func (ix *Index) Path(src, dst int) (path []int, w float64, ok bool) {
-	dist, parent := ix.SSSPTree(src)
-	p, ok := core.PathTo(parent, src, dst)
-	if !ok {
-		return nil, 0, false
+// PathContext returns a minimum-weight path from src to dst as a vertex
+// sequence, with its weight; ok is false when dst is unreachable. An
+// out-of-range src or dst fails with an error wrapping ErrBadOptions
+// before any work.
+func (ix *Index) PathContext(ctx context.Context, src, dst int) (path []int, w float64, ok bool, err error) {
+	if err := checkPair(ix.g.N(), src, dst); err != nil {
+		return nil, 0, false, err
 	}
-	return p, dist[dst], true
+	dist, parent, err := ix.SSSPTreeContext(ctx, src)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if path, ok = core.PathTo(parent, src, dst); !ok {
+		return nil, 0, false, nil
+	}
+	return path, dist[dst], true, nil
 }
 
 // Reachable returns the set of vertices reachable from src, using the
@@ -802,7 +808,7 @@ type Oracle struct {
 // preprocessing runs exactly once per Index regardless of how many callers
 // race here — they all receive the same shared *Oracle (which is itself
 // safe for concurrent queries). Once built, the oracle also serves
-// Index.Dist.
+// Index.DistContext.
 func (ix *Index) BuildOracle() (o *Oracle, err error) {
 	if !ix.primary() {
 		return nil, fmt.Errorf("%w: the pair oracle needs the separator index", ErrDegraded)
@@ -826,11 +832,26 @@ func (ix *Index) BuildOracle() (o *Oracle, err error) {
 	return ix.oracle.Load(), nil
 }
 
-// Dist returns the exact distance from u to v.
-func (o *Oracle) Dist(u, v int) float64 { return o.o.Dist(u, v, nil) }
+// Dist returns the exact distance from u to v. An out-of-range u or v
+// fails with an error wrapping ErrBadOptions.
+func (o *Oracle) Dist(u, v int) (float64, error) {
+	if err := checkPair(o.o.N(), u, v); err != nil {
+		return 0, err
+	}
+	return o.o.Dist(u, v, nil), nil
+}
 
-// Pairs answers a batch of pair queries in parallel.
-func (o *Oracle) Pairs(pairs [][2]int) []float64 { return o.o.Pairs(pairs, nil, nil) }
+// Pairs answers a batch of pair queries. Every pair is checked before any
+// work: one out-of-range endpoint fails the whole batch with an error
+// wrapping ErrBadOptions.
+func (o *Oracle) Pairs(pairs [][2]int) ([]float64, error) {
+	for _, p := range pairs {
+		if err := checkPair(o.o.N(), p[0], p[1]); err != nil {
+			return nil, err
+		}
+	}
+	return o.o.Pairs(pairs, nil, nil), nil
+}
 
 // LabelEntries reports the total hub-label storage (O(n^{1+μ}) entries).
 func (o *Oracle) LabelEntries() int { return o.o.LabelSize() }

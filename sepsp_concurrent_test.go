@@ -93,23 +93,27 @@ func TestIndexConcurrentMixedQueries(t *testing.T) {
 					report(err)
 					return
 				}
-				if d := o.Dist(src, dst); !approxEq(d, fwd[src][dst]) {
-					report(errAtf("Oracle.Dist(%d,%d) = %v want %v", src, dst, d, fwd[src][dst]))
+				if d, err := o.Dist(src, dst); err != nil || !approxEq(d, fwd[src][dst]) {
+					report(errAtf("Oracle.Dist(%d,%d) = %v, %v want %v", src, dst, d, err, fwd[src][dst]))
 					return
 				}
 			case 4:
-				if d := ix.Dist(src, dst); !approxEq(d, fwd[src][dst]) {
-					report(errAtf("Dist(%d,%d) = %v want %v", src, dst, d, fwd[src][dst]))
+				if d, err := ix.DistContext(context.Background(), src, dst); err != nil || !approxEq(d, fwd[src][dst]) {
+					report(errAtf("DistContext(%d,%d) = %v, %v want %v", src, dst, d, err, fwd[src][dst]))
 					return
 				}
 			case 5:
-				dist, parent := ix.SSSPTree(src)
+				dist, parent, err := ix.SSSPTreeContext(context.Background(), src)
+				if err != nil {
+					report(err)
+					return
+				}
 				if !approxEq(dist[dst], fwd[src][dst]) {
-					report(errAtf("SSSPTree(%d) dist[%d] = %v want %v", src, dst, dist[dst], fwd[src][dst]))
+					report(errAtf("SSSPTreeContext(%d) dist[%d] = %v want %v", src, dst, dist[dst], fwd[src][dst]))
 					return
 				}
 				if parent[src] != src {
-					report(errAtf("SSSPTree(%d) parent[src] = %d", src, parent[src]))
+					report(errAtf("SSSPTreeContext(%d) parent[src] = %d", src, parent[src]))
 					return
 				}
 			}

@@ -23,7 +23,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	if len(d) != 1 || d[0] != 0 {
 		t.Fatalf("d=%v", d)
 	}
-	path, w, ok := ix.Path(0, 0)
+	path, w, ok := mustPath(t, ix, 0, 0)
 	if !ok || w != 0 || len(path) != 1 {
 		t.Fatalf("path=%v w=%v ok=%v", path, w, ok)
 	}
@@ -90,7 +90,10 @@ func TestZeroWeightCyclesExact(t *testing.T) {
 		}
 	}
 	// Shortest-path tree still extractable despite zero-weight ties.
-	_, parent := ix.SSSPTree(0)
+	_, parent, err := ix.SSSPTreeContext(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < 5; v++ {
 		if parent[v] == -1 {
 			t.Fatalf("vertex %d missing from tree", v)
@@ -189,70 +192,111 @@ func TestOraclePublicAPI(t *testing.T) {
 		t.Fatal("empty labels")
 	}
 	pairs := [][2]int{{0, 55}, {10, 3}, {42, 42}}
-	got := o.Pairs(pairs)
+	got, err := o.Pairs(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range pairs {
 		want := mustSSSP(t, ix, p[0])[p[1]]
 		if math.Abs(got[i]-want) > 1e-8*(1+math.Abs(want)) {
 			t.Fatalf("pair %v: oracle %v engine %v", p, got[i], want)
 		}
-		if o.Dist(p[0], p[1]) != got[i] {
+		if d, err := o.Dist(p[0], p[1]); err != nil || d != got[i] {
 			t.Fatal("Dist and Pairs disagree")
 		}
 	}
 }
 
 // TestIndexRejectsOutOfRangeVertices: every vertex-taking query on an Index
-// fails an out-of-range vertex with an error wrapping ErrBadOptions that
-// names its role, before any work runs, under both fallback policies. A
-// bad vertex is a caller error, not an engine fault: it must neither
-// surface as a *PanicError nor count a fallback engagement.
+// or its Oracle fails an out-of-range vertex with an error wrapping
+// ErrBadOptions that names its role, before any work runs, under both
+// fallback policies and with or without a built pair oracle (which answers
+// DistContext's point reads). A bad vertex is a caller error, not an engine
+// fault: it must neither panic, nor surface as a *PanicError, nor count a
+// fallback engagement.
 func TestIndexRejectsOutOfRangeVertices(t *testing.T) {
 	g := NewGraph(4)
 	for v := 0; v < 3; v++ {
 		g.AddEdge(v, v+1, 1)
 	}
 	ctx := context.Background()
+	type query struct {
+		name, role string
+		call       func() error
+	}
 	for _, fb := range []FallbackPolicy{FallbackOff, FallbackBaseline} {
-		obsv := NewObserver()
-		ix, err := Build(g, &Options{Fallback: fb, Observer: obsv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range []struct {
-			name, role string
-			call       func() error
-		}{
-			{"SSSPContext(7)", "source", func() error { _, err := ix.SSSPContext(ctx, 7); return err }},
-			{"SSSPContext(-1)", "source", func() error { _, err := ix.SSSPContext(ctx, -1); return err }},
-			{"SourcesBatchedContext([0 9])", "source", func() error {
-				_, err := ix.SourcesBatchedContext(ctx, []int{0, 9})
-				return err
-			}},
-			{"SourcesBatchedContext([-2 0])", "source", func() error {
-				_, err := ix.SourcesBatchedContext(ctx, []int{-2, 0})
-				return err
-			}},
-			{"DistToContext(4)", "destination", func() error { _, err := ix.DistToContext(ctx, 4); return err }},
-			{"Reachable(-1)", "source", func() error { _, err := ix.Reachable(-1); return err }},
-			{"Reachable(4)", "source", func() error { _, err := ix.Reachable(4); return err }},
-		} {
-			err := func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("panicked: %v", r)
-					}
-				}()
-				return tc.call()
-			}()
-			if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), tc.role+" vertex") {
-				t.Errorf("fallback=%d %s: err = %v, want ErrBadOptions naming the %s", fb, tc.name, err, tc.role)
+		for _, withOracle := range []bool{false, true} {
+			obsv := NewObserver()
+			ix, err := Build(g, &Options{Fallback: fb, Observer: obsv})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if n := obsv.CounterValue("fallback.engaged"); n != 0 {
-			t.Errorf("fallback=%d: %d fallback engagements from bad vertices", fb, n)
-		}
-		if d := mustSSSP(t, ix, 0); d[3] != 3 {
-			t.Errorf("fallback=%d: dist(0,3) = %v after rejections, want 3", fb, d[3])
+			queries := []query{
+				{"SSSPContext(7)", "source", func() error { _, err := ix.SSSPContext(ctx, 7); return err }},
+				{"SSSPContext(-1)", "source", func() error { _, err := ix.SSSPContext(ctx, -1); return err }},
+				{"SourcesBatchedContext([0 9])", "source", func() error {
+					_, err := ix.SourcesBatchedContext(ctx, []int{0, 9})
+					return err
+				}},
+				{"SourcesBatchedContext([-2 0])", "source", func() error {
+					_, err := ix.SourcesBatchedContext(ctx, []int{-2, 0})
+					return err
+				}},
+				{"DistToContext(4)", "destination", func() error { _, err := ix.DistToContext(ctx, 4); return err }},
+				{"Reachable(-1)", "source", func() error { _, err := ix.Reachable(-1); return err }},
+				{"Reachable(4)", "source", func() error { _, err := ix.Reachable(4); return err }},
+				{"Verify(9)", "source", func() error { return ix.Verify(9, []float64{0, 1, 2, 3}) }},
+				{"Verify(-1)", "source", func() error { return ix.Verify(-1, []float64{0, 1, 2, 3}) }},
+				{"DistContext(0,9)", "destination", func() error { _, err := ix.DistContext(ctx, 0, 9); return err }},
+				{"DistContext(9,0)", "source", func() error { _, err := ix.DistContext(ctx, 9, 0); return err }},
+				{"DistContext(9,9)", "source", func() error { _, err := ix.DistContext(ctx, 9, 9); return err }},
+				{"DistContext(-1,-1)", "source", func() error { _, err := ix.DistContext(ctx, -1, -1); return err }},
+				{"SSSPTreeContext(7)", "source", func() error { _, _, err := ix.SSSPTreeContext(ctx, 7); return err }},
+				{"SSSPTreeContext(-1)", "source", func() error { _, _, err := ix.SSSPTreeContext(ctx, -1); return err }},
+				{"PathContext(0,9)", "destination", func() error { _, _, _, err := ix.PathContext(ctx, 0, 9); return err }},
+				{"PathContext(9,0)", "source", func() error { _, _, _, err := ix.PathContext(ctx, 9, 0); return err }},
+				{"PathContext(9,9)", "source", func() error { _, _, _, err := ix.PathContext(ctx, 9, 9); return err }},
+				{"PathContext(-1,-1)", "source", func() error { _, _, _, err := ix.PathContext(ctx, -1, -1); return err }},
+			}
+			if withOracle {
+				o, err := ix.BuildOracle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries = append(queries,
+					query{"Oracle.Dist(0,9)", "destination", func() error { _, err := o.Dist(0, 9); return err }},
+					query{"Oracle.Dist(9,9)", "source", func() error { _, err := o.Dist(9, 9); return err }},
+					query{"Oracle.Dist(-1,-1)", "source", func() error { _, err := o.Dist(-1, -1); return err }},
+					query{"Oracle.Pairs([[0 1] [0 9]])", "destination", func() error {
+						_, err := o.Pairs([][2]int{{0, 1}, {0, 9}})
+						return err
+					}},
+					query{"Oracle.Pairs([[-1 -1]])", "source", func() error {
+						_, err := o.Pairs([][2]int{{-1, -1}})
+						return err
+					}},
+				)
+			}
+			for _, q := range queries {
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							err = fmt.Errorf("panicked: %v", r)
+						}
+					}()
+					return q.call()
+				}()
+				if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), q.role+" vertex") {
+					t.Errorf("fallback=%d oracle=%v %s: err = %v, want ErrBadOptions naming the %s",
+						fb, withOracle, q.name, err, q.role)
+				}
+			}
+			if n := obsv.CounterValue("fallback.engaged"); n != 0 {
+				t.Errorf("fallback=%d oracle=%v: %d fallback engagements from bad vertices", fb, withOracle, n)
+			}
+			if d := mustDist(t, ix, 0, 3); d != 3 {
+				t.Errorf("fallback=%d oracle=%v: dist(0,3) = %v after rejections, want 3", fb, withOracle, d)
+			}
 		}
 	}
 }

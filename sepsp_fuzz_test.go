@@ -96,11 +96,66 @@ func reachCheck(t *testing.T, g *Graph, opt *Options, ref *graph.Digraph) bool {
 	return true
 }
 
+// pathCheck builds g with opt and checks PathContext for every pair
+// against ref's Bellman–Ford: ok exactly when the distance is finite, the
+// path runs from src to dst over edges of ref with a weight sum close to
+// the distance, and the reported weight is SSSPContext's entry bit for bit.
+// ref must hold no negative cycle.
+func pathCheck(t *testing.T, g *Graph, opt *Options, ref *graph.Digraph) bool {
+	t.Helper()
+	ix, err := Build(g, opt)
+	if err != nil {
+		t.Errorf("Build: %v", err)
+		return false
+	}
+	for src := 0; src < ref.N(); src++ {
+		want, err := baseline.BellmanFord(ref, src, nil)
+		if err != nil {
+			t.Errorf("src=%d: BF: %v", src, err)
+			return false
+		}
+		dist := mustSSSP(t, ix, src)
+		for dst := range want {
+			path, w, ok := mustPath(t, ix, src, dst)
+			if ok != !math.IsInf(want[dst], 1) {
+				t.Errorf("src=%d dst=%d: PathContext ok=%v, Bellman-Ford distance %v", src, dst, ok, want[dst])
+				return false
+			}
+			if !ok {
+				continue
+			}
+			if math.Float64bits(w) != math.Float64bits(dist[dst]) {
+				t.Errorf("src=%d dst=%d: PathContext weight %v, SSSPContext %v", src, dst, w, dist[dst])
+				return false
+			}
+			if path[0] != src || path[len(path)-1] != dst {
+				t.Errorf("src=%d dst=%d: path %v has the wrong endpoints", src, dst, path)
+				return false
+			}
+			sum := 0.0
+			for i := 0; i+1 < len(path); i++ {
+				ew, ok := ref.HasEdge(path[i], path[i+1])
+				if !ok {
+					t.Errorf("src=%d dst=%d: path %v uses a missing edge (%d,%d)", src, dst, path, path[i], path[i+1])
+					return false
+				}
+				sum += ew
+			}
+			if !closeDist(sum, want[dst]) {
+				t.Errorf("src=%d dst=%d: path %v weighs %v, Bellman-Ford distance %v", src, dst, path, sum, want[dst])
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // FuzzBuildVsBellmanFord decodes bytes into a small digraph with negative
 // weights and checks Build, SSSPContext and SourcesBatchedContext at one
 // and at two workers against Bellman–Ford (diffCheck), Reachable from
-// every source against the vertices Bellman–Ford reaches (reachCheck), and
-// agreement on whether the graph holds a negative cycle.
+// every source against the vertices Bellman–Ford reaches (reachCheck),
+// PathContext for every pair (pathCheck), and agreement on whether the
+// graph holds a negative cycle.
 //
 // Encoding: data[0] picks n in [1, 24], the next n bytes are vertex
 // potentials, and each following byte triple (u, v, w) adds the edge
@@ -129,7 +184,7 @@ func FuzzBuildVsBellmanFord(f *testing.F) {
 		for _, workers := range []int{1, 2} {
 			opt := &Options{Workers: workers}
 			if !negCycle {
-				if !diffCheck(t, int64(n), g, opt, ref) || !reachCheck(t, g, opt, ref) {
+				if !diffCheck(t, int64(n), g, opt, ref) || !reachCheck(t, g, opt, ref) || !pathCheck(t, g, opt, ref) {
 					t.Fatalf("workers=%d: mismatch against Bellman-Ford", workers)
 				}
 				continue
@@ -488,7 +543,11 @@ func TestFuzzOracleAgainstEngine(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			u, v := rng.Intn(grid.G.N()), rng.Intn(grid.G.N())
 			want := mustSSSP(t, ix, u)[v]
-			got := o.Dist(u, v)
+			got, err := o.Dist(u, v)
+			if err != nil {
+				t.Errorf("seed=%d (%d,%d): %v", seed, u, v, err)
+				return false
+			}
 			if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
 				t.Errorf("seed=%d (%d,%d): oracle %v engine %v", seed, u, v, got, want)
 				return false

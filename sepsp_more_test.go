@@ -230,10 +230,10 @@ func TestGraphAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := ix.Dist(1, 0); d != 2 {
+	if d := mustDist(t, ix, 1, 0); d != 2 {
 		t.Fatalf("Dist=%v", d)
 	}
-	if _, _, ok := ix.Path(0, 3); ok {
+	if _, _, ok := mustPath(t, ix, 0, 3); ok {
 		t.Fatal("path to isolated vertex should not exist")
 	}
 }

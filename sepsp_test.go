@@ -35,6 +35,24 @@ func mustSSSP(t testing.TB, ix *Index, src int) []float64 {
 	return dist
 }
 
+func mustPath(t testing.TB, ix *Index, src, dst int) ([]int, float64, bool) {
+	t.Helper()
+	path, w, ok, err := ix.PathContext(context.Background(), src, dst)
+	if err != nil {
+		t.Fatalf("PathContext(%d, %d): %v", src, dst, err)
+	}
+	return path, w, ok
+}
+
+func mustDist(t testing.TB, ix *Index, u, v int) float64 {
+	t.Helper()
+	d, err := ix.DistContext(context.Background(), u, v)
+	if err != nil {
+		t.Fatalf("DistContext(%d, %d): %v", u, v, err)
+	}
+	return d
+}
+
 func refGraph(g *Graph) *graph.Digraph {
 	// Rebuild the internal digraph for the baseline (Build consumes the
 	// builder non-destructively, so this is safe).
@@ -127,7 +145,7 @@ func TestPathAndTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, w, ok := ix.Path(0, 48)
+	path, w, ok := mustPath(t, ix, 0, 48)
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -146,7 +164,7 @@ func TestPathAndTree(t *testing.T) {
 	if math.Abs(sum-w) > 1e-9*(1+w) {
 		t.Fatalf("path weight %v, reported %v", sum, w)
 	}
-	if d := ix.Dist(0, 48); math.Abs(d-w) > 1e-9 {
+	if d := mustDist(t, ix, 0, 48); math.Abs(d-w) > 1e-9 {
 		t.Fatalf("Dist=%v Path weight=%v", d, w)
 	}
 }

@@ -325,7 +325,7 @@ func (s *Server) budget() int {
 // ErrServerClosed after Close, ctx.Err() if ctx ends first, and a
 // *PanicError if the serving wave panicked.
 func (s *Server) SSSP(ctx context.Context, src int) ([]float64, error) {
-	if err := s.checkVertex(src, "source"); err != nil {
+	if err := checkVertex(s.n, src, "source"); err != nil {
 		return nil, err
 	}
 	dist, _, err := s.cached(ctx, src, -1)
@@ -341,20 +341,11 @@ func (s *Server) SSSP(ctx context.Context, src int) ([]float64, error) {
 // out-of-range endpoint fails fast with an error wrapping ErrBadOptions
 // that names which endpoint (source or destination) is bad.
 func (s *Server) Dist(ctx context.Context, u, v int) (float64, error) {
-	if err := s.checkVertex(u, "source"); err != nil {
-		return 0, err
-	}
-	if err := s.checkVertex(v, "destination"); err != nil {
+	if err := checkPair(s.n, u, v); err != nil {
 		return 0, err
 	}
 	_, d, err := s.cached(ctx, u, v)
 	return d, err
-}
-
-// checkVertex is the validate stage: an out-of-range endpoint fails before
-// anything is counted or enqueued.
-func (s *Server) checkVertex(v int, role string) error {
-	return checkVertex(s.n, v, role)
 }
 
 // cached is the cache stage. A point read (dst ≥ 0, from Dist) is answered
@@ -370,7 +361,7 @@ func (s *Server) cached(ctx context.Context, src, dst int) ([]float64, float64, 
 	if dst >= 0 {
 		if o := s.mgr.Index().oracle.Load(); o != nil {
 			s.finish(ctx, result{src: src, epoch: s.mgr.Epoch()})
-			return nil, o.Dist(src, dst), nil
+			return nil, o.o.Dist(src, dst, nil), nil
 		}
 	}
 	var res result

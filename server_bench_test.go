@@ -37,14 +37,15 @@ func BenchmarkSSSPSteadyState(b *testing.B) {
 }
 
 // BenchmarkSSSPTreeSteadyState measures the tree query with pooled BFS
-// scratch; allocs/op should be ~3 (dist, parent, tree spine).
+// scratch; allocs/op should be ~2 (dist, parent).
 func BenchmarkSSSPTreeSteadyState(b *testing.B) {
 	ix, n := benchIndex(b)
-	ix.SSSPTree(0)
+	ctx := context.Background()
+	_, _, _ = ix.SSSPTreeContext(ctx, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = ix.SSSPTree(i % n)
+		_, _, _ = ix.SSSPTreeContext(ctx, i%n)
 	}
 }
 
