@@ -143,7 +143,8 @@ cross:
 
 # generic runs the internal/matrix and internal/core tests for 386, where
 # internal/matrix has no assembly: the Go row and lane kernels that cross
-# only compiles execute here, natively on an amd64 host.
+# only compiles execute here, natively on an amd64 host. These are also the
+# kernels an amd64 CPU without AVX2 runs, so this job tests that fallback.
 generic:
 	GOARCH=386 $(GO) test ./internal/matrix ./internal/core
 

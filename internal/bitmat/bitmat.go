@@ -101,15 +101,6 @@ func (m *Matrix) OrInPlace(o *Matrix) {
 	}
 }
 
-// PopCount returns the number of set entries.
-func (m *Matrix) PopCount() int {
-	c := 0
-	for _, w := range m.bits {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // Tile sizes of the blocked boolean kernel: a tile is tileRows result rows
 // by tileWords packed 64-column words (512 bytes of each touched row).
 const (

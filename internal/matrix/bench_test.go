@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -92,4 +94,44 @@ func BenchmarkSquareStepInto256(b *testing.B) {
 		SquareStepInto(dst, d, pram.Sequential, nil)
 	}
 	sink = dst.A[0]
+}
+
+// BenchmarkLaneRelax times one LaneRelax call per width on a synthetic
+// bucket shaped like a phase of the 16³ cube: 4096 rows, one run per head
+// of 1–6 edges to rows within 64 of it, and every eighth row +Inf in every
+// lane. Those rows are heads only, never targets, so their runs are skipped
+// on every call and the other rows stay finite.
+func BenchmarkLaneRelax(b *testing.B) {
+	const rows = 4096
+	dead := func(v int) bool { return v%8 == 7 }
+	rng := rand.New(rand.NewSource(42))
+	var runs []LaneRun
+	var to []int32
+	var w []float64
+	for h := 0; h < rows; h++ {
+		for e := 1 + rng.Intn(6); e > 0; {
+			t := h + rng.Intn(129) - 64
+			if t < 0 || t >= rows || dead(t) {
+				continue
+			}
+			to, w = append(to, int32(t)), append(w, 1+rng.Float64())
+			e--
+		}
+		runs = append(runs, LaneRun{H: int32(h), Hi: int32(len(to))})
+	}
+	for _, width := range LaneWidths {
+		d := make([]float64, rows*width)
+		for i := range d {
+			if dead(i / width) {
+				d[i] = math.Inf(1)
+			} else {
+				d[i] = 100 * rng.Float64()
+			}
+		}
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				LaneRelax(d, width, runs, to, w)
+			}
+		})
+	}
 }

@@ -20,7 +20,7 @@ import (
 // is +Inf in every lane relaxes nothing (+Inf + w < x is false for every w
 // and x) and is skipped. The strict < is the row kernels' tie rule: an
 // equal candidate (including −0 against +0) and a NaN candidate leave d
-// unchanged. On amd64 the widths run SSE2 assembly (lanes_amd64.s),
+// unchanged. On amd64 with AVX2 the widths run assembly (lanes_amd64.s),
 // elsewhere laneRelaxGo; the Go loop is compiled on every platform so the
 // assembly is tested against it bit for bit.
 
@@ -46,20 +46,12 @@ func LaneRelax(d []float64, width int, runs []LaneRun, to []int32, w []float64) 
 	if len(w) != len(to) {
 		panic(fmt.Sprintf("matrix: lane bucket has %d targets and %d weights", len(to), len(w)))
 	}
-	var ok bool
 	switch width {
-	case 2:
-		ok = laneRelax2(d, runs, to, w)
-	case 4:
-		ok = laneRelax4(d, runs, to, w)
-	case 8:
-		ok = laneRelax8(d, runs, to, w)
-	case 16:
-		ok = laneRelax16(d, runs, to, w)
+	case 2, 4, 8, 16:
 	default:
 		panic(fmt.Sprintf("matrix: unsupported lane width %d", width))
 	}
-	if !ok {
+	if !laneRelax(d, width, runs, to, w) {
 		panic(fmt.Sprintf("matrix: lane bucket index out of range (%d rows, %d edges)", len(d)/width, len(to)))
 	}
 }

@@ -2,30 +2,29 @@
 
 #include "textflag.h"
 
-// SSE2 lane kernels: one call relaxes every run of a bucket. Each run's
-// head row sits in XMM registers, two lanes each, for the whole run. Per
-// edge j, with T = row to[j]:
+// AVX2 lane kernels: one call relaxes every run of a bucket. Each run's
+// head row sits in YMM registers, four lanes each (width 2 in one XMM
+// register), for the whole run. Per edge j, with T = row to[j]:
 //
-//	c = h[l:l+2] + w[j]      ADDPD, the Go loop's IEEE add
-//	c = MINPD(c, T[l:l+2])   c < T ? c : T
-//	T[l:l+2] = c
+//	W = broadcast w[j]       VBROADCASTSD
+//	c = h[l:l+4] + W         VADDPD, the Go loop's IEEE add
+//	c = VMINPD(c, T[l:l+4])  c < T ? c : T
+//	T[l:l+4] = c
 //
-// MINPD returns its second (source) operand whenever the compare is false:
+// VMINPD returns its second source operand whenever the compare is false:
 // on ties, on +0 against −0 in either order and when either operand is NaN.
-// With the candidate as the destination and the old entry as the source
+// With the candidate as the first source and the old entry as the second
 // that is the Go loop's `if c < t { t = c }`, bit for bit; swapping the
 // operands breaks the ±0 and NaN cases. Storing an unchanged entry back is
-// harmless.
+// harmless. VEX memory operands need no alignment, so rows need none.
 //
 // Every index is checked before it is used, and a miss returns false: the
 // head H, sign-extended, must be below the row count len(d)/width
 // (unsigned, so a negative one fails too), the end Hi must lie in
 // [previous Hi, len(to)], and every target must be below the row count. A
-// head row that is +Inf in every lane (PCMPEQL against the +Inf bit
+// head row that is +Inf in every lane (VPCMPEQQ against the +Inf bit
 // pattern) skips its run; the first two lanes are tested alone first, so a
-// head that is finite there costs one test. Rows need not be 16-byte
-// aligned, so memory goes through MOVUPD (the legacy memory form of MINPD
-// faults on unaligned operands).
+// head that is finite there costs one test. Every exit runs VZEROUPPER.
 //
 // The four widths share one body, KERNEL, and differ only in the row shift
 // (log2 of the row's bytes) and three per-width sequences: loading the head
@@ -34,45 +33,42 @@
 //
 // Registers: DI d, R9 rows, SI runs, R12 len(runs), DX run index, R10 to,
 // R13 len(to), R11 w, BX edge index, CX the run's end, AX the head row
-// address, R8 the target row address; X0..X7 the head row, X8 the broadcast
-// weight, X9 the candidate, X10 the old entry, X11 the +Inf mask, X12 the
-// +Inf pattern, X13 scratch. R14, R15 and X15 are left alone.
+// address, R8 the target row address; Y0..Y3 the head row, Y8 the broadcast
+// weight, Y9 the candidate, Y11 the +Inf mask, Y12 the +Inf pattern, Y13
+// scratch. R14, R15 and X15 are left alone.
 
-// LANE relaxes the two lanes at byte offset off of the target row R8 from
+// LANE relaxes the four lanes at byte offset off of the target row R8 from
 // head register H.
 #define LANE(off, H) \
-	MOVAPD H, X9;        \
-	ADDPD  X8, X9;       \
-	MOVUPD off(R8), X10; \
-	MINPD  X10, X9;      \
-	MOVUPD X9, off(R8)
+	VADDPD  Y8, H, Y9;       \
+	VMINPD  off(R8), Y9, Y9; \
+	VMOVUPD Y9, off(R8)
 
-// INF folds into the mask X11 whether head register H is +Inf in both lanes.
+// INF folds into the mask Y11 whether head register H is +Inf in all lanes.
 #define INF(H) \
-	MOVAPD  H, X13;   \
-	PCMPEQL X12, X13; \
-	PAND    X13, X11
+	VPCMPEQQ Y12, H, Y13; \
+	VPAND    Y13, Y11, Y11
 
-// ALLINF sets ZF when the mask X11 says every tested lane is +Inf.
+// ALLINF sets ZF when the mask Y11 says every tested lane is +Inf.
 #define ALLINF \
-	PMOVMSKB X11, AX; \
-	CMPL     AX, $0xFFFF
+	VPMOVMSKB Y11, AX; \
+	CMPL      AX, $-1
 
-#define HEAD2 MOVUPD 0(AX), X0
+#define HEAD2 VMOVUPD 0(AX), X0
 #define REST2
-#define EDGE2 LANE(0, X0)
+#define EDGE2 VADDPD X8, X0, X9; VMINPD 0(R8), X9, X9; VMOVUPD X9, 0(R8)
 
-#define HEAD4 MOVUPD 0(AX), X0; MOVUPD 16(AX), X1
-#define REST4 INF(X1); ALLINF
-#define EDGE4 LANE(0, X0); LANE(16, X1)
+#define HEAD4 VMOVUPD 0(AX), Y0
+#define REST4 VPCMPEQQ Y12, Y0, Y11; ALLINF
+#define EDGE4 LANE(0, Y0)
 
-#define HEAD8 HEAD4; MOVUPD 32(AX), X2; MOVUPD 48(AX), X3
-#define REST8 INF(X1); INF(X2); INF(X3); ALLINF
-#define EDGE8 EDGE4; LANE(32, X2); LANE(48, X3)
+#define HEAD8 HEAD4; VMOVUPD 32(AX), Y1
+#define REST8 VPCMPEQQ Y12, Y0, Y11; INF(Y1); ALLINF
+#define EDGE8 EDGE4; LANE(32, Y1)
 
-#define HEAD16 HEAD8; MOVUPD 64(AX), X4; MOVUPD 80(AX), X5; MOVUPD 96(AX), X6; MOVUPD 112(AX), X7
-#define REST16 INF(X1); INF(X2); INF(X3); INF(X4); INF(X5); INF(X6); INF(X7); ALLINF
-#define EDGE16 EDGE8; LANE(64, X4); LANE(80, X5); LANE(96, X6); LANE(112, X7)
+#define HEAD16 HEAD8; VMOVUPD 64(AX), Y2; VMOVUPD 96(AX), Y3
+#define REST16 VPCMPEQQ Y12, Y0, Y11; INF(Y1); INF(Y2); INF(Y3); ALLINF
+#define EDGE16 EDGE8; LANE(64, Y2); LANE(96, Y3)
 
 // KERNEL is the body of a lane kernel whose rows are 1<<shift bytes. Its
 // labels are local to the TEXT symbol it is expanded in.
@@ -87,7 +83,7 @@
 	MOVQ w_base+72(FP), R11;       \
 	MOVQ $0x7FF0000000000000, AX;  \
 	MOVQ AX, X12;                  \
-	PUNPCKLQDQ X12, X12;           \
+	VPBROADCASTQ X12, Y12;         \
 	XORQ BX, BX;                   \
 	XORQ DX, DX;                   \
 	TESTQ R12, R12;                \
@@ -104,9 +100,9 @@ run:                                   \
 	SHLQ $shift, AX;               \
 	ADDQ DI, AX;                   \
 	HEAD;                          \
-	MOVAPD X0, X11;                \
-	PCMPEQL X12, X11;              \
-	ALLINF;                        \
+	VPCMPEQQ X12, X0, X11;         \
+	VPMOVMSKB X11, AX;             \
+	CMPL AX, $0xFFFF;              \
 	JNE live;                      \
 	REST;                          \
 	JEQ next;                      \
@@ -119,8 +115,7 @@ edge:                                  \
 	JAE bad;                       \
 	SHLQ $shift, R8;               \
 	ADDQ DI, R8;                   \
-	MOVSD (R11)(BX*8), X8;         \
-	UNPCKLPD X8, X8;               \
+	VBROADCASTSD (R11)(BX*8), Y8;  \
 	EDGE;                          \
 	INCQ BX;                       \
 	CMPQ BX, CX;                   \
@@ -131,9 +126,11 @@ next:                                  \
 	CMPQ DX, R12;                  \
 	JB run;                        \
 ok:                                    \
+	VZEROUPPER;                    \
 	MOVB $1, ret+96(FP);           \
 	RET;                           \
 bad:                                   \
+	VZEROUPPER;                    \
 	MOVB $0, ret+96(FP);           \
 	RET
 

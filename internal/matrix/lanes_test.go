@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestLaneRelaxMatchesGoLoop compares LaneRelax (SSE2 assembly on amd64)
+// TestLaneRelaxMatchesGoLoop compares LaneRelax (AVX2 assembly on amd64)
 // with laneRelaxGo bit for bit at every width. Matrix entries and weights
 // are drawn from a pool holding +0 and −0 (so candidate ties hit both sign
 // orders, and w = −0 occurs), ±Inf, NaN, negatives and extremes. Each
@@ -16,8 +16,8 @@ import (
 // repeat; the first run has 0–33 edges, some edges are self-loops (target
 // == head) of weight ±0, positive or +Inf, and some head rows are +Inf in
 // every lane or in all but one. The matrix sits at an odd or even element
-// offset of a longer slab, so rows are mostly not 16-byte aligned and a
-// write outside d shows up as a difference.
+// offset of a longer slab, so rows are mostly not 16- or 32-byte aligned
+// and a write outside d shows up as a difference.
 func TestLaneRelaxMatchesGoLoop(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	inf := math.Inf(1)

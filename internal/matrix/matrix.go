@@ -9,10 +9,11 @@
 // stay L1-resident across a whole row block, and unroll eight result rows
 // per b-panel load so each loaded b value feeds eight relaxations. Rows of a
 // that are +Inf across a panel skip the panel's b traffic entirely. The row
-// kernels (relax8, relax4, relax1) are SSE2 assembly on amd64, two columns
-// per instruction, and the Go loops of relax.go elsewhere; both apply the
-// same strict-< tie rule, so results match bit for bit (see
-// relax_amd64.s for the MINPD operand order that guarantees it). On top
+// kernels (relax8, relax4, relax1) are AVX2 assembly on amd64 CPUs that
+// have it, four columns per instruction, and the Go loops of relax.go
+// elsewhere; both apply the same strict-< tie rule, so results match bit
+// for bit (see relax_amd64.s for the VMINPD operand order that guarantees
+// it). On top
 // of the blocking, ClosureWS squares semi-naively: after the first squaring
 // only triples with a factor entry that improved in the previous step are
 // re-relaxed (provably sufficient — see squareStepDelta), which is what

@@ -4,7 +4,7 @@ package matrix
 // j < len(brow), o[j] = v + brow[j] when that sum is strictly smaller. The
 // strict < is the tie rule every kernel shares: an equal candidate (including
 // −0 against +0) and a NaN candidate leave o unchanged. relax8, relax4 and
-// relax1 are the entry points; on amd64 they run SSE2 assembly
+// relax1 are the entry points; on an amd64 CPU with AVX2 they run assembly
 // (relax_amd64.s), elsewhere the Go loops below. The loops are compiled on
 // every platform so the assembly is tested against them bit for bit.
 

@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-// TestRelaxKernelsMatchGoLoops compares relax8, relax4 and relax1 (SSE2
+// TestRelaxKernelsMatchGoLoops compares relax8, relax4 and relax1 (AVX2
 // assembly on amd64) with the Go loops bit for bit. Values are drawn from a
 // pool holding +0 and −0 (so candidate ties hit both sign orders), NaN, ±Inf,
-// negatives and extremes, in v, b and o alike. Lengths 0–33 cover the odd
-// scalar tail; rows sit at alternating odd and even element offsets in one
-// slab, so most of them are not 16-byte aligned, and each output row is
-// longer than b so a write past len(b) shows up as a difference.
+// negatives and extremes, in v, b and o alike. Lengths 0–33 cover every mix
+// of the 4-wide body, the 2-wide step and the scalar tail; rows sit at
+// alternating odd and even element offsets in one slab, so most of them are
+// not 16- or 32-byte aligned, and each output row is longer than b so a
+// write past len(b) shows up as a difference.
 func TestRelaxKernelsMatchGoLoops(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	pool := []float64{0, negZero, math.NaN(), math.Inf(1), math.Inf(-1),

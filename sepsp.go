@@ -801,7 +801,8 @@ func (ix *Index) Reachable(src int) ([]bool, error) {
 // the paper's Section 6 compact routing tables (hub labels over ancestor
 // separators).
 type Oracle struct {
-	o *oracle.Oracle
+	o  *oracle.Oracle
+	ex *pram.Executor // the index's executor, which answers Pairs
 }
 
 // BuildOracle preprocesses the pair-query oracle from the index. The
@@ -824,7 +825,7 @@ func (ix *Index) BuildOracle() (o *Oracle, err error) {
 			ix.oracleErr = err
 			return
 		}
-		ix.oracle.Store(&Oracle{o: o})
+		ix.oracle.Store(&Oracle{o: o, ex: ix.ex})
 	})
 	if ix.oracleErr != nil {
 		return nil, ix.oracleErr
@@ -841,16 +842,16 @@ func (o *Oracle) Dist(u, v int) (float64, error) {
 	return o.o.Dist(u, v, nil), nil
 }
 
-// Pairs answers a batch of pair queries. Every pair is checked before any
-// work: one out-of-range endpoint fails the whole batch with an error
-// wrapping ErrBadOptions.
+// Pairs answers a batch of pair queries on the index's Options.Workers
+// workers. Every pair is checked before any work: one out-of-range endpoint
+// fails the whole batch with an error wrapping ErrBadOptions.
 func (o *Oracle) Pairs(pairs [][2]int) ([]float64, error) {
 	for _, p := range pairs {
 		if err := checkPair(o.o.N(), p[0], p[1]); err != nil {
 			return nil, err
 		}
 	}
-	return o.o.Pairs(pairs, nil, nil), nil
+	return o.o.Pairs(pairs, o.ex, nil), nil
 }
 
 // LabelEntries reports the total hub-label storage (O(n^{1+μ}) entries).

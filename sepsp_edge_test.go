@@ -207,6 +207,42 @@ func TestOraclePublicAPI(t *testing.T) {
 	}
 }
 
+// TestOraclePairsMatchesDistParallel: at four workers, Pairs answers the
+// batch on the index's executor, and every answer must equal the per-pair
+// Dist bit for bit. Under -race this also checks that the batch's workers
+// share nothing but read-only labels.
+func TestOraclePairsMatchesDistParallel(t *testing.T) {
+	gg, grid := gridGraph(t, 12, 11, 7)
+	ix, err := Build(gg, &Options{Workers: 4, Decomposition: GridDecomposition(grid.Coord)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := ix.BuildOracle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := gg.N()
+	var pairs [][2]int
+	for u := 0; u < n; u += 5 {
+		for v := 0; v < n; v += 7 {
+			pairs = append(pairs, [2]int{u, v})
+		}
+	}
+	got, err := o.Pairs(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		want, err := o.Dist(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("pair %v: Pairs %v, Dist %v", p, got[i], want)
+		}
+	}
+}
+
 // TestIndexRejectsOutOfRangeVertices: every vertex-taking query on an Index
 // or its Oracle fails an out-of-range vertex with an error wrapping
 // ErrBadOptions that names its role, before any work runs, under both
