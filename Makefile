@@ -24,9 +24,9 @@ fmt-check:
 # correct answer or a typed error (see DESIGN.md "Failure model"). It then
 # stress-runs the flight recorder's concurrent-writer test 50 times, which
 # fails on any torn event (see DESIGN.md "Live telemetry"), and the result
-# cache's single-flight tests: the late-settle re-peek 50 times and the
-# E-cache small run 20 times, both of which fail if a cold source is
-# computed twice.
+# cache's single-flight tests: a caller that reaches Do while a leader
+# admits the same key, 50 times, and the E-cache small run 20 times, both
+# of which fail if a cold source is computed twice.
 chaos:
 	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|ServerQueriesCountedOnce|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject

@@ -2,31 +2,31 @@
 // (source, epoch), so repeat traffic on hot sources is answered at
 // memcpy cost instead of recomputing a full phase schedule.
 //
-// The cache is sharded: a key hashes to one shard, each shard holds an
-// intrusive eviction list plus an immutable lookup table behind an atomic
-// pointer. The read path is lock-free — a lookup loads the shard's table
-// pointer, probes the map (immutable once published, so concurrent reads
-// are safe), and records recency with one atomic store on the entry. The
-// per-shard mutex is taken only on insert and evict, where the table is
-// copied, mutated, and republished. Recency is therefore lazy: hits stamp
-// a logical clock tick instead of relinking a strict LRU list (which would
-// drag the mutex into the read path), and eviction scans the shard's list
-// for the stalest stamp.
+// One mutex guards the whole cache: the lookup table, an intrusive
+// recency list, the resident byte count and the in-flight computations.
+// A hit moves its entry to the recent end of the list under the lock and
+// copies the vector after releasing it. That is safe because an entry's
+// vector is immutable once admitted and eviction only drops references:
+// a reader still holding an evicted entry keeps a valid vector until the
+// GC reclaims it.
 //
-// Admission is cost-aware: each vector is charged its byte size against a
-// per-shard slice of the configured budget, and inserting evicts — oldest
-// generation first, then least recently touched — until the vector fits.
-// A vector larger than a whole shard's budget is never admitted.
+// Admission is cost-aware: each vector is charged its byte size plus a
+// fixed overhead against the configured budget, and inserting evicts —
+// stale generations first, then the least recently used — until the
+// vector fits. A vector larger than the whole budget is never admitted.
 //
 // Epoch integration is by key: vectors are cached under the epoch that
 // computed them, and BumpGeneration (called on an index hot-swap) marks
 // older epochs stale. Stale entries are never flushed eagerly — they stop
 // matching lookups (which always carry the current epoch) and die lazily,
-// evicted first whenever their shard needs room.
+// evicted first whenever the cache needs room.
 //
 // Do adds single-flight computation: concurrent misses on one (source,
 // epoch) key elect a leader to compute while the rest park on the flight's
-// channel. Panic and cancellation propagation mirror the engine's
+// channel. A caller checks the table and the flights in one critical
+// section, and a leader admits its vector before it settles the flight,
+// so a caller arriving after the leader settles finds the vector instead
+// of computing it again. Panic and cancellation propagation mirror the engine's
 // runGuarded semantics: a leader's panic releases the waiters with
 // ErrLeaderPanicked and then continues unwinding (the caller's own guard
 // converts it), a leader error classified leader-local by the Retryable
@@ -38,6 +38,7 @@ package distcache
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,24 +56,12 @@ var ErrLeaderPanicked = errors.New("distcache: in-flight computation panicked")
 // of the vector itself.
 const entryOverhead = 128
 
-// defaultShards is the shard count when Config.Shards is zero, before the
-// budget clamp (a cache whose budget holds only a few vectors collapses to
-// fewer shards so each can still admit).
-const defaultShards = 64
-
 // Config sizes a Cache.
 type Config struct {
 	// MaxBytes is the total memory budget for cached vectors plus
 	// per-entry overhead. New returns nil — a valid, always-miss cache —
 	// when it is not positive.
 	MaxBytes int64
-	// Shards overrides the shard count; rounded down to a power of two
-	// and clamped so every shard's budget slice holds at least two
-	// vectors of the hinted size. 0 uses defaultShards.
-	Shards int
-	// VectorBytes hints the byte size of one cached vector (n×8 for
-	// float64 distances), used only to clamp the shard count.
-	VectorBytes int64
 	// Retryable classifies a flight leader's error as leader-local:
 	// waiters re-race for leadership instead of inheriting it. Nil treats
 	// the leader's own context cancellation or deadline as leader-local.
@@ -84,29 +73,14 @@ type key struct {
 	epoch uint64
 }
 
-// entry is one cached vector. dist is immutable after publication; touch
-// is the lazy-LRU recency stamp, written lock-free on every hit. The
-// intrusive prev/next links are guarded by the owning shard's mutex.
+// entry is one cached vector. dist is immutable once admitted; the
+// recency links are guarded by Cache.mu.
 type entry struct {
-	src   int32
-	epoch uint64
+	k     key
 	dist  []float64
 	bytes int64
-	touch atomic.Int64
 
 	prev, next *entry
-}
-
-// shard is one cache partition: an immutable lookup table behind an
-// atomic pointer (lock-free reads) and an intrusive insertion-ordered
-// list used by eviction scans. mu guards all mutation.
-type shard struct {
-	table  atomic.Pointer[map[key]*entry]
-	mu     sync.Mutex
-	bytes  int64 // resident bytes, guarded by mu
-	budget int64
-	head   *entry // oldest inserted; guarded by mu
-	tail   *entry
 }
 
 // flight is one in-flight single-flight computation. dist/err/retry are
@@ -144,27 +118,24 @@ type Stats struct {
 	Generation uint64 // current epoch generation (see BumpGeneration)
 }
 
-// Cache is a sharded, epoch-versioned, single-flight cache of distance
+// Cache is an epoch-versioned, single-flight LRU cache of distance
 // vectors. All methods are safe for concurrent use and safe on a nil
 // receiver (every operation misses / no-ops), so a disabled cache costs
 // its callers one nil check.
 type Cache struct {
-	shards    []shard
-	mask      uint64
-	gen       atomic.Uint64
-	clock     atomic.Int64
+	budget    int64
 	retryable func(error) bool
-
-	fmu     sync.Mutex
-	flights map[key]*flight
+	gen       atomic.Uint64
 
 	// The event counts behind Stats, which Server.Healthz and Telemetry's
-	// sepsp_cache_*_total families both read; sharded, because every hit
-	// advances one.
+	// sepsp_cache_*_total families both read.
 	hits, misses, shared, evictions, bytesTotal *obs.Counter
 
-	bytesNow atomic.Int64
-	entriesN atomic.Int64
+	mu      sync.Mutex
+	table   map[key]*entry
+	lru     entry // list sentinel: lru.next is least, lru.prev most recently used
+	bytes   int64 // resident bytes
+	flights map[key]*flight
 }
 
 // New builds a cache for cfg, or returns nil (a valid always-miss cache)
@@ -173,40 +144,22 @@ func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
 	}
-	ns := cfg.Shards
-	if ns <= 0 {
-		ns = defaultShards
-	}
-	if per := cfg.VectorBytes + entryOverhead; cfg.VectorBytes > 0 {
-		// Every shard must be able to hold at least two vectors, or
-		// admission would thrash on a budget the cache nominally has.
-		if fit := cfg.MaxBytes / (2 * per); fit < int64(ns) {
-			ns = int(fit)
-		}
-	}
-	p := 1
-	for p*2 <= ns {
-		p *= 2
-	}
 	c := &Cache{
-		shards:     make([]shard, p),
-		mask:       uint64(p - 1),
+		budget:     cfg.MaxBytes,
 		retryable:  cfg.Retryable,
-		flights:    make(map[key]*flight),
 		hits:       obs.NewCounter(),
 		misses:     obs.NewCounter(),
 		shared:     obs.NewCounter(),
 		evictions:  obs.NewCounter(),
 		bytesTotal: obs.NewCounter(),
+		table:      make(map[key]*entry),
+		flights:    make(map[key]*flight),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	if c.retryable == nil {
 		c.retryable = func(err error) bool {
 			return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 		}
-	}
-	per := cfg.MaxBytes / int64(p)
-	for i := range c.shards {
-		c.shards[i].budget = per
 	}
 	return c
 }
@@ -236,46 +189,47 @@ func (c *Cache) Generation() uint64 {
 }
 
 // Stats snapshots the counters. Cheap enough for health probes and
-// scrapes: each sharded counter sums a few cache lines.
+// scrapes: each sharded counter sums a few cache lines, and the resident
+// counts are read under one brief lock.
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	c.mu.Lock()
+	bytes, entries := c.bytes, int64(len(c.table))
+	c.mu.Unlock()
 	return Stats{
 		Hits:       c.hits.Value(),
 		Misses:     c.misses.Value(),
 		Shared:     c.shared.Value(),
 		Evictions:  c.evictions.Value(),
-		Bytes:      c.bytesNow.Load(),
+		Bytes:      bytes,
 		BytesTotal: c.bytesTotal.Value(),
-		Entries:    c.entriesN.Load(),
+		Entries:    entries,
 		Generation: c.gen.Load(),
 	}
 }
 
-func (c *Cache) shardOf(k key) *shard {
-	h := uint64(uint32(k.src))*0x9e3779b97f4a7c15 ^ k.epoch*0xff51afd7ed558ccd
-	h ^= h >> 33
-	return &c.shards[h&c.mask]
+// lookupLocked finds k's entry and, on a hit, counts it and makes it the
+// most recently used. The caller holds c.mu.
+func (c *Cache) lookupLocked(k key) *entry {
+	e := c.table[k]
+	if e != nil {
+		c.unlink(e)
+		c.link(e)
+		c.hits.Inc()
+	}
+	return e
 }
 
-// peek is the lock-free lookup: load the shard's immutable table, probe,
-// stamp recency. Counts a hit when it finds the entry.
-func (c *Cache) peek(src int, epoch uint64) *entry {
+// lookup is lookupLocked under c.mu; nil on a miss or a nil cache.
+func (c *Cache) lookup(src int, epoch uint64) *entry {
 	if c == nil {
 		return nil
 	}
-	k := key{int32(src), epoch}
-	t := c.shardOf(k).table.Load()
-	if t == nil {
-		return nil
-	}
-	e := (*t)[k]
-	if e == nil {
-		return nil
-	}
-	e.touch.Store(c.clock.Add(1))
-	c.hits.Inc()
+	c.mu.Lock()
+	e := c.lookupLocked(key{int32(src), epoch})
+	c.mu.Unlock()
 	return e
 }
 
@@ -283,19 +237,17 @@ func (c *Cache) peek(src int, epoch uint64) *entry {
 // (nil, false) on a miss. The copy is the caller's to mutate; the cached
 // canonical vector is never handed out.
 func (c *Cache) Get(src int, epoch uint64) ([]float64, bool) {
-	e := c.peek(src, epoch)
+	e := c.lookup(src, epoch)
 	if e == nil {
 		return nil, false
 	}
-	out := make([]float64, len(e.dist))
-	copy(out, e.dist)
-	return out, true
+	return slices.Clone(e.dist), true
 }
 
 // GetAt returns the single distance dist[v] from the cached vector for
 // (src, epoch) without copying anything — the point-query fast path.
 func (c *Cache) GetAt(src int, epoch uint64, v int) (float64, bool) {
-	e := c.peek(src, epoch)
+	e := c.lookup(src, epoch)
 	if e == nil || v < 0 || v >= len(e.dist) {
 		return 0, false
 	}
@@ -304,127 +256,65 @@ func (c *Cache) GetAt(src int, epoch uint64, v int) (float64, bool) {
 
 // Put admits dist under (src, epoch), taking ownership of the slice (the
 // caller must not mutate it afterwards). It reports false when the vector
-// was not admitted: stale epoch, larger than a shard's whole budget, or a
-// nil cache. Inserting evicts stale-generation entries first, then the
-// least recently touched, until the vector fits.
+// was not admitted: stale epoch, larger than the whole budget, or a nil
+// cache. Inserting evicts stale-generation entries first, then the least
+// recently used, until the vector fits.
 func (c *Cache) Put(src int, epoch uint64, dist []float64) bool {
-	if c == nil {
-		return false
-	}
-	if epoch < c.gen.Load() {
+	if c == nil || epoch < c.gen.Load() {
 		return false
 	}
 	need := int64(len(dist))*8 + entryOverhead
-	k := key{int32(src), epoch}
-	sh := c.shardOf(k)
-	if need > sh.budget {
+	if need > c.budget {
 		return false
 	}
-	e := &entry{src: k.src, epoch: epoch, dist: dist, bytes: need}
-	e.touch.Store(c.clock.Add(1))
-
-	sh.mu.Lock()
-	old := sh.table.Load()
-	if old != nil {
-		if _, dup := (*old)[k]; dup {
-			// Same key means a bit-identical vector: keep the resident one.
-			sh.mu.Unlock()
-			return true
-		}
-	}
-	gen := c.gen.Load()
-	// Entries are immutable once published — concurrent readers may hold a
-	// victim through an old table pointer, so eviction only unlinks and
-	// drops the table reference; the GC reclaims the vector when the last
-	// reader lets go.
-	var victims []*entry
-	for sh.bytes+need > sh.budget {
-		v := sh.victimLocked(gen)
-		sh.unlink(v)
-		sh.bytes -= v.bytes
-		victims = append(victims, v)
-	}
-	size := 1
-	if old != nil {
-		size += len(*old)
-	}
-	nt := make(map[key]*entry, size)
-	if old != nil {
-	rebuild:
-		for kk, ee := range *old {
-			for _, v := range victims {
-				if ee == v {
-					continue rebuild
-				}
-			}
-			nt[kk] = ee
-		}
-	}
-	nt[k] = e
-	sh.table.Store(&nt)
-	sh.bytes += need
-	sh.link(e)
-	sh.mu.Unlock()
-
-	if n := int64(len(victims)); n > 0 {
-		c.evictions.Add(n)
-	}
-	c.entriesN.Add(1 - int64(len(victims)))
-	c.bytesNow.Store(c.residentBytes())
-	c.bytesTotal.Add(need)
+	e := &entry{k: key{int32(src), epoch}, dist: dist, bytes: need}
+	c.mu.Lock()
+	c.insertLocked(e)
+	c.mu.Unlock()
 	return true
 }
 
-// residentBytes sums the shards' resident byte counts.
-func (c *Cache) residentBytes() int64 {
-	var total int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		total += sh.bytes
-		sh.mu.Unlock()
+// insertLocked admits e, evicting until it fits; e.bytes must not exceed
+// the budget. A resident entry under the same key holds a bit-identical
+// vector, so it is kept and e is dropped. The caller holds c.mu.
+func (c *Cache) insertLocked(e *entry) {
+	if _, dup := c.table[e.k]; dup {
+		return
 	}
-	return total
+	gen := c.gen.Load()
+	for c.bytes+e.bytes > c.budget {
+		v := c.victimLocked(gen)
+		c.unlink(v)
+		delete(c.table, v.k)
+		c.bytes -= v.bytes
+		c.evictions.Inc()
+	}
+	c.table[e.k] = e
+	c.link(e)
+	c.bytes += e.bytes
+	c.bytesTotal.Add(e.bytes)
 }
 
-// victimLocked picks the shard's eviction victim: the oldest-inserted
-// stale-generation entry if any, else the least recently touched entry.
-// The caller holds sh.mu and guarantees the list is non-empty.
-func (sh *shard) victimLocked(gen uint64) *entry {
-	var coldest *entry
-	for e := sh.head; e != nil; e = e.next {
-		if e.epoch < gen {
+// victimLocked picks the eviction victim: the least recently used
+// stale-generation entry if any, else the least recently used entry. The
+// caller holds c.mu and guarantees the cache is not empty.
+func (c *Cache) victimLocked(gen uint64) *entry {
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		if e.k.epoch < gen {
 			return e
 		}
-		if coldest == nil || e.touch.Load() < coldest.touch.Load() {
-			coldest = e
-		}
 	}
-	return coldest
+	return c.lru.next
 }
 
-func (sh *shard) link(e *entry) {
-	e.prev = sh.tail
-	e.next = nil
-	if sh.tail != nil {
-		sh.tail.next = e
-	} else {
-		sh.head = e
-	}
-	sh.tail = e
+// link makes e the most recently used entry.
+func (c *Cache) link(e *entry) {
+	e.prev, e.next = c.lru.prev, &c.lru
+	e.prev.next, c.lru.prev = e, e
 }
 
-func (sh *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
+func (c *Cache) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
 	e.prev, e.next = nil, nil
 }
 
@@ -455,45 +345,34 @@ func (c *Cache) Do(ctx context.Context, src int, epoch uint64, compute func() ([
 	}
 	k := key{int32(src), epoch}
 	for {
-		if e := c.peek(src, epoch); e != nil {
-			out := make([]float64, len(e.dist))
-			copy(out, e.dist)
-			return out, Hit, nil
+		c.mu.Lock()
+		if e := c.lookupLocked(k); e != nil {
+			c.mu.Unlock()
+			return slices.Clone(e.dist), Hit, nil
 		}
-		c.fmu.Lock()
-		if f, ok := c.flights[k]; ok {
-			c.fmu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil {
-					if f.retry {
-						continue // leader-local failure: re-race for leadership
-					}
-					c.shared.Inc()
-					return nil, Shared, f.err
+		f, ok := c.flights[k]
+		if !ok {
+			f = &flight{done: make(chan struct{})}
+			c.flights[k] = f
+			c.mu.Unlock()
+			c.misses.Inc()
+			return c.lead(k, f, compute)
+		}
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+			if f.err != nil {
+				if f.retry {
+					continue // leader-local failure: re-race for leadership
 				}
-				out := make([]float64, len(f.dist))
-				copy(out, f.dist)
 				c.shared.Inc()
-				return out, Shared, nil
-			case <-ctx.Done():
-				return nil, Shared, context.Cause(ctx)
+				return nil, Shared, f.err
 			}
+			c.shared.Inc()
+			return slices.Clone(f.dist), Shared, nil
+		case <-ctx.Done():
+			return nil, Shared, context.Cause(ctx)
 		}
-		// A leader may have Put and settled between the peek above and
-		// taking fmu; without this second look the caller would lead a
-		// fresh flight and compute the vector again.
-		if e := c.peek(src, epoch); e != nil {
-			c.fmu.Unlock()
-			out := make([]float64, len(e.dist))
-			copy(out, e.dist)
-			return out, Hit, nil
-		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[k] = f
-		c.fmu.Unlock()
-		c.misses.Inc()
-		return c.lead(k, f, compute)
 	}
 }
 
@@ -502,9 +381,9 @@ func (c *Cache) lead(k key, f *flight, compute func() ([]float64, uint64, bool, 
 	settled := false
 	settle := func(dist []float64, err error, retry bool) {
 		f.dist, f.err, f.retry = dist, err, retry
-		c.fmu.Lock()
+		c.mu.Lock()
 		delete(c.flights, k)
-		c.fmu.Unlock()
+		c.mu.Unlock()
 		settled = true
 		close(f.done)
 	}
@@ -520,8 +399,7 @@ func (c *Cache) lead(k key, f *flight, compute func() ([]float64, uint64, bool, 
 		settle(nil, err, c.retryable(err))
 		return nil, Computed, err
 	}
-	canon := make([]float64, len(dist))
-	copy(canon, dist)
+	canon := slices.Clone(dist)
 	if admit {
 		c.Put(int(k.src), aepoch, canon)
 	}

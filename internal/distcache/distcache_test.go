@@ -22,7 +22,7 @@ func vec(n int, base float64) []float64 {
 }
 
 func TestRoundTripAndCopySemantics(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, VectorBytes: 8 * 16})
+	c := New(Config{MaxBytes: 1 << 20})
 	if c == nil {
 		t.Fatal("New returned nil for a positive budget")
 	}
@@ -76,11 +76,8 @@ func TestGetAt(t *testing.T) {
 func TestBudgetEviction(t *testing.T) {
 	const n = 128
 	per := int64(n*8) + entryOverhead
-	// One shard, room for exactly 3 vectors.
-	c := New(Config{MaxBytes: 3 * per, Shards: 1, VectorBytes: n * 8})
-	if len(c.shards) != 1 {
-		t.Fatalf("shards = %d, want 1", len(c.shards))
-	}
+	// Room for exactly 3 vectors.
+	c := New(Config{MaxBytes: 3 * per})
 	for s := 0; s < 3; s++ {
 		if !c.Put(s, 1, vec(n, float64(s))) {
 			t.Fatalf("Put(%d) rejected under budget", s)
@@ -109,10 +106,55 @@ func TestBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestBudgetHoldsEveryVector pins the sizing rule: a budget of exactly k
+// vectors holds all k without evicting.
+func TestBudgetHoldsEveryVector(t *testing.T) {
+	const n = 1024
+	per := int64(n*8) + entryOverhead
+	for _, k := range []int{4, 8, 16, 64} {
+		c := New(Config{MaxBytes: int64(k) * per})
+		for s := 0; s < k; s++ {
+			c.Put(s, 1, vec(n, float64(s)))
+		}
+		for s := 0; s < k; s++ {
+			if _, ok := c.GetAt(s, 1, 0); !ok {
+				t.Errorf("k=%d: source %d not resident", k, s)
+			}
+		}
+		if st := c.Stats(); st.Entries != int64(k) || st.Evictions != 0 || st.Bytes != int64(k)*per {
+			t.Errorf("k=%d: stats = %+v, want %d entries, 0 evictions, %d bytes", k, st, k, int64(k)*per)
+		}
+	}
+}
+
+// TestStatsBytesExactAfterConcurrentPuts checks that concurrent Puts never
+// leave Stats().Bytes behind the resident entries it accounts for.
+func TestStatsBytesExactAfterConcurrentPuts(t *testing.T) {
+	const n, writers, puts = 16, 8, 64
+	per := int64(n*8) + entryOverhead
+	for round := 0; round < 200; round++ {
+		c := New(Config{MaxBytes: 1 << 30})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < puts; i++ {
+					c.Put(w*puts+i, 1, vec(n, 0))
+				}
+			}(w)
+		}
+		wg.Wait()
+		if st := c.Stats(); st.Entries != writers*puts || st.Bytes != st.Entries*per {
+			t.Fatalf("round %d: stats = %+v, want %d entries of %d bytes", round, st, writers*puts, per)
+		}
+	}
+}
+
 func TestEvictionPrefersStaleGeneration(t *testing.T) {
 	const n = 64
 	per := int64(n*8) + entryOverhead
-	c := New(Config{MaxBytes: 3 * per, Shards: 1, VectorBytes: n * 8})
+	c := New(Config{MaxBytes: 3 * per})
 	c.Put(0, 1, vec(n, 0))
 	c.Put(1, 2, vec(n, 1))
 	c.Put(2, 2, vec(n, 2))
@@ -134,13 +176,13 @@ func TestEvictionPrefersStaleGeneration(t *testing.T) {
 }
 
 func TestPutRejectsStaleEpochAndOversize(t *testing.T) {
-	c := New(Config{MaxBytes: 4096, Shards: 1})
+	c := New(Config{MaxBytes: 4096})
 	c.BumpGeneration(5)
 	if c.Put(0, 4, vec(8, 0)) {
 		t.Fatal("Put admitted a stale-epoch vector")
 	}
 	if c.Put(0, 5, make([]float64, 4096)) {
-		t.Fatal("Put admitted a vector exceeding the shard budget")
+		t.Fatal("Put admitted a vector exceeding the budget")
 	}
 	if !c.Put(0, 5, vec(8, 0)) {
 		t.Fatal("Put rejected a current-epoch in-budget vector")
@@ -244,9 +286,10 @@ func TestSingleFlightSharing(t *testing.T) {
 	}
 }
 
-// TestDoRepeeksAfterLateSettle covers a caller that peeked before the
-// leader's Put and took fmu after the leader settled: it must answer from
-// the cache instead of leading a second flight that recomputes the vector.
+// TestDoRepeeksAfterLateSettle covers a caller that reaches Do while a
+// leader is admitting and settling the same key: whatever the leader
+// admitted before the caller takes the lock must answer it, instead of a
+// second flight that recomputes the vector.
 func TestDoRepeeksAfterLateSettle(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
 	var computes atomic.Int64
@@ -256,7 +299,7 @@ func TestDoRepeeksAfterLateSettle(t *testing.T) {
 		err  error
 	}
 	done := make(chan answer, 1)
-	c.fmu.Lock()
+	c.mu.Lock()
 	go func() {
 		dist, how, err := c.Do(context.Background(), 5, 1, func() ([]float64, uint64, bool, error) {
 			computes.Add(1)
@@ -264,18 +307,18 @@ func TestDoRepeeksAfterLateSettle(t *testing.T) {
 		})
 		done <- answer{dist, how, err}
 	}()
-	// Wait until the caller has peeked (a miss) and blocks on fmu.
+	// Wait until the caller blocks on the cache lock.
 	deadline := time.Now().Add(2 * time.Second)
 	for !parkedInDo() {
 		if time.Now().After(deadline) {
-			c.fmu.Unlock()
-			t.Fatal("Do never blocked on fmu")
+			c.mu.Unlock()
+			t.Fatal("Do never blocked on the cache lock")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The leader's Put and settle land in that window.
-	c.Put(5, 1, vec(16, 5))
-	c.fmu.Unlock()
+	// The leader's admission lands while the caller waits.
+	c.insertLocked(&entry{k: key{5, 1}, dist: vec(16, 5), bytes: 16*8 + entryOverhead})
+	c.mu.Unlock()
 	a := <-done
 	if a.err != nil || a.how != Hit {
 		t.Fatalf("Do = %v,%v want Hit", a.how, a.err)
@@ -542,33 +585,13 @@ func TestNilCache(t *testing.T) {
 	}
 }
 
-func TestShardClampPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want int
-	}{
-		{Config{MaxBytes: 1 << 30}, 64},
-		{Config{MaxBytes: 1 << 30, Shards: 5}, 4},
-		{Config{MaxBytes: 1 << 30, Shards: 16}, 16},
-		// Budget fits ~4 vectors of the hint: clamp to 2 shards.
-		{Config{MaxBytes: 4 * (8*1024 + entryOverhead), VectorBytes: 8 * 1024}, 2},
-		// Budget fits ~2 vectors: 1 shard.
-		{Config{MaxBytes: 2 * (8*1024 + entryOverhead), VectorBytes: 8 * 1024}, 1},
-	} {
-		c := New(tc.cfg)
-		if len(c.shards) != tc.want {
-			t.Errorf("New(%+v): shards = %d, want %d", tc.cfg, len(c.shards), tc.want)
-		}
-	}
-}
-
 func TestConcurrentHammer(t *testing.T) {
 	// Race-detector stress: concurrent Get/Put/Do/BumpGeneration across
 	// overlapping keys and epochs. Correctness assertion: a returned vector
 	// is always internally consistent (dist[i] = src*1000 + i).
 	const n = 32
 	per := int64(n*8) + entryOverhead
-	c := New(Config{MaxBytes: 8 * per, Shards: 4, VectorBytes: n * 8})
+	c := New(Config{MaxBytes: 8 * per})
 	var epoch atomic.Uint64
 	epoch.Store(1)
 
@@ -629,7 +652,7 @@ func TestConcurrentHammer(t *testing.T) {
 
 func BenchmarkGetHit(b *testing.B) {
 	const n = 4096
-	c := New(Config{MaxBytes: 64 << 20, VectorBytes: n * 8})
+	c := New(Config{MaxBytes: 64 << 20})
 	c.Put(0, 1, vec(n, 0))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -642,7 +665,7 @@ func BenchmarkGetHit(b *testing.B) {
 
 func BenchmarkGetAtHit(b *testing.B) {
 	const n = 4096
-	c := New(Config{MaxBytes: 64 << 20, VectorBytes: n * 8})
+	c := New(Config{MaxBytes: 64 << 20})
 	c.Put(0, 1, vec(n, 0))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -650,6 +673,49 @@ func BenchmarkGetAtHit(b *testing.B) {
 		if _, ok := c.GetAt(0, 1, i%n); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// BenchmarkGetAtHitParallel measures point-query hits from every P on a
+// cache holding 64 sources.
+func BenchmarkGetAtHitParallel(b *testing.B) {
+	const n, srcs = 4096, 64
+	c := New(Config{MaxBytes: 64 << 20})
+	for s := 0; s < srcs; s++ {
+		c.Put(s, 1, vec(n, 0))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, ok := c.GetAt(i%srcs, 1, i%n); !ok {
+				b.Error("miss")
+				return
+			}
+			i++
+		}
+	})
+}
+
+// BenchmarkPutEvicting measures admission into a full cache of 1,020
+// current-generation vectors, where every Put scans the whole recency
+// list for a stale entry before evicting the least recently used.
+func BenchmarkPutEvicting(b *testing.B) {
+	const n, resident = 4096, 1020
+	per := int64(n*8) + entryOverhead
+	c := New(Config{MaxBytes: resident * per})
+	v := vec(n, 0) // entries are immutable, so one vector can back them all
+	for s := 0; s < resident; s++ {
+		c.Put(s, 1, v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(resident+i, 1, v)
+	}
+	if st := c.Stats(); st.Entries != resident {
+		b.Fatalf("entries = %d, want %d", st.Entries, resident)
 	}
 }
 

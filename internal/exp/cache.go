@@ -71,7 +71,7 @@ func CacheExperiment(scale int) (*Result, error) {
 		nn := wl.G.N()
 		src := nn / 2
 		const epoch = 1
-		cache := distcache.New(distcache.Config{MaxBytes: 64 << 20, VectorBytes: int64(nn) * 8})
+		cache := distcache.New(distcache.Config{MaxBytes: 64 << 20})
 		cache.BumpGeneration(epoch)
 
 		st := &pram.Stats{}
@@ -103,7 +103,7 @@ func CacheExperiment(scale int) (*Result, error) {
 		)
 
 		// Single-flight: a fresh cache, a cold source, concurrent callers.
-		fc := distcache.New(distcache.Config{MaxBytes: 64 << 20, VectorBytes: int64(nn) * 8})
+		fc := distcache.New(distcache.Config{MaxBytes: 64 << 20})
 		fc.BumpGeneration(epoch)
 		cold := src / 3
 		var wg sync.WaitGroup

@@ -66,16 +66,6 @@ func (g *Digraph) N() int { return g.n }
 // M returns the number of directed edges.
 func (g *Digraph) M() int { return len(g.outTo) }
 
-// OutDegree returns the out-degree of v.
-func (g *Digraph) OutDegree(v int) int {
-	return int(g.outHead[v+1] - g.outHead[v])
-}
-
-// InDegree returns the in-degree of v.
-func (g *Digraph) InDegree(v int) int {
-	return int(g.inHead[v+1] - g.inHead[v])
-}
-
 // Out calls fn for every out-edge (v -> to, w). It stops early if fn returns
 // false.
 func (g *Digraph) Out(v int, fn func(to int, w float64) bool) {

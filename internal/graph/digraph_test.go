@@ -28,8 +28,11 @@ func TestBuilderBasics(t *testing.T) {
 	if _, ok := g.HasEdge(1, 0); ok {
 		t.Fatalf("unexpected reverse edge")
 	}
-	if g.OutDegree(2) != 1 || g.InDegree(2) != 2 {
-		t.Fatalf("deg(2): out=%d in=%d", g.OutDegree(2), g.InDegree(2))
+	out, in := 0, 0
+	g.Out(2, func(int, float64) bool { out++; return true })
+	g.In(2, func(int, float64) bool { in++; return true })
+	if out != 1 || in != 2 {
+		t.Fatalf("deg(2): out=%d in=%d", out, in)
 	}
 }
 

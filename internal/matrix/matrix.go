@@ -108,18 +108,6 @@ func (d *Dense) Equal(o *Dense) bool {
 	return true
 }
 
-// MinInPlace sets d = min(d, o) elementwise.
-func (d *Dense) MinInPlace(o *Dense) {
-	if d.R != o.R || d.C != o.C {
-		panic("matrix: shape mismatch")
-	}
-	for i, v := range o.A {
-		if v < d.A[i] {
-			d.A[i] = v
-		}
-	}
-}
-
 // Tile sizes of the blocked kernels. A b-panel is tileK×tileC float64s
 // (64 KiB, L2-resident) streamed against tileR result rows eight at a time,
 // so every loaded b value feeds eight relaxations; a dst tile is tileR×tileC

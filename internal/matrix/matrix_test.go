@@ -168,12 +168,6 @@ func TestSetMinAndAccessors(t *testing.T) {
 	if !d.Clone().Equal(d) {
 		t.Fatal("clone not equal")
 	}
-	o := New(2, 2)
-	o.Set(0, 1, 1)
-	d.MinInPlace(o)
-	if d.At(0, 1) != 1 {
-		t.Fatal("MinInPlace failed")
-	}
 }
 
 func TestMulRounds(t *testing.T) {

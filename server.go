@@ -280,8 +280,7 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	// ending — make single-flight waiters re-race for leadership instead
 	// of inheriting a failure that was never theirs.
 	s.cache = distcache.New(distcache.Config{
-		MaxBytes:    o.CacheBytes,
-		VectorBytes: int64(s.n) * 8,
+		MaxBytes: o.CacheBytes,
 		Retryable: func(err error) bool {
 			return errors.Is(err, context.Canceled) ||
 				errors.Is(err, context.DeadlineExceeded) ||
