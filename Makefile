@@ -26,13 +26,19 @@ fmt-check:
 # fails on any torn event (see DESIGN.md "Live telemetry"), and the result
 # cache's single-flight tests: a caller that reaches Do while a leader
 # admits the same key, 50 times, and the E-cache small run 20 times, both
-# of which fail if a cold source is computed twice.
+# of which fail if a cold source is computed twice. Last, it runs 10 times
+# the telemetry tests that scrape counts while servers, managers, breakers
+# and fallback engines write them where they are kept: the sums over both
+# servers of a shared Telemetry, continuous scrapes under load, and the
+# fallback counts of a build-time degradation and of one index served
+# under two Telemetries.
 chaos:
 	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|ServerQueriesCountedOnce|SourcesWave|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject
 	$(GO) test -race -count=50 -run 'TestRecorderConcurrent$$' ./internal/obs
 	$(GO) test -race -count=50 -run 'TestDoRepeeksAfterLateSettle$$' ./internal/distcache
 	$(GO) test -race -count=20 -run 'TestCacheExperimentSmall$$' ./internal/exp
+	$(GO) test -race -count=10 -run 'TestTelemetry(SumsServerCounts|ScrapeStress|CountsBuildDegradation|FallbackCountsPerIndex)$$' .
 
 # fuzz-smoke runs the native fuzz targets for a short budget each: FuzzLoad
 # (persist.go), where mutated Save blobs must never panic and must either

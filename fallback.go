@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sepsp/internal/baseline"
 	"sepsp/internal/graph"
@@ -25,10 +24,10 @@ const (
 	// routed to the exact baseline engine (Dijkstra for nonnegative
 	// weights, Bellman-Ford otherwise) — slower, but always correct and
 	// always available. Engagements (once per cause) and routed queries
-	// are counted in the Observer registry ("fallback.engaged",
-	// "fallback.queries") and, once a Telemetry is attached to a Server
-	// over the index, in "sepsp_fallback_engaged_total" and
-	// "sepsp_fallback_queries_total".
+	// are counted by the index, in the Observer registry when there is one
+	// ("fallback.engaged", "fallback.queries"); a Telemetry attached to a
+	// Server over the index reads the same counts as
+	// "sepsp_fallback_engaged_total" and "sepsp_fallback_queries_total".
 	FallbackBaseline
 )
 
@@ -43,31 +42,19 @@ type fallbackEngine struct {
 	revOnce sync.Once
 	rev     *graph.Digraph // reverse graph, built lazily for distTo
 
-	// Observer registry counters of the build; nil-safe no-ops without an
-	// Observer.
-	cEngaged *obs.Counter
-	cQueries *obs.Counter
-
-	// Telemetry counters, set via setTelemetryCounters when a Telemetry
-	// attaches to a Server over this index or its Manager swaps this
-	// index in (atomic: attachment races with in-flight degraded
-	// queries). Nil-safe no-ops until then.
-	telEngaged atomic.Pointer[obs.Counter]
-	telQueries atomic.Pointer[obs.Counter]
-}
-
-// setTelemetryCounters routes future engage/query counts to Telemetry's
-// registry as well ("sepsp_fallback_engaged_total" /
-// "sepsp_fallback_queries_total").
-func (f *fallbackEngine) setTelemetryCounters(engaged, queries *obs.Counter) {
-	f.telEngaged.Store(engaged)
-	f.telQueries.Store(queries)
+	// The one place engagements and routed queries are counted: the
+	// Observer registry's counters when the build had an Observer, fresh
+	// ones otherwise. A reweighted index's engine takes over its
+	// predecessor's, so the counts carry over an epoch swap and never
+	// fall; Telemetry reads them at scrape time.
+	engaged *obs.Counter
+	queries *obs.Counter
 }
 
 // newFallbackEngine vets g for fallback service: baseline queries must
 // never fail at request time, so any negative cycle is detected now (one
 // super-source Bellman-Ford reaches every vertex, hence every cycle).
-func newFallbackEngine(g *graph.Digraph, sink *obs.Sink) (*fallbackEngine, error) {
+func newFallbackEngine(g *graph.Digraph, engaged, queries *obs.Counter) (*fallbackEngine, error) {
 	nonneg := true
 	g.Edges(func(_, _ int, w float64) bool {
 		if w < 0 {
@@ -82,25 +69,14 @@ func newFallbackEngine(g *graph.Digraph, sink *obs.Sink) (*fallbackEngine, error
 			return nil, fmt.Errorf("%w: %v", ErrNegativeCycle, err)
 		}
 	}
-	return &fallbackEngine{
-		g:        g,
-		nonneg:   nonneg,
-		cEngaged: sink.Counter(obs.MFallbackEngaged),
-		cQueries: sink.Counter(obs.MFallbackQueries),
-	}, nil
+	return &fallbackEngine{g: g, nonneg: nonneg, engaged: engaged, queries: queries}, nil
 }
 
 // engage records one degradation cause (a build failure, an invariant
 // violation, or a recovered panic).
-func (f *fallbackEngine) engage() {
-	f.cEngaged.Inc()
-	f.telEngaged.Load().Inc()
-}
+func (f *fallbackEngine) engage() { f.engaged.Inc() }
 
-func (f *fallbackEngine) note() {
-	f.cQueries.Inc()
-	f.telQueries.Load().Inc()
-}
+func (f *fallbackEngine) note() { f.queries.Inc() }
 
 // sssp answers one exact single-source query on the original graph. The
 // construction-time negative-cycle check guarantees this cannot fail, and

@@ -65,13 +65,14 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// Breaker is a closed/open/half-open circuit breaker with latched counts.
-// Repeated failures of the guarded operation open it; while open, Allow
-// refuses immediately (the caller stops hammering a doomed operation);
-// after the cooldown one probe is let through, and its outcome decides
-// whether the circuit closes or re-opens for another cooldown. The clock
-// is injectable, so every transition is deterministic under test. All
-// methods are safe for concurrent use.
+// Breaker is a closed/open/half-open circuit breaker that counts its own
+// state transitions by target state (Transitions). Repeated failures of
+// the guarded operation open it; while open, Allow refuses immediately
+// (the caller stops hammering a doomed operation); after the cooldown one
+// probe is let through, and its outcome decides whether the circuit
+// closes or re-opens for another cooldown. The clock is injectable, so
+// every transition is deterministic under test. All methods are safe for
+// concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 
@@ -81,8 +82,7 @@ type Breaker struct {
 	probeWins    int       // consecutive successes while half-open
 	probing      bool      // a half-open probe is in flight
 	openedAt     time.Time // when the breaker last opened
-	failures     int64     // latched: total failures ever recorded
-	opens        int64     // latched: times the breaker opened
+	transitions  [3]int64  // state changes, by target state
 	onTransition func(from, to State)
 }
 
@@ -107,8 +107,8 @@ func (b *Breaker) transitionLocked(to State) func() {
 		return nil
 	}
 	b.state = to
+	b.transitions[to]++
 	if to == StateOpen {
-		b.opens++
 		b.openedAt = b.cfg.Now()
 	}
 	if fn := b.onTransition; fn != nil {
@@ -188,7 +188,6 @@ func (b *Breaker) Failure() {
 			notify()
 		}
 	}()
-	b.failures++
 	switch b.state {
 	case StateClosed:
 		b.consecutive++
@@ -223,24 +222,13 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// Failures returns the latched total failure count.
-func (b *Breaker) Failures() int64 {
+// Transitions returns how many times the breaker has moved into state to.
+// A nil breaker (disabled) reports 0.
+func (b *Breaker) Transitions(to State) int64 {
+	if b == nil {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.failures
-}
-
-// Opens returns how many times the breaker has opened.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
-}
-
-// ConsecutiveFailures returns the current consecutive-failure count while
-// closed.
-func (b *Breaker) ConsecutiveFailures() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.consecutive
+	return b.transitions[to]
 }

@@ -30,11 +30,17 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker must refuse before cooldown")
 	}
-	if got := b.Opens(); got != 1 {
-		t.Fatalf("Opens = %d, want 1", got)
-	}
-	if got := b.Failures(); got != 3 {
-		t.Fatalf("Failures = %d, want 3", got)
+	wantTransitions(t, b, 0, 1, 0)
+}
+
+// wantTransitions checks b's transition counts into closed, open and
+// half-open.
+func wantTransitions(t *testing.T, b *Breaker, closed, open, halfOpen int64) {
+	t.Helper()
+	for st, want := range map[State]int64{StateClosed: closed, StateOpen: open, StateHalfOpen: halfOpen} {
+		if got := b.Transitions(st); got != want {
+			t.Fatalf("Transitions(%v) = %d, want %d", st, got, want)
+		}
 	}
 }
 
@@ -49,9 +55,12 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 	if got := b.State(); got != StateClosed {
 		t.Fatalf("state = %v, want closed (success reset the streak)", got)
 	}
-	if got := b.ConsecutiveFailures(); got != 2 {
-		t.Fatalf("ConsecutiveFailures = %d, want 2", got)
+	// The streak is 2 again, so the third failure in a row opens it.
+	b.Failure()
+	if got := b.State(); got != StateOpen {
+		t.Fatalf("state after 3 consecutive failures = %v, want open", got)
 	}
+	wantTransitions(t, b, 0, 1, 0)
 }
 
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
@@ -83,6 +92,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("recovered breaker must allow")
 	}
+	wantTransitions(t, b, 1, 1, 1)
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
@@ -105,9 +115,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("must admit a new probe after the second cooldown")
 	}
-	if got := b.Opens(); got != 2 {
-		t.Fatalf("Opens = %d, want 2", got)
-	}
+	wantTransitions(t, b, 0, 2, 2)
 }
 
 func TestBreakerMultiProbeClose(t *testing.T) {
@@ -129,6 +137,7 @@ func TestBreakerMultiProbeClose(t *testing.T) {
 	if got := b.State(); got != StateClosed {
 		t.Fatalf("state after 2/2 probe successes = %v, want closed", got)
 	}
+	wantTransitions(t, b, 1, 1, 1)
 }
 
 func TestBreakerOnTransition(t *testing.T) {
@@ -153,6 +162,11 @@ func TestBreakerOnTransition(t *testing.T) {
 		if hops[i] != want[i] {
 			t.Fatalf("transition %d = %v, want %v", i, hops[i], want[i])
 		}
+	}
+	wantTransitions(t, b, 1, 1, 1)
+	var disabled *Breaker
+	if got := disabled.Transitions(StateOpen); got != 0 {
+		t.Fatalf("nil breaker Transitions = %d, want 0", got)
 	}
 }
 

@@ -7,29 +7,15 @@ import "sync"
 type BrownoutConfig struct {
 	// Threshold is the shed-rate EWMA at which brownout engages (default
 	// 0.1: one in ten admission decisions shedding means the server is
-	// past its knee).
-	Threshold float64
-	// ExitThreshold is the rate below which brownout disengages (default
-	// Threshold/2); the gap is hysteresis so the mode does not flap at the
+	// past its knee). Brownout disengages once the rate falls below
+	// Threshold/2; the gap is hysteresis so the mode does not flap at the
 	// boundary.
-	ExitThreshold float64
-	// Alpha is the EWMA step per admission decision (default 0.05, i.e. a
-	// ~20-decision memory).
-	Alpha float64
+	Threshold float64
 }
 
-func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 0.1
-	}
-	if c.ExitThreshold <= 0 || c.ExitThreshold > c.Threshold {
-		c.ExitThreshold = c.Threshold / 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.05
-	}
-	return c
-}
+// brownoutAlpha is the EWMA step per admission decision: a ~20-decision
+// memory.
+const brownoutAlpha = 0.05
 
 // Brownout tracks the recent shed rate and decides when the server should
 // stop refusing low-priority work outright and start answering it degraded
@@ -38,17 +24,19 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 // hysteresis between the engage and disengage thresholds. All methods are
 // safe for concurrent use.
 type Brownout struct {
-	cfg BrownoutConfig
+	enter, exit float64 // engage at rate ≥ enter, disengage below exit
 
-	mu      sync.Mutex
-	rate    float64 // EWMA of the shed indicator
-	active  bool
-	entries int64 // times brownout engaged
+	mu     sync.Mutex
+	rate   float64 // EWMA of the shed indicator
+	active bool
 }
 
 // NewBrownout returns a detector with no history (inactive, rate 0).
 func NewBrownout(cfg BrownoutConfig) *Brownout {
-	return &Brownout{cfg: cfg.withDefaults()}
+	if cfg.Threshold <= 0 {
+		cfg.Threshold = 0.1
+	}
+	return &Brownout{enter: cfg.Threshold, exit: cfg.Threshold / 2}
 }
 
 // Note records one admission decision: shed is true when the request was
@@ -60,12 +48,11 @@ func (b *Brownout) Note(shed bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.rate += b.cfg.Alpha * (v - b.rate)
+	b.rate += brownoutAlpha * (v - b.rate)
 	switch {
-	case !b.active && b.rate >= b.cfg.Threshold:
+	case !b.active && b.rate >= b.enter:
 		b.active = true
-		b.entries++
-	case b.active && b.rate < b.cfg.ExitThreshold:
+	case b.active && b.rate < b.exit:
 		b.active = false
 	}
 }
@@ -75,18 +62,4 @@ func (b *Brownout) Active() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.active
-}
-
-// Rate returns the current shed-rate EWMA in [0, 1].
-func (b *Brownout) Rate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rate
-}
-
-// Entries returns how many times brownout has engaged.
-func (b *Brownout) Entries() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.entries
 }

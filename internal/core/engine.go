@@ -65,9 +65,9 @@ type Config struct {
 // augment.ErrNegativeCycle if the graph has one); queries then answer
 // single-source problems in Schedule.Phases() Bellman-Ford phases.
 //
-// After construction an Engine is immutable (SetObs excepted) and all query
-// methods are safe for arbitrary concurrent use; per-query scratch that
-// never escapes a call is recycled through an internal pool, so the
+// After construction an Engine is immutable (SetInject excepted) and all
+// query methods are safe for arbitrary concurrent use; per-query scratch
+// that never escapes a call is recycled through an internal pool, so the
 // steady-state allocation cost of a query is just its result slices.
 type Engine struct {
 	g        *graph.Digraph
@@ -200,13 +200,9 @@ func (e *Engine) Augmentation() *augment.Result { return e.aug }
 // Schedule returns the query phase schedule.
 func (e *Engine) Schedule() *Schedule { return e.schedule }
 
-// SetObs attaches an observability sink to an already-assembled engine (the
-// NewEngineFromParts path); nil detaches.
-func (e *Engine) SetObs(s *obs.Sink) { e.obs = s }
-
 // SetInject attaches a phase-boundary fault injector to an already-
 // assembled engine; nil detaches. Not safe to call concurrently with
-// queries — wire it before serving, like SetObs.
+// queries — wire it before serving.
 func (e *Engine) SetInject(inj faultinject.Injector) { e.inj = inj }
 
 // Injector returns the attached phase-boundary fault injector (nil if none).

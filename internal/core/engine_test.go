@@ -191,8 +191,10 @@ func TestEngineNegativeCycleDetection(t *testing.T) {
 // for bit.
 func TestScheduleWorkMatchesRun(t *testing.T) {
 	eng, g := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(1, 2), 1, Config{})
-	obsEng := NewEngineFromParts(g, eng.Tree(), eng.Augmentation(), nil)
-	obsEng.SetObs(&obs.Sink{Metrics: obs.NewRegistry()})
+	obsEng, err := NewEngine(g, eng.Tree(), Config{Obs: &obs.Sink{Metrics: obs.NewRegistry()}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	par := NewEngineFromParts(g, eng.Tree(), eng.Augmentation(), pram.NewExecutor(2))
 	wps, phases := eng.Schedule().WorkPerSource(), int64(eng.Schedule().Phases())
 	const src = 5

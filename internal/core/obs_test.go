@@ -138,8 +138,10 @@ func TestWaveObservedCounters(t *testing.T) {
 	for _, p := range []int{1, 2} {
 		for _, k := range []int{1, 2, 3, 5, 17, 33} {
 			sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
-			eng := NewEngineFromParts(g, plain.Tree(), plain.Augmentation(), pram.NewExecutor(p))
-			eng.SetObs(sink)
+			eng, err := NewEngine(g, plain.Tree(), Config{Ex: pram.NewExecutor(p), Obs: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
 			srcs := make([]int, k)
 			for j := range srcs {
 				srcs[j] = (j * 5) % g.N()

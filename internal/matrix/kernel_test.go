@@ -200,19 +200,33 @@ func TestBlockedClosureBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSquareStepIntoMatchesSquareStep: the out-of-place step and the in-place
-// step agree on result, changed flag, and counted work.
-func TestSquareStepIntoMatchesSquareStep(t *testing.T) {
+// TestSquareStepIntoMatchesNaive: one out-of-place step on one and two
+// workers yields min(d, d⊗d) bit for bit against the reference product,
+// reports a change exactly when an entry strictly improved, and charges
+// n³ work.
+func TestSquareStepIntoMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(80)
 		d := randomSquare(rng, n, 0.25, 0.5, 8)
-		inPlace := d.Clone()
-		dst := New(n, n)
-		stA, stB := &pram.Stats{}, &pram.Stats{}
-		chA := SquareStepInto(dst, d, pram.NewExecutor(2), stA)
-		chB := SquareStep(inPlace, pram.Sequential, stB)
-		return chA == chB && bitIdentical(dst, inPlace) && stA.Work() == stB.Work()
+		want := naiveMul(d, d)
+		wantCh := false
+		for i, v := range d.A {
+			if want.A[i] < v {
+				wantCh = true
+			} else {
+				want.A[i] = v
+			}
+		}
+		for _, ex := range []*pram.Executor{pram.Sequential, pram.NewExecutor(2)} {
+			dst := New(n, n)
+			st := &pram.Stats{}
+			ch := SquareStepInto(dst, d, ex, st)
+			if ch != wantCh || !bitIdentical(dst, want) || st.Work() != int64(n)*int64(n)*int64(n) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

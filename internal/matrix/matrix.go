@@ -335,7 +335,7 @@ func MulRounds(k int) int64 {
 // dst = min(d, d⊗d), reporting whether any entry strictly improved. d must
 // be square, dst the same shape and non-aliasing. Callers ping-pong two
 // buffers (swap dst and d when a step improves) so a doubling loop allocates
-// nothing. Work charged: d.R³, identical to SquareStep.
+// nothing. Work charged: d.R³.
 func SquareStepInto(dst, d *Dense, ex *pram.Executor, st *pram.Stats) bool {
 	if d.R != d.C {
 		panic("matrix: SquareStepInto requires a square matrix")
@@ -379,20 +379,6 @@ func SquareStepInto(dst, d *Dense, ex *pram.Executor, st *pram.Stats) bool {
 		st.AddWork(int64(r1-r0) * int64(n) * int64(c1-c0))
 	})
 	return changed.Load()
-}
-
-// SquareStep performs one path-doubling step in place: d = min(d, d⊗d).
-// d must be square. It reports whether any entry strictly improved. Loop
-// call sites should use SquareStepInto with ping-ponged buffers instead;
-// this form allocates a scratch product per call.
-func SquareStep(d *Dense, ex *pram.Executor, st *pram.Stats) bool {
-	if d.R != d.C {
-		panic("matrix: SquareStep requires a square matrix")
-	}
-	tmp := &Dense{R: d.R, C: d.C, A: make([]float64, len(d.A))}
-	changed := SquareStepInto(tmp, d, ex, st)
-	copy(d.A, tmp.A)
-	return changed
 }
 
 // Closure computes the reflexive-transitive min-plus closure of the square

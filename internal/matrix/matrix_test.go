@@ -138,10 +138,10 @@ func TestSquareStepConverges(t *testing.T) {
 		d.SetMin(i, i, 0)
 	}
 	steps := 0
-	for SquareStep(d, pram.Sequential, nil) {
+	for next := New(12, 12); SquareStepInto(next, d, pram.Sequential, nil); d, next = next, d {
 		steps++
 		if steps > 20 {
-			t.Fatal("SquareStep does not converge")
+			t.Fatal("SquareStepInto does not converge")
 		}
 	}
 	// After convergence d is transitively closed: one more naive pass

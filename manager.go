@@ -70,10 +70,9 @@ func (s BreakerState) String() string { return admission.State(s).String() }
 // defaults noted on each field.
 type ManagerOptions struct {
 	// Telemetry, when non-nil, receives the manager's lifecycle telemetry:
-	// the sepsp_index_epoch gauge, the rebuild-duration histogram, swap and
-	// rebuild-failure counters, and epoch-tagged flight-recorder events.
-	// A Server built over this manager shares the same Telemetry
-	// automatically when ServerOptions.Telemetry matches.
+	// the rebuild-duration histogram and epoch-tagged flight-recorder
+	// events, and it reads the manager's swap, rebuild-failure and rebuild
+	// breaker counts at scrape time.
 	Telemetry *Telemetry
 	// Logger, when non-nil, receives structured lifecycle logs via
 	// log/slog: swaps at Info, rebuild failures at Error, epoch drains at
@@ -139,8 +138,8 @@ func (e *epochIndex) acquire() bool {
 type Manager struct {
 	cur atomic.Pointer[epochIndex]
 
-	tel    atomic.Pointer[Telemetry]       // settable post-construction (Server attach)
-	cache  atomic.Pointer[distcache.Cache] // result cache whose generation tracks swaps
+	tel    *Telemetry
+	cache  *distcache.Cache // result cache whose generation tracks swaps; nil without one
 	logger *slog.Logger
 	inj    faultinject.Injector
 
@@ -157,45 +156,36 @@ type Manager struct {
 // managed snapshot) is stamped epoch 1; a loaded index keeps its persisted
 // tag so epochs stay monotone across restarts.
 func NewManager(ix *Index, opt *ManagerOptions) *Manager {
-	m := &Manager{}
+	return newManager(ix, opt, nil)
+}
+
+// newManager is NewManager with the result cache whose generation each
+// completed swap bumps (stale vectors stop being admitted and die lazily
+// under eviction pressure — no stop-the-world flush); NewServer passes its
+// own.
+func newManager(ix *Index, opt *ManagerOptions, cache *distcache.Cache) *Manager {
+	m := &Manager{cache: cache}
 	var brkOpt BreakerOptions
 	if opt != nil {
-		m.tel.Store(opt.Telemetry)
+		m.tel = opt.Telemetry
 		m.logger = opt.Logger
 		m.inj = opt.Inject
 		brkOpt = opt.RebuildBreaker
 	}
 	m.breaker = brkOpt.build()
-	if m.breaker != nil {
+	if m.breaker != nil && m.logger != nil {
 		m.breaker.OnTransition(func(_, to admission.State) {
-			if tel := m.tel.Load(); tel != nil {
-				tel.recordBreakerTransition("rebuild", to)
-			}
-			if m.logger != nil {
-				m.logger.Info("rebuild breaker transition", "to", to.String())
-			}
+			m.logger.Info("rebuild breaker transition", "to", to.String())
 		})
 	}
 	ix.epoch.CompareAndSwap(0, 1)
 	e := &epochIndex{ix: ix, id: ix.Epoch()}
 	e.refs.Store(1) // base reference: held while the epoch is current
 	m.cur.Store(e)
-	return m
-}
-
-// setTelemetry wires a telemetry registry in after construction (Server
-// attach); the first non-nil registry wins.
-func (m *Manager) setTelemetry(tel *Telemetry) {
-	m.tel.CompareAndSwap(nil, tel)
-}
-
-// setCache wires a server's distance cache in so completed swaps bump its
-// generation (stale vectors stop being admitted and die lazily under
-// eviction pressure — no stop-the-world flush). The first cache wins.
-func (m *Manager) setCache(c *distcache.Cache) {
-	if c != nil {
-		m.cache.CompareAndSwap(nil, c)
+	if m.tel != nil {
+		m.tel.attachManager(m)
 	}
+	return m
 }
 
 // Index returns the currently serving index. Callers that need the index
@@ -333,9 +323,8 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 			m.breaker.Failure()
 		}
 		m.failures.Add(1)
-		tel := m.tel.Load()
-		if tel != nil {
-			tel.recordRebuild(old.id, elapsed, false)
+		if m.tel != nil {
+			m.tel.recordRebuild(old.id, elapsed, false)
 		}
 		if m.logger != nil {
 			m.logger.Error("rebuild failed; old epoch keeps serving",
@@ -353,21 +342,15 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 	// epoch: vectors computed on older epochs stop being admitted and are
 	// evicted first, while requests already keyed at an old epoch simply
 	// stop matching (new requests read the post-swap epoch for their key).
-	m.cache.Load().BumpGeneration(next)
-	tel := m.tel.Load()
-	if tel != nil && res.ix.fb != nil {
-		// Re-wire the fresh fallback engine's Telemetry counters (the old
-		// index's engine carried them until now).
-		res.ix.fb.setTelemetryCounters(tel.fbEngaged, tel.fbQueries)
-	}
+	m.cache.BumpGeneration(next)
 	e := &epochIndex{ix: res.ix, id: next}
 	e.refs.Store(1)
 	m.draining.Add(1) // the old epoch starts draining at the swap below
 	m.cur.Store(e)
 	m.swaps.Add(1)
 	m.release(old) // drop the base reference; drained once waves finish
-	if tel != nil {
-		tel.recordRebuild(next, elapsed, true)
+	if m.tel != nil {
+		m.tel.recordRebuild(next, elapsed, true)
 	}
 	if m.logger != nil {
 		m.logger.Info("epoch swapped", "epoch", next, "rebuild", elapsed, "draining", m.draining.Load())

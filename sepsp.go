@@ -411,7 +411,12 @@ func BuildContext(ctx context.Context, g *Graph, opt *Options) (*Index, error) {
 	if policy == FallbackBaseline {
 		// Vet the graph for fallback service up front: a negative cycle
 		// makes distances undefined for every engine, so it stays an error.
-		if fb, err = newFallbackEngine(dg, sink); err != nil {
+		// The counts go to the Observer registry when there is one.
+		engaged, queries := sink.Counter(obs.MFallbackEngaged), sink.Counter(obs.MFallbackQueries)
+		if engaged == nil {
+			engaged, queries = obs.NewCounter(), obs.NewCounter()
+		}
+		if fb, err = newFallbackEngine(dg, engaged, queries); err != nil {
 			return nil, err
 		}
 	}
@@ -932,7 +937,8 @@ func (ix *Index) WithWeightsContext(ctx context.Context, g *Graph) (*Index, erro
 	var fb *fallbackEngine
 	if ix.fb != nil {
 		var err error
-		if fb, err = newFallbackEngine(dg, ix.sink); err != nil {
+		// The receiver's counters carry over, so the counts never fall.
+		if fb, err = newFallbackEngine(dg, ix.fb.engaged, ix.fb.queries); err != nil {
 			return nil, err
 		}
 	}

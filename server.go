@@ -251,18 +251,31 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	if o.MaxInFlight == 0 {
 		o.MaxInFlight = 1024
 	}
+	// New(MaxBytes ≤ 0) is nil: the cache stays off as a nil receiver.
+	// Leader-local errors — the leader's own context or queue deadline
+	// ending — make single-flight waiters re-race for leadership instead
+	// of inheriting a failure that was never theirs.
+	cache := distcache.New(distcache.Config{
+		MaxBytes: o.CacheBytes,
+		Retryable: func(err error) bool {
+			return errors.Is(err, context.Canceled) ||
+				errors.Is(err, context.DeadlineExceeded) ||
+				errors.Is(err, ErrQueueTimeout)
+		},
+	})
 	s := &Server{
-		mgr: NewManager(ix, &ManagerOptions{
+		mgr: newManager(ix, &ManagerOptions{
 			Telemetry:      o.Telemetry,
 			Logger:         o.Logger,
 			Inject:         o.Inject,
 			RebuildBreaker: adm.RebuildBreaker,
-		}),
+		}, cache),
 		n:            ix.g.N(),
 		maxBatch:     o.MaxBatch,
 		maxInFlight:  o.MaxInFlight,
 		queueTimeout: o.QueueTimeout,
 		inj:          o.Inject,
+		cache:        cache,
 		tel:          o.Telemetry,
 		logger:       o.Logger,
 		q:            admission.NewQueue[*ssspReq](),
@@ -275,27 +288,9 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	for i := range s.outcomes {
 		s.outcomes[i] = obs.NewCounter()
 	}
-	// New(MaxBytes ≤ 0) is nil: the cache stays off as a nil receiver.
-	// Leader-local errors — the leader's own context or queue deadline
-	// ending — make single-flight waiters re-race for leadership instead
-	// of inheriting a failure that was never theirs.
-	s.cache = distcache.New(distcache.Config{
-		MaxBytes: o.CacheBytes,
-		Retryable: func(err error) bool {
-			return errors.Is(err, context.Canceled) ||
-				errors.Is(err, context.DeadlineExceeded) ||
-				errors.Is(err, ErrQueueTimeout)
-		},
-	})
-	s.mgr.setCache(s.cache)
-	if s.fbBreaker != nil {
+	if s.fbBreaker != nil && s.logger != nil {
 		s.fbBreaker.OnTransition(func(_, to admission.State) {
-			if s.tel != nil {
-				s.tel.recordBreakerTransition("fallback", to)
-			}
-			if s.logger != nil {
-				s.logger.Info("fallback breaker transition", "to", to.String())
-			}
+			s.logger.Info("fallback breaker transition", "to", to.String())
 		})
 	}
 	if s.tel != nil {

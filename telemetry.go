@@ -36,46 +36,41 @@ type TelemetryOptions struct {
 // its uninstrumented path). Unlike Observer — which snapshots after a run
 // finishes — Telemetry is safe to scrape continuously while serving. All
 // methods are safe for concurrent use. A Telemetry may be shared by
-// several Servers; per-server gauges are distinguished by a server="N"
-// label in attachment order, the query, wave and cache counter families sum
-// over the attached servers, and /healthz reports the first server.
+// several Servers and Managers; per-server gauges are distinguished by a
+// server="N" label in attachment order, and /healthz reports the first
+// server.
+//
+// Every count a server, manager, breaker, cache or fallback engine keeps
+// is read where it is kept, at scrape time: its counter family sums it
+// over the attached owners (never detached, so the sums never fall).
+// Telemetry itself keeps only the counts no other type does.
 type Telemetry struct {
 	reg *obs.Registry
 	rec *obs.Recorder
 
 	// degradedQ counts queries served while the index was degraded to the
 	// baseline fallback (orthogonal to outcome — a degraded query usually
-	// still succeeds). The outcome, wave and cache counts are the servers'
-	// own (see NewTelemetry).
+	// still succeeds).
 	degradedQ *obs.Counter
 	backoffs  *obs.Counter
 
 	// qAvoided counts the edge relaxations served waves saved by
 	// collapsing duplicate sources (one WorkPerSource per duplicate).
-	qAvoided  *obs.Counter
-	fbEngaged *obs.Counter
-	fbQueries *obs.Counter
+	qAvoided *obs.Counter
 
-	// Admission-control families, indexed by admission.Class / breaker
-	// state. The breaker transition counters are pre-registered for both
-	// breakers ("rebuild", "fallback") and every target state.
-	sheds        [admission.NumClasses]*obs.Counter
-	brownouts    [admission.NumClasses]*obs.Counter
-	rebuildTrans [3]*obs.Counter
-	fbTrans      [3]*obs.Counter
-
-	// Index-lifecycle families, driven by Manager reweighting rebuilds.
-	swapsTotal   *obs.Counter
-	rebuildFails *obs.Counter
+	// Admission-control families, indexed by admission.Class.
+	sheds     [admission.NumClasses]*obs.Counter
+	brownouts [admission.NumClasses]*obs.Counter
 
 	queueWait   *obs.Histogram // seconds queued: admission → wave start
 	computeTime *obs.Histogram // seconds of shared wave compute
 	waveSize    *obs.Histogram // live requests per executed wave
 	rebuildTime *obs.Histogram // seconds per reweighting rebuild attempt
 
-	mu      sync.Mutex
-	servers []*Server
-	indexes map[*Index]int // attached index → id for worker gauge labels
+	mu       sync.Mutex
+	servers  []*Server
+	managers []*Manager     // every server's, plus standalone ones given this Telemetry
+	indexes  map[*Index]int // attached index → id for worker gauge labels
 }
 
 // NewTelemetry returns a telemetry registry with every metric family
@@ -91,14 +86,11 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 		rec:     obs.NewRecorder(size),
 		indexes: make(map[*Index]int),
 	}
-	// The outcome, wave and cache counts live in each server and its
-	// cache, where Healthz reads them too; these families sum them over
-	// the attached servers (never detached, so the sums never fall).
 	const qname = "sepsp_server_queries_total"
 	const qhelp = "Requests decided by the server, by outcome."
 	for out := obs.OutcomeOK; out <= obs.OutcomeBrownout; out++ {
 		reg.CounterFunc(qname, qhelp, `outcome="`+out.String()+`"`,
-			t.sum(func(s *Server) int64 { return s.outcomes[out].Value() }))
+			sumOver(t, &t.servers, func(s *Server) int64 { return s.outcomes[out].Value() }))
 	}
 	for c := admission.Class(0); c < admission.NumClasses; c++ {
 		plbl := `priority="` + c.String() + `"`
@@ -108,47 +100,50 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 			"Shed requests answered exactly from the baseline fallback engine (brownout), by priority class.", plbl)
 	}
 	for st := admission.StateClosed; st <= admission.StateHalfOpen; st++ {
+		const thelp = "Circuit breaker state transitions, by breaker and target state."
 		tolbl := `to="` + st.String() + `"`
-		t.rebuildTrans[st] = reg.Counter("sepsp_breaker_transitions_total",
-			"Circuit breaker state transitions, by breaker and target state.",
-			`breaker="rebuild",`+tolbl)
-		t.fbTrans[st] = reg.Counter("sepsp_breaker_transitions_total",
-			"Circuit breaker state transitions, by breaker and target state.",
-			`breaker="fallback",`+tolbl)
+		reg.CounterFunc("sepsp_breaker_transitions_total", thelp, `breaker="rebuild",`+tolbl,
+			sumOver(t, &t.managers, func(m *Manager) int64 { return m.breaker.Transitions(st) }))
+		reg.CounterFunc("sepsp_breaker_transitions_total", thelp, `breaker="fallback",`+tolbl,
+			sumOver(t, &t.servers, func(s *Server) int64 { return s.fbBreaker.Transitions(st) }))
 	}
 	t.degradedQ = reg.Counter("sepsp_server_degraded_queries_total",
 		"Queries served while the index was degraded to the baseline fallback engine.", "")
 	reg.CounterFunc("sepsp_server_waves_total",
 		"Executed coalesced waves.", "",
-		t.sum(func(s *Server) int64 { return s.waves.Value() }))
+		sumOver(t, &t.servers, func(s *Server) int64 { return s.waves.Value() }))
 	t.backoffs = reg.Counter("sepsp_retry_backoffs_total",
 		"Overload retries slept by sepsp.Retry.", "")
 	t.qAvoided = reg.Counter("sepsp_query_relaxations_avoided_total",
 		"Edge relaxations saved by collapsing duplicate sources in served waves.", "")
-	t.fbEngaged = reg.Counter("sepsp_fallback_engaged_total",
-		"Degradation causes observed by the baseline fallback engine.", "")
-	t.fbQueries = reg.Counter("sepsp_fallback_queries_total",
-		"Queries answered by the baseline fallback engine.", "")
-	t.swapsTotal = reg.Counter("sepsp_index_swaps_total",
-		"Completed epoch hot-swaps (successful reweighting rebuilds).", "")
-	t.rebuildFails = reg.Counter("sepsp_index_rebuild_failures_total",
-		"Reweighting rebuilds that failed or panicked (old epoch kept serving).", "")
+	reg.CounterFunc("sepsp_fallback_engaged_total",
+		"Degradation causes observed by the baseline fallback engine.", "",
+		t.sumFallback(func(f *fallbackEngine) *obs.Counter { return f.engaged }))
+	reg.CounterFunc("sepsp_fallback_queries_total",
+		"Queries answered by the baseline fallback engine.", "",
+		t.sumFallback(func(f *fallbackEngine) *obs.Counter { return f.queries }))
+	reg.CounterFunc("sepsp_index_swaps_total",
+		"Completed epoch hot-swaps (successful reweighting rebuilds).", "",
+		sumOver(t, &t.managers, (*Manager).Swaps))
+	reg.CounterFunc("sepsp_index_rebuild_failures_total",
+		"Reweighting rebuilds that failed or panicked (old epoch kept serving).", "",
+		sumOver(t, &t.managers, (*Manager).RebuildFailures))
 	// A disabled cache reads as zero Stats, leaving its families flat.
 	reg.CounterFunc("sepsp_cache_hits_total",
 		"Queries answered from a cached distance vector (no admission, no wave).", "",
-		t.sum(func(s *Server) int64 { return s.cache.Stats().Hits }))
+		sumOver(t, &t.servers, func(s *Server) int64 { return s.cache.Stats().Hits }))
 	reg.CounterFunc("sepsp_cache_misses_total",
 		"Cache misses that became single-flight leaders and computed a fresh vector.", "",
-		t.sum(func(s *Server) int64 { return s.cache.Stats().Misses }))
+		sumOver(t, &t.servers, func(s *Server) int64 { return s.cache.Stats().Misses }))
 	reg.CounterFunc("sepsp_cache_evictions_total",
 		"Cached distance vectors evicted for memory-budget room.", "",
-		t.sum(func(s *Server) int64 { return s.cache.Stats().Evictions }))
+		sumOver(t, &t.servers, func(s *Server) int64 { return s.cache.Stats().Evictions }))
 	reg.CounterFunc("sepsp_cache_bytes_total",
 		"Cumulative bytes of distance vectors admitted to the cache.", "",
-		t.sum(func(s *Server) int64 { return s.cache.Stats().BytesTotal }))
+		sumOver(t, &t.servers, func(s *Server) int64 { return s.cache.Stats().BytesTotal }))
 	reg.CounterFunc("sepsp_cache_singleflight_shared_total",
 		"Concurrent requests answered by sharing another request's in-flight computation.", "",
-		t.sum(func(s *Server) int64 { return s.cache.Stats().Shared }))
+		sumOver(t, &t.servers, func(s *Server) int64 { return s.cache.Stats().Shared }))
 	t.rebuildTime = reg.Histogram("sepsp_index_rebuild_duration_seconds",
 		"Seconds one reweighting rebuild attempt took, successful or not.", "")
 	t.queueWait = reg.Histogram("sepsp_server_queue_wait_seconds",
@@ -160,23 +155,51 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	return t
 }
 
-// sum returns a func series reading count summed over the attached
-// servers.
-func (t *Telemetry) sum(count func(*Server) int64) func() int64 {
+// sumOver returns a func series reading count summed over the attached
+// owners (t.servers or t.managers).
+func sumOver[T any](t *Telemetry, owners *[]T, count func(T) int64) func() int64 {
 	return func() int64 {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		var total int64
-		for _, s := range t.servers {
-			total += count(s)
+		for _, o := range *owners {
+			total += count(o)
 		}
 		return total
 	}
 }
 
+// sumFallback returns a func series summing one counter of the fallback
+// engines serving under the attached managers. Managers over one index
+// (or indexes of one Observer) share that counter, so each distinct
+// counter is read once.
+func (t *Telemetry) sumFallback(counter func(*fallbackEngine) *obs.Counter) func() int64 {
+	return func() int64 {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		var total int64
+		seen := make(map[*obs.Counter]bool, len(t.managers))
+		for _, m := range t.managers {
+			if fb := m.Index().fb; fb != nil && !seen[counter(fb)] {
+				seen[counter(fb)] = true
+				total += counter(fb).Value()
+			}
+		}
+		return total
+	}
+}
+
+// attachManager adds m to the managers whose counts this registry reads.
+// Called once, by the manager's constructor.
+func (t *Telemetry) attachManager(m *Manager) {
+	t.mu.Lock()
+	t.managers = append(t.managers, m)
+	t.mu.Unlock()
+}
+
 // attach wires a server's scrape-time gauges (and, once per index, the
-// executor's per-worker busy gauges and the fallback engine's Telemetry
-// counters) into the registry. Called by NewServer.
+// executor's per-worker busy gauges) into the registry. Called by
+// NewServer, after its Manager attached.
 func (t *Telemetry) attach(s *Server) {
 	ix := s.mgr.Index()
 	t.mu.Lock()
@@ -188,7 +211,6 @@ func (t *Telemetry) attach(s *Server) {
 		t.indexes[ix] = ixid
 	}
 	t.mu.Unlock()
-	s.mgr.setTelemetry(t)
 
 	slbl := fmt.Sprintf(`server="%d"`, sid)
 	t.reg.GaugeFunc("sepsp_server_queue_depth",
@@ -261,22 +283,15 @@ func (t *Telemetry) attach(s *Server) {
 	t.reg.GaugeFunc("sepsp_exec_load_imbalance",
 		"Max/mean busy iterations across the executor's workers (1 = balanced).", ilbl,
 		func() float64 { _, _, imb := ex.LoadStats(); return imb })
-	if ix.fb != nil {
-		ix.fb.setTelemetryCounters(t.fbEngaged, t.fbQueries)
-	}
 }
 
 // recordRebuild records one finished reweighting rebuild attempt: the
-// duration histogram, the swap or failure counter, and a KindSwap
-// flight-recorder event tagged with the new (or, on failure, the retained)
-// epoch.
+// duration histogram and a KindSwap flight-recorder event tagged with the
+// new (or, on failure, the retained) epoch.
 func (t *Telemetry) recordRebuild(epoch uint64, elapsed time.Duration, swapped bool) {
 	t.rebuildTime.Observe(elapsed.Seconds())
 	out := obs.OutcomeOK
-	if swapped {
-		t.swapsTotal.Inc()
-	} else {
-		t.rebuildFails.Inc()
+	if !swapped {
 		out = obs.OutcomeError
 	}
 	t.rec.Record(obs.Event{
@@ -390,19 +405,6 @@ func (t *Telemetry) recordBrownout(src int, epoch uint64, cls admission.Class) {
 		Epoch:    epoch,
 		Degraded: true,
 	})
-}
-
-// recordBreakerTransition counts one circuit breaker state change.
-func (t *Telemetry) recordBreakerTransition(name string, to admission.State) {
-	if to > admission.StateHalfOpen {
-		return
-	}
-	switch name {
-	case "rebuild":
-		t.rebuildTrans[to].Inc()
-	case "fallback":
-		t.fbTrans[to].Inc()
-	}
 }
 
 // recordBackoff counts one overload retry slept by Retry. Nil-safe: Retry

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"sepsp/internal/admission"
 	"sepsp/internal/faultinject"
 	"sepsp/internal/obs"
 )
@@ -65,16 +66,49 @@ func promSeries(t *testing.T, tel *Telemetry, family string) map[string]int64 {
 	return out
 }
 
+// fakeClock is a manually advanced clock for breaker options.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
 // TestTelemetrySumsServerCounts: two servers with caches share one
 // Telemetry and end requests every way seeded faults, client cancels,
-// queue deadlines and a thrashing cache allow. Each outcome series of
-// sepsp_server_queries_total, sepsp_server_waves_total and every
-// sepsp_cache_*_total family must equal the sum over both servers of the
-// matching Healthz (or cache) count, and the outcome series must add up to
-// the calls made.
+// queue deadlines and a thrashing cache allow. Meanwhile each server
+// reweights under injected rebuild panics and answers brownout queries
+// from a fallback engine that panics on every other call, so on a fake
+// clock both breakers cycle through open, half-open and closed, while a
+// scraper reads /metrics throughout. Each outcome series of
+// sepsp_server_queries_total, sepsp_server_waves_total, every
+// sepsp_cache_*_total family, the swap, rebuild-failure and every breaker
+// transition series must equal the sum over both servers of the owners'
+// counts; the fallback families must read the one shared index's counts
+// once; the outcome series must add up to the calls made; and no scraped
+// owner-kept series may ever fall.
 func TestTelemetrySumsServerCounts(t *testing.T) {
-	ix, n := serverIndex(t)
+	g, grid := gridGraph(t, 10, 10, 42)
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := grid.G.N()
+	reweighted, _ := gridGraph(t, 10, 10, 43)
 	tel := NewTelemetry(nil)
+	clk := newFakeClock()
 	var srvs [2]*Server
 	var calls int64
 	var wg sync.WaitGroup
@@ -84,8 +118,9 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 			Seed:  int64(11 + i),
 			Delay: 300 * time.Microsecond,
 			Sites: map[string]faultinject.SiteConfig{
-				faultinject.SiteServerWave:   {PanicPerMille: 150, DelayPerMille: 500},
-				faultinject.SiteClientCancel: {CancelPerMille: 200},
+				faultinject.SiteServerWave:     {PanicPerMille: 150, DelayPerMille: 500},
+				faultinject.SiteClientCancel:   {CancelPerMille: 200},
+				faultinject.SiteManagerRebuild: {PanicPerMille: 500},
 			},
 		})
 		srv, err := NewServer(ix, &ServerOptions{
@@ -95,6 +130,10 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 			CacheBytes:   int64(n) * 8 * 2,
 			Telemetry:    tel,
 			Inject:       inj,
+			Admission: &AdmissionOptions{
+				RebuildBreaker:  BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute, now: clk.now},
+				FallbackBreaker: BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute, now: clk.now},
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,8 +161,48 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 				mu.Unlock()
 			}(c)
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 8; k++ {
+				clk.advance(2 * time.Minute) // past both cooldowns
+				_, _ = srv.Reweight(context.Background(), reweighted)
+				// Source -1 makes the fallback engine panic, as a broken
+				// one would; source 3 it answers.
+				_, _, _ = srv.brownoutAnswer(context.Background(), []int{-1, 3}[k%2])
+			}
+		}()
 	}
+	owned := []string{"sepsp_index_swaps_total", "sepsp_index_rebuild_failures_total",
+		"sepsp_breaker_transitions_total", "sepsp_fallback_engaged_total", "sepsp_fallback_queries_total"}
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		last := map[string]int64{}
+		for {
+			for _, family := range owned {
+				for lbl, v := range promSeries(t, tel, family) {
+					key := family + "{" + lbl + "}"
+					if v < last[key] {
+						t.Errorf("%s fell from %d to %d", key, last[key], v)
+						return
+					}
+					last[key] = v
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-scraped
+	if t.Failed() {
+		return
+	}
 	var h [2]ServerHealth
 	var bytesTotal int64
 	for i, srv := range srvs {
@@ -134,6 +213,7 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 		bytesTotal += srv.cache.Stats().BytesTotal
 	}
 	sum := func(f func(ServerHealth) int64) int64 { return f(h[0]) + f(h[1]) }
+	sumSrv := func(f func(*Server) int64) int64 { return f(srvs[0]) + f(srvs[1]) }
 	q := promSeries(t, tel, "sepsp_server_queries_total")
 	var total int64
 	for out := 0; out < obs.NumOutcomes; out++ {
@@ -142,10 +222,12 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 	if total != calls || tel.QueriesTotal() != calls {
 		t.Fatalf("queries_total series %v (QueriesTotal %d), want %d calls", q, tel.QueriesTotal(), calls)
 	}
-	for _, c := range []struct {
+	fb := srvs[0].mgr.Index().fb
+	type check struct {
 		name      string
 		got, want int64
-	}{
+	}
+	checks := []check{
 		{"outcome=shed", q[`outcome="shed"`], sum(func(h ServerHealth) int64 { return h.Rejected })},
 		{"outcome=cancelled", q[`outcome="cancelled"`], sum(func(h ServerHealth) int64 { return h.Cancelled })},
 		{"outcome=timeout", q[`outcome="timeout"`], sum(func(h ServerHealth) int64 { return h.TimedOut })},
@@ -157,15 +239,109 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 		{"cache shared", promSeries(t, tel, "sepsp_cache_singleflight_shared_total")[""], sum(func(h ServerHealth) int64 { return h.CacheShared })},
 		{"cache evictions", promSeries(t, tel, "sepsp_cache_evictions_total")[""], sum(func(h ServerHealth) int64 { return h.CacheEvictions })},
 		{"cache bytes", promSeries(t, tel, "sepsp_cache_bytes_total")[""], bytesTotal},
-	} {
+		{"swaps", promSeries(t, tel, "sepsp_index_swaps_total")[""], sumSrv(func(s *Server) int64 { return s.mgr.Swaps() })},
+		{"rebuild failures", promSeries(t, tel, "sepsp_index_rebuild_failures_total")[""], sumSrv(func(s *Server) int64 { return s.mgr.RebuildFailures() })},
+		// Both servers serve the one index's engines, which share one
+		// pair of counters: read once, not twice.
+		{"fallback engaged", promSeries(t, tel, "sepsp_fallback_engaged_total")[""], fb.engaged.Value()},
+		{"fallback queries", promSeries(t, tel, "sepsp_fallback_queries_total")[""], fb.queries.Value()},
+	}
+	trans := promSeries(t, tel, "sepsp_breaker_transitions_total")
+	for st := admission.StateClosed; st <= admission.StateHalfOpen; st++ {
+		rebuild := sumSrv(func(s *Server) int64 { return s.mgr.breaker.Transitions(st) })
+		fallback := sumSrv(func(s *Server) int64 { return s.fbBreaker.Transitions(st) })
+		if rebuild == 0 || fallback == 0 {
+			t.Fatalf("no transition to %v (rebuild %d, fallback %d); the lifecycle load is vacuous", st, rebuild, fallback)
+		}
+		checks = append(checks,
+			check{"rebuild to " + st.String(), trans[`breaker="rebuild",to="`+st.String()+`"`], rebuild},
+			check{"fallback to " + st.String(), trans[`breaker="fallback",to="`+st.String()+`"`], fallback})
+	}
+	for _, c := range checks {
 		if c.got != c.want {
-			t.Errorf("%s: /metrics %d, servers' sum %d", c.name, c.got, c.want)
+			t.Errorf("%s: /metrics %d, owners' sum %d", c.name, c.got, c.want)
 		}
 	}
-	t.Logf("queries %v, health %+v / %+v", q, h[0], h[1])
+	t.Logf("queries %v, transitions %v, health %+v / %+v", q, trans, h[0], h[1])
 	if sum(func(h ServerHealth) int64 { return h.Panics }) == 0 || sum(func(h ServerHealth) int64 { return h.CacheHits }) == 0 ||
 		h[0].Waves == 0 || h[1].Waves == 0 {
 		t.Fatal("seeded load produced no panic, no cache hit, or left a server idle; the test is vacuous")
+	}
+	if srvs[0].mgr.Swaps() == 0 || srvs[1].mgr.Swaps() == 0 || fb.queries.Value() == 0 {
+		t.Fatal("a server never swapped or the fallback answered nothing; the lifecycle load is vacuous")
+	}
+}
+
+// degradedIndex builds an index whose every build round panics, so Build
+// degrades it to the baseline fallback engine. No Observer is attached.
+func degradedIndex(t *testing.T) (*Index, int) {
+	t.Helper()
+	g, grid := gridGraph(t, 6, 6, 7)
+	inj := faultinject.NewSeeded(faultinject.Config{
+		Seed:  1,
+		Sites: map[string]faultinject.SiteConfig{faultinject.SitePramWorker: {PanicPerMille: 1000}},
+	})
+	ix, err := Build(g, &Options{Fallback: FallbackBaseline, Inject: inj})
+	if err != nil {
+		t.Fatalf("Build should degrade, not fail: %v", err)
+	}
+	if !ix.Degraded() {
+		t.Fatal("index not degraded after build-time panics")
+	}
+	return ix, grid.G.N()
+}
+
+// TestTelemetryCountsBuildDegradation: a degradation during Build happens
+// before any Telemetry exists; /metrics must still show it next to the
+// degraded gauge, because the count is the index's own.
+func TestTelemetryCountsBuildDegradation(t *testing.T) {
+	ix, _ := degradedIndex(t)
+	tel := NewTelemetry(nil)
+	srv, err := NewServer(ix, &ServerOptions{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.SSSP(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := promSeries(t, tel, "sepsp_server_degraded")[`server="0"`]; got != 1 {
+		t.Fatalf("sepsp_server_degraded = %d, want 1", got)
+	}
+	if got := promSeries(t, tel, "sepsp_fallback_engaged_total")[""]; got < 1 {
+		t.Fatalf("sepsp_fallback_engaged_total = %d on a degraded build, want >= 1", got)
+	}
+	if got := promSeries(t, tel, "sepsp_fallback_queries_total")[""]; got != 1 {
+		t.Fatalf("sepsp_fallback_queries_total = %d after one query, want 1", got)
+	}
+}
+
+// TestTelemetryFallbackCountsPerIndex: two servers over one degraded index,
+// each with its own Telemetry. Queries through the first must show on the
+// first Telemetry; the second, which serves the same index, reads the same
+// index-owned counts rather than taking them over.
+func TestTelemetryFallbackCountsPerIndex(t *testing.T) {
+	ix, _ := degradedIndex(t)
+	var tels [2]*Telemetry
+	var srvs [2]*Server
+	for i := range srvs {
+		tels[i] = NewTelemetry(nil)
+		srv, err := NewServer(ix, &ServerOptions{Telemetry: tels[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srvs[i] = srv
+	}
+	for src := 0; src < 5; src++ {
+		if _, err := srvs[0].SSSP(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tel := range tels {
+		if got := promSeries(t, tel, "sepsp_fallback_queries_total")[""]; got != 5 {
+			t.Errorf("telemetry %d: sepsp_fallback_queries_total = %d, want 5", i, got)
+		}
 	}
 }
 
