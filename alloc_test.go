@@ -8,9 +8,8 @@ package sepsp
 
 import (
 	"context"
+	"runtime"
 	"testing"
-
-	"sepsp/internal/reach"
 )
 
 // TestSSSPSteadyStateAllocs locks in the zero-scratch query path: after
@@ -88,24 +87,31 @@ func TestSourcesBatchedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReachFirstQueryAllocsOnlyItsResult: the boolean engine relaxes the
-// schedule's arena in place, so even the first From on a fresh engine
-// allocates only the returned set.
-func TestReachFirstQueryAllocsOnlyItsResult(t *testing.T) {
+// TestReachableFirstCallAllocs pins that Reachable builds no engine of its
+// own: on each of several freshly built indexes, the first Reachable
+// allocates at most the distance row and the set, within SSSPContext's
+// bound of 2 plus one. The first query of any kind on an engine also
+// allocates the engine's pooled workspace, so one SSSPContext from
+// another source runs before it.
+func TestReachableFirstCallAllocs(t *testing.T) {
 	g, grid := gridGraph(t, 12, 12, 9)
-	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 5
-	engs := make([]*reach.Engine, runs+1) // AllocsPerRun makes one warm-up call
-	for i := range engs {
-		if engs[i], err = reach.NewEngine(ix.eng.Graph(), ix.eng.Tree(), nil, nil); err != nil {
+	opt := &Options{Decomposition: GridDecomposition(grid.Coord)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		ix, err := Build(g, opt)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(runs, func() { _ = engs[i].From(0, nil); i++ }); avg != 1 {
-		t.Fatalf("first From on a fresh engine allocates %.1f objects, want 1", avg)
+		mustSSSP(t, ix, i+1)
+		runtime.ReadMemStats(&before)
+		_, err = ix.Reachable(i)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; n > 3 {
+			t.Fatalf("index %d: first Reachable allocates %d objects, want <= 3", i, n)
+		}
 	}
 }

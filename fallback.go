@@ -127,21 +127,3 @@ func (f *fallbackEngine) distTo(ctx context.Context, dst int) ([]float64, error)
 	f.revOnce.Do(func() { f.rev = f.g.Reverse() })
 	return f.ssspCtx(ctx, f.rev, dst)
 }
-
-// reachable is a plain BFS over out-edges — reachability needs no weights.
-func (f *fallbackEngine) reachable(src int) []bool {
-	f.note()
-	seen := make([]bool, f.g.N())
-	seen[src] = true
-	queue := []int{src}
-	for head := 0; head < len(queue); head++ {
-		f.g.Out(queue[head], func(to int, _ float64) bool {
-			if !seen[to] {
-				seen[to] = true
-				queue = append(queue, to)
-			}
-			return true
-		})
-	}
-	return seen
-}

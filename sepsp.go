@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +50,6 @@ import (
 	"sepsp/internal/obs"
 	"sepsp/internal/oracle"
 	"sepsp/internal/pram"
-	"sepsp/internal/reach"
 	"sepsp/internal/separator"
 )
 
@@ -173,37 +173,11 @@ func (o *Observer) WriteMetricsJSON(w io.Writer) error {
 	return o.sink.Metrics.Snapshot().WriteJSON(w)
 }
 
-// WriteMetricsText writes the snapshot as sorted "type name value" lines.
-func (o *Observer) WriteMetricsText(w io.Writer) error {
-	return o.sink.Metrics.Snapshot().WriteText(w)
-}
-
 // CounterValue returns the current value of the named registry counter
 // (0 if it was never touched). Useful for programmatic checks of build and
 // query metrics such as "query.cancelled" or "fallback.engaged".
 func (o *Observer) CounterValue(name string) int64 {
 	return o.sink.Metrics.CounterValue(name)
-}
-
-// GaugeValue returns the last value set on the named registry gauge
-// (0 if it was never set).
-func (o *Observer) GaugeValue(name string) float64 {
-	return o.sink.Metrics.Snapshot().Gauges[name]
-}
-
-// HistogramStats returns the observation count, sum, and mean of the named
-// registry histogram (zeros if it was never observed).
-func (o *Observer) HistogramStats(name string) (count int64, sum, mean float64) {
-	h := o.sink.Metrics.Snapshot().Histograms[name]
-	return h.Count, h.Sum, h.Mean()
-}
-
-// HistogramQuantile estimates the q-quantile (q in [0,1]) of the named
-// registry histogram by linear interpolation inside its bucketed counts —
-// the same estimator the live serving telemetry uses for its p50/p99
-// series. Returns 0 if the histogram was never observed.
-func (o *Observer) HistogramQuantile(name string, q float64) float64 {
-	return o.sink.Metrics.Snapshot().Histograms[name].Quantile(q)
 }
 
 // Validate checks the Options for the misconfigurations Build would reject
@@ -293,11 +267,11 @@ type PhaseStat struct {
 //
 // An Index is safe for arbitrary concurrent use: queries share immutable
 // preprocessed state, per-query scratch is pooled inside the engine, and
-// the lazily built auxiliary engines (Reachable's boolean engine,
-// DistToContext's reverse engine, the pair oracle) are initialized exactly
-// once under sync.Once — concurrent first callers block until the one
-// preprocessing run finishes and then share its result. For admission control and
-// cross-request batching on top of an Index, see Server.
+// the two lazily built auxiliary engines (DistToContext's reverse engine
+// and the pair oracle) are initialized exactly once under sync.Once —
+// concurrent first callers block until the one preprocessing run finishes
+// and then share its result. For admission control and cross-request
+// batching on top of an Index, see Server.
 //
 // Panics inside a query never escape as process crashes of goroutines the
 // caller does not own: the executor's workers recover and re-raise in the
@@ -321,10 +295,6 @@ type Index struct {
 
 	fb       *fallbackEngine // non-nil iff built with FallbackBaseline
 	degraded atomic.Bool     // latched: route every query to fb
-
-	reachOnce sync.Once
-	reachEng  *reach.Engine // built lazily
-	reachErr  error
 
 	revOnce sync.Once
 	revEng  *core.Engine // built lazily (reverse-graph queries)
@@ -775,30 +745,22 @@ func (ix *Index) PathContext(ctx context.Context, src, dst int) (path []int, w f
 	return path, dist[dst], true, nil
 }
 
-// Reachable returns the set of vertices reachable from src, using the
-// boolean (transitive-closure) instantiation of the engine; the reach
-// preprocessing runs exactly once on first use (concurrent first callers
-// block on the one run and share its result — or its error). An
-// out-of-range src fails with an error wrapping ErrBadOptions.
+// Reachable returns the set of vertices reachable from src: v is in it
+// exactly when SSSPContext from src gives v a finite distance. It is that
+// one distance query, so a +Inf-weight edge counts as absent, exactly as in
+// SSSPContext and PathContext; errors, panics and fallback are
+// SSSPContext's, and an observed index records one query.sssp span per
+// call. An out-of-range src fails with an error wrapping ErrBadOptions.
 func (ix *Index) Reachable(src int) ([]bool, error) {
-	if err := checkVertex(ix.g.N(), src, "source"); err != nil {
+	dist, err := ix.SSSPContext(context.Background(), src)
+	if err != nil {
 		return nil, err
 	}
-	if ix.primary() {
-		set, err := runGuarded("reachable", func() ([]bool, error) {
-			ix.reachOnce.Do(func() {
-				ix.reachEng, ix.reachErr = reach.NewEngine(ix.eng.Graph(), ix.eng.Tree(), ix.ex, nil)
-			})
-			if ix.reachErr != nil {
-				return nil, ix.reachErr
-			}
-			return ix.reachEng.From(src, nil), nil
-		})
-		if err == nil || !ix.fallbackFor(err) {
-			return set, err
-		}
+	set := make([]bool, len(dist))
+	for v, d := range dist {
+		set[v] = !math.IsInf(d, 1)
 	}
-	return ix.fb.reachable(src), nil
+	return set, nil
 }
 
 // Oracle is a compact all-pairs distance representation: O(n^{1+μ}) space,

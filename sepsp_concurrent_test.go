@@ -2,8 +2,8 @@ package sepsp
 
 // Concurrency tests for the shared-Index serving guarantees: one Index,
 // many goroutines, every public query path at once. Run under -race these
-// fail on any unsynchronized lazy initialization (the pre-sync.Once
-// reachEng/revEng/oracle fields) or on shared query scratch.
+// fail on any unsynchronized lazy initialization (the reverse engine and
+// the pair oracle) or on shared query scratch.
 
 import (
 	"context"
@@ -17,8 +17,8 @@ import (
 )
 
 // TestIndexConcurrentMixedQueries hammers one shared Index from many
-// goroutines mixing every query kind, including the lazily initialized
-// Reachable / DistTo / BuildOracle paths, and checks every answer against
+// goroutines mixing every query kind, including Reachable and the lazily
+// initialized DistTo / BuildOracle paths, and checks every answer against
 // sequential baselines.
 func TestIndexConcurrentMixedQueries(t *testing.T) {
 	g, grid := gridGraph(t, 9, 9, 7)

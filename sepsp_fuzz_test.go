@@ -65,16 +65,11 @@ func closeDist(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-8*(1+math.Abs(want))
 }
 
-// reachCheck builds g with opt and checks Reachable from every source
-// against ref's Bellman–Ford: v is reachable exactly when its distance is
-// finite. ref must hold no negative cycle.
-func reachCheck(t *testing.T, g *Graph, opt *Options, ref *graph.Digraph) bool {
+// reachCheck checks ix's Reachable from every source against ref's
+// Bellman–Ford: v is reachable exactly when its distance is finite. ref
+// must hold no negative cycle.
+func reachCheck(t *testing.T, ix *Index, ref *graph.Digraph) bool {
 	t.Helper()
-	ix, err := Build(g, opt)
-	if err != nil {
-		t.Errorf("Build: %v", err)
-		return false
-	}
 	for src := 0; src < ref.N(); src++ {
 		want, err := baseline.BellmanFord(ref, src, nil)
 		if err != nil {
@@ -184,7 +179,11 @@ func FuzzBuildVsBellmanFord(f *testing.F) {
 		for _, workers := range []int{1, 2} {
 			opt := &Options{Workers: workers}
 			if !negCycle {
-				if !diffCheck(t, int64(n), g, opt, ref) || !reachCheck(t, g, opt, ref) || !pathCheck(t, g, opt, ref) {
+				ix, err := Build(g, opt)
+				if err != nil {
+					t.Fatalf("workers=%d: Build: %v", workers, err)
+				}
+				if !diffCheck(t, int64(n), g, opt, ref) || !reachCheck(t, ix, ref) || !pathCheck(t, g, opt, ref) {
 					t.Fatalf("workers=%d: mismatch against Bellman-Ford", workers)
 				}
 				continue
@@ -201,7 +200,9 @@ func FuzzBuildVsBellmanFord(f *testing.F) {
 // (WithWeightsContext) gives what a fresh Build of the reweighted graph
 // gives: the same E+ slice, bit for bit, the same SSSPContext distances
 // and SourcesBatchedContext rows from three sources, and ErrNegativeCycle
-// exactly when the fresh Build reports it.
+// exactly when the fresh Build reports it. It also checks the reweighted
+// index's Reachable from every source against Bellman–Ford on the second
+// graph (reachCheck), so +Inf weights reach it.
 //
 // Encoding: data[0] picks n in [1, 24], the next n bytes are vertex
 // potentials, and each following byte quadruple (u, v, w1, w2) adds the
@@ -315,6 +316,9 @@ func FuzzWithWeightsVsBuild(f *testing.F) {
 						t.Fatalf("workers=%d src=%d v=%d: reweighted %v (wave %v), fresh %v", workers, src, v, got[v], rows[i][v], want[v])
 					}
 				}
+			}
+			if !reachCheck(t, re, refGraph(g2)) {
+				t.Fatalf("workers=%d: reweighted Reachable disagrees with Bellman-Ford", workers)
 			}
 		}
 	})

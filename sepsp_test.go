@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"sepsp/internal/baseline"
+	"sepsp/internal/faultinject"
 	"sepsp/internal/graph"
 	"sepsp/internal/graph/gen"
+	"sepsp/internal/reach"
 )
 
 func gridGraph(t testing.TB, w, h int, seed int64) (*Graph, *gen.Grid) {
@@ -188,6 +190,154 @@ func TestReachable(t *testing.T) {
 		if r[v] != want[v] {
 			t.Fatalf("Reachable(2)[%d]=%v", v, r[v])
 		}
+	}
+}
+
+// TestReachableInfWeightIsAbsent: a +Inf-weight edge is absent, so v is
+// reachable exactly when SSSPContext gives it a finite distance and
+// PathContext finds a path. Checked on a path whose first edge weighs +Inf
+// and on a grid whose one cut edge weighs +Inf, each served by the
+// separator engine, by the degraded fallback, and by a reweighted epoch
+// that turns that edge from finite to +Inf and back.
+func TestReachableInfWeightIsAbsent(t *testing.T) {
+	inf := math.Inf(1)
+	grid := gen.NewGrid([]int{8, 4}, gen.UnitWeights(), rand.New(rand.NewSource(1)))
+	cases := []struct {
+		name     string
+		src, far int // far is reachable from src only over the edge
+		build    func(w float64) (*Graph, *Options)
+	}{
+		{"path", 0, 39, func(w float64) (*Graph, *Options) {
+			g := NewGraph(40)
+			g.AddEdge(0, 1, w)
+			for i := 1; i+1 < 40; i++ {
+				g.AddEdge(i, i+1, 1)
+			}
+			return g, nil
+		}},
+		// Columns 0–3 and 4–7 joined by the one edge (3,0) → (4,0).
+		{"grid", grid.Index([]int{0, 0}), grid.Index([]int{7, 0}), func(w float64) (*Graph, *Options) {
+			g := NewGraph(grid.G.N())
+			grid.G.Edges(func(from, to int, wt float64) bool {
+				a, b := grid.Coord[from], grid.Coord[to]
+				switch {
+				case a[0] == 3 && b[0] == 4 && a[1] == 0:
+					g.AddEdge(from, to, w)
+				case (a[0] < 4) == (b[0] < 4):
+					g.AddEdge(from, to, wt)
+				}
+				return true
+			})
+			return g, &Options{Decomposition: GridDecomposition(grid.Coord)}
+		}},
+	}
+	check := func(t *testing.T, ix *Index, src, far int, farReachable bool) {
+		t.Helper()
+		n := ix.g.N()
+		for s := 0; s < n; s++ {
+			set, err := ix.Reachable(s)
+			if err != nil {
+				t.Fatalf("Reachable(%d): %v", s, err)
+			}
+			dist := mustSSSP(t, ix, s)
+			for v := 0; v < n; v++ {
+				_, _, ok := mustPath(t, ix, s, v)
+				if set[v] != !math.IsInf(dist[v], 1) || set[v] != ok {
+					t.Fatalf("Reachable(%d)[%d] = %v, SSSPContext %v, PathContext ok %v", s, v, set[v], dist[v], ok)
+				}
+			}
+			if s == src && set[far] != farReachable {
+				t.Fatalf("Reachable(%d)[%d] = %v, want %v", src, far, set[far], farReachable)
+			}
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name+"/primary", func(t *testing.T) {
+			g, opt := c.build(inf)
+			ix, err := Build(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, ix, c.src, c.far, false)
+		})
+		t.Run(c.name+"/degraded", func(t *testing.T) {
+			g, opt := c.build(inf)
+			if opt == nil {
+				opt = &Options{}
+			}
+			opt.Fallback = FallbackBaseline
+			opt.Inject = faultinject.NewSeeded(faultinject.Config{
+				Seed:  1,
+				Sites: map[string]faultinject.SiteConfig{faultinject.SitePramWorker: {PanicPerMille: 1000}},
+			})
+			ix, err := Build(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ix.Degraded() {
+				t.Fatal("index not degraded")
+			}
+			check(t, ix, c.src, c.far, false)
+		})
+		t.Run(c.name+"/reweighted", func(t *testing.T) {
+			g, opt := c.build(1)
+			ix, err := Build(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, ix, c.src, c.far, true)
+			gInf, _ := c.build(inf)
+			if ix, err = ix.WithWeights(gInf); err != nil {
+				t.Fatal(err)
+			}
+			check(t, ix, c.src, c.far, false)
+			if ix, err = ix.WithWeights(g); err != nil {
+				t.Fatal(err)
+			}
+			check(t, ix, c.src, c.far, true)
+		})
+	}
+}
+
+// TestReachableMatchesBooleanEngine: on finite-weight random digraphs with
+// unreachable pairs, Reachable (the finiteness of one distance query)
+// equals the paper's boolean construction, reach.Engine.From, over the
+// same decomposition tree.
+func TestReachableMatchesBooleanEngine(t *testing.T) {
+	unreachable := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(120)
+		ref := gen.RandomDigraph(n, rng.Intn(3*n), gen.UniformWeights(0, 5), rng)
+		if seed%2 == 1 {
+			ref, _ = gen.PotentialShift(ref, 6, rng)
+		}
+		ix, err := Build(toPublic(ref), nil)
+		if err != nil {
+			t.Fatalf("seed=%d: Build: %v", seed, err)
+		}
+		eng, err := reach.NewEngine(ix.eng.Graph(), ix.eng.Tree(), nil, nil)
+		if err != nil {
+			t.Fatalf("seed=%d: reach.NewEngine: %v", seed, err)
+		}
+		for src := 0; src < n; src++ {
+			got, err := ix.Reachable(src)
+			if err != nil {
+				t.Fatalf("seed=%d: Reachable(%d): %v", seed, src, err)
+			}
+			want := eng.From(src, nil)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("seed=%d: Reachable(%d)[%d] = %v, boolean engine %v", seed, src, v, got[v], want[v])
+				}
+				if !want[v] {
+					unreachable++
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no instance has an unreachable pair")
 	}
 }
 
