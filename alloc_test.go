@@ -115,3 +115,37 @@ func TestReachableFirstCallAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSSSPTelemetryAllocs pins the metrics-only instrumented query path:
+// with Options.Telemetry set and tracing off, a single-source query and a
+// one-source wave allocate no more than on the uninstrumented index (3 for
+// the wave), because the engine resolved its counters when the Telemetry
+// was attached and builds no series name or span argument per phase.
+func TestSSSPTelemetryAllocs(t *testing.T) {
+	g, grid := gridGraph(t, 32, 32, 9)
+	ctx := context.Background()
+	srcs := []int{1}
+	allocs := func(opt *Options) (sssp, wave float64) {
+		ix, err := Build(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSSSP(t, ix, 0) // warm the engine's workspace pools
+		if _, err := ix.SourcesBatchedContext(ctx, srcs); err != nil {
+			t.Fatal(err)
+		}
+		sssp = testing.AllocsPerRun(50, func() { _, _ = ix.SSSPContext(ctx, 1) })
+		wave = testing.AllocsPerRun(50, func() { _, _ = ix.SourcesBatchedContext(ctx, srcs) })
+		return sssp, wave
+	}
+	plainSSSP, plainWave := allocs(&Options{Decomposition: GridDecomposition(grid.Coord)})
+	tel := NewTelemetry(nil)
+	telSSSP, telWave := allocs(&Options{Decomposition: GridDecomposition(grid.Coord), Telemetry: tel})
+	if telSSSP > plainSSSP || telWave > plainWave || telWave > 3 {
+		t.Fatalf("instrumented SSSP %.1f / wave %.1f allocs per call, uninstrumented %.1f / %.1f (wave bound 3)",
+			telSSSP, telWave, plainSSSP, plainWave)
+	}
+	if tel.reg.CounterValue("sepsp_query_phases_total") == 0 {
+		t.Fatal("the instrumented queries recorded no phases")
+	}
+}

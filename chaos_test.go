@@ -51,7 +51,7 @@ func classifyChaosErr(err error) string {
 func TestChaosServingWithFallback(t *testing.T) {
 	g, _ := gridGraph(t, 6, 6, 41)
 	want := chaosReference(t, g)
-	obsv := NewObserver()
+	obsv := NewTelemetry(nil)
 	inj := faultinject.NewSeeded(faultinject.Config{
 		Seed:  1234,
 		Delay: 100 * time.Microsecond,
@@ -63,10 +63,10 @@ func TestChaosServingWithFallback(t *testing.T) {
 		},
 	})
 	ix, err := Build(g, &Options{
-		Workers:  4,
-		Fallback: FallbackBaseline,
-		Inject:   inj,
-		Observer: obsv,
+		Workers:   4,
+		Fallback:  FallbackBaseline,
+		Inject:    inj,
+		Telemetry: obsv,
 	})
 	if err != nil {
 		t.Fatalf("Build with fallback must degrade rather than fail: %v", err)
@@ -84,10 +84,10 @@ func TestChaosServingWithFallback(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Degraded() && obsv.CounterValue("fallback.engaged") == 0 {
-		t.Fatal("index degraded but fallback.engaged counter is zero")
+	if ix.Degraded() && obsv.reg.CounterValue("sepsp_fallback_engaged_total") == 0 {
+		t.Fatal("index degraded but sepsp_fallback_engaged_total is zero")
 	}
-	if obsv.CounterValue("fallback.queries") > 0 && obsv.CounterValue("fallback.engaged") == 0 {
+	if obsv.reg.CounterValue("sepsp_fallback_queries_total") > 0 && obsv.reg.CounterValue("sepsp_fallback_engaged_total") == 0 {
 		t.Fatal("fallback served queries without a recorded engagement")
 	}
 }
@@ -190,7 +190,7 @@ func runChaosClients(t *testing.T, srv *Server, inj *faultinject.Seeded, want []
 func TestChaosIndexConcurrent(t *testing.T) {
 	g, _ := gridGraph(t, 6, 6, 47)
 	want := chaosReference(t, g)
-	obsv := NewObserver()
+	obsv := NewTelemetry(nil)
 	inj := faultinject.NewSeeded(faultinject.Config{
 		Seed:  555,
 		Delay: 50 * time.Microsecond,
@@ -200,10 +200,10 @@ func TestChaosIndexConcurrent(t *testing.T) {
 		},
 	})
 	ix, err := Build(g, &Options{
-		Workers:  4,
-		Fallback: FallbackBaseline,
-		Inject:   inj,
-		Observer: obsv,
+		Workers:   4,
+		Fallback:  FallbackBaseline,
+		Inject:    inj,
+		Telemetry: obsv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestChaosIndexConcurrent(t *testing.T) {
 	workerPanics, _, _ := inj.Fired(faultinject.SitePramWorker)
 	phasePanics, _, _ := inj.Fired(faultinject.SiteQueryPhase)
 	if workerPanics+phasePanics > 0 {
-		if obsv.CounterValue("fallback.engaged") == 0 && !ix.Degraded() {
+		if obsv.reg.CounterValue("sepsp_fallback_engaged_total") == 0 && !ix.Degraded() {
 			t.Fatal("panics fired but neither degradation nor fallback engagement recorded")
 		}
 	}

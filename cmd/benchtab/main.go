@@ -5,7 +5,7 @@
 // Usage:
 //
 //	benchtab [-exp id[,id...]] [-scale N] [-workers P] [-json]
-//	         [-gate baseline.json] [-trace out.json] [-metrics out.json]
+//	         [-gate baseline.json] [-trace out.json] [-metrics out.prom]
 //
 // With no -exp flag, all experiments run in order. -json switches the
 // output to one JSON object per experiment (NDJSON), for scripting.
@@ -14,7 +14,8 @@
 // registered regression gate reports a violation — counted work drift,
 // allocation regressions, kernel speedups under their floors.
 // -trace and -metrics attach an observability sink to instrumentation-aware
-// experiments (T1-prep, T1-query, E-phases) and export what was collected.
+// experiments (T1-prep, T1-query, E-phases) and export what was collected:
+// Chrome trace_event JSON and Prometheus text.
 package main
 
 import (
@@ -55,7 +56,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		jsonOut     = fs.Bool("json", false, "emit one JSON object per experiment (NDJSON) instead of rendered tables")
 		gatePath    = fs.String("gate", "", "NDJSON baseline file (e.g. BENCH_build.json): re-run its experiments and fail on gate violations")
 		tracePath   = fs.String("trace", "", "write Chrome trace_event JSON collected across the run here")
-		metricsPath = fs.String("metrics", "", "write a metrics snapshot (JSON) collected across the run here")
+		metricsPath = fs.String("metrics", "", "write the metrics collected across the run here (Prometheus text)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -149,8 +150,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *metricsPath != "" {
-		snap := sink.Metrics.Snapshot()
-		if err := writeFile(*metricsPath, snap.WriteJSON); err != nil {
+		if err := writeFile(*metricsPath, sink.Metrics.WritePrometheus); err != nil {
 			fmt.Fprintln(stderr, "benchtab:", err)
 			return 1
 		}

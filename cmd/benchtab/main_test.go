@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,11 +66,12 @@ func TestJSONOutput(t *testing.T) {
 }
 
 // TestTraceAndMetricsExport: an instrumentation-aware experiment populates
-// the sink, and both exports are valid JSON.
+// the sink; the trace export is valid JSON and the metrics export
+// Prometheus text with per-level work.
 func TestTraceAndMetricsExport(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.json")
-	metricsPath := filepath.Join(dir, "m.json")
+	metricsPath := filepath.Join(dir, "m.prom")
 	_, errOut, code := runTab(t, "-exp", "E-phases", "-workers", "1",
 		"-trace", tracePath, "-metrics", metricsPath)
 	if code != 0 {
@@ -102,20 +104,20 @@ func TestTraceAndMetricsExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("-metrics output invalid: %v", err)
-	}
-	var prepWork int64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "prep.work.level.") {
-			prepWork += v
+	var prepWork float64
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, `sepsp_prep_work_total{level="`) {
+			continue
 		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("-metrics sample %q: %v", line, err)
+		}
+		prepWork += v
 	}
 	if prepWork == 0 {
-		t.Fatal("metrics snapshot has no per-level prep work")
+		t.Fatal("metrics export has no per-level prep work")
 	}
 }
 

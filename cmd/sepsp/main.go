@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sepsp -graph g.txt [-coords g.coords] [-alg 41|43] [-workers P]
-//	      [-trace out.json] [-metrics out.json] [-pprof dir/] <command>
+//	      [-trace out.json] [-metrics out.prom] [-pprof dir/] <command>
 //
 // Commands:
 //
@@ -64,12 +64,20 @@
 //	-trace out.json          Chrome trace_event spans (chrome://tracing,
 //	                         Perfetto) — one span per preprocessing tree
 //	                         level and per query Bellman-Ford phase
-//	-metrics out.json        metrics snapshot (counters/gauges/histograms)
+//	-metrics out.prom        the Telemetry's Prometheus text, the bytes
+//	                         /metrics serves: per-level preprocessing and
+//	                         per-phase-kind query counters, worker gauges,
+//	                         and under serve the serving families
 //	-pprof dir/              write dir/cpu.pprof and dir/heap.pprof, with
 //	                         phase= labels on instrumented sections
 //	-log-level L             serve: structured log/slog level on stderr
 //	                         (debug|info|warn|error|off; default info —
 //	                         waves log at debug, failures at warn/error)
+//
+// Any of -trace, -metrics and -pprof builds the index with a
+// sepsp.Telemetry, with tracing on for -trace and -pprof; without them the
+// index is uninstrumented. Under serve the server reports into the same
+// Telemetry.
 package main
 
 import (
@@ -113,7 +121,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		srcsFlag    = fs.String("srcs", "", "comma-separated sources (apsp)")
 		pairsFlag   = fs.String("pairs", "", "comma-separated u:v pairs (pairs)")
 		tracePath   = fs.String("trace", "", "write Chrome trace_event JSON here")
-		metricsPath = fs.String("metrics", "", "write a metrics snapshot (JSON) here")
+		metricsPath = fs.String("metrics", "", "write the metrics in Prometheus text here")
 		pprofDir    = fs.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 		clients     = fs.Int("clients", 8, "serve: concurrent client goroutines")
 		requests    = fs.Int("requests", 256, "serve: total SSSP requests across all clients")
@@ -243,17 +251,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		opt.Decomposition = sepsp.GridDecomposition(coords)
 	}
 
-	// The stats command needs the per-level breakdown, which only an
-	// observed build collects; serve reports the fallback engine's
-	// counters; the export flags need one by definition.
-	var ob *sepsp.Observer
-	if *tracePath != "" || *metricsPath != "" || *pprofDir != "" || cmd == "stats" || cmd == "serve" {
-		ob = sepsp.NewObserver()
-		opt.Observer = ob
+	// Only the export flags instrument the build; spans and pprof labels
+	// come with -trace and -pprof.
+	var tel *sepsp.Telemetry
+	if *tracePath != "" || *metricsPath != "" || *pprofDir != "" {
+		tel = sepsp.NewTelemetry(&sepsp.TelemetryOptions{Trace: *tracePath != "" || *pprofDir != ""})
+		opt.Telemetry = tel
 	}
 	var prof *obs.Profiler
 	if *pprofDir != "" {
-		ob.EnablePprofLabels()
 		if prof, err = obs.StartProfiles(*pprofDir); err != nil {
 			return fail(err)
 		}
@@ -277,7 +283,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if cfg.overload {
 			code = runOverloadDrill(ctx, w, ix, g, dg.N(), cfg, stderr)
 		} else {
-			code = runServe(ctx, w, ix, dg.N(), cfg, inj, ob, stderr)
+			code = runServe(ctx, w, ix, dg.N(), cfg, inj, tel, stderr)
 		}
 		stop()
 	} else {
@@ -295,12 +301,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *tracePath != "" {
-		if err := writeFile(*tracePath, ob.WriteTrace); err != nil && code == 0 {
+		if err := writeFile(*tracePath, tel.WriteTrace); err != nil && code == 0 {
 			code = fail(err)
 		}
 	}
 	if *metricsPath != "" {
-		if err := writeFile(*metricsPath, ob.WriteMetricsJSON); err != nil && code == 0 {
+		if err := writeFile(*metricsPath, tel.WriteMetrics); err != nil && code == 0 {
 			code = fail(err)
 		}
 	}

@@ -76,12 +76,12 @@ func TestStatsGolden(t *testing.T) {
 
 // TestTraceAndMetricsFlags is the CLI acceptance check: an sssp run with
 // -trace and -metrics produces loadable JSON with a span for every
-// preprocessing level and every query phase, and per-phase work counters
-// that sum to the schedule total.
+// preprocessing level and every query phase, and strict Prometheus text
+// whose per-phase work counters sum to the schedule total.
 func TestTraceAndMetricsFlags(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.json")
-	metricsPath := filepath.Join(dir, "m.json")
+	metricsPath := filepath.Join(dir, "m.prom")
 	out, errOut, code := runCLI(t,
 		"-graph", "testdata/grid6.txt", "-coords", "testdata/grid6.coords",
 		"-trace", tracePath, "-metrics", metricsPath, "sssp", "-src", "0")
@@ -129,25 +129,29 @@ func TestTraceAndMetricsFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("-metrics output is not valid JSON: %v", err)
-	}
-	var qw int64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "query.work.") {
-			qw += v
+	// -metrics writes the Telemetry's Prometheus text, held to the
+	// serve drill's strict exposition parser.
+	families := parsePrometheus(t, string(raw))
+	for _, fam := range []string{"sepsp_prep_work_total", "sepsp_query_relaxations_total", "sepsp_query_phases_total"} {
+		if families[fam] != "counter" {
+			t.Fatalf("-metrics output has no %s counter family: %v", fam, families)
 		}
+	}
+	var qw float64
+	for _, kind := range []string{"ell-pre", "same-down", "desc", "asc", "same-up", "ell-post"} {
+		v, ok := metricValue(string(raw), `sepsp_query_relaxations_total{kind="`+kind+`"}`)
+		if !ok {
+			t.Fatalf("-metrics output has no %s relaxation series", kind)
+		}
+		qw += v
 	}
 	// Every phase runs, so the executed relaxations are the static
 	// per-source cost (see stats.golden).
 	if qw != 2172 {
-		t.Fatalf("query.work.* counters sum to %d, want 2172", qw)
+		t.Fatalf("sepsp_query_relaxations_total sums to %g, want 2172", qw)
 	}
-	if snap.Counters["query.phases"] != int64(phases) {
-		t.Fatalf("query.phases counter %d, trace has %d phase spans", snap.Counters["query.phases"], phases)
+	if got, _ := metricValue(string(raw), "sepsp_query_phases_total"); got != float64(phases) {
+		t.Fatalf("sepsp_query_phases_total %g, trace has %d phase spans", got, phases)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	sepsp "sepsp"
 	"sepsp/internal/faultinject"
 	"sepsp/internal/graph"
-	"sepsp/internal/obs"
 )
 
 // serveConfig carries the serve subcommand's load-test parameters.
@@ -161,8 +160,10 @@ func buildLogger(w io.Writer, level string) (*slog.Logger, error) {
 // duration of the load plus cfg.linger. Cancelling ctx (SIGINT/SIGTERM in
 // main) stops the load gracefully: clients stop issuing, in-flight waves
 // drain through Server.Close, and runServe returns normally so the
-// caller's metric exports still happen.
-func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serveConfig, inj *faultinject.Seeded, ob *sepsp.Observer, stderr io.Writer) int {
+// caller's metric exports still happen. tel is the Telemetry the index was
+// built with, if any; the server then reports into it too, so one
+// exposition holds the index's and the server's families.
+func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serveConfig, inj *faultinject.Seeded, tel *sepsp.Telemetry, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "sepsp:", err)
 		return 1
@@ -178,8 +179,11 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 		return fail(err)
 	}
 	// Telemetry is always attached: the run summary reads the wave-size
-	// histogram from it; -listen only decides whether it is also served.
-	tel := sepsp.NewTelemetry(nil)
+	// histogram and the fallback counts from it; -listen only decides
+	// whether it is also served.
+	if tel == nil {
+		tel = sepsp.NewTelemetry(nil)
+	}
 	sopt := &sepsp.ServerOptions{
 		MaxBatch:     cfg.maxBatch,
 		MaxInFlight:  cfg.inFlight,
@@ -318,7 +322,11 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 		return fail(err)
 	}
 
-	meanWave, p50, p99 := waveSizeStats(tel)
+	m := scrape(tel)
+	meanWave, p50, p99 := 0.0, m[`sepsp_server_wave_size_quantile{q="0.5"}`], m[`sepsp_server_wave_size_quantile{q="0.99"}`]
+	if count := m["sepsp_server_wave_size_count"]; count > 0 {
+		meanWave = m["sepsp_server_wave_size_sum"] / count
+	}
 	fmt.Fprintf(w, "serve: %d requests, %d clients\n", cfg.requests, cfg.clients)
 	fmt.Fprintf(w, "served=%d faulted=%d rejected=%d cancelled=%d timedout=%d\n",
 		served.Load(), faulted.Load(), health.Rejected, health.Cancelled, health.TimedOut)
@@ -349,43 +357,29 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 		sp, sd, _ := inj.Fired(faultinject.SiteServerWave)
 		fmt.Fprintf(w, "chaos: injected panics=%d delays=%d recoveredPanics=%d degraded=%v\n",
 			wp+qp+sp, wd+qd+sd, health.Panics, health.Degraded)
-		fmt.Fprintf(w, "chaos: fallbackEngaged=%d fallbackQueries=%d\n",
-			ob.CounterValue(obs.MFallbackEngaged), ob.CounterValue(obs.MFallbackQueries))
+		fmt.Fprintf(w, "chaos: fallbackEngaged=%.0f fallbackQueries=%.0f\n",
+			m["sepsp_fallback_engaged_total"], m["sepsp_fallback_queries_total"])
 	}
 	return 0
 }
 
-// waveSizeStats reads the mean, p50 and p99 of the server's wave sizes
-// from tel's Prometheus exposition; the quantiles are estimates from the
-// histogram's log2 buckets.
-func waveSizeStats(tel *sepsp.Telemetry) (mean, p50, p99 float64) {
+// scrape reads tel's Prometheus exposition into a series → value map,
+// keyed by the sample name with its labels as exposed (the histogram
+// quantile gauges are log2-bucket estimates).
+func scrape(tel *sepsp.Telemetry) map[string]float64 {
 	var b strings.Builder
 	_ = tel.WriteMetrics(&b) // a strings.Builder never fails a write
-	var sum, count float64
+	m := make(map[string]float64)
 	for _, line := range strings.Split(b.String(), "\n") {
 		name, val, ok := strings.Cut(line, " ")
-		if !ok {
+		if !ok || strings.HasPrefix(line, "#") {
 			continue
 		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			continue
-		}
-		switch name {
-		case "sepsp_server_wave_size_sum":
-			sum = v
-		case "sepsp_server_wave_size_count":
-			count = v
-		case `sepsp_server_wave_size_quantile{q="0.5"}`:
-			p50 = v
-		case `sepsp_server_wave_size_quantile{q="0.99"}`:
-			p99 = v
+		if v, err := strconv.ParseFloat(val, 64); err == nil {
+			m[name] = v
 		}
 	}
-	if count > 0 {
-		mean = sum / count
-	}
-	return mean, p50, p99
+	return m
 }
 
 // isTypedFault reports whether err is one of the serving stack's documented

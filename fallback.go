@@ -24,10 +24,10 @@ const (
 	// routed to the exact baseline engine (Dijkstra for nonnegative
 	// weights, Bellman-Ford otherwise) — slower, but always correct and
 	// always available. Engagements (once per cause) and routed queries
-	// are counted by the index, in the Observer registry when there is one
-	// ("fallback.engaged", "fallback.queries"); a Telemetry attached to a
-	// Server over the index reads the same counts as
-	// "sepsp_fallback_engaged_total" and "sepsp_fallback_queries_total".
+	// are counted by the index; a Telemetry given to Build as
+	// Options.Telemetry, or attached to a Server over the index, reads
+	// them as "sepsp_fallback_engaged_total" and
+	// "sepsp_fallback_queries_total".
 	FallbackBaseline
 )
 
@@ -42,11 +42,10 @@ type fallbackEngine struct {
 	revOnce sync.Once
 	rev     *graph.Digraph // reverse graph, built lazily for distTo
 
-	// The one place engagements and routed queries are counted: the
-	// Observer registry's counters when the build had an Observer, fresh
-	// ones otherwise. A reweighted index's engine takes over its
-	// predecessor's, so the counts carry over an epoch swap and never
-	// fall; Telemetry reads them at scrape time.
+	// The one place engagements and routed queries are counted, made by
+	// Build. A reweighted index's engine takes over its predecessor's, so
+	// the counts carry over an epoch swap and never fall; Telemetry reads
+	// them at scrape time.
 	engaged *obs.Counter
 	queries *obs.Counter
 }

@@ -6,7 +6,6 @@ import (
 
 	"sepsp/internal/graph"
 	"sepsp/internal/matrix"
-	"sepsp/internal/obs"
 	"sepsp/internal/separator"
 )
 
@@ -26,19 +25,21 @@ import (
 // rounds per level are the maximum over its nodes, matching the PRAM model
 // where the nodes run concurrently.
 func Alg41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
-	parts, err := alg41Parts(g, t, cfg)
+	parts, levels, err := alg41Parts(g, t, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(g.N(), parts, cfg.Prev, cfg.ex()), nil
+	res := assemble(g.N(), parts, cfg.Prev, cfg.ex())
+	res.Levels = levels
+	return res, nil
 }
 
 // alg41Parts runs Algorithm 4.1 and returns every tree node's E_t
-// contributions, indexed by node id; each node emits its own inside the
-// level round that computes its distances.
-func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error) {
+// contributions, indexed by node id, and the cost of every tree level; each
+// node emits its own inside the level round that computes its distances.
+func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, []Stage, error) {
 	if g.N() != t.N() {
-		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
+		return nil, nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
 	}
 	byLevel := nodesByLevel(t)
 	nn := len(t.Nodes)
@@ -46,6 +47,7 @@ func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 	hsm := make([]*matrix.Dense, nn) // closed H_S per internal node, in S order
 	parts := make([]part, nn)
 	errs := make([]error, nn)
+	levels := make([]Stage, t.Height+1)
 	ex := cfg.ex()
 	// One workspace for the whole run: per-node matrices are drawn from it
 	// and consumed child matrices are released back after each level, so the
@@ -54,7 +56,7 @@ func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 
 	for level := t.Height; level >= 0; level-- {
 		if err := cfg.cancelled(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		nodes := byLevel[level]
 		if len(nodes) == 0 {
@@ -62,9 +64,8 @@ func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 		}
 		// One attributed stage per tree level: its counted work/rounds flow
 		// into the aggregate Stats unchanged, and additionally land in the
-		// per-level metric series and a trace span.
-		err := cfg.attributed("prep.level",
-			obs.LevelKey(obs.MPrepWork, level), obs.LevelKey(obs.MPrepRounds, level),
+		// level's Stage and, with tracing on, a span.
+		err := cfg.attributed(&levels[level], "prep.level",
 			[]any{"alg", 41, "level", level, "nodes", len(nodes)},
 			func(c Config) error {
 				var maxRounds int64
@@ -99,15 +100,10 @@ func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 				return nil
 			})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if cfg.Obs.Enabled() {
-			shortcuts := cfg.Obs.Counter(obs.LevelKey(obs.MPrepShortcuts, level))
-			perNode := cfg.Obs.Histogram("prep.eplus.per_node")
-			for _, id := range nodes {
-				shortcuts.Add(int64(len(parts[id].to)))
-				perNode.Observe(float64(len(parts[id].to)))
-			}
+		for _, id := range nodes {
+			levels[level].Contributions += int64(len(parts[id].to))
 		}
 		// Matrices of the level below have now been fully consumed: release
 		// them to the workspace so this level's parents (and the levels
@@ -121,7 +117,7 @@ func alg41Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 			}
 		}
 	}
-	return parts, nil
+	return parts, levels, nil
 }
 
 // emitNode41 returns E_t = S(t)×S(t) ∪ B(t)×B(t) as node nd's part, with

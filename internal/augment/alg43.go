@@ -6,7 +6,6 @@ import (
 
 	"sepsp/internal/graph"
 	"sepsp/internal/matrix"
-	"sepsp/internal/obs"
 	"sepsp/internal/separator"
 )
 
@@ -39,18 +38,21 @@ type node43 struct {
 // per-level closure barrier) and pays a Θ(log n) factor in work (every node
 // keeps squaring until the global fixpoint).
 func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
-	parts, err := alg43Parts(g, t, cfg)
+	parts, iters, err := alg43Parts(g, t, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(g.N(), parts, cfg.Prev, cfg.ex()), nil
+	res := assemble(g.N(), parts, cfg.Prev, cfg.ex())
+	res.Iters = iters
+	return res, nil
 }
 
 // alg43Parts runs Algorithm 4.3 and returns every tree node's E_t
-// contributions, indexed by node id.
-func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error) {
+// contributions, indexed by node id, and the cost of the initialisation
+// and of every doubling iteration (see Result.Iters).
+func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, []Stage, error) {
 	if g.N() != t.N() {
-		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
+		return nil, nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
 	}
 	ex := cfg.ex()
 	nn := len(t.Nodes)
@@ -60,10 +62,11 @@ func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 	// are restricted to VH(t) and released immediately, so concurrent leaves
 	// recycle a handful of slabs instead of allocating one each.
 	ws := matrix.NewWorkspace()
+	iters := 2*ceilLog2(t.N()) + 2*t.Height + 2
+	stages := make([]Stage, 1, iters+1)
 
 	// Step (i): initialize every H(t) — in parallel, one round group.
-	err := cfg.attributed("prep.init",
-		obs.MPrepWork+".init", obs.MPrepRounds+".init",
+	err := cfg.attributed(&stages[0], "prep.init",
 		[]any{"alg", 43, "nodes", nn},
 		func(c Config) error {
 			ex.For(nn, func(id int) {
@@ -112,7 +115,7 @@ func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 			return nil
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Wire up the pull maps (children exist after the init barrier).
 	maxU := 1
@@ -139,14 +142,13 @@ func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 		v    float64
 	}
 	staged := make([][]pulled, nn)
-	iters := 2*ceilLog2(t.N()) + 2*t.Height + 2
 	for it := 0; it < iters; it++ {
 		if err := cfg.cancelled(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var changed atomic.Bool
-		err := cfg.attributed("prep.iter",
-			obs.IterKey(obs.MPrepWork, it), obs.IterKey(obs.MPrepRounds, it),
+		stages = append(stages, Stage{})
+		err := cfg.attributed(&stages[len(stages)-1], "prep.iter",
 			[]any{"alg", 43, "iter", it},
 			func(c Config) error {
 				ex.For(nn, func(id int) {
@@ -192,7 +194,7 @@ func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 				return nil
 			})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !changed.Load() {
 			break
@@ -205,7 +207,7 @@ func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 	for id, st := range nodes {
 		for i := range st.u {
 			if st.d.At(i, i) < 0 {
-				return nil, fmt.Errorf("%w (H graph of node %d)", ErrNegativeCycle, id)
+				return nil, nil, fmt.Errorf("%w (H graph of node %d)", ErrNegativeCycle, id)
 			}
 		}
 	}
@@ -218,7 +220,7 @@ func alg43Parts(g *graph.Digraph, t *separator.Tree, cfg Config) ([]part, error)
 		parts[id].block(nd.S, positions(nd.S, st.u), st.d)
 		parts[id].block(nd.B, positions(nd.B, st.u), st.d)
 	})
-	return parts, nil
+	return parts, stages, nil
 }
 
 // shared pairs up the vertices a child's sorted VH has in common with its

@@ -46,10 +46,10 @@ type Config struct {
 	// (O(log²) time, O(n³ log n) work — the paper's parallel choice) to
 	// Floyd-Warshall (O(n) phases, O(n³) work — the sequential choice).
 	UseFloydWarshall bool
-	// Obs receives phase-scoped traces and metrics: per-tree-level work,
-	// rounds, and E+ contributions for Alg41, per-iteration attribution for
-	// Alg43. Nil disables instrumentation entirely (the counted totals in
-	// Stats are identical either way).
+	// Obs receives a trace span per stage (tree level for Alg41, doubling
+	// iteration for Alg43) and runs each stage under pprof labels when
+	// they are on. The per-stage counts land in Result either way; nil
+	// disables the spans and labels.
 	Obs *obs.Sink
 	// Ctx, when non-nil, makes the construction cancellable: it is polled
 	// between tree levels (Alg41) and between doubling iterations (Alg43),
@@ -72,26 +72,25 @@ func (c Config) cancelled() error {
 	return c.Ctx.Err()
 }
 
-// attributed runs stage under Stats sub-accounting when Obs is enabled: the
-// stage's work/rounds are counted into a fresh pram.Stats, forwarded into
-// cfg.Stats (so totals never change), and recorded under the per-stage
-// metric keys workKey/roundsKey plus a trace span. With Obs disabled the
-// stage runs with cfg untouched.
-func (c Config) attributed(span string, workKey, roundsKey string, kv []any, stage func(Config) error) error {
-	if !c.Obs.Enabled() {
-		return stage(c)
-	}
+// attributed runs one stage of a construction under its own counted cost:
+// the stage's work and rounds land in st and are forwarded into c.Stats, so
+// the totals never change. With tracing on, the stage also gets a span and
+// runs under pprof labels.
+func (c Config) attributed(st *Stage, span string, kv []any, stage func(Config) error) error {
 	sub := &pram.Stats{}
 	sc := c
 	sc.Stats = sub
-	sp := c.Obs.Span(span, "prep", kv...)
 	var err error
-	c.Obs.Do(func() { err = stage(sc) }, pprofLabels(span, kv)...)
-	sp.End()
-	c.Stats.AddWork(sub.Work())
-	c.Stats.AddRounds(sub.Rounds())
-	c.Obs.Counter(workKey).Add(sub.Work())
-	c.Obs.Counter(roundsKey).Add(sub.Rounds())
+	if c.Obs.Traced() {
+		sp := c.Obs.Span(span, "prep", kv...)
+		c.Obs.Do(func() { err = stage(sc) }, pprofLabels(span, kv)...)
+		sp.End()
+	} else {
+		err = stage(sc)
+	}
+	st.Work, st.Rounds = sub.Work(), sub.Rounds()
+	c.Stats.AddWork(st.Work)
+	c.Stats.AddRounds(st.Rounds)
 	return err
 }
 
@@ -129,9 +128,29 @@ type Result struct {
 	// deduplication — the quantity bounded by Theorem 5.1(iii).
 	RawCount int64
 
+	// Levels is Algorithm 4.1's cost per tree level, indexed by level: the
+	// levels' Work and Rounds sum to the run's counted totals and their
+	// Contributions to RawCount. Nil for Algorithm 4.3.
+	Levels []Stage
+	// Iters is Algorithm 4.3's cost: Iters[0] is the initialisation and
+	// Iters[i] doubling iteration i-1; their Work and Rounds sum to the
+	// run's counted totals. Nil for Algorithm 4.1.
+	Iters []Stage
+
 	// lay is the From-CSR of Edges' pairs, shared by every Result gathered
 	// into it (see assemble); nil for a Result not made by assemble.
 	lay *layout
+}
+
+// Stage is the counted cost of one unit of an E+ construction: one tree
+// level of Algorithm 4.1, or the initialisation or one doubling iteration
+// of Algorithm 4.3.
+type Stage struct {
+	Work, Rounds int64
+	// Contributions is the stage's E+ pair contributions before
+	// deduplication; 0 for Algorithm 4.3, whose nodes all emit after the
+	// last iteration.
+	Contributions int64
 }
 
 // layout is E+'s pair structure: the pairs of From v are Edges[off[v]:

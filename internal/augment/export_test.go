@@ -18,9 +18,9 @@ func ReferenceEPlus(alg string, g *graph.Digraph, t *separator.Tree, cfg Config)
 	var err error
 	switch alg {
 	case "alg41":
-		parts, err = alg41Parts(g, t, cfg)
+		parts, _, err = alg41Parts(g, t, cfg)
 	case "alg43":
-		parts, err = alg43Parts(g, t, cfg)
+		parts, _, err = alg43Parts(g, t, cfg)
 	case "reach41":
 		parts, err = reach41Parts(g, t, cfg)
 	case "reach43":

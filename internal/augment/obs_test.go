@@ -1,7 +1,6 @@
 package augment
 
 import (
-	"strings"
 	"testing"
 
 	"sepsp/internal/graph/gen"
@@ -10,18 +9,20 @@ import (
 )
 
 // TestAlg41LevelAttributionSumsToTotals checks the central no-double-
-// no-under-counting invariant of the instrumentation: the per-level work and
-// round counters sum exactly to the aggregate pram.Stats totals, and those
-// totals are identical to an uninstrumented run.
+// no-under-counting invariant of the per-level counts: the levels' work and
+// rounds sum exactly to the aggregate pram.Stats totals, those totals are
+// identical with and without a tracing sink, and both runs return the same
+// levels.
 func TestAlg41LevelAttributionSumsToTotals(t *testing.T) {
 	g, tree := gridAndTree(t, []int{9, 9}, gen.UniformWeights(0.5, 4), 3, 4)
 
 	plain := &pram.Stats{}
-	if _, err := Alg41(g, tree, Config{Stats: plain, UseFloydWarshall: true}); err != nil {
+	pres, err := Alg41(g, tree, Config{Stats: plain, UseFloydWarshall: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
+	sink := &obs.Sink{Trace: obs.NewTracer()}
 	st := &pram.Stats{}
 	res, err := Alg41(g, tree, Config{Stats: st, UseFloydWarshall: true, Obs: sink})
 	if err != nil {
@@ -29,35 +30,38 @@ func TestAlg41LevelAttributionSumsToTotals(t *testing.T) {
 	}
 
 	if st.Work() != plain.Work() || st.Rounds() != plain.Rounds() {
-		t.Fatalf("instrumented totals (%d,%d) differ from plain (%d,%d)",
+		t.Fatalf("traced totals (%d,%d) differ from plain (%d,%d)",
 			st.Work(), st.Rounds(), plain.Work(), plain.Rounds())
 	}
-	snap := sink.Metrics.Snapshot()
-	if got := snap.SumCounters(obs.MPrepWork + ".level."); got != st.Work() {
-		t.Fatalf("per-level work sums to %d, Stats total is %d", got, st.Work())
+	if res.Iters != nil {
+		t.Fatal("Alg41 returned Algorithm 4.3 iterations")
 	}
-	if got := snap.SumCounters(obs.MPrepRounds + ".level."); got != st.Rounds() {
-		t.Fatalf("per-level rounds sum to %d, Stats total is %d", got, st.Rounds())
+	// Every level 0..Height has a row and a span.
+	if len(res.Levels) != tree.Height+1 {
+		t.Fatalf("got %d levels, want %d", len(res.Levels), tree.Height+1)
 	}
-	// Every level 0..Height contributes a work counter and a span.
-	for L := 0; L <= tree.Height; L++ {
-		if _, ok := snap.Counters[obs.LevelKey(obs.MPrepWork, L)]; !ok {
-			t.Fatalf("no work counter for level %d", L)
+	var work, rounds, contrib int64
+	for L, lv := range res.Levels {
+		if lv != pres.Levels[L] {
+			t.Fatalf("level %d: traced %+v, plain %+v", L, lv, pres.Levels[L])
 		}
+		if lv.Work == 0 {
+			t.Fatalf("level %d counted no work", L)
+		}
+		work += lv.Work
+		rounds += lv.Rounds
+		contrib += lv.Contributions
+	}
+	if work != st.Work() || rounds != st.Rounds() {
+		t.Fatalf("levels sum to work %d, rounds %d; Stats totals %d, %d", work, rounds, st.Work(), st.Rounds())
 	}
 	if sink.Trace.Len() != tree.Height+1 {
 		t.Fatalf("got %d prep.level spans, want %d", sink.Trace.Len(), tree.Height+1)
 	}
-	// E+ contributions: per-level counters count every pre-dedup pair, so
-	// they sum to exactly the raw count.
-	contrib := snap.SumCounters(obs.MPrepShortcuts + ".level.")
+	// E+ contributions: the levels count every pre-dedup pair, so they
+	// sum to exactly the raw count.
 	if contrib != res.RawCount {
 		t.Fatalf("per-level E+ contributions %d, RawCount %d", contrib, res.RawCount)
-	}
-	h := snap.Histograms["prep.eplus.per_node"]
-	if h.Count != int64(len(tree.Nodes)) || int64(h.Sum) != contrib {
-		t.Fatalf("per-node histogram count=%d sum=%v, want count=%d sum=%d",
-			h.Count, h.Sum, len(tree.Nodes), contrib)
 	}
 }
 
@@ -71,32 +75,36 @@ func TestAlg43IterAttributionSumsToTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink := &obs.Sink{Metrics: obs.NewRegistry()}
+	sink := &obs.Sink{Trace: obs.NewTracer()}
 	st := &pram.Stats{}
-	if _, err := Alg43(g, tree, Config{Stats: st, Obs: sink}); err != nil {
+	res, err := Alg43(g, tree, Config{Stats: st, Obs: sink})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Work() != plain.Work() || st.Rounds() != plain.Rounds() {
-		t.Fatalf("instrumented totals (%d,%d) differ from plain (%d,%d)",
+		t.Fatalf("traced totals (%d,%d) differ from plain (%d,%d)",
 			st.Work(), st.Rounds(), plain.Work(), plain.Rounds())
 	}
-	snap := sink.Metrics.Snapshot()
-	sum := snap.SumCounters(obs.MPrepWork+".init") + snap.SumCounters(obs.MPrepWork+".iter.")
-	if sum != st.Work() {
-		t.Fatalf("init+iter work sums to %d, Stats total is %d", sum, st.Work())
+	if res.Levels != nil {
+		t.Fatal("Alg43 returned Algorithm 4.1 levels")
 	}
-	rsum := snap.SumCounters(obs.MPrepRounds+".init") + snap.SumCounters(obs.MPrepRounds+".iter.")
-	if rsum != st.Rounds() {
-		t.Fatalf("init+iter rounds sum to %d, Stats total is %d", rsum, st.Rounds())
+	// The initialisation plus at least one doubling iteration.
+	if len(res.Iters) < 2 {
+		t.Fatalf("got %d stages, want the initialisation and at least one iteration", len(res.Iters))
 	}
-	var iterKeys int
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, obs.MPrepWork+".iter.") {
-			iterKeys++
-		}
+	var work, rounds int64
+	for _, it := range res.Iters {
+		work += it.Work
+		rounds += it.Rounds
 	}
-	if iterKeys == 0 {
-		t.Fatal("no per-iteration counters recorded")
+	if work != st.Work() {
+		t.Fatalf("init+iter work sums to %d, Stats total is %d", work, st.Work())
+	}
+	if rounds != st.Rounds() {
+		t.Fatalf("init+iter rounds sum to %d, Stats total is %d", rounds, st.Rounds())
+	}
+	if sink.Trace.Len() != len(res.Iters) {
+		t.Fatalf("got %d spans, want one per stage (%d)", sink.Trace.Len(), len(res.Iters))
 	}
 }
 
@@ -107,7 +115,7 @@ func TestAlg41ObsResultUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry(), PprofLabels: true}
+	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
 	inst, err := Alg41(g, tree, Config{Obs: sink})
 	if err != nil {
 		t.Fatal(err)

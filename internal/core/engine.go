@@ -36,9 +36,10 @@ type Config struct {
 	UseFloydWarshall bool
 	// PrepStats receives preprocessing work/round counts (nil discards).
 	PrepStats *pram.Stats
-	// Obs receives phase-scoped traces and metrics for preprocessing and
-	// for every query the engine answers (nil: fully disabled — queries
-	// take the uninstrumented path).
+	// Obs receives the counted cost of preprocessing and of every query
+	// the engine answers into its registry (see metrics.go), and spans and
+	// pprof labels when tracing is on (nil: fully disabled — queries take
+	// the uninstrumented path).
 	Obs *obs.Sink
 	// Inject, when non-nil, fires at every Bellman-Ford phase boundary
 	// (site faultinject.SiteQueryPhase) — the chaos-test hook. Production
@@ -76,6 +77,7 @@ type Engine struct {
 	schedule *Schedule
 	ex       *pram.Executor
 	obs      *obs.Sink
+	qm       *queryMetrics // resolved from obs.Metrics; nil without one
 	inj      faultinject.Injector
 
 	wsPool sync.Pool // of *queryWS
@@ -166,7 +168,11 @@ func NewEngine(g *graph.Digraph, tree *separator.Tree, cfg Config) (*Engine, err
 	} else {
 		eng = NewEngineFromParts(g, tree, res, ex)
 	}
-	eng.obs = cfg.Obs
+	if cfg.Obs != nil {
+		recordPrep(cfg.Obs.Metrics, res)
+		eng.obs = cfg.Obs
+		eng.qm = newQueryMetrics(cfg.Obs.Metrics)
+	}
 	eng.inj = cfg.Inject
 	return eng, nil
 }
@@ -351,15 +357,16 @@ func (e *Engine) runSchedule(ctx context.Context, dist []float64) (work, rounds 
 // counted work, lanes × the bucket's edges per phase, and rounds, one per
 // phase (O(log n) EREW steps, see Section 2.2): the cost so far when ctx
 // ends the run. Every phase runs, so a completed run costs lanes ×
-// WorkPerSource and Phases. With a sink attached, the run and each phase
-// get spans and pprof labels, and the per-kind work and phase counters get
-// what lanes solo queries would add: counters count per source, spans per
-// pass, and every span carries its lanes, so the lanes of a trace's
-// query.phase spans sum to the phase counter. relax does not escape, so the
-// uninstrumented path performs no heap allocation.
+// WorkPerSource and Phases. With a registry attached, the per-kind work
+// and phase counters get what lanes solo queries would add; with tracing
+// on, the run and each phase also get spans and pprof labels: counters
+// count per source, spans per pass, and every span carries its lanes, so
+// the lanes of a trace's query.phase spans sum to the phase counter. relax
+// does not escape, and without tracing no span argument is built, so the
+// uninstrumented and the metrics-only paths perform no heap allocation.
 func (e *Engine) runPhases(ctx context.Context, lanes int64, relax func(PhaseKind, *Bucket)) (work, rounds int64, err error) {
-	observed := e.obs.Enabled()
-	if observed {
+	traced := e.obs.Traced()
+	if traced {
 		qs := e.obs.Span("query.sssp", "query", "phases", e.schedule.Phases(), "lanes", lanes)
 		defer qs.End()
 	}
@@ -367,23 +374,25 @@ func (e *Engine) runPhases(ctx context.Context, lanes int64, relax func(PhaseKin
 	for i := 0; i < n; i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				if observed {
-					e.obs.Counter(obs.MQueryCancelled).Add(lanes)
+				if e.qm != nil {
+					e.qm.cancelled.Add(lanes)
 				}
 				return work, rounds, err
 			}
 		}
 		e.firePhase()
 		ph, b := e.schedule.PhaseAt(i)
-		if observed {
+		if traced {
 			sp := e.obs.Span("query.phase", "query",
 				"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.Edges(), "lanes", lanes)
 			e.obs.Do(func() { relax(ph.Kind, b) }, "phase", string(ph.Kind))
 			sp.End()
-			e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(lanes * int64(b.Edges()))
-			e.obs.Counter(obs.MQueryPhases).Add(lanes)
 		} else {
 			relax(ph.Kind, b)
+		}
+		if e.qm != nil {
+			e.qm.work[ph.Kind].Add(lanes * int64(b.Edges()))
+			e.qm.phases.Add(lanes)
 		}
 		work += lanes * int64(b.Edges())
 		rounds++

@@ -69,21 +69,33 @@ func TestSchedulePhasesFormula(t *testing.T) {
 // schedule's WorkPerSource), and the phase counter matches Phases().
 func TestQueryPhaseMetricsSumToStats(t *testing.T) {
 	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
-	eng, g := buildGridEngine(t, []int{9, 7}, gen.UniformWeights(0.5, 2), 9, Config{Obs: sink})
+	prep := &pram.Stats{}
+	eng, g := buildGridEngine(t, []int{9, 7}, gen.UniformWeights(0.5, 2), 9, Config{Obs: sink, PrepStats: prep})
+
+	// The construction's per-level families sum to its counted totals.
+	reg := sink.Metrics
+	if got := reg.CounterValue(metricPrepWork); got != prep.Work() {
+		t.Fatalf("prep work series sum to %d, Stats total is %d", got, prep.Work())
+	}
+	if got := reg.CounterValue(metricPrepRounds); got != prep.Rounds() {
+		t.Fatalf("prep rounds series sum to %d, Stats total is %d", got, prep.Rounds())
+	}
+	if got := reg.CounterValue(metricPrepContributions); got != eng.Augmentation().RawCount {
+		t.Fatalf("prep contribution series sum to %d, RawCount is %d", got, eng.Augmentation().RawCount)
+	}
 
 	prepEvents := sink.Trace.Len() // spans emitted by E+ construction
 	st := &pram.Stats{}
 	dist := eng.SSSP(0, st)
 
-	snap := sink.Metrics.Snapshot()
-	if got := snap.SumCounters(obs.MQueryWork + "."); got != st.Work() {
+	if got := reg.CounterValue(metricQueryRelaxations); got != st.Work() {
 		t.Fatalf("per-phase work counters sum to %d, Stats total is %d", got, st.Work())
 	}
 	if st.Work() != eng.Schedule().WorkPerSource() {
 		t.Fatalf("Stats work %d != WorkPerSource %d", st.Work(), eng.Schedule().WorkPerSource())
 	}
 	phases := eng.Schedule().Phases()
-	if got := snap.Counters[obs.MQueryPhases]; got != int64(phases) {
+	if got := reg.CounterValue(metricQueryPhases); got != int64(phases) {
 		t.Fatalf("phase counter %d, want Phases %d", got, phases)
 	}
 	// One query.sssp span plus one query.phase span per phase.
@@ -155,16 +167,17 @@ func TestWaveObservedCounters(t *testing.T) {
 					}
 				}
 			}
-			snap := sink.Metrics.Snapshot()
+			reg := sink.Metrics
 			for _, pw := range s.Breakdown() {
-				if got, want := snap.Counters[obs.MQueryWork+"."+string(pw.Kind)], int64(k)*pw.Work; got != want {
+				if got, want := eng.qm.work[pw.Kind].Value(), int64(k)*pw.Work; got != want {
 					t.Fatalf("P=%d k=%d: %s work counter %d, want k x %d = %d", p, k, pw.Kind, got, pw.Work, want)
 				}
 			}
-			if got, want := snap.SumCounters(obs.MQueryWork+"."), int64(k)*s.WorkPerSource(); got != st.Work() || got != want {
+			if got, want := reg.CounterValue(metricQueryRelaxations), int64(k)*s.WorkPerSource(); got != st.Work() || got != want {
 				t.Fatalf("P=%d k=%d: work counters sum to %d, Stats %d, want k x WorkPerSource = %d", p, k, got, st.Work(), want)
 			}
-			if got, want := snap.Counters[obs.MQueryPhases], int64(k*s.Phases()); got != want {
+			phaseCount := reg.CounterValue(metricQueryPhases)
+			if got, want := phaseCount, int64(k*s.Phases()); got != want {
 				t.Fatalf("P=%d k=%d: phase counter %d, want k x Phases = %d", p, k, got, want)
 			}
 			var buf bytes.Buffer
@@ -186,8 +199,8 @@ func TestWaveObservedCounters(t *testing.T) {
 					spanLanes += ev.Args["lanes"].(float64)
 				}
 			}
-			if got := int64(spanLanes); got != snap.Counters[obs.MQueryPhases] {
-				t.Fatalf("P=%d k=%d: query.phase span lanes sum to %d, phase counter %d", p, k, got, snap.Counters[obs.MQueryPhases])
+			if got := int64(spanLanes); got != phaseCount {
+				t.Fatalf("P=%d k=%d: query.phase span lanes sum to %d, phase counter %d", p, k, got, phaseCount)
 			}
 		}
 	}

@@ -125,7 +125,7 @@ func TestPhaseBreakdownExperiment(t *testing.T) {
 			t.Fatalf("table %q missing total row: %v", tb.Title, last)
 		}
 	}
-	if sink.Metrics.Snapshot().SumCounters(obs.MPrepWork+".level.") == 0 {
+	if sink.Metrics.CounterValue("sepsp_prep_work_total") == 0 {
 		t.Fatal("caller sink received no per-level work counters")
 	}
 }

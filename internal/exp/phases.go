@@ -15,28 +15,17 @@ import (
 // work concentrates) and the per-source query work per §3.2 phase kind (the
 // ℓ·|E| sweeps vs. the bitonic shortcut-chain phases). Both tables carry a
 // "total" row that reproduces the aggregate pram.Stats counts exactly — the
-// attribution is exhaustive, not sampled.
+// attribution is exhaustive, not sampled. The per-level counts are the
+// ones every Algorithm 4.1 run returns; a caller's sink additionally gets
+// the run's metric families and spans.
 func PhaseBreakdownExperiment(ex *pram.Executor, scale int, sink *obs.Sink) (*Result, error) {
 	if scale < 1 {
 		scale = 1
 	}
-	// Own a private sink when the caller didn't supply one: the experiment
-	// *is* the per-level metrics, so instrumentation cannot be optional —
-	// but fold into the caller's sink when present so exported snapshots
-	// include this run.
-	if sink == nil {
-		sink = &obs.Sink{Metrics: obs.NewRegistry()}
-	} else if sink.Metrics == nil {
-		s := *sink
-		s.Metrics = obs.NewRegistry()
-		sink = &s
-	}
-
 	wl, err := MuWorkload(0.5, 4096*scale, 1)
 	if err != nil {
 		return nil, err
 	}
-	before := sink.Metrics.Snapshot()
 	prepStats := &pram.Stats{}
 	eng, err := core.NewEngine(wl.G, wl.Tree, core.Config{
 		Ex: ex, UseFloydWarshall: true, PrepStats: prepStats, Obs: sink,
@@ -44,7 +33,6 @@ func PhaseBreakdownExperiment(ex *pram.Executor, scale int, sink *obs.Sink) (*Re
 	if err != nil {
 		return nil, err
 	}
-	snap := sink.Metrics.Snapshot()
 
 	levels := &Table{
 		ID:     "E-phases",
@@ -60,16 +48,13 @@ func PhaseBreakdownExperiment(ex *pram.Executor, scale int, sink *obs.Sink) (*Re
 	}
 	var totalWork, totalRounds, totalShortcuts int64
 	var totalNodes int
-	for L := 0; L <= eng.Tree().Height; L++ {
-		work := counterDelta(snap, before, obs.LevelKey(obs.MPrepWork, L))
-		rounds := counterDelta(snap, before, obs.LevelKey(obs.MPrepRounds, L))
-		shortcuts := counterDelta(snap, before, obs.LevelKey(obs.MPrepShortcuts, L))
+	for L, st := range eng.Augmentation().Levels {
 		levels.Rows = append(levels.Rows, []string{
-			d(int64(L)), d(int64(perLevel[L])), d(work), d(rounds), d(shortcuts),
+			d(int64(L)), d(int64(perLevel[L])), d(st.Work), d(st.Rounds), d(st.Contributions),
 		})
-		totalWork += work
-		totalRounds += rounds
-		totalShortcuts += shortcuts
+		totalWork += st.Work
+		totalRounds += st.Rounds
+		totalShortcuts += st.Contributions
 		totalNodes += perLevel[L]
 	}
 	levels.Rows = append(levels.Rows, []string{
@@ -101,10 +86,4 @@ func PhaseBreakdownExperiment(ex *pram.Executor, scale int, sink *obs.Sink) (*Re
 			totalPhases, totalRelax, eng.Schedule().Phases(), eng.Schedule().WorkPerSource())
 	}
 	return &Result{Tables: []*Table{levels, phases}}, nil
-}
-
-// counterDelta isolates this experiment's contribution when the caller's
-// sink already held counts from earlier runs.
-func counterDelta(after, before obs.Snapshot, name string) int64 {
-	return after.Counters[name] - before.Counters[name]
 }

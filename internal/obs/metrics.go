@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,24 +71,6 @@ func (c *Counter) Value() int64 {
 		total += c.cells[i].n.Load()
 	}
 	return total
-}
-
-// Gauge is a settable float64; one atomic word, safe for concurrent use.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set records v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the last set value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram bucketing: bounds are 2^histMinExp … 2^histMaxExp. With values
@@ -254,12 +234,11 @@ const (
 	typeHistogram = "histogram"
 )
 
-// series is one labeled instance within a family: exactly one of c, g, fn,
-// h is set. fn is a func series, read at scrape time.
+// series is one labeled instance within a family: exactly one of c, fn, h
+// is set. fn is a func series, read at scrape time; every gauge is one.
 type series struct {
 	labels string // rendered label pairs, e.g. `outcome="ok"`, or ""
 	c      *Counter
-	g      *Gauge
 	fn     func() float64
 	h      *Histogram
 }
@@ -270,12 +249,12 @@ type family struct {
 	series          []*series
 }
 
-// Registry is a named collection of instruments, read three ways:
-// WritePrometheus for scrapes, Snapshot for the offline JSON and text
-// exports, and CounterValue. Counter, Gauge and Histogram get or create a
-// series: the same name and labels return the same instrument. Lookups take
-// a lock; the returned instruments are lock-free thereafter. All methods
-// are safe for concurrent use; a nil *Registry hands out nil instruments.
+// Registry is a named collection of instruments, read two ways:
+// WritePrometheus for scrapes and exports, and CounterValue. Counter and
+// Histogram get or create a series: the same name and labels return the
+// same instrument. Lookups take a lock; the returned instruments are
+// lock-free thereafter. All methods are safe for concurrent use; a nil
+// *Registry hands out nil instruments.
 type Registry struct {
 	mu    sync.Mutex
 	fams  []*family
@@ -316,8 +295,6 @@ func (r *Registry) series(name, help, typ, labels string, fn func() float64) *se
 		switch typ {
 		case typeCounter:
 			s.c = NewCounter()
-		case typeGauge:
-			s.g = &Gauge{}
 		case typeHistogram:
 			s.h = &Histogram{}
 		}
@@ -334,14 +311,6 @@ func (r *Registry) Counter(name, help, labels string) *Counter {
 		return nil
 	}
 	return r.series(name, help, typeCounter, labels, nil).c
-}
-
-// Gauge returns the labeled gauge series, creating it if needed.
-func (r *Registry) Gauge(name, help, labels string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.series(name, help, typeGauge, labels, nil).g
 }
 
 // Histogram returns the labeled histogram series, creating it if needed.
@@ -370,8 +339,7 @@ func (r *Registry) CounterFunc(name, help, labels string, fn func() int64) {
 }
 
 // CounterValue returns the summed value of every series of the named
-// counter family (0 if absent) — a convenience for tests and health
-// summaries.
+// counter family (0 if absent).
 func (r *Registry) CounterValue(name string) int64 {
 	if r == nil {
 		return 0
@@ -395,13 +363,6 @@ func (s *series) counterValue() int64 {
 		return int64(s.fn())
 	}
 	return s.c.Value()
-}
-
-func (s *series) gaugeValue() float64 {
-	if s.fn != nil {
-		return s.fn()
-	}
-	return s.g.Value()
 }
 
 // families copies the family list and each family's series under the
@@ -442,7 +403,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case typeCounter:
 				writeSample(&b, f.name, s.labels, float64(s.counterValue()))
 			case typeGauge:
-				writeSample(&b, f.name, s.labels, s.gaugeValue())
+				writeSample(&b, f.name, s.labels, s.fn())
 			case typeHistogram:
 				writeHistogram(&b, f.name, s.labels, s.h.Snapshot())
 			}
@@ -505,84 +466,4 @@ func writeQuantiles(b *strings.Builder, name, labels string, s HistogramSnapshot
 	for _, q := range quantiles {
 		writeSample(b, qname, joinLabels(labels, `q="`+q.label+`"`), s.Quantile(q.q))
 	}
-}
-
-// Snapshot is a stable point-in-time copy of a registry, the unit the JSON
-// and text exporters consume. A series is keyed by its family name, with
-// its rendered labels in braces when it has any.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// Snapshot freezes the registry. A nil registry yields an empty snapshot.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	if r == nil {
-		return s
-	}
-	for _, f := range r.families() {
-		for _, sr := range f.series {
-			key := f.name
-			if sr.labels != "" {
-				key += "{" + sr.labels + "}"
-			}
-			switch f.typ {
-			case typeCounter:
-				s.Counters[key] = sr.counterValue()
-			case typeGauge:
-				s.Gauges[key] = sr.gaugeValue()
-			case typeHistogram:
-				s.Histograms[key] = sr.h.Snapshot()
-			}
-		}
-	}
-	return s
-}
-
-// SumCounters returns the sum of all counters whose name starts with prefix
-// — e.g. SumCounters("query.work.") is the total relaxation count across
-// phase kinds, the quantity tests reconcile against pram.Stats.
-func (s Snapshot) SumCounters(prefix string) int64 {
-	var total int64
-	for name, v := range s.Counters {
-		if strings.HasPrefix(name, prefix) {
-			total += v
-		}
-	}
-	return total
-}
-
-// WriteJSON writes the snapshot as one indented JSON object.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// WriteText writes the snapshot as sorted "name value" lines, histograms as
-// count/mean summaries.
-func (s Snapshot) WriteText(w io.Writer) error {
-	var lines []string
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %g", name, v))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s count=%d sum=%g mean=%g", name, h.Count, h.Sum, h.Mean()))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
 }

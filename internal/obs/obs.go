@@ -17,19 +17,18 @@
 //
 //   - Counter shards its cells across cache lines so concurrent Inc calls
 //     from many goroutines do not serialize on one hot word.
-//   - Gauge is one atomic float64 word.
+//   - Gauges are func series, read where their value already lives.
 //   - Histogram buckets observations by power-of-two magnitude with one
 //     atomic add per observation and estimates quantiles from the bucket
 //     counts when read (HistogramSnapshot.Quantile).
 //   - Recorder (flight recorder) is a fixed-size per-slot-seqlock ring that
 //     keeps the last N query/wave/failure events for postmortems.
 //
-// One Registry holds them and is read three ways: Prometheus text for live
-// scrapes (WritePrometheus), a Snapshot for the offline JSON and text
-// exports, and CounterValue.
+// One Registry holds them and is read two ways: Prometheus text for live
+// scrapes and file exports (WritePrometheus), and CounterValue.
 //
 // Everything follows the repository's nil-collector idiom (see
-// pram.Stats): a nil *Tracer, *Registry, *Counter, *Gauge, *Histogram,
+// pram.Stats): a nil *Tracer, *Registry, *Counter, *Histogram,
 // *Recorder or *Sink is valid and every method on it is a no-op, so
 // instrumented call sites cost one predictable branch when observability
 // is off.
@@ -37,28 +36,25 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"runtime/pprof"
 )
 
 // Sink bundles the optional observability collectors that configs thread
 // through the engine. The zero value and nil are both "everything off".
 type Sink struct {
-	// Trace collects phase spans for Chrome trace_event export (nil: off).
+	// Trace collects phase spans for Chrome trace_event export and turns
+	// on runtime/pprof labels around phase bodies, so CPU profiles can be
+	// filtered by phase=/level= (nil: both off).
 	Trace *Tracer
-	// Metrics is the counter/gauge/histogram registry (nil: off).
+	// Metrics is the registry the engine resolves its counters from when
+	// the sink is attached (nil: off).
 	Metrics *Registry
-	// PprofLabels enables runtime/pprof label propagation around phase
-	// bodies, so CPU profiles can be filtered by phase=/level=. Labels are
-	// inherited by the executor's worker goroutines.
-	PprofLabels bool
 }
 
-// Enabled reports whether any collector is attached; hot paths branch on it
-// once and keep the uninstrumented code path when false.
-func (s *Sink) Enabled() bool {
-	return s != nil && (s.Trace != nil || s.Metrics != nil || s.PprofLabels)
-}
+// Traced reports whether spans and pprof labels are on: the only case in
+// which instrumented code builds span arguments and label lists, so
+// metrics-only instrumentation stays free of both.
+func (s *Sink) Traced() bool { return s != nil && s.Trace != nil }
 
 // Span starts a tracer span (no-op Span when the sink or tracer is nil).
 func (s *Sink) Span(name, cat string, kv ...any) Span {
@@ -68,67 +64,13 @@ func (s *Sink) Span(name, cat string, kv ...any) Span {
 	return s.Trace.Start(name, cat, kv...)
 }
 
-// Counter returns the named registry counter (nil when metrics are off).
-func (s *Sink) Counter(name string) *Counter {
-	if s == nil {
-		return nil
-	}
-	return s.Metrics.Counter(name, "", "")
-}
-
-// Gauge returns the named registry gauge (nil when metrics are off).
-func (s *Sink) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	return s.Metrics.Gauge(name, "", "")
-}
-
-// Histogram returns the named registry histogram (nil when metrics are off).
-func (s *Sink) Histogram(name string) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.Metrics.Histogram(name, "", "")
-}
-
-// Do runs f, wrapped in a runtime/pprof label set when PprofLabels is on.
+// Do runs f, wrapped in a runtime/pprof label set when tracing is on.
 // Goroutines spawned inside f (the executor's workers) inherit the labels,
 // which is what makes per-phase CPU attribution work.
 func (s *Sink) Do(f func(), labels ...string) {
-	if s == nil || !s.PprofLabels || len(labels) == 0 {
+	if !s.Traced() || len(labels) == 0 {
 		f()
 		return
 	}
 	pprof.Do(context.Background(), pprof.Labels(labels...), func(context.Context) { f() })
-}
-
-// Canonical metric name prefixes shared by the instrumented layers. Per-level
-// series append ".level.NNN" via LevelKey; per-kind query series append the
-// schedule phase kind.
-const (
-	MPrepWork       = "prep.work"       // E+ construction work units
-	MPrepRounds     = "prep.rounds"     // E+ construction PRAM rounds
-	MPrepShortcuts  = "prep.shortcuts"  // E+ pair contributions (pre-dedup)
-	MQueryWork      = "query.work"      // relaxations, per phase kind
-	MQueryPhases    = "query.phases"    // executed relaxation phases
-	MQueryCancelled = "query.cancelled" // queries abandoned on context cancellation
-	MExecImbalance  = "exec.imbalance"  // max/mean worker busy iterations
-	MExecWorkers    = "exec.workers"    // executor pool size
-
-	// Graceful-degradation (baseline fallback) series.
-	MFallbackEngaged = "fallback.engaged" // counter: degradation causes observed
-	MFallbackQueries = "fallback.queries" // counter: queries served by the baseline engine
-)
-
-// LevelKey returns the canonical key of a per-tree-level metric series,
-// zero-padded so text exports sort numerically.
-func LevelKey(prefix string, level int) string {
-	return fmt.Sprintf("%s.level.%03d", prefix, level)
-}
-
-// IterKey returns the canonical key of a per-iteration metric series
-// (Algorithm 4.3's simultaneous rounds).
-func IterKey(prefix string, iter int) string {
-	return fmt.Sprintf("%s.iter.%03d", prefix, iter)
 }

@@ -24,29 +24,24 @@ func TestNilCollectorsAreNoOps(t *testing.T) {
 	}
 	var reg *Registry
 	reg.Counter("a", "", "").Add(5)
-	reg.Gauge("b", "", "").Set(1)
+	reg.GaugeFunc("b", "", "", func() float64 { return 1 })
 	reg.Histogram("c", "", "").Observe(1)
 	if reg.CounterValue("a") != 0 {
 		t.Fatal("nil registry counted")
 	}
-	snap := reg.Snapshot()
-	if len(snap.Counters) != 0 {
-		t.Fatal("nil registry snapshot non-empty")
-	}
 
 	var sink *Sink
-	if sink.Enabled() {
-		t.Fatal("nil sink enabled")
+	if sink.Traced() {
+		t.Fatal("nil sink traced")
 	}
 	sink.Span("x", "c").End()
-	sink.Counter("a").Inc()
 	ran := false
 	sink.Do(func() { ran = true }, "phase", "p")
 	if !ran {
 		t.Fatal("nil sink did not run f")
 	}
-	if (&Sink{}).Enabled() {
-		t.Fatal("zero sink enabled")
+	if (&Sink{}).Traced() || (&Sink{Metrics: NewRegistry()}).Traced() {
+		t.Fatal("zero or metrics-only sink traced")
 	}
 }
 
@@ -106,11 +101,10 @@ func TestTracerConcurrentSpans(t *testing.T) {
 
 func TestRegistrySnapshotAndSums(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(LevelKey(MPrepWork, 0), "", "").Add(10)
-	r.Counter(LevelKey(MPrepWork, 12), "", "").Add(32)
+	r.Counter("work_total", "", `level="0"`).Add(10)
+	r.Counter("work_total", "", `level="12"`).Add(32)
 	r.Counter("other", "", "").Add(5)
-	r.Gauge(MExecImbalance, "", "").Set(1.5)
-	h := r.Histogram("eplus.per_node", "", "")
+	h := r.Histogram("per_node", "", "")
 	h.Observe(3)
 	h.Observe(5)
 
@@ -119,48 +113,23 @@ func TestRegistrySnapshotAndSums(t *testing.T) {
 	if got := r.CounterValue("other"); got != 6 {
 		t.Fatalf("counter identity broken: %d", got)
 	}
-
-	snap := r.Snapshot()
-	if got := snap.SumCounters(MPrepWork + ".level."); got != 42 {
-		t.Fatalf("SumCounters=%d, want 42", got)
+	// A family's value is the sum of its series.
+	if got := r.CounterValue("work_total"); got != 42 {
+		t.Fatalf("CounterValue=%d, want 42", got)
 	}
-	if snap.Gauges[MExecImbalance] != 1.5 {
-		t.Fatalf("gauge=%v", snap.Gauges[MExecImbalance])
-	}
-	hs := snap.Histograms["eplus.per_node"]
+	hs := h.Snapshot()
 	if hs.Count != 2 || hs.Sum != 8 || hs.Mean() != 4 {
 		t.Fatalf("histogram snapshot: %+v", hs)
 	}
 
-	var jbuf bytes.Buffer
-	if err := snap.WriteJSON(&jbuf); err != nil {
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	var back Snapshot
-	if err := json.Unmarshal(jbuf.Bytes(), &back); err != nil {
-		t.Fatalf("metrics JSON invalid: %v", err)
-	}
-	if back.Counters[LevelKey(MPrepWork, 12)] != 32 {
-		t.Fatalf("round-trip lost counter: %+v", back.Counters)
-	}
-
-	var tbuf bytes.Buffer
-	if err := snap.WriteText(&tbuf); err != nil {
-		t.Fatal(err)
-	}
-	txt := tbuf.String()
-	if !strings.Contains(txt, "counter prep.work.level.000 10") ||
-		!strings.Contains(txt, "histogram eplus.per_node count=2") {
-		t.Fatalf("text export:\n%s", txt)
-	}
-}
-
-func TestLevelKeySortsNumerically(t *testing.T) {
-	if LevelKey("x", 2) >= LevelKey("x", 10) {
-		t.Fatal("level keys do not sort numerically")
-	}
-	if IterKey("x", 9) >= IterKey("x", 10) {
-		t.Fatal("iter keys do not sort numerically")
+	txt := b.String()
+	if !strings.Contains(txt, `work_total{level="12"} 32`) ||
+		!strings.Contains(txt, "per_node_count 2") {
+		t.Fatalf("exposition:\n%s", txt)
 	}
 }
 
@@ -194,9 +163,9 @@ func TestProfilerWritesFiles(t *testing.T) {
 }
 
 func TestSinkDoAppliesLabels(t *testing.T) {
-	s := &Sink{PprofLabels: true}
-	if !s.Enabled() {
-		t.Fatal("labeled sink not enabled")
+	s := &Sink{Trace: NewTracer()}
+	if !s.Traced() {
+		t.Fatal("tracing sink not traced")
 	}
 	ran := false
 	s.Do(func() { ran = true }, "phase", "query")
@@ -212,7 +181,7 @@ func TestHistogramSnapshotQuantile(t *testing.T) {
 	for v := 1; v <= 100; v++ {
 		h.Observe(float64(v))
 	}
-	s := reg.Snapshot().Histograms["q"]
+	s := h.Snapshot()
 	if s.Count != 100 {
 		t.Fatalf("Count = %d, want 100", s.Count)
 	}

@@ -206,9 +206,6 @@ func (m *Manager) Swaps() int64 { return m.swaps.Load() }
 // the then-current epoch serving).
 func (m *Manager) RebuildFailures() int64 { return m.failures.Load() }
 
-// Draining returns how many retired epochs still have in-flight waves.
-func (m *Manager) Draining() int64 { return m.draining.Load() }
-
 // BreakerState returns the rebuild circuit breaker's current state.
 // A disabled breaker always reports BreakerClosed.
 func (m *Manager) BreakerState() BreakerState {

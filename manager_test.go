@@ -189,15 +189,15 @@ func TestManagerOldEpochDrainsOnLastRelease(t *testing.T) {
 	if _, err := m.Reweight(context.Background(), g2); err != nil {
 		t.Fatal(err)
 	}
-	if m.Draining() != 1 {
-		t.Fatalf("draining = %d right after the swap, want 1 (wave still pinned)", m.Draining())
+	if m.draining.Load() != 1 {
+		t.Fatalf("draining = %d right after the swap, want 1 (wave still pinned)", m.draining.Load())
 	}
 	if got := mustSSSP(t, pinned, 3); len(got) == 0 {
 		t.Fatal("pinned old-epoch index stopped serving mid-drain")
 	}
 	release()
-	if m.Draining() != 0 {
-		t.Fatalf("draining = %d after the last release, want 0", m.Draining())
+	if m.draining.Load() != 0 {
+		t.Fatalf("draining = %d after the last release, want 0", m.draining.Load())
 	}
 	// A fresh acquire lands on the new epoch.
 	_, epoch, release2 := m.Acquire()
@@ -284,9 +284,9 @@ func TestServerReweightUnderLoad(t *testing.T) {
 	}
 	// Every retired epoch must fully drain once the server has closed.
 	deadline := time.Now().Add(5 * time.Second)
-	for mgr.Draining() != 0 {
+	for mgr.draining.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("draining = %d epochs after close, want 0", mgr.Draining())
+			t.Fatalf("draining = %d epochs after close, want 0", mgr.draining.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -89,11 +89,11 @@ func queryPhaseInjector(seed int64, permille uint32) *faultinject.Seeded {
 func TestFallbackAbsorbsQueryPanics(t *testing.T) {
 	g, _ := gridGraph(t, 6, 6, 3)
 	ref := refGraph(g)
-	obsv := NewObserver()
+	obsv := NewTelemetry(nil)
 	ix, err := Build(g, &Options{
-		Fallback: FallbackBaseline,
-		Inject:   queryPhaseInjector(99, 1000), // every query panics mid-schedule
-		Observer: obsv,
+		Fallback:  FallbackBaseline,
+		Inject:    queryPhaseInjector(99, 1000), // every query panics mid-schedule
+		Telemetry: obsv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +115,11 @@ func TestFallbackAbsorbsQueryPanics(t *testing.T) {
 	if ix.Degraded() {
 		t.Fatal("transient query panic latched Degraded")
 	}
-	if n := obsv.CounterValue("fallback.engaged"); n == 0 {
-		t.Fatal("fallback.engaged counter not incremented")
+	if n := obsv.reg.CounterValue("sepsp_fallback_engaged_total"); n == 0 {
+		t.Fatal("sepsp_fallback_engaged_total not incremented")
 	}
-	if n := obsv.CounterValue("fallback.queries"); n == 0 {
-		t.Fatal("fallback.queries counter not incremented")
+	if n := obsv.reg.CounterValue("sepsp_fallback_queries_total"); n == 0 {
+		t.Fatal("sepsp_fallback_queries_total not incremented")
 	}
 
 	// Error-returning and tree/path entry points fall back too.
@@ -204,22 +204,22 @@ func TestIndexUsableAfterPanic(t *testing.T) {
 func TestDegradedBuildServesExact(t *testing.T) {
 	g, _ := gridGraph(t, 6, 6, 7)
 	ref := refGraph(g)
-	obsv := NewObserver()
+	obsv := NewTelemetry(nil)
 	inj := faultinject.NewSeeded(faultinject.Config{
 		Seed: 1,
 		Sites: map[string]faultinject.SiteConfig{
 			faultinject.SitePramWorker: {PanicPerMille: 1000}, // every build round panics
 		},
 	})
-	ix, err := Build(g, &Options{Fallback: FallbackBaseline, Inject: inj, Observer: obsv})
+	ix, err := Build(g, &Options{Fallback: FallbackBaseline, Inject: inj, Telemetry: obsv})
 	if err != nil {
 		t.Fatalf("Build should degrade, not fail: %v", err)
 	}
 	if !ix.Degraded() || !ix.Stats().Degraded {
 		t.Fatal("index not marked degraded after build-time panic")
 	}
-	if n := obsv.CounterValue("fallback.engaged"); n == 0 {
-		t.Fatal("degradation not counted in fallback.engaged")
+	if n := obsv.reg.CounterValue("sepsp_fallback_engaged_total"); n == 0 {
+		t.Fatal("degradation not counted in sepsp_fallback_engaged_total")
 	}
 
 	want, err := baseline.Dijkstra(ref, 2, nil)

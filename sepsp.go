@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -105,10 +104,17 @@ type Options struct {
 	// BFS-layer finder.
 	Decomposition *Decomposition
 
-	// Observer, when non-nil, collects phase-scoped traces and metrics for
-	// the build and for every query on the returned Index, and enables the
-	// per-level breakdown in Stats. Nil keeps the uninstrumented fast path.
-	Observer *Observer
+	// Telemetry, when non-nil, receives the counted cost of the build, of
+	// every WithWeights epoch derived from the index and of every query on
+	// them, in its registry: the E+ construction per tree level or
+	// iteration, and each query's relaxations per §3.2 phase kind. The
+	// index is attached at build, so the executor's worker gauges and the
+	// fallback counters show on the Telemetry's /metrics without a Server.
+	// With TelemetryOptions.Trace, the build and the queries also record
+	// spans and run under pprof labels. Nil keeps the uninstrumented fast
+	// path. It is independent of ServerOptions.Telemetry; a caller may pass
+	// the same Telemetry to both.
+	Telemetry *Telemetry
 
 	// Fallback selects the graceful-degradation behavior: with
 	// FallbackBaseline, a decomposition-build failure, an invariant
@@ -126,10 +132,10 @@ type Options struct {
 
 func (o *Options) executor() *pram.Executor {
 	if o == nil || o.Workers == 0 {
-		if o != nil && (o.Observer != nil || o.Inject != nil) {
-			// A private executor so the observer's load-balance gauges
-			// reflect this build only, not the shared Sequential pool —
-			// and so injected faults can never reach the shared pool.
+		if o != nil && (o.Telemetry != nil || o.Inject != nil) {
+			// A private executor so the Telemetry's worker gauges reflect
+			// this index only, not the shared Sequential pool — and so
+			// injected faults can never reach the shared pool.
 			ex := pram.NewExecutor(1)
 			if o.Inject != nil {
 				ex.SetInjector(o.Inject)
@@ -143,41 +149,6 @@ func (o *Options) executor() *pram.Executor {
 		ex.SetInjector(o.Inject)
 	}
 	return ex
-}
-
-// Observer collects observability data — trace spans per preprocessing tree
-// level and per query phase, a metrics registry, optional pprof phase
-// labels — for one Build and the queries on its Index. Exporters emit
-// Chrome trace_event JSON (chrome://tracing, Perfetto) and metric
-// snapshots. An Observer must not be shared between concurrently built
-// indexes (the per-level counters would mix).
-type Observer struct {
-	sink *obs.Sink
-}
-
-// NewObserver returns an observer with tracing and metrics enabled.
-func NewObserver() *Observer {
-	return &Observer{sink: &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}}
-}
-
-// EnablePprofLabels turns on runtime/pprof label propagation (phase=,
-// level=) around instrumented phases, so CPU profiles captured while this
-// observer is attached can be filtered per phase.
-func (o *Observer) EnablePprofLabels() { o.sink.PprofLabels = true }
-
-// WriteTrace writes the collected spans as Chrome trace_event JSON.
-func (o *Observer) WriteTrace(w io.Writer) error { return o.sink.Trace.WriteJSON(w) }
-
-// WriteMetricsJSON writes a point-in-time metrics snapshot as JSON.
-func (o *Observer) WriteMetricsJSON(w io.Writer) error {
-	return o.sink.Metrics.Snapshot().WriteJSON(w)
-}
-
-// CounterValue returns the current value of the named registry counter
-// (0 if it was never touched). Useful for programmatic checks of build and
-// query metrics such as "query.cancelled" or "fallback.engaged".
-func (o *Observer) CounterValue(name string) int64 {
-	return o.sink.Metrics.CounterValue(name)
 }
 
 // Validate checks the Options for the misconfigurations Build would reject
@@ -230,10 +201,11 @@ type Stats struct {
 	// PhaseBreakdown splits QueryPhases/QueryWork by position in the §3.2
 	// bitonic schedule (always populated; sums reproduce the totals).
 	PhaseBreakdown []PhaseStat
-	// Levels is the per-tree-level preprocessing breakdown. Populated when
-	// the index was built with an Observer and the LeavesUp algorithm
-	// (Algorithm 4.3 interleaves all levels, so only its per-iteration
-	// metrics exist); nil otherwise.
+	// Levels is the per-tree-level preprocessing breakdown of the LeavesUp
+	// algorithm, filled by every Build and WithWeights; its rows sum to
+	// PrepWork and PrepRounds. Nil for Simultaneous (Algorithm 4.3
+	// interleaves all levels), for an index whose build failed over to
+	// the fallback engine, and for a loaded index.
 	Levels []LevelStat
 }
 
@@ -285,7 +257,7 @@ type Index struct {
 	ex    *pram.Executor
 	alg   core.Algorithm
 	stats Stats
-	sink  *obs.Sink // observer sink, nil without an Observer
+	sink  *obs.Sink // Options.Telemetry's sink, nil without one
 
 	// epoch is the index's generation tag in an epoch-versioned lifecycle
 	// (see Manager): 0 for an unmanaged index, stamped when a Manager
@@ -373,25 +345,20 @@ func BuildContext(ctx context.Context, g *Graph, opt *Options) (*Index, error) {
 		policy = opt.Fallback
 		inj = opt.Inject
 	}
-	var sink *obs.Sink
-	if opt != nil && opt.Observer != nil {
-		sink = opt.Observer.sink
+	var tel *Telemetry
+	if opt != nil {
+		tel = opt.Telemetry
 	}
 	var fb *fallbackEngine
 	if policy == FallbackBaseline {
 		// Vet the graph for fallback service up front: a negative cycle
 		// makes distances undefined for every engine, so it stays an error.
-		// The counts go to the Observer registry when there is one.
-		engaged, queries := sink.Counter(obs.MFallbackEngaged), sink.Counter(obs.MFallbackQueries)
-		if engaged == nil {
-			engaged, queries = obs.NewCounter(), obs.NewCounter()
-		}
-		if fb, err = newFallbackEngine(dg, engaged, queries); err != nil {
+		if fb, err = newFallbackEngine(dg, obs.NewCounter(), obs.NewCounter()); err != nil {
 			return nil, err
 		}
 	}
 	ex := opt.executor()
-	ix, err := buildPrimary(ctx, dg, finder, leaf, alg, ex, sink, inj)
+	ix, err := buildPrimary(ctx, dg, finder, leaf, alg, ex, tel.engineSink(), inj)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
 			// A cancelled build is the caller's decision, not a failure —
@@ -404,16 +371,17 @@ func BuildContext(ctx context.Context, g *Graph, opt *Options) (*Index, error) {
 		// Graceful degradation: no decomposition, but every query still
 		// gets an exact answer from the baseline engine.
 		fb.engage()
-		dix := &Index{g: dg, ex: ex, alg: alg, sink: sink, fb: fb}
-		dix.degraded.Store(true)
-		return dix, nil
-	}
-	ix.fb = fb
-	if fb != nil {
-		if cerr := ix.selfCheck(); cerr != nil {
-			ix.degrade()
+		ix = &Index{g: dg, ex: ex, alg: alg, sink: tel.engineSink(), fb: fb}
+		ix.degraded.Store(true)
+	} else {
+		ix.fb = fb
+		if fb != nil {
+			if cerr := ix.selfCheck(); cerr != nil {
+				ix.degrade()
+			}
 		}
 	}
+	tel.attachIndex(ix)
 	return ix, nil
 }
 
@@ -440,22 +408,11 @@ func buildPrimary(ctx context.Context, dg *graph.Digraph, finder separator.Finde
 		}
 		return nil, err
 	}
-	ix = &Index{eng: eng, g: dg, ex: ex, alg: alg, sink: sink, stats: engineStats(eng, prep)}
-	if sink != nil {
-		if alg == core.Alg41 {
-			ix.stats.Levels = levelBreakdown(sink.Metrics, tree)
-		}
-		max, mean, imb := ex.LoadStats()
-		sink.Gauge(obs.MExecWorkers).Set(float64(ex.P()))
-		sink.Gauge(obs.MExecImbalance).Set(imb)
-		sink.Gauge("exec.busy.max").Set(float64(max))
-		sink.Gauge("exec.busy.mean").Set(mean)
-	}
-	return ix, nil
+	return &Index{eng: eng, g: dg, ex: ex, alg: alg, sink: sink, stats: engineStats(eng, prep)}, nil
 }
 
 // engineStats is the Stats of an engine whose E+ construction counted
-// into prep; Levels, which only an observed Build records, stays nil.
+// into prep.
 func engineStats(eng *core.Engine, prep *pram.Stats) Stats {
 	tree := eng.Tree()
 	return Stats{
@@ -468,6 +425,7 @@ func engineStats(eng *core.Engine, prep *pram.Stats) Stats {
 		QueryPhases:    eng.Schedule().Phases(),
 		QueryWork:      eng.Schedule().WorkPerSource(),
 		PhaseBreakdown: phaseBreakdown(eng.Schedule()),
+		Levels:         levelBreakdown(eng.Augmentation().Levels, tree),
 	}
 }
 
@@ -544,22 +502,18 @@ func phaseBreakdown(s *core.Schedule) []PhaseStat {
 	return out
 }
 
-// levelBreakdown reads the per-level counters Algorithm 4.1 recorded into
-// the observer's registry back into the public Stats shape.
-func levelBreakdown(reg *obs.Registry, tree *separator.Tree) []LevelStat {
-	nodes := make([]int, tree.Height+1)
-	for i := range tree.Nodes {
-		nodes[tree.Nodes[i].Level]++
+// levelBreakdown converts Algorithm 4.1's per-level counts into the public
+// Stats shape (nil for Algorithm 4.3, which returns none).
+func levelBreakdown(levels []augment.Stage, tree *separator.Tree) []LevelStat {
+	if levels == nil {
+		return nil
 	}
-	out := make([]LevelStat, tree.Height+1)
-	for L := 0; L <= tree.Height; L++ {
-		out[L] = LevelStat{
-			Level:     L,
-			Nodes:     nodes[L],
-			Work:      reg.CounterValue(obs.LevelKey(obs.MPrepWork, L)),
-			Rounds:    reg.CounterValue(obs.LevelKey(obs.MPrepRounds, L)),
-			Shortcuts: reg.CounterValue(obs.LevelKey(obs.MPrepShortcuts, L)),
-		}
+	out := make([]LevelStat, len(levels))
+	for L, st := range levels {
+		out[L] = LevelStat{Level: L, Work: st.Work, Rounds: st.Rounds, Shortcuts: st.Contributions}
+	}
+	for i := range tree.Nodes {
+		out[tree.Nodes[i].Level].Nodes++
 	}
 	return out
 }
@@ -749,8 +703,9 @@ func (ix *Index) PathContext(ctx context.Context, src, dst int) (path []int, w f
 // exactly when SSSPContext from src gives v a finite distance. It is that
 // one distance query, so a +Inf-weight edge counts as absent, exactly as in
 // SSSPContext and PathContext; errors, panics and fallback are
-// SSSPContext's, and an observed index records one query.sssp span per
-// call. An out-of-range src fails with an error wrapping ErrBadOptions.
+// SSSPContext's, and an index built with a tracing Telemetry records one
+// query.sssp span per call. An out-of-range src fails with an error
+// wrapping ErrBadOptions.
 func (ix *Index) Reachable(src int) ([]bool, error) {
 	dist, err := ix.SSSPContext(context.Background(), src)
 	if err != nil {

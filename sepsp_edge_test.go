@@ -262,8 +262,8 @@ func TestIndexRejectsOutOfRangeVertices(t *testing.T) {
 	}
 	for _, fb := range []FallbackPolicy{FallbackOff, FallbackBaseline} {
 		for _, withOracle := range []bool{false, true} {
-			obsv := NewObserver()
-			ix, err := Build(g, &Options{Fallback: fb, Observer: obsv})
+			obsv := NewTelemetry(nil)
+			ix, err := Build(g, &Options{Fallback: fb, Telemetry: obsv})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func TestIndexRejectsOutOfRangeVertices(t *testing.T) {
 						fb, withOracle, q.name, err, q.role)
 				}
 			}
-			if n := obsv.CounterValue("fallback.engaged"); n != 0 {
+			if n := obsv.reg.CounterValue("sepsp_fallback_engaged_total"); n != 0 {
 				t.Errorf("fallback=%d oracle=%v: %d fallback engagements from bad vertices", fb, withOracle, n)
 			}
 			if d := mustDist(t, ix, 0, 3); d != 3 {

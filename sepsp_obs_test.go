@@ -3,6 +3,8 @@ package sepsp
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,12 +33,13 @@ func obsTestGraph(t *testing.T) (*Graph, [][]int) {
 	return g, coords
 }
 
-// TestObserverMetricsReconcileWithStats is the acceptance check: per-phase
-// and per-level metric values sum exactly to the Index.Stats() totals.
+// TestObserverMetricsReconcileWithStats is the acceptance check of an
+// index observed through Options.Telemetry: the per-level and per-phase
+// families sum exactly to the Index.Stats() totals.
 func TestObserverMetricsReconcileWithStats(t *testing.T) {
 	g, coords := obsTestGraph(t)
-	ob := NewObserver()
-	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob})
+	tel := NewTelemetry(nil)
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +66,24 @@ func TestObserverMetricsReconcileWithStats(t *testing.T) {
 	if nodes == 0 {
 		t.Fatal("no tree nodes attributed to levels")
 	}
+	// The per-level families carry the same rows, one series per level.
+	work, rounds := promSeries(t, tel, "sepsp_prep_work_total"), promSeries(t, tel, "sepsp_prep_rounds_total")
+	contrib := promSeries(t, tel, "sepsp_prep_contributions_total")
+	if len(work) != len(st.Levels) {
+		t.Fatalf("sepsp_prep_work_total has %d series, want one per level (%d)", len(work), len(st.Levels))
+	}
+	for _, ls := range st.Levels {
+		lbl := `level="` + strconv.Itoa(ls.Level) + `"`
+		if work[lbl] != ls.Work || rounds[lbl] != ls.Rounds || contrib[lbl] != ls.Shortcuts {
+			t.Fatalf("level %d: series work=%d rounds=%d contributions=%d, Stats %+v",
+				ls.Level, work[lbl], rounds[lbl], contrib[lbl], ls)
+		}
+	}
 
 	// Static per-phase breakdown reconciles with the totals.
+	if len(st.PhaseBreakdown) == 0 {
+		t.Fatal("PhaseBreakdown should always be populated")
+	}
 	var pw int64
 	var pp int
 	for _, ps := range st.PhaseBreakdown {
@@ -77,52 +96,48 @@ func TestObserverMetricsReconcileWithStats(t *testing.T) {
 
 	// Dynamic per-phase counters after exactly one query reconcile too.
 	mustSSSP(t, ix, 0)
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-		Gauges   map[string]float64
-	}
-	var buf bytes.Buffer
-	if err := ob.WriteMetricsJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("metrics snapshot is not valid JSON: %v", err)
-	}
+	relax := promSeries(t, tel, "sepsp_query_relaxations_total")
 	var qw int64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "query.work.") {
-			qw += v
+	for _, ps := range st.PhaseBreakdown {
+		if got := relax[`kind="`+ps.Kind+`"`]; got != ps.Work {
+			t.Fatalf("kind %s: %d relaxations, PhaseBreakdown says %d", ps.Kind, got, ps.Work)
 		}
+	}
+	for _, v := range relax {
+		qw += v
 	}
 	// Every phase runs, so the per-kind counters reconcile exactly with
 	// the static per-source cost in Stats.
 	if qw != st.QueryWork {
-		t.Fatalf("query.work.* counters sum to %d, Stats.QueryWork is %d", qw, st.QueryWork)
+		t.Fatalf("sepsp_query_relaxations_total sums to %d, Stats.QueryWork is %d", qw, st.QueryWork)
 	}
-	if got := snap.Counters["query.phases"]; got != int64(st.QueryPhases) {
-		t.Fatalf("query.phases %d, want %d", got, st.QueryPhases)
+	if got := tel.reg.CounterValue("sepsp_query_phases_total"); got != int64(st.QueryPhases) {
+		t.Fatalf("sepsp_query_phases_total %d, want %d", got, st.QueryPhases)
 	}
-	if snap.Gauges["exec.workers"] != 1 {
-		t.Fatalf("exec.workers gauge %v, want 1", snap.Gauges["exec.workers"])
+	// The index is attached at build: its executor's gauges show without
+	// a Server.
+	if busy := promSeries(t, tel, "sepsp_worker_busy_iterations"); len(busy) != 1 {
+		t.Fatalf("%d worker busy gauges, want 1 worker", len(busy))
 	}
-	if snap.Gauges["exec.imbalance"] != 1 {
-		t.Fatalf("P=1 build must report imbalance exactly 1, got %v", snap.Gauges["exec.imbalance"])
+	if imb := promSeries(t, tel, "sepsp_exec_load_imbalance"); len(imb) != 1 || imb[`index="0"`] != 1 {
+		t.Fatalf("P=1 build must report imbalance exactly 1, got %v", imb)
 	}
 }
 
 // TestObserverTraceHasAllPrepLevelsAndQueryPhases checks the exported
-// Chrome trace: a span per preprocessing tree level and per query phase.
+// Chrome trace of a tracing Telemetry: a span per preprocessing tree level
+// and per query phase.
 func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 	g, coords := obsTestGraph(t)
-	ob := NewObserver()
-	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob})
+	tel := NewTelemetry(&TelemetryOptions{Trace: true})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustSSSP(t, ix, 0)
 
 	var buf bytes.Buffer
-	if err := ob.WriteTrace(&buf); err != nil {
+	if err := tel.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -158,33 +173,72 @@ func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 	if queryPhases != st.QueryPhases {
 		t.Fatalf("trace has %d query.phase spans, want %d", queryPhases, st.QueryPhases)
 	}
-}
 
-// TestBuildWithoutObserverLeavesLevelsNil guards the disabled fast path.
-func TestBuildWithoutObserverLeavesLevelsNil(t *testing.T) {
-	g, coords := obsTestGraph(t)
-	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords)})
+	// Without the Trace option the same build records no spans.
+	quiet := NewTelemetry(nil)
+	ix, err = Build(g, &Options{Decomposition: GridDecomposition(coords), Telemetry: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ix.Stats()
-	if st.Levels != nil {
-		t.Fatal("Levels populated without an observer")
+	mustSSSP(t, ix, 0)
+	buf.Reset()
+	if err := quiet.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if len(st.PhaseBreakdown) == 0 {
-		t.Fatal("PhaseBreakdown should always be populated")
+	if strings.Contains(buf.String(), "query.phase") || strings.Contains(buf.String(), "prep.level") {
+		t.Fatalf("untraced Telemetry recorded spans: %s", buf.String())
+	}
+}
+
+// TestStatsLevelsOnEveryEpoch: Stats.Levels is filled by an uninstrumented
+// Build and by WithWeights, and a reweighted epoch's levels equal a fresh
+// Build's for the same weights and sum to its PrepWork and PrepRounds.
+func TestStatsLevelsOnEveryEpoch(t *testing.T) {
+	g, coords := obsTestGraph(t)
+	opt := &Options{Decomposition: GridDecomposition(coords)}
+	ix, err := Build(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Stats(); len(st.Levels) != st.TreeHeight+1 || len(st.PhaseBreakdown) == 0 {
+		t.Fatalf("uninstrumented Build: %d level rows (height %d), %d phase kinds",
+			len(st.Levels), st.TreeHeight, len(st.PhaseBreakdown))
+	}
+	g2 := NewGraph(g.N())
+	for i, e := range refGraph(g).EdgeList() {
+		g2.AddEdge(e.From, e.To, e.W*float64(1+i%4))
+	}
+	re, err := ix.WithWeights(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(g2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := re.Stats(), fresh.Stats()
+	if got.Levels == nil || !reflect.DeepEqual(got.Levels, want.Levels) {
+		t.Fatalf("reweighted levels %+v, fresh Build %+v", got.Levels, want.Levels)
+	}
+	var work, rounds int64
+	for _, ls := range got.Levels {
+		work += ls.Work
+		rounds += ls.Rounds
+	}
+	if work != got.PrepWork || rounds != got.PrepRounds {
+		t.Fatalf("reweighted levels sum to work=%d rounds=%d, Stats %d/%d", work, rounds, got.PrepWork, got.PrepRounds)
 	}
 }
 
 // TestWithWeightsKeepsObserverAndInjector: the index WithWeights returns
-// reports its queries to the Observer the original index was built with
-// and fires its fault injector at every query phase, so a Manager epoch
-// after the first stays observed.
+// records its reweight and its queries into the Telemetry the original
+// index was built with and fires its fault injector at every query phase,
+// so a Manager epoch after the first stays observed.
 func TestWithWeightsKeepsObserverAndInjector(t *testing.T) {
 	g, coords := obsTestGraph(t)
-	ob := NewObserver()
+	tel := NewTelemetry(nil)
 	inj := faultinject.NewSeeded(faultinject.Config{Seed: 1, Sites: map[string]faultinject.SiteConfig{faultinject.SiteQueryPhase: {}}})
-	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob, Inject: inj})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Telemetry: tel, Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +246,19 @@ func TestWithWeightsKeepsObserverAndInjector(t *testing.T) {
 	for _, e := range refGraph(g).EdgeList() {
 		g2.AddEdge(e.From, e.To, e.W+1)
 	}
+	prepWork := tel.reg.CounterValue("sepsp_prep_work_total")
 	re, err := ix.WithWeights(g2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases, calls := ob.CounterValue("query.phases"), inj.Calls(faultinject.SiteQueryPhase)
+	if got := tel.reg.CounterValue("sepsp_prep_work_total") - prepWork; got != re.Stats().PrepWork {
+		t.Fatalf("sepsp_prep_work_total grew by %d on the reweight, want its PrepWork %d", got, re.Stats().PrepWork)
+	}
+	phases, calls := tel.reg.CounterValue("sepsp_query_phases_total"), inj.Calls(faultinject.SiteQueryPhase)
 	mustSSSP(t, re, 0)
 	want := int64(re.Stats().QueryPhases)
-	if got := ob.CounterValue("query.phases") - phases; got != want {
-		t.Fatalf("query.phases grew by %d on the reweighted index, want %d", got, want)
+	if got := tel.reg.CounterValue("sepsp_query_phases_total") - phases; got != want {
+		t.Fatalf("sepsp_query_phases_total grew by %d on the reweighted index, want %d", got, want)
 	}
 	if got := inj.Calls(faultinject.SiteQueryPhase) - calls; got != uint64(want) {
 		t.Fatalf("injector fired %d times on the reweighted index, want %d", got, want)

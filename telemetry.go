@@ -20,6 +20,12 @@ type TelemetryOptions struct {
 	// flight recorder retains for /flightrecorder postmortem dumps
 	// (default 512, rounded up to a power of two).
 	FlightRecorderSize int
+	// Trace turns on spans and pprof labels for every index built with
+	// this Telemetry in Options.Telemetry: a span per E+ construction
+	// level or iteration and per query Bellman-Ford phase, exported by
+	// WriteTrace, and phase=/level= labels on CPU profiles. Spans are kept
+	// without bound, so a long-running server leaves it off.
+	Trace bool
 }
 
 // Telemetry is the live serving telemetry registry: lock-free counters,
@@ -33,20 +39,28 @@ type TelemetryOptions struct {
 //
 // The hot-path cost is a few atomic operations per request when attached
 // and exactly zero when ServerOptions.Telemetry is nil (the server keeps
-// its uninstrumented path). Unlike Observer — which snapshots after a run
-// finishes — Telemetry is safe to scrape continuously while serving. All
-// methods are safe for concurrent use. A Telemetry may be shared by
-// several Servers and Managers; per-server gauges are distinguished by a
-// server="N" label in attachment order, and /healthz reports the first
-// server.
+// its uninstrumented path). Telemetry is safe to scrape continuously while
+// serving. All methods are safe for concurrent use. A Telemetry may be
+// shared by several Servers and Managers; per-server gauges are
+// distinguished by a server="N" label in attachment order, and /healthz
+// reports the first server.
+//
+// Given to Build as Options.Telemetry, it also records the index's cost
+// in the paper's terms: sepsp_prep_work_total, sepsp_prep_rounds_total
+// and sepsp_prep_contributions_total per separator-tree level (or per
+// iteration of Algorithm 4.3) for the build and every reweight, and
+// sepsp_query_relaxations_total per schedule phase kind,
+// sepsp_query_phases_total and sepsp_query_cancelled_total for every
+// query, counted per source.
 //
 // Every count a server, manager, breaker, cache or fallback engine keeps
 // is read where it is kept, at scrape time: its counter family sums it
 // over the attached owners (never detached, so the sums never fall).
 // Telemetry itself keeps only the counts no other type does.
 type Telemetry struct {
-	reg *obs.Registry
-	rec *obs.Recorder
+	reg  *obs.Registry
+	rec  *obs.Recorder
+	sink *obs.Sink // what indexes built with this Telemetry record into
 
 	// degradedQ counts queries served while the index was degraded to the
 	// baseline fallback (orthogonal to outcome — a degraded query usually
@@ -70,7 +84,7 @@ type Telemetry struct {
 	mu       sync.Mutex
 	servers  []*Server
 	managers []*Manager     // every server's, plus standalone ones given this Telemetry
-	indexes  map[*Index]int // attached index → id for worker gauge labels
+	indexes  map[*Index]int // every server's and every build's index → id for worker gauge labels
 }
 
 // NewTelemetry returns a telemetry registry with every metric family
@@ -84,7 +98,11 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	t := &Telemetry{
 		reg:     reg,
 		rec:     obs.NewRecorder(size),
+		sink:    &obs.Sink{Metrics: reg},
 		indexes: make(map[*Index]int),
+	}
+	if opt != nil && opt.Trace {
+		t.sink.Trace = obs.NewTracer()
 	}
 	const qname = "sepsp_server_queries_total"
 	const qhelp = "Requests decided by the server, by outcome."
@@ -170,23 +188,38 @@ func sumOver[T any](t *Telemetry, owners *[]T, count func(T) int64) func() int64
 }
 
 // sumFallback returns a func series summing one counter of the fallback
-// engines serving under the attached managers. Managers over one index
-// (or indexes of one Observer) share that counter, so each distinct
+// engines of the attached managers' and indexes' epochs. Every epoch
+// derived from one build shares that build's counter, so each distinct
 // counter is read once.
 func (t *Telemetry) sumFallback(counter func(*fallbackEngine) *obs.Counter) func() int64 {
 	return func() int64 {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		var total int64
-		seen := make(map[*obs.Counter]bool, len(t.managers))
-		for _, m := range t.managers {
-			if fb := m.Index().fb; fb != nil && !seen[counter(fb)] {
+		seen := make(map[*obs.Counter]bool, len(t.managers)+len(t.indexes))
+		add := func(ix *Index) {
+			if fb := ix.fb; fb != nil && !seen[counter(fb)] {
 				seen[counter(fb)] = true
 				total += counter(fb).Value()
 			}
 		}
+		for _, m := range t.managers {
+			add(m.Index())
+		}
+		for ix := range t.indexes {
+			add(ix)
+		}
 		return total
 	}
+}
+
+// engineSink returns the sink an index built with this Telemetry records
+// into (nil for a nil Telemetry).
+func (t *Telemetry) engineSink() *obs.Sink {
+	if t == nil {
+		return nil
+	}
+	return t.sink
 }
 
 // attachManager adds m to the managers whose counts this registry reads.
@@ -201,15 +234,9 @@ func (t *Telemetry) attachManager(m *Manager) {
 // executor's per-worker busy gauges) into the registry. Called by
 // NewServer, after its Manager attached.
 func (t *Telemetry) attach(s *Server) {
-	ix := s.mgr.Index()
 	t.mu.Lock()
 	sid := len(t.servers)
 	t.servers = append(t.servers, s)
-	ixid, seen := t.indexes[ix]
-	if !seen {
-		ixid = len(t.indexes)
-		t.indexes[ix] = ixid
-	}
 	t.mu.Unlock()
 
 	slbl := fmt.Sprintf(`server="%d"`, sid)
@@ -268,6 +295,23 @@ func (t *Telemetry) attach(s *Server) {
 	t.reg.GaugeFunc("sepsp_cache_resident_bytes",
 		"Bytes of distance vectors resident in the cache right now (0 when disabled).", slbl,
 		func() float64 { return float64(s.cache.Stats().Bytes) })
+	t.attachIndex(s.mgr.Index())
+}
+
+// attachIndex registers ix's executor's per-worker busy gauges, once per
+// index, and lets the fallback families read ix's counters. Called by
+// attach and by Build for an index built with this Telemetry (nil-safe).
+func (t *Telemetry) attachIndex(ix *Index) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	_, seen := t.indexes[ix]
+	ixid := len(t.indexes)
+	if !seen {
+		t.indexes[ix] = ixid
+	}
+	t.mu.Unlock()
 	if seen {
 		return
 	}
@@ -415,17 +459,17 @@ func (t *Telemetry) recordBackoff() {
 	}
 }
 
-// QueriesTotal returns the cumulative decided-request count across every
-// outcome — a programmatic convenience mirroring the
-// sepsp_server_queries_total family.
-func (t *Telemetry) QueriesTotal() int64 {
-	return t.reg.CounterValue("sepsp_server_queries_total")
-}
-
 // WriteMetrics writes every metric family in the Prometheus text
 // exposition format — the same bytes the /metrics endpoint serves.
 func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	return t.reg.WritePrometheus(w)
+}
+
+// WriteTrace writes the spans of the indexes built with this Telemetry as
+// Chrome trace_event JSON (chrome://tracing, Perfetto); without
+// TelemetryOptions.Trace it writes an empty, still loadable trace.
+func (t *Telemetry) WriteTrace(w io.Writer) error {
+	return t.sink.Trace.WriteJSON(w)
 }
 
 // WriteFlightRecorder writes the flight recorder's current contents as one

@@ -87,8 +87,8 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 // TestTelemetrySumsServerCounts: two servers with caches share one
-// Telemetry and end requests every way seeded faults, client cancels,
-// queue deadlines and a thrashing cache allow. Meanwhile each server
+// Telemetry and end requests every way seeded faults, client cancels and a
+// thrashing cache allow. Meanwhile each server
 // reweights under injected rebuild panics and answers brownout queries
 // from a fallback engine that panics on every other call, so on a fake
 // clock both breakers cycle through open, half-open and closed, while a
@@ -99,6 +99,11 @@ func (c *fakeClock) advance(d time.Duration) {
 // counts; the fallback families must read the one shared index's counts
 // once; the outcome series must add up to the calls made; and no scraped
 // owner-kept series may ever fall.
+//
+// The load cannot starve a server: there is no real-clock queue deadline
+// and the window holds every request the clients can leave queued, so a
+// request that is not cancelled always reaches a wave however late the
+// dispatcher runs.
 func TestTelemetrySumsServerCounts(t *testing.T) {
 	g, grid := gridGraph(t, 10, 10, 42)
 	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline})
@@ -113,6 +118,7 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 	var calls int64
 	var wg sync.WaitGroup
 	var mu sync.Mutex
+	const clients, perClient = 4, 50
 	for i := range srvs {
 		inj := faultinject.NewSeeded(faultinject.Config{
 			Seed:  int64(11 + i),
@@ -124,12 +130,13 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 			},
 		})
 		srv, err := NewServer(ix, &ServerOptions{
-			MaxBatch:     4,
-			MaxInFlight:  6,
-			QueueTimeout: 5 * time.Millisecond,
-			CacheBytes:   int64(n) * 8 * 2,
-			Telemetry:    tel,
-			Inject:       inj,
+			MaxBatch: 4,
+			// A cancelled request stays queued until the dispatcher drops
+			// it; room for all of them keeps live ones from being shed.
+			MaxInFlight: clients * perClient,
+			CacheBytes:  int64(n) * 8 * 2,
+			Telemetry:   tel,
+			Inject:      inj,
 			Admission: &AdmissionOptions{
 				RebuildBreaker:  BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute, now: clk.now},
 				FallbackBreaker: BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute, now: clk.now},
@@ -139,11 +146,11 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		srvs[i] = srv
-		for c := 0; c < 4; c++ {
+		for c := 0; c < clients; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				for k := 0; k < 50; k++ {
+				for k := 0; k < perClient; k++ {
 					ctx, cancel := context.WithCancel(context.Background())
 					if inj.Fire(faultinject.SiteClientCancel) == faultinject.Cancel {
 						time.AfterFunc(time.Duration(k%4)*100*time.Microsecond, cancel)
@@ -157,7 +164,7 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 					cancel()
 				}
 				mu.Lock()
-				calls += 50
+				calls += perClient
 				mu.Unlock()
 			}(c)
 		}
@@ -219,8 +226,8 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 	for out := 0; out < obs.NumOutcomes; out++ {
 		total += q[`outcome="`+obs.Outcome(out).String()+`"`]
 	}
-	if total != calls || tel.QueriesTotal() != calls {
-		t.Fatalf("queries_total series %v (QueriesTotal %d), want %d calls", q, tel.QueriesTotal(), calls)
+	if qt := tel.reg.CounterValue("sepsp_server_queries_total"); total != calls || qt != calls {
+		t.Fatalf("queries_total series %v (family sum %d), want %d calls", q, qt, calls)
 	}
 	fb := srvs[0].mgr.Index().fb
 	type check struct {
@@ -273,7 +280,7 @@ func TestTelemetrySumsServerCounts(t *testing.T) {
 }
 
 // degradedIndex builds an index whose every build round panics, so Build
-// degrades it to the baseline fallback engine. No Observer is attached.
+// degrades it to the baseline fallback engine. No Telemetry is attached.
 func degradedIndex(t *testing.T) (*Index, int) {
 	t.Helper()
 	g, grid := gridGraph(t, 6, 6, 7)
@@ -316,6 +323,85 @@ func TestTelemetryCountsBuildDegradation(t *testing.T) {
 	}
 }
 
+// TestTelemetryCountsBuildDegradationWithoutServer: an index built with
+// Options.Telemetry is attached at build, so a degradation during Build
+// shows on that Telemetry's /metrics with no Server over the index, and so
+// do the queries the fallback engine then answers.
+func TestTelemetryCountsBuildDegradationWithoutServer(t *testing.T) {
+	g, _ := gridGraph(t, 6, 6, 7)
+	inj := faultinject.NewSeeded(faultinject.Config{
+		Seed:  1,
+		Sites: map[string]faultinject.SiteConfig{faultinject.SitePramWorker: {PanicPerMille: 1000}},
+	})
+	tel := NewTelemetry(nil)
+	ix, err := Build(g, &Options{Fallback: FallbackBaseline, Inject: inj, Telemetry: tel})
+	if err != nil {
+		t.Fatalf("Build should degrade, not fail: %v", err)
+	}
+	if !ix.Degraded() {
+		t.Fatal("index not degraded after build-time panics")
+	}
+	if got := promSeries(t, tel, "sepsp_fallback_engaged_total")[""]; got < 1 {
+		t.Fatalf("sepsp_fallback_engaged_total = %d on a degraded build, want >= 1", got)
+	}
+	mustSSSP(t, ix, 2)
+	if got := promSeries(t, tel, "sepsp_fallback_queries_total")[""]; got != 1 {
+		t.Fatalf("sepsp_fallback_queries_total = %d after one query, want 1", got)
+	}
+}
+
+// TestTelemetryIndexFamiliesOnlyFromBuild: a Telemetry attached only
+// through ServerOptions exposes none of the index's cost families, while
+// one also given to Build exposes them beside the server's, with the
+// index's worker gauges and fallback counts once, not once per handle.
+func TestTelemetryIndexFamiliesOnlyFromBuild(t *testing.T) {
+	indexFamilies := []string{"sepsp_prep_work_total", "sepsp_prep_rounds_total", "sepsp_prep_contributions_total",
+		"sepsp_query_relaxations_total", "sepsp_query_phases_total", "sepsp_query_cancelled_total"}
+	for _, atBuild := range []bool{false, true} {
+		g, grid := gridGraph(t, 6, 6, 7)
+		tel := NewTelemetry(nil)
+		opt := &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline}
+		if atBuild {
+			opt.Telemetry = tel
+		}
+		ix, err := Build(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(ix, &ServerOptions{Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The build's self-check queries count too; measure one served query.
+		phases := tel.reg.CounterValue("sepsp_query_phases_total")
+		if _, err := srv.SSSP(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		var b strings.Builder
+		if err := tel.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, fam := range indexFamilies {
+			if got := strings.Contains(b.String(), "# TYPE "+fam+" counter"); got != atBuild {
+				t.Errorf("atBuild=%v: family %s exposed=%v", atBuild, fam, got)
+			}
+		}
+		if atBuild {
+			if got := tel.reg.CounterValue("sepsp_query_phases_total") - phases; got != int64(ix.Stats().QueryPhases) {
+				t.Errorf("one served query ran %d phases, want %d", got, ix.Stats().QueryPhases)
+			}
+		}
+		if busy := promSeries(t, tel, "sepsp_worker_busy_iterations"); len(busy) != 1 {
+			t.Errorf("atBuild=%v: %d worker gauges, want the index's one", atBuild, len(busy))
+		}
+		ix.fb.engage()
+		if got := promSeries(t, tel, "sepsp_fallback_engaged_total")[""]; got != 1 {
+			t.Errorf("atBuild=%v: sepsp_fallback_engaged_total = %d after one engagement, want 1", atBuild, got)
+		}
+	}
+}
+
 // TestTelemetryFallbackCountsPerIndex: two servers over one degraded index,
 // each with its own Telemetry. Queries through the first must show on the
 // first Telemetry; the second, which serves the same index, reads the same
@@ -355,8 +441,8 @@ func TestTelemetryCountsQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tel.QueriesTotal(); got != reqs {
-		t.Fatalf("QueriesTotal = %d, want %d", got, reqs)
+	if got := tel.reg.CounterValue("sepsp_server_queries_total"); got != reqs {
+		t.Fatalf("sepsp_server_queries_total = %d, want %d", got, reqs)
 	}
 	var b bytes.Buffer
 	if err := tel.WriteMetrics(&b); err != nil {
@@ -662,8 +748,8 @@ func TestTelemetryScrapeStress(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got := tel.QueriesTotal(); got != clients*perClient {
-		t.Fatalf("QueriesTotal = %d, want %d", got, clients*perClient)
+	if got := tel.reg.CounterValue("sepsp_server_queries_total"); got != clients*perClient {
+		t.Fatalf("sepsp_server_queries_total = %d, want %d", got, clients*perClient)
 	}
 }
 
